@@ -27,6 +27,7 @@ from .geometry import (
     ChartPoint,
     MetricField,
     OneFormField,
+    PointBatch,
     ScalarField,
     VectorField,
     partial_derivative,

@@ -112,7 +112,8 @@ def _sphere_metric(radius: float, label: str, dim: int = 3) -> MetricField:
 
     def g(x):
         q = sum(c * c for c in x)
-        conf = (2.0 * r2 / (r2 + q)) ** 2
+        root = 2.0 * r2 / (r2 + q)
+        conf = root * root
         return [[conf if i == j else 0.0 for j in range(dim)] for i in range(dim)]
 
     return MetricField(g, dom, name=label)
@@ -136,7 +137,8 @@ def _cylinder_metric(label: str) -> MetricField:
 
     def g(x):
         q = x[0] * x[0] + x[1] * x[1]
-        conf = (2.0 / (1.0 + q)) ** 2
+        root = 2.0 / (1.0 + q)
+        conf = root * root
         return [[conf, 0.0, 0.0], [0.0, conf, 0.0], [0.0, 0.0, 1.0]]
 
     return MetricField(g, dom, name=label)

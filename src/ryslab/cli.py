@@ -9,17 +9,17 @@ written atomically and are byte-identical for identical
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import catalog, identities, quadrature, solver
 from .curvature import ricci, ricci_operator, scalar_curvature
 from .errors import NoConvergence, NotCompact, RysLabError
-from .geometry import sample_points
+from .geometry import PointBatch, sample_points
 from .report import VERSION, CheckRecord, CheckReport, RunConfig, write_report
 from .soliton import (
     SolitonKind,
@@ -27,11 +27,8 @@ from .soliton import (
     classify,
     concircular_conclusions,
     concircular_defect,
-    defining_residual,
     residual_report,
 )
-
-THREADS_ENV = "RYS_LAB_THREADS"
 
 ANCHORS = {
     "defining-residual": "defining soliton equation",
@@ -84,23 +81,10 @@ DEFAULT_TOLS = {
 }
 
 PERTURBED_METRICS = 5
-
-
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, optionally fanned out over worker threads."""
-    workers = worker_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+# Every check holds all of a case's points in memory at once (the
+# fourth-order jet of R is the largest), so --points has a ceiling: at
+# 10,000 points a full `verify` peaks near 280 MB.
+MAX_POINTS = 10000
 
 
 # -- verify -----------------------------------------------------------------
@@ -116,9 +100,9 @@ def _case_points(entry, count: int, seed: int):
     return pts
 
 
-def _record_worst(report, case, check, results, tols):
-    """Aggregate per-point identity residuals into one worst-point record."""
-    worst = max(results, key=lambda r: r.rel_gap)
+def _record_worst(report, case, check, residual, tols):
+    """Report an identity checked over a batch by its worst point."""
+    worst = residual.worst()
     report.add(
         CheckRecord.build(
             name=f"{case}:{check}",
@@ -132,17 +116,24 @@ def _record_worst(report, case, check, results, tols):
     )
 
 
+def _last_argmax(values) -> int:
+    """Index of the last maximum, the point a running ``>=`` scan keeps."""
+    values = np.asarray(values)
+    return len(values) - 1 - int(np.argmax(values[::-1]))
+
+
 def _run_soliton_case(name, spec, params, points, seed, tols, report) -> None:
     entry = spec.entry()
     inst = spec.build(params)
-    pts = _case_points(entry, points, seed)
-    inst.metric.require_spd(pts)
+    batch = PointBatch(_case_points(entry, points, seed))
+    pts = batch.points
+    inst.metric.require_spd(batch)
 
     # Both norms of the defining residual are reported; tolerances match.
-    reports = parallel_map(lambda p: residual_report(inst, p), pts)
-    residuals = [r["max_abs"] for r in reports]
+    norms = residual_report(inst, batch)
+    residuals = norms["max_abs"]
     worst_idx = int(np.argmax(residuals))
-    gnorm_idx = int(np.argmax([r["g_norm"] for r in reports]))
+    gnorm_idx = int(np.argmax(norms["g_norm"]))
     defining_tol = tols["defining-residual"]
     report.add(
         CheckRecord.build(
@@ -160,9 +151,9 @@ def _run_soliton_case(name, spec, params, points, seed, tols, report) -> None:
             name=f"{name}:defining-residual-gnorm",
             anchor=ANCHORS["defining-residual"],
             point=list(pts[gnorm_idx].coords),
-            lhs=reports[gnorm_idx]["g_norm"],
+            lhs=norms["g_norm"][gnorm_idx],
             rhs=0.0,
-            gap=reports[gnorm_idx]["g_norm"],
+            gap=norms["g_norm"][gnorm_idx],
             tol=tols["defining-residual-gnorm"],
         )
     )
@@ -170,30 +161,21 @@ def _run_soliton_case(name, spec, params, points, seed, tols, report) -> None:
         return  # derived identities are meaningless off the soliton
 
     if inst.kind in (SolitonKind.GRYS, SolitonKind.GEN_GRYS):
-        _record_worst(
-            report, name, "trace-identity",
-            parallel_map(lambda p: identities.check_trace_identity(inst, p, defining_tol), pts),
-            tols,
-        )
-        _record_worst(
-            report, name, "gradient-identity",
-            parallel_map(lambda p: identities.check_gradient_identity(inst, p, defining_tol), pts),
-            tols,
-        )
-        _record_worst(
-            report, name, "laplacian-identity",
-            parallel_map(lambda p: identities.check_laplacian_identity(inst, p, defining_tol), pts),
-            tols,
-        )
+        for check, fn in (
+            ("trace-identity", identities.check_trace_identity),
+            ("gradient-identity", identities.check_gradient_identity),
+            ("laplacian-identity", identities.check_laplacian_identity),
+        ):
+            _record_worst(report, name, check, fn(inst, batch, defining_tol), tols)
         n = inst.n
         if params.mu == 0.0 and abs(params.alpha - params.beta * (n - 1)) > 1e-12:
             _record_worst(
                 report, name, "splitting-identity",
-                parallel_map(lambda p: identities.check_splitting_identity(inst, p, defining_tol), pts),
+                identities.check_splitting_identity(inst, batch, defining_tol),
                 tols,
             )
         if inst.compact and abs(n * params.beta - 2.0 * params.alpha) > 1e-12:
-            out = identities.check_scalar_constancy(inst, pts, tols["scalar-constancy"])
+            out = identities.check_scalar_constancy(inst, batch, tols["scalar-constancy"])
             report.add(
                 CheckRecord.build(
                     name=f"{name}:scalar-constancy",
@@ -218,7 +200,7 @@ def _run_soliton_case(name, spec, params, points, seed, tols, report) -> None:
                     )
                 )
         if name in ("s2xr", "flat-product"):
-            flags = identities.check_affine_splitting_flags(inst, pts)
+            flags = identities.check_affine_splitting_flags(inst, batch)
             report.add(
                 CheckRecord.build(
                     name=f"{name}:product-affine-hessian",
@@ -242,9 +224,7 @@ def _run_soliton_case(name, spec, params, points, seed, tols, report) -> None:
                 )
             )
         if name == "flat-product":
-            ric_max = max(
-                parallel_map(lambda p: ricci(inst.metric, p).max_abs(), pts)
-            )
+            ric_max = ricci(inst.metric, batch).max_abs()
             report.add(
                 CheckRecord.build(
                     name=f"{name}:steady-ricci-flat",
@@ -269,14 +249,14 @@ def _run_soliton_case(name, spec, params, points, seed, tols, report) -> None:
             )
 
     if inst.kind is SolitonKind.RYS and inst.phi is not None:
-        _concircular_records(name, inst, pts, tols, report)
+        _concircular_records(name, inst, batch, tols, report)
 
 
-def _concircular_records(name, inst, pts, tols, report) -> None:
+def _concircular_records(name, inst, batch, tols, report) -> None:
     phi = inst.phi
-    defects = parallel_map(
-        lambda p: float(np.max(np.abs(concircular_defect(inst.metric, inst.vector_field, phi, p)))),
-        pts,
+    pts = batch.points
+    defects = np.max(
+        np.abs(concircular_defect(inst.metric, inst.vector_field, phi, batch)), axis=(0, 1)
     )
     k = int(np.argmax(defects))
     report.add(
@@ -290,34 +270,29 @@ def _concircular_records(name, inst, pts, tols, report) -> None:
             tol=tols["concircular-defect"],
         )
     )
-    worst_einstein = (0.0, pts[0])
-    worst_scalar = (0.0, pts[0], 0.0, 0.0)
-    worst_eigen = (0.0, pts[0])
-    class_ok = True
+    out = concircular_conclusions(inst.metric, inst.params, phi, batch)
+    measured = scalar_curvature(inst.metric, batch)
+    predicted = out["scalar_pred"]
+    scalar_gaps = np.abs(measured - predicted) / (1.0 + abs(predicted))
+    eye = np.eye(inst.n)[:, :, None]
+    eigen_gaps = np.max(
+        np.abs(ricci_operator(inst.metric, batch) - out["eigenvalue_pred"] * eye),
+        axis=(0, 1),
+    )
     lam_class = classify(inst.params)
-    for p in pts:
-        out = concircular_conclusions(inst.metric, inst.params, phi, p)
-        if out["einstein_defect"] >= worst_einstein[0]:
-            worst_einstein = (out["einstein_defect"], p)
-        measured = scalar_curvature(inst.metric, p)
-        gap = abs(measured - out["scalar_pred"]) / (1.0 + abs(out["scalar_pred"]))
-        if gap >= worst_scalar[0]:
-            worst_scalar = (gap, p, measured, out["scalar_pred"])
-        q = ricci_operator(inst.metric, p)
-        eigen_gap = float(
-            np.max(np.abs(q - out["eigenvalue_pred"] * np.eye(inst.n)))
-        )
-        if eigen_gap >= worst_eigen[0]:
-            worst_eigen = (eigen_gap, p)
-        class_ok = class_ok and (out["class"] is lam_class)
+    class_ok = all(c is lam_class for c in out["class"])
+    # Worst points are the last maxima, as a running >= scan keeps them.
+    e = _last_argmax(out["einstein_defect"])
+    s = _last_argmax(scalar_gaps)
+    q = _last_argmax(eigen_gaps)
     report.add(
         CheckRecord.build(
             name=f"{name}:einstein-defect",
             anchor=ANCHORS["einstein-defect"],
-            point=list(worst_einstein[1].coords),
-            lhs=worst_einstein[0],
+            point=list(pts[e].coords),
+            lhs=out["einstein_defect"][e],
             rhs=0.0,
-            gap=worst_einstein[0],
+            gap=out["einstein_defect"][e],
             tol=tols["einstein-defect"],
         )
     )
@@ -325,10 +300,10 @@ def _concircular_records(name, inst, pts, tols, report) -> None:
         CheckRecord.build(
             name=f"{name}:scalar-prediction",
             anchor=ANCHORS["scalar-prediction"],
-            point=list(worst_scalar[1].coords),
-            lhs=worst_scalar[2],
-            rhs=worst_scalar[3],
-            gap=worst_scalar[0],
+            point=list(pts[s].coords),
+            lhs=measured[s],
+            rhs=predicted,
+            gap=scalar_gaps[s],
             tol=tols["scalar-prediction"],
         )
     )
@@ -336,10 +311,10 @@ def _concircular_records(name, inst, pts, tols, report) -> None:
         CheckRecord.build(
             name=f"{name}:ricci-eigenvalue",
             anchor=ANCHORS["ricci-eigenvalue"],
-            point=list(worst_eigen[1].coords),
-            lhs=worst_eigen[0],
+            point=list(pts[q].coords),
+            lhs=eigen_gaps[q],
             rhs=0.0,
-            gap=worst_eigen[0],
+            gap=eigen_gaps[q],
             tol=tols["ricci-eigenvalue"],
         )
     )
@@ -361,16 +336,13 @@ def _run_universal_case(name, points, seed, tols, report) -> None:
     for k in range(PERTURBED_METRICS):
         entry = catalog.make_perturbed_flat(1e-2, seed + k)
         f = catalog.random_polynomial_field(entry.metric.domain, seed + 1000 + k)
-        pts = sample_points(entry.metric.domain, points, seed + 2000 + k)
-        entry.metric.require_spd(pts)
-        rows = parallel_map(
-            lambda p: identities.universal_residuals(entry.metric, f, p), pts
-        )
-        for row in rows:
-            for res in row:
-                prev = worst.get(res.name)
-                if prev is None or res.rel_gap > prev.rel_gap:
-                    worst[res.name] = res
+        batch = PointBatch(sample_points(entry.metric.domain, points, seed + 2000 + k))
+        entry.metric.require_spd(batch)
+        for res in identities.universal_residuals(entry.metric, f, batch):
+            res = res.worst()
+            prev = worst.get(res.name)
+            if prev is None or res.rel_gap > prev.rel_gap:
+                worst[res.name] = res
     for check in ("contracted-bianchi", "commutation", "bochner"):
         res = worst[check]
         report.add(
@@ -386,15 +358,72 @@ def _run_universal_case(name, points, seed, tols, report) -> None:
         )
 
 
-def _parse_tols(pairs) -> dict:
+# -- argument types: bad input is a usage error (exit 2) at parse time --------
+
+def _points(raw: str) -> int:
+    value = _integer(raw)
+    if not 1 <= value <= MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_POINTS}, got {value}")
+    return value
+
+
+def _non_negative(raw: str) -> int:
+    value = _integer(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _integer(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got '{raw}'") from None
+
+
+def _finite(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got '{raw}'") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got '{raw}'")
+    return value
+
+
+def _radius(raw: str) -> float:
+    value = _finite(raw)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value!r}")
+    return value
+
+
+def _r_max(raw: str) -> float:
+    """The grid runs from solver.ORIGIN_MARGIN to r-max."""
+    value = _finite(raw)
+    if value <= solver.ORIGIN_MARGIN:
+        raise argparse.ArgumentTypeError(
+            f"must be > {solver.ORIGIN_MARGIN!r} (the grid's inner end), got {value!r}"
+        )
+    return value
+
+
+def _tolerance(raw: str) -> tuple:
+    """NAME=VALUE with a known check name and a finite VALUE >= 0."""
+    if "=" not in raw:
+        raise argparse.ArgumentTypeError(f"expects NAME=VALUE, got '{raw}'")
+    key, val = raw.split("=", 1)
+    if key not in DEFAULT_TOLS:
+        raise argparse.ArgumentTypeError(f"unknown tolerance name '{key}'")
+    value = _finite(val)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance {key} must be >= 0, got {value!r}")
+    return key, value
+
+
+def _tols(pairs) -> dict:
     tols = dict(DEFAULT_TOLS)
-    for raw in pairs or []:
-        if "=" not in raw:
-            raise ValueError(f"--tol expects NAME=VALUE, got '{raw}'")
-        key, val = raw.split("=", 1)
-        if key not in tols:
-            raise ValueError(f"unknown tolerance name '{key}'")
-        tols[key] = float(val)
+    tols.update(pairs or [])
     return tols
 
 
@@ -405,11 +434,7 @@ def cmd_verify(args) -> int:
     if unknown:
         print(f"error: unknown case name(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    try:
-        tols = _parse_tols(args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tols = _tols(args.tol)
 
     config = RunConfig(
         command="verify",
@@ -484,11 +509,7 @@ def cmd_integrate(args) -> int:
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        tols = _parse_tols(args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tols = _tols(args.tol)
     config = RunConfig(
         command="integrate",
         cases=(args.case,),
@@ -617,33 +638,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the identity suite over catalog instances")
     v.add_argument("--case", action="append", help="case name (repeatable); default: all")
-    v.add_argument("--alpha", type=float, default=None)
-    v.add_argument("--beta", type=float, default=None)
-    v.add_argument("--lambda", dest="lam", type=float, default=None)
-    v.add_argument("--mu", type=float, default=None)
-    v.add_argument("--points", type=int, default=200)
-    v.add_argument("--seed", type=int, default=7)
-    v.add_argument("--tol", action="append", metavar="NAME=VALUE")
+    v.add_argument("--alpha", type=_finite, default=None)
+    v.add_argument("--beta", type=_finite, default=None)
+    v.add_argument("--lambda", dest="lam", type=_finite, default=None)
+    v.add_argument("--mu", type=_finite, default=None)
+    v.add_argument(
+        "--points", type=_points, default=200, help=f"sample points per case, 1..{MAX_POINTS}"
+    )
+    v.add_argument("--seed", type=_non_negative, default=7)
+    v.add_argument("--tol", action="append", type=_tolerance, metavar="NAME=VALUE")
     v.add_argument("--out", default="rys-verify.json")
     v.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("integrate", help="volume and divergence checks on compact entries")
     q.add_argument("--case", required=True)
     q.add_argument("--resolution", type=int, default=24)
-    q.add_argument("--divergence", type=int, default=0, help="number of random divergence checks")
-    q.add_argument("--seed", type=int, default=7)
-    q.add_argument("--tol", action="append", metavar="NAME=VALUE")
+    q.add_argument(
+        "--divergence", type=_non_negative, default=0, help="number of random divergence checks"
+    )
+    q.add_argument("--seed", type=_non_negative, default=7)
+    q.add_argument("--tol", action="append", type=_tolerance, metavar="NAME=VALUE")
     q.add_argument("--out", default="rys-integrate.json")
     q.set_defaults(func=cmd_integrate)
 
     s = sub.add_parser("solve", help="recover a radial gradient potential")
     s.add_argument("--background", default="flat", choices=["flat", "sphere", "hyperbolic"])
-    s.add_argument("--radius", type=float, default=1.0, help="sphere background radius")
-    s.add_argument("--alpha", type=float, default=1.0)
-    s.add_argument("--beta", type=float, default=0.0)
-    s.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    s.add_argument("--radius", type=_radius, default=1.0, help="sphere background radius")
+    s.add_argument("--alpha", type=_finite, default=1.0)
+    s.add_argument("--beta", type=_finite, default=0.0)
+    s.add_argument("--lambda", dest="lam", type=_finite, default=0.0)
     s.add_argument("--grid", type=int, default=128, help="number of grid intervals")
-    s.add_argument("--r-max", type=float, default=1.0)
+    s.add_argument("--r-max", type=_r_max, default=1.0)
     s.add_argument("--out", default="rys-profile.csv")
     s.set_defaults(func=cmd_solve)
 

@@ -11,18 +11,32 @@ Every ``_generic`` helper accepts coordinates whose entries are floats or
 dual towers, which is how third and fourth derivatives of curvature
 quantities are produced: the scalar-curvature map itself is fed back
 through the forward-mode differentiator rather than expanding
-fourth-order tensor formulas.  Public wrappers take a ``MetricField``
-plus a point and return floats / numpy arrays.
+fourth-order tensor formulas.  The same helpers accept coordinate
+columns (float arrays of shape (m,)), which evaluates a whole batch of
+points in one pass.  ``CurvatureData`` holds the quantities of one
+metric on one ``PointBatch`` so that every check shares them.  Public
+wrappers take a ``MetricField`` plus a point and return floats / numpy
+arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .ad import VDual, jet2, value_and_gradient, value_of, vlift, vparts
-from .geometry import ChartPoint, MetricField, ScalarField, VectorField, coords_of
+from .geometry import (
+    ChartPoint,
+    MetricField,
+    PointBatch,
+    ScalarField,
+    VectorField,
+    as_chart_point,
+    coords_of,
+    stack,
+)
 from .tensors import mat_inverse, mat_vec, sym2_norm_sq, trace_pair, vec_dot
 
 SYMMETRY_TOL = 1e-12
@@ -30,19 +44,21 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Sym2Tensor:
-    """Covariant symmetric 2-tensor value at a point."""
+    """Covariant symmetric 2-tensor value at a point, or at each point of
+    a batch (``components`` of shape (n, n, m))."""
 
     components: np.ndarray
 
     @classmethod
     def from_matrix(cls, m) -> "Sym2Tensor":
-        arr = np.array(
-            [[float(value_of(x)) for x in row] for row in m], dtype=float
-        )
-        gap = float(np.max(np.abs(arr - arr.T)))
-        if gap > SYMMETRY_TOL * (1.0 + float(np.max(np.abs(arr)))):
-            raise ValueError(f"matrix is not symmetric, antisymmetry {gap:.3e}")
-        return cls(0.5 * (arr + arr.T))
+        arr = stack(m)
+        swapped = arr.swapaxes(0, 1)
+        gap = np.max(np.abs(arr - swapped), axis=(0, 1))
+        bad = gap > SYMMETRY_TOL * (1.0 + np.max(np.abs(arr), axis=(0, 1)))
+        if np.any(bad):
+            worst = float(np.max(gap[bad]))
+            raise ValueError(f"matrix is not symmetric, antisymmetry {worst:.3e}")
+        return cls(0.5 * (arr + swapped))
 
     @property
     def n(self) -> int:
@@ -152,11 +168,9 @@ def scalar_curvature_generic(g: MetricField, x):
     return trace_pair(ginv, ricci_generic(g, x))
 
 
-def hessian_generic(g: MetricField, f: ScalarField, x):
-    """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
-    n = g.domain.dim
-    gamma = christoffel_generic(g, x)
-    _, df, ddf = jet2(f.fn, x)
+def covariant_hessian(gamma, df, ddf):
+    """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f from the partials of f."""
+    n = len(df)
     h = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -164,6 +178,12 @@ def hessian_generic(g: MetricField, f: ScalarField, x):
             h[i][j] = v
             h[j][i] = v
     return h
+
+
+def hessian_generic(g: MetricField, f: ScalarField, x):
+    """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
+    _, df, ddf = jet2(f.fn, x)
+    return covariant_hessian(christoffel_generic(g, x), df, ddf)
 
 
 def laplacian_generic(g: MetricField, f: ScalarField, x):
@@ -227,17 +247,9 @@ def ricci_with_partials(g: MetricField, x):
     return ric, dric
 
 
-def ricci_partials(g: MetricField, x):
-    """dric[k][i][j] = d_k R_ij (coordinate partials of the Ricci field)."""
-    return ricci_with_partials(g, x)[1]
-
-
-def divergence_ricci_generic(g: MetricField, x):
-    """(div Ric)_i = g^{jk} nabla_k R_ij."""
-    n = g.domain.dim
-    ginv = mat_inverse(g.matrix(x))
-    gamma = christoffel_generic(g, x)
-    ric, dric = ricci_with_partials(g, x)
+def divergence_ricci_from(ginv, gamma, ric, dric):
+    """(div Ric)_i = g^{jk} nabla_k R_ij from Ric and its coordinate partials."""
+    n = len(ginv)
     out = []
     for i in range(n):
         total = 0.0
@@ -252,11 +264,87 @@ def divergence_ricci_generic(g: MetricField, x):
     return out
 
 
+def divergence_ricci_generic(g: MetricField, x):
+    """(div Ric)_i = g^{jk} nabla_k R_ij."""
+    ginv = mat_inverse(g.matrix(x))
+    ric, dric = ricci_with_partials(g, x)
+    return divergence_ricci_from(ginv, christoffel_generic(g, x), ric, dric)
+
+
+# -- shared quantities of one batch ------------------------------------------
+
+class CurvatureData:
+    """Curvature of one metric on one batch of points, each quantity
+    computed on first use and then shared by every check that needs it.
+
+    Entries are floats for a single point (``PointBatch.of``) and (m,)
+    columns, or plain floats where constant, for a batch.
+    """
+
+    def __init__(self, g: MetricField, batch: PointBatch):
+        self.g = g
+        self.batch = batch
+        self.x = list(batch.columns)
+
+    @cached_property
+    def metric(self):
+        return self.g.matrix(self.x)
+
+    @cached_property
+    def inverse(self):
+        return mat_inverse(self.metric)
+
+    @cached_property
+    def metric_partials(self):
+        return metric_partials(self.g, self.x)
+
+    @cached_property
+    def christoffel(self):
+        return christoffel_generic(self.g, self.x)
+
+    @cached_property
+    def ricci(self):
+        return ricci_generic(self.g, self.x)
+
+    @cached_property
+    def scalar(self):
+        return trace_pair(self.inverse, self.ricci)
+
+    @cached_property
+    def ricci_norm_sq(self):
+        return sym2_norm_sq(self.inverse, self.ricci)
+
+    def jet(self, f: ScalarField):
+        """Value, partials and second partials of ``f``, from one jet2 pass."""
+        return self.batch.memo(("jet", self.g, f), lambda: jet2(f.fn, self.x))
+
+    def hessian(self, f: ScalarField):
+        _, df, ddf = self.jet(f)
+        return self.batch.memo(
+            ("hessian", self.g, f), lambda: covariant_hessian(self.christoffel, df, ddf)
+        )
+
+    def laplacian(self, f: ScalarField):
+        return trace_pair(self.inverse, self.hessian(f))
+
+    def gradient_up(self, f: ScalarField):
+        """(grad f)^i = g^{ij} d_j f."""
+        return mat_vec(self.inverse, self.jet(f)[1])
+
+    @cached_property
+    def scalar_field(self) -> ScalarField:
+        """R as a field; its jet gives R, grad R and Hess R (hence Delta R)."""
+        return scalar_curvature_field(self.g)
+
+
+def curvature_data(g: MetricField, p) -> CurvatureData:
+    """The shared curvature data of ``g`` on a batch (one per batch and
+    metric), or fresh data for a single point."""
+    batch = PointBatch.of(p)
+    return batch.memo(("curvature", g), lambda: CurvatureData(g, batch))
+
+
 # -- public API -------------------------------------------------------------
-
-def _point(p) -> ChartPoint:
-    return p if isinstance(p, ChartPoint) else ChartPoint(tuple(float(c) for c in p))
-
 
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma^k_ij at a point."""
@@ -265,53 +353,39 @@ def christoffel(g: MetricField, p) -> np.ndarray:
 
 
 def ricci(g: MetricField, p) -> Sym2Tensor:
-    return Sym2Tensor.from_matrix(ricci_generic(g, coords_of(p)))
+    """Ric at a point, or at each point of a batch."""
+    return Sym2Tensor.from_matrix(curvature_data(g, p).ricci)
 
 
-def scalar_curvature(g: MetricField, p) -> float:
-    return float(value_of(scalar_curvature_generic(g, coords_of(p))))
+def scalar_curvature(g: MetricField, p):
+    """R as a float, or as an (m,) array over a batch."""
+    batch = PointBatch.of(p)
+    return batch.values(curvature_data(g, batch).scalar)
 
 
 def ricci_norm_sq(g: MetricField, p) -> float:
-    x = coords_of(p)
-    ginv = mat_inverse(g.matrix(x))
-    return float(value_of(sym2_norm_sq(ginv, ricci_generic(g, x))))
+    return float(value_of(curvature_data(g, p).ricci_norm_sq))
 
 
 def ricci_operator(g: MetricField, p) -> np.ndarray:
-    """(1,1) Ricci operator Q^i_j = g^{ik} R_kj; g-self-adjoint."""
-    x = coords_of(p)
-    ginv = np.array(
-        [[float(value_of(v)) for v in row] for row in mat_inverse(g.matrix(x))]
-    )
-    ric = ricci(g, p).components
-    return ginv @ ric
+    """(1,1) Ricci operator Q^i_j = g^{ik} R_kj; g-self-adjoint.  Shape
+    (n, n), or (n, n, m) over a batch."""
+    batch = PointBatch.of(p)
+    data = curvature_data(g, batch)
+    ginv = np.atleast_3d(batch.matrix(data.inverse))
+    ric = np.atleast_3d(batch.matrix(Sym2Tensor.from_matrix(data.ricci).components))
+    q = np.moveaxis(ginv, -1, 0) @ np.moveaxis(ric, -1, 0)  # one product per point
+    return np.moveaxis(q, 0, -1).reshape((g.domain.dim,) * 2 + batch.shape)
 
 
 def curvature_bundle(g: MetricField, p) -> CurvatureBundle:
-    x = coords_of(p)
-    gamma, dgamma = christoffel_with_partials(g, x)
-    n = g.domain.dim
-    ric = [[0.0] * n for _ in range(n)]
-    gtrace = [sum(gamma[k][k][l] for k in range(n)) for l in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            term = 0.0
-            for k in range(n):
-                term = term + dgamma[k][k][i][j] - dgamma[i][k][k][j]
-            for l in range(n):
-                term = term + gtrace[l] * gamma[l][i][j]
-                for k in range(n):
-                    term = term - gamma[k][i][l] * gamma[l][k][j]
-            ric[i][j] = term
-            ric[j][i] = term
-    ginv = mat_inverse(g.matrix(x))
+    data = curvature_data(g, p)
     return CurvatureBundle(
-        christoffel=np.array(gamma, dtype=float),
-        ricci=Sym2Tensor.from_matrix(ric),
-        scalar=float(value_of(trace_pair(ginv, ric))),
-        ricci_norm_sq=float(value_of(sym2_norm_sq(ginv, ric))),
-        at=_point(p),
+        christoffel=np.array(data.christoffel, dtype=float),
+        ricci=Sym2Tensor.from_matrix(data.ricci),
+        scalar=float(value_of(data.scalar)),
+        ricci_norm_sq=float(value_of(data.ricci_norm_sq)),
+        at=as_chart_point(p),
     )
 
 

@@ -88,11 +88,94 @@ class ChartPoint:
         return len(self.coords)
 
 
+def as_chart_point(p) -> ChartPoint:
+    return p if isinstance(p, ChartPoint) else ChartPoint(tuple(float(c) for c in p))
+
+
+class PointBatch:
+    """Points of one chart evaluated together, as coordinate columns.
+
+    ``columns[i]`` holds coordinate i of every point, a float array of
+    shape (m,): the generic curvature core takes such columns in place of
+    floats.  Every check that takes a point also takes a batch; it then
+    runs once over all points and returns arrays of shape (m,).
+    Quantities that several checks need (the metric inverse, Ricci, the
+    defining residual, the jet of R) are kept in ``memo``, so each is
+    computed once per batch.
+
+    ``PointBatch.of(p)`` wraps a single point as a batch whose columns are
+    plain floats; its quantities then stay floats, which is how the
+    per-point functions run the same code as the batch.
+    """
+
+    def __init__(self, points):
+        self.points = tuple(as_chart_point(p) for p in points)
+        if not self.points:
+            raise ValueError("a point batch needs at least one point")
+        dim = len(self.points[0])
+        self.columns = [np.array([p.coords[i] for p in self.points]) for i in range(dim)]
+        self.shape = (len(self.points),)
+        self._memo = {}
+
+    @classmethod
+    def of(cls, p) -> "PointBatch":
+        """``p`` itself if it is a batch, else the one point ``p`` as a batch."""
+        if isinstance(p, PointBatch):
+            return p
+        batch = cls.__new__(cls)
+        batch.points = (as_chart_point(p),)
+        batch.columns = list(batch.points[0].coords)
+        batch.shape = ()
+        batch._memo = {}
+        return batch
+
+    @classmethod
+    def of_points(cls, points) -> "PointBatch":
+        """``points`` itself if it is a batch, else a batch of the listed points."""
+        return points if isinstance(points, PointBatch) else cls(points)
+
+    def __len__(self):
+        return len(self.points)
+
+    def memo(self, key, build):
+        """The value stored under ``key``, computed by ``build()`` on first use."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def values(self, v):
+        """``v`` as a float for a single point, else as an array of shape
+        (m,); a constant (plain float) is broadcast to every point."""
+        v = ad.value_of(v)
+        if not self.shape:
+            return float(v)
+        return np.array(np.broadcast_to(np.asarray(v, dtype=float), self.shape))
+
+    def matrix(self, m) -> np.ndarray:
+        """Float values of a nested-list matrix: shape (n, n) for a single
+        point, (n, n, m) for a batch, constant entries broadcast."""
+        return stack(m, self.shape)
+
+
 def coords_of(p) -> list:
-    """Accept ChartPoint or any coordinate sequence, return a list."""
+    """Accept ChartPoint, PointBatch (its columns) or any coordinate
+    sequence, return a list."""
     if isinstance(p, ChartPoint):
         return list(p.coords)
+    if isinstance(p, PointBatch):
+        return list(p.columns)
     return list(p)
+
+
+def stack(m, shape=None) -> np.ndarray:
+    """Float values of a nested-list matrix whose entries are floats, dual
+    towers or (m,) columns, as an array of shape (n, n) + ``shape``.  By
+    default ``shape`` is that of the entries, so a matrix with one column
+    entry gives (n, n, m) with its constant entries broadcast."""
+    vals = [[np.asarray(ad.value_of(v), dtype=float) for v in row] for row in m]
+    if shape is None:
+        shape = np.broadcast_shapes(*(v.shape for row in vals for v in row))
+    return np.array([[np.broadcast_to(v, shape) for v in row] for row in vals])
 
 
 @dataclass(frozen=True)
@@ -169,14 +252,17 @@ class MetricField:
         return np.array(self.matrix(coords), dtype=float)
 
     def require_spd(self, points, tol: float = 0.0) -> None:
-        """Hard error unless g is positive definite at every given point."""
-        for p in points:
-            w = np.linalg.eigvalsh(self.matrix_np(coords_of(p)))
-            if w.min() <= tol:
-                raise NotSPD(
-                    f"metric '{self.name}' is not positive definite at "
-                    f"{tuple(coords_of(p))}: eigenvalues {w}"
-                )
+        """Hard error unless g is positive definite at every given point
+        (a list of points or a PointBatch, evaluated in one pass)."""
+        batch = PointBatch.of_points(points)
+        w = np.linalg.eigvalsh(np.moveaxis(batch.matrix(self.matrix(batch.columns)), -1, 0))
+        bad = np.flatnonzero(w.min(axis=1) <= tol)
+        if bad.size:
+            k = int(bad[0])
+            raise NotSPD(
+                f"metric '{self.name}' is not positive definite at "
+                f"{batch.points[k].coords}: eigenvalues {w[k]}"
+            )
 
 
 def partial_derivative(field: ScalarField, p, multi_index, backend: str = "dual") -> float:

@@ -1,5 +1,5 @@
-"""Pointwise verification of the soliton identities and their universal
-building blocks.
+"""Verification of the soliton identities and their universal building
+blocks, at a point or over a whole ``PointBatch`` at once.
 
 Derived identities (trace, gradient, Laplacian, splitting) are only
 asserted on instances whose defining residual vanishes first; they are
@@ -9,73 +9,104 @@ consequences of the defining equation and are meaningless otherwise.
 The universal checks (contracted second Bianchi identity, the
 covariant-derivative commutation rule, the Bochner formula) need no
 soliton structure and anchor the whole differentiation pipeline.
+
+Over a batch every check runs once on coordinate columns and shares the
+batch's curvature data (``curvature_data``) and defining residual
+(``residual_on``) with the other checks; at a single point the same code
+runs on floats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import reduce
+from typing import Any
 
 import numpy as np
 
-from .ad import jet2, value_and_gradient, value_of, vlift, vparts
-from .curvature import (
-    christoffel_generic,
+from .ad import jet2, value_of, vlift, vparts
+from .curvature import (  # noqa: F401 (bench/selftest.py looks up ricci_generic here)
+    CurvatureData,
+    curvature_data,
+    divergence_ricci_from,
     grad_norm_sq_generic,
     hessian_generic,
-    laplacian_generic,
-    metric_partials,
     ricci_generic,
     ricci_with_partials,
-    scalar_curvature_field,
 )
 from .errors import DegenerateDenominator, NotASoliton, NotCompact
-from .geometry import ChartPoint, MetricField, ScalarField, coords_of
+from .geometry import ChartPoint, MetricField, PointBatch, ScalarField
 from .soliton import (
     SolitonClass,
     SolitonInstance,
     SolitonKind,
     classify,
-    defining_residual,
+    residual_on,
 )
-from .tensors import mat_inverse, sym2_norm_sq, trace_pair
+from .tensors import sym2_norm_sq, vec_dot
 
 SOLITON_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class IdentityResidual:
-    """Two-sided residual of one identity at one point.
+    """Two-sided residual of one identity at one point, or at every point
+    of a batch.
 
     For vector-valued identities ``lhs``/``rhs`` are sup norms of the two
-    sides and ``abs_gap`` is the sup norm of their difference.
+    sides and ``abs_gap`` is the sup norm of their difference.  At one
+    point the four numbers are floats and ``point`` is its ChartPoint;
+    over a PointBatch of m points they are arrays of shape (m,) and
+    ``point`` is the batch.
     """
 
     name: str
-    lhs: float
-    rhs: float
-    abs_gap: float
-    rel_gap: float
-    point: ChartPoint
+    lhs: Any
+    rhs: Any
+    abs_gap: Any
+    rel_gap: Any
+    point: Any
 
     @classmethod
     def build(cls, name, lhs, rhs, point, gap=None) -> "IdentityResidual":
-        lhs = float(lhs)
-        rhs = float(rhs)
-        abs_gap = abs(lhs - rhs) if gap is None else float(gap)
-        rel = abs_gap / (1.0 + max(abs(lhs), abs(rhs)))
-        return cls(name, lhs, rhs, abs_gap, rel, _point(point))
+        batch = PointBatch.of(point)
+        lhs = batch.values(lhs)
+        rhs = batch.values(rhs)
+        abs_gap = abs(lhs - rhs) if gap is None else batch.values(gap)
+        rel = batch.values(abs_gap / (1.0 + np.maximum(abs(lhs), abs(rhs))))
+        point = batch if batch.shape else batch.points[0]
+        return cls(name, lhs, rhs, abs_gap, rel, point)
+
+    def worst(self) -> "IdentityResidual":
+        """The residual at the point of largest ``rel_gap`` (the first one
+        on ties); a single-point residual is its own worst."""
+        if isinstance(self.point, ChartPoint):
+            return self
+        k = int(np.argmax(self.rel_gap))
+        return IdentityResidual(
+            self.name,
+            float(self.lhs[k]),
+            float(self.rhs[k]),
+            float(self.abs_gap[k]),
+            float(self.rel_gap[k]),
+            self.point.points[k],
+        )
 
 
-def _point(p) -> ChartPoint:
-    return p if isinstance(p, ChartPoint) else ChartPoint(tuple(float(c) for c in p))
+def _sup(values):
+    """Pointwise max of |v| over the components of a covector."""
+    return reduce(np.maximum, [abs(v) for v in values])
 
 
 def require_soliton(inst: SolitonInstance, p, tol: float = SOLITON_TOL) -> None:
-    res = defining_residual(inst, p).max_abs()
-    if res > tol:
+    batch = PointBatch.of(p)
+    res = np.max(np.abs(residual_on(inst, batch).components), axis=(0, 1))
+    res = np.atleast_1d(batch.values(res))
+    k = int(np.argmax(res))
+    if res[k] > tol:
         raise NotASoliton(
-            f"defining residual {res:.3e} exceeds {tol:.1e} at {tuple(coords_of(p))}"
+            f"defining residual {res[k]:.3e} exceeds {tol:.1e} at "
+            f"{batch.points[k].coords}"
         )
 
 
@@ -87,22 +118,27 @@ def _gradient_potential(inst: SolitonInstance):
     return inst.potential
 
 
+def _soliton_data(inst: SolitonInstance, p, tol: float):
+    """The batch of ``p`` and its curvature data, once the defining
+    residual is known to vanish there."""
+    batch = PointBatch.of(p)
+    require_soliton(inst, batch, tol)
+    return batch, curvature_data(inst.metric, batch)
+
+
 def check_trace_identity(
     inst: SolitonInstance, p, tol: float = SOLITON_TOL
 ) -> IdentityResidual:
     """alpha R + Delta f + (lam - beta/2 R) n + mu |grad f|^2 = 0."""
     f = _gradient_potential(inst)
-    require_soliton(inst, p, tol)
-    x = coords_of(p)
-    g = inst.metric
-    n = g.domain.dim
+    batch, d = _soliton_data(inst, p, tol)
+    n = inst.n
     pr = inst.params
-    ginv = mat_inverse(g.matrix(x))
-    scal = float(value_of(trace_pair(ginv, ricci_generic(g, x))))
-    lap = float(value_of(laplacian_generic(g, f, x)))
-    gn = float(value_of(grad_norm_sq_generic(g, f, x)))
+    scal = d.scalar
+    lap = d.laplacian(f)
+    gn = vec_dot(d.gradient_up(f), d.jet(f)[1])
     lhs = pr.alpha * scal + lap + (pr.lam - 0.5 * pr.beta * scal) * n + pr.mu * gn
-    return IdentityResidual.build("trace-identity", lhs, 0.0, p)
+    return IdentityResidual.build("trace-identity", lhs, 0.0, batch)
 
 
 def check_gradient_identity(
@@ -111,37 +147,26 @@ def check_gradient_identity(
     """{alpha - beta(n-1)} grad R + 2 mu {alpha R + (lam - beta/2 R)(n-1)} grad f
     = 2 (mu alpha + 1) Ric(grad f, .), componentwise as covectors."""
     f = _gradient_potential(inst)
-    require_soliton(inst, p, tol)
-    x = coords_of(p)
-    g = inst.metric
-    n = g.domain.dim
+    batch, d = _soliton_data(inst, p, tol)
+    n = inst.n
     pr = inst.params
-    gm = g.matrix(x)
-    ginv = mat_inverse(gm)
-    ric = ricci_generic(g, x)
-    scal = float(value_of(trace_pair(ginv, ric)))
-    rf = scalar_curvature_field(g)
-    _, dR_raw = value_and_gradient(rf.fn, x)
-    dR = [float(value_of(v)) for v in dR_raw]
-    _, df_raw = value_and_gradient(f.fn, x)
-    df = [float(value_of(v)) for v in df_raw]
-    grad_up = [
-        sum(float(value_of(ginv[i][j])) * df[j] for j in range(n)) for i in range(n)
-    ]
+    ric, scal = d.ricci, d.scalar
+    dR = d.jet(d.scalar_field)[1]
+    df = d.jet(f)[1]
+    grad_up = d.gradient_up(f)
     coef = 2.0 * pr.mu * (pr.alpha * scal + (pr.lam - 0.5 * pr.beta * scal) * (n - 1))
     lhs = [(pr.alpha - pr.beta * (n - 1)) * dR[i] + coef * df[i] for i in range(n)]
     rhs = [
         2.0 * (pr.mu * pr.alpha + 1.0)
-        * sum(float(value_of(ric[i][j])) * grad_up[j] for j in range(n))
+        * sum(ric[i][j] * grad_up[j] for j in range(n))
         for i in range(n)
     ]
-    gap = max(abs(a - b) for a, b in zip(lhs, rhs))
     return IdentityResidual.build(
         "gradient-identity",
-        max(abs(v) for v in lhs),
-        max(abs(v) for v in rhs),
-        p,
-        gap=gap,
+        _sup(lhs),
+        _sup(rhs),
+        batch,
+        gap=_sup([a - b for a, b in zip(lhs, rhs)]),
     )
 
 
@@ -152,35 +177,22 @@ def check_laplacian_identity(
     = 2 mu {alpha R + (n-1)(lam - beta/2 R)} {alpha R + n(lam - beta/2 R)}
       - 2 (mu alpha + 1) {alpha |Ric|^2 + R (lam - beta/2 R)}."""
     f = _gradient_potential(inst)
-    require_soliton(inst, p, tol)
-    x = coords_of(p)
-    g = inst.metric
-    n = g.domain.dim
+    batch, d = _soliton_data(inst, p, tol)
+    n = inst.n
     pr = inst.params
-    gm = g.matrix(x)
-    ginv = mat_inverse(gm)
-    ric = ricci_generic(g, x)
-    scal = float(value_of(trace_pair(ginv, ric)))
-    ric_norm = float(value_of(sym2_norm_sq(ginv, ric)))
-    rf = scalar_curvature_field(g)
-    lap_R = float(value_of(laplacian_generic(g, rf, x)))
-    _, dR_raw = value_and_gradient(rf.fn, x)
-    dR = [float(value_of(v)) for v in dR_raw]
-    _, df_raw = value_and_gradient(f.fn, x)
-    df = [float(value_of(v)) for v in df_raw]
-    dR_df = sum(
-        float(value_of(ginv[i][j])) * dR[i] * df[j]
-        for i in range(n)
-        for j in range(n)
-    )
+    ginv, scal = d.inverse, d.scalar
+    lap_R = d.laplacian(d.scalar_field)
+    dR = d.jet(d.scalar_field)[1]
+    df = d.jet(f)[1]
+    dR_df = sum(ginv[i][j] * dR[i] * df[j] for i in range(n) for j in range(n))
     cap = pr.lam - 0.5 * pr.beta * scal
     lhs = (pr.alpha - pr.beta * (n - 1)) * lap_R + (
         2.0 * pr.mu * pr.alpha - 2.0 * pr.mu * pr.beta * (n - 1) - 1.0
     ) * dR_df
     rhs = 2.0 * pr.mu * (pr.alpha * scal + (n - 1) * cap) * (
         pr.alpha * scal + n * cap
-    ) - 2.0 * (pr.mu * pr.alpha + 1.0) * (pr.alpha * ric_norm + scal * cap)
-    return IdentityResidual.build("laplacian-identity", lhs, rhs, p)
+    ) - 2.0 * (pr.mu * pr.alpha + 1.0) * (pr.alpha * d.ricci_norm_sq + scal * cap)
+    return IdentityResidual.build("laplacian-identity", lhs, rhs, batch)
 
 
 def check_scalar_constancy(
@@ -189,9 +201,10 @@ def check_scalar_constancy(
     """Scalar-curvature constancy on compact instances.
 
     Predicted value 2 n lam / (n beta - 2 alpha); ``gap`` is the max
-    deviation of measured R from the prediction across the samples.  The
-    sign verdict compares sign(R) with the lam classification, which is
-    asserted only when n beta > 2 alpha.
+    deviation of measured R from the prediction across the samples (a
+    list of points or a PointBatch).  The sign verdict compares sign(R)
+    with the lam classification, which is asserted only when
+    n beta > 2 alpha.
     """
     if not inst.compact:
         raise NotCompact("scalar-constancy check needs a compact instance")
@@ -202,13 +215,10 @@ def check_scalar_constancy(
     if abs(denom) <= 1e-12:
         raise DegenerateDenominator("n*beta - 2*alpha vanishes")
     predicted = 2.0 * n * pr.lam / denom
-    values = []
-    for p in points:
-        x = coords_of(p)
-        ginv = mat_inverse(g.matrix(x))
-        values.append(float(value_of(trace_pair(ginv, ricci_generic(g, x)))))
+    batch = PointBatch.of_points(points)
+    values = batch.values(curvature_data(g, batch).scalar)
     r_value = float(np.mean(values))
-    gap = max(abs(v - predicted) for v in values)
+    gap = float(np.max(np.abs(values - predicted)))
     cls = classify(pr)
     sign_applies = denom > 0.0
     scale = 1.0 + abs(predicted)
@@ -229,6 +239,18 @@ def check_scalar_constancy(
     }
 
 
+def _energy(g: MetricField, f: ScalarField) -> ScalarField:
+    return ScalarField(
+        lambda q: grad_norm_sq_generic(g, f, q), g.domain, name="|grad f|^2"
+    )
+
+
+def _ric_ff(ric, grad_up):
+    """Ric(grad f, grad f)."""
+    n = len(grad_up)
+    return sum(ric[i][j] * grad_up[i] * grad_up[j] for i in range(n) for j in range(n))
+
+
 def check_splitting_identity(
     inst: SolitonInstance, p, tol: float = SOLITON_TOL
 ) -> IdentityResidual:
@@ -243,69 +265,38 @@ def check_splitting_identity(
     denom = pr.alpha - pr.beta * (n - 1)
     if abs(denom) <= 1e-12:
         raise DegenerateDenominator("alpha - beta(n-1) vanishes")
-    require_soliton(inst, p, tol)
-    x = coords_of(p)
-    energy = ScalarField(
-        lambda q: grad_norm_sq_generic(g, f, q), g.domain, name="|grad f|^2"
-    )
-    lhs = 0.5 * float(value_of(laplacian_generic(g, energy, x)))
-    ginv = mat_inverse(g.matrix(x))
-    hess = hessian_generic(g, f, x)
-    hess_sq = float(value_of(sym2_norm_sq(ginv, hess)))
-    ric = ricci_generic(g, x)
-    _, df = value_and_gradient(f.fn, x)
-    grad_up = [
-        sum(ginv[i][j] * df[j] for j in range(n)) for i in range(n)
-    ]
-    ric_ff = float(
-        value_of(
-            sum(ric[i][j] * grad_up[i] * grad_up[j] for i in range(n) for j in range(n))
-        )
-    )
-    rhs = hess_sq + ((pr.beta - pr.alpha) / denom) * ric_ff
-    return IdentityResidual.build("splitting-identity", lhs, rhs, p)
+    batch, d = _soliton_data(inst, p, tol)
+    lhs = 0.5 * d.laplacian(_energy(g, f))
+    hess_sq = sym2_norm_sq(d.inverse, d.hessian(f))
+    rhs = hess_sq + ((pr.beta - pr.alpha) / denom) * _ric_ff(d.ricci, d.gradient_up(f))
+    return IdentityResidual.build("splitting-identity", lhs, rhs, batch)
 
 
 def check_affine_splitting_flags(inst: SolitonInstance, points) -> dict:
     """Affine-potential flags on a product geometry.
 
     Returns the max Hessian component and the variation of |grad f|
-    across the samples; both vanish when the potential is the flat
-    factor coordinate.
+    across the samples (a list of points or a PointBatch); both vanish
+    when the potential is the flat factor coordinate.
     """
     f = _gradient_potential(inst)
-    g = inst.metric
-    hess_norm = 0.0
-    norms = []
-    for p in points:
-        x = coords_of(p)
-        hess = hessian_generic(g, f, x)
-        hess_norm = max(
-            hess_norm,
-            max(abs(float(value_of(v))) for row in hess for v in row),
-        )
-        norms.append(
-            math.sqrt(max(float(value_of(grad_norm_sq_generic(g, f, x))), 0.0))
-        )
+    batch = PointBatch.of_points(points)
+    d = curvature_data(inst.metric, batch)
+    hess = np.abs(batch.matrix(d.hessian(f)))
+    norm_sq = batch.values(vec_dot(d.gradient_up(f), d.jet(f)[1]))
+    norms = np.sqrt(np.maximum(norm_sq, 0.0))
     return {
-        "hessian_norm": hess_norm,
-        "grad_norm_variation": max(norms) - min(norms),
+        "hessian_norm": float(np.max(hess)),
+        "grad_norm_variation": float(np.max(norms) - np.min(norms)),
     }
 
 
 # -- universal identities ----------------------------------------------------
 #
 # These share a lot of intermediates (Ricci, Christoffel, metric inverse,
-# Hessian), so the hot path computes them once per point.  Derivatives of
-# traced quantities (grad R, grad Delta f) use the product rule with the
+# Hessian), so they are computed once per batch.  Derivatives of traced
+# quantities (grad R, grad Delta f) use the product rule with the
 # already-computed component partials instead of re-running the pipeline.
-
-def _metric_data(g: MetricField, x):
-    gm = g.matrix(x)
-    ginv = mat_inverse(gm)
-    dg = metric_partials(g, x)
-    return gm, ginv, dg
-
 
 def _inverse_partials(ginv, dg):
     """dginv[l][j][k] = d_l g^{jk} = -(g^{-1} (d_l g) g^{-1})^{jk}."""
@@ -329,40 +320,35 @@ def _inverse_partials(ginv, dg):
     return out
 
 
-def check_contracted_bianchi(g: MetricField, p) -> IdentityResidual:
-    """div Ric = 1/2 grad R, the contracted second Bianchi identity."""
-    x = coords_of(p)
+def _bianchi(g: MetricField, batch: PointBatch) -> IdentityResidual:
+    d = curvature_data(g, batch)
     n = g.domain.dim
-    _, ginv, dg = _metric_data(g, x)
-    gamma = christoffel_generic(g, x)
-    ric, dric = ricci_with_partials(g, x)
-    dginv = _inverse_partials(ginv, dg)
-    div = []
-    half_dR = []
-    for i in range(n):
-        total = 0.0
-        for j in range(n):
-            for k in range(n):
-                cov = dric[k][i][j] - sum(
-                    gamma[l][k][i] * ric[l][j] + gamma[l][k][j] * ric[i][l]
-                    for l in range(n)
-                )
-                total = total + ginv[j][k] * cov
-        div.append(float(value_of(total)))
-        dR_i = sum(
-            dginv[i][j][k] * ric[j][k] + ginv[j][k] * dric[i][j][k]
-            for j in range(n)
-            for k in range(n)
+    ginv = d.inverse
+    ric, dric = ricci_with_partials(g, d.x)
+    dginv = _inverse_partials(ginv, d.metric_partials)
+    div = [value_of(v) for v in divergence_ricci_from(ginv, d.christoffel, ric, dric)]
+    half_dR = [
+        0.5 * value_of(
+            sum(
+                dginv[i][j][k] * ric[j][k] + ginv[j][k] * dric[i][j][k]
+                for j in range(n)
+                for k in range(n)
+            )
         )
-        half_dR.append(0.5 * float(value_of(dR_i)))
-    gap = max(abs(a - b) for a, b in zip(div, half_dR))
+        for i in range(n)
+    ]
     return IdentityResidual.build(
         "contracted-bianchi",
-        max(abs(v) for v in div),
-        max(abs(v) for v in half_dR),
-        p,
-        gap=gap,
+        _sup(div),
+        _sup(half_dR),
+        batch,
+        gap=_sup([a - b for a, b in zip(div, half_dR)]),
     )
+
+
+def check_contracted_bianchi(g: MetricField, p) -> IdentityResidual:
+    """div Ric = 1/2 grad R, the contracted second Bianchi identity."""
+    return _bianchi(g, PointBatch.of(p))
 
 
 def _hessian_partials(g: MetricField, f: ScalarField, x):
@@ -375,18 +361,8 @@ def _hessian_partials(g: MetricField, f: ScalarField, x):
     ]
 
 
-def one_form_laplacian_df(g: MetricField, f: ScalarField, p) -> np.ndarray:
-    """Rough Laplacian of the differential of f:
-    (Delta df)_i = g^{jk} nabla_j (Hess f)_{ki}."""
-    x = coords_of(p)
-    ginv = mat_inverse(g.matrix(x))
-    gamma = christoffel_generic(g, x)
-    hess = hessian_generic(g, f, x)
-    dh = _hessian_partials(g, f, x)
-    return np.array(_rough_laplacian_df(ginv, gamma, hess, dh))
-
-
 def _rough_laplacian_df(ginv, gamma, hess, dh):
+    """(Delta df)_i = g^{jk} nabla_j (Hess f)_{ki}."""
     n = len(ginv)
     out = []
     for i in range(n):
@@ -398,22 +374,29 @@ def _rough_laplacian_df(ginv, gamma, hess, dh):
                     for m in range(n)
                 )
                 total = total + ginv[j][k] * cov
-        out.append(float(value_of(total)))
+        out.append(value_of(total))
     return out
 
 
-def _universal_core(g: MetricField, f: ScalarField, x) -> dict:
-    """Shared intermediates for the commutation and Bochner checks."""
+@dataclass(frozen=True)
+class _UniversalCore:
+    """Shared intermediates of the commutation and Bochner checks."""
+
+    data: CurvatureData
+    f: ScalarField
+    hess: list
+    dh: list
+    grad_up: list
+    d_lap: list  # grad of Delta f, by the product rule on g^{jk} H_jk
+
+
+def _universal_core(g: MetricField, f: ScalarField, batch: PointBatch) -> _UniversalCore:
+    d = curvature_data(g, batch)
     n = g.domain.dim
-    gm, ginv, dg = _metric_data(g, x)
-    gamma = christoffel_generic(g, x)
-    ric = ricci_generic(g, x)
-    dginv = _inverse_partials(ginv, dg)
-    hess = hessian_generic(g, f, x)
-    dh = _hessian_partials(g, f, x)
-    _, df = value_and_gradient(f.fn, x)
-    grad_up = [sum(ginv[i][j] * df[j] for j in range(n)) for i in range(n)]
-    # grad of Delta f by the product rule on Delta f = g^{jk} H_jk
+    ginv = d.inverse
+    dginv = _inverse_partials(ginv, d.metric_partials)
+    hess = d.hessian(f)
+    dh = _hessian_partials(g, f, d.x)
     d_lap = [
         sum(
             dginv[i][j][k] * hess[j][k] + ginv[j][k] * dh[i][j][k]
@@ -422,89 +405,65 @@ def _universal_core(g: MetricField, f: ScalarField, x) -> dict:
         )
         for i in range(n)
     ]
-    return {
-        "n": n,
-        "ginv": ginv,
-        "gamma": gamma,
-        "ric": ric,
-        "hess": hess,
-        "dh": dh,
-        "df": df,
-        "grad_up": grad_up,
-        "d_lap": d_lap,
-    }
+    return _UniversalCore(d, f, hess, dh, d.gradient_up(f), d_lap)
 
 
-def _commutation_from_core(core, p) -> IdentityResidual:
-    n = core["n"]
-    lap_df = _rough_laplacian_df(core["ginv"], core["gamma"], core["hess"], core["dh"])
-    lhs = [
-        lap_df[i] - float(value_of(core["d_lap"][i])) for i in range(n)
-    ]
-    ric, grad_up = core["ric"], core["grad_up"]
-    rhs = [
-        float(value_of(sum(ric[i][j] * grad_up[j] for j in range(n))))
-        for i in range(n)
-    ]
-    gap = max(abs(a - b) for a, b in zip(lhs, rhs))
+def _commutation_from_core(core: _UniversalCore, batch: PointBatch) -> IdentityResidual:
+    d = core.data
+    n = len(core.grad_up)
+    lap_df = _rough_laplacian_df(d.inverse, d.christoffel, core.hess, core.dh)
+    lhs = [lap_df[i] - value_of(core.d_lap[i]) for i in range(n)]
+    ric, grad_up = d.ricci, core.grad_up
+    rhs = [value_of(sum(ric[i][j] * grad_up[j] for j in range(n))) for i in range(n)]
     return IdentityResidual.build(
         "commutation",
-        max(abs(v) for v in lhs),
-        max(abs(v) for v in rhs),
-        p,
-        gap=gap,
+        _sup(lhs),
+        _sup(rhs),
+        batch,
+        gap=_sup([a - b for a, b in zip(lhs, rhs)]),
     )
 
 
-def _bochner_from_core(g, f, core, x, p) -> IdentityResidual:
-    n = core["n"]
-    energy = ScalarField(
-        lambda q: grad_norm_sq_generic(g, f, q), g.domain, name="|grad f|^2"
-    )
+def _bochner_from_core(core: _UniversalCore, batch: PointBatch) -> IdentityResidual:
+    d = core.data
+    n = len(core.grad_up)
     # Delta of the energy with the already-built connection data.
-    ginv, gamma = core["ginv"], core["gamma"]
-    _, du, ddu = jet2(energy.fn, x)
+    ginv, gamma = d.inverse, d.christoffel
+    _, du, ddu = jet2(_energy(d.g, core.f).fn, d.x)
     lap_u = 0.0
     for i in range(n):
         for j in range(i, n):
             h_ij = ddu[i][j] - sum(gamma[k][i][j] * du[k] for k in range(n))
             w = 1.0 if i == j else 2.0
             lap_u = lap_u + w * ginv[i][j] * h_ij
-    lhs = 0.5 * float(value_of(lap_u))
-    hess_sq = float(value_of(sym2_norm_sq(ginv, core["hess"])))
-    ric, grad_up = core["ric"], core["grad_up"]
-    ric_ff = float(
-        value_of(
-            sum(ric[i][j] * grad_up[i] * grad_up[j] for i in range(n) for j in range(n))
-        )
-    )
-    cross = float(
-        value_of(sum(grad_up[i] * core["d_lap"][i] for i in range(n)))
-    )
-    rhs = hess_sq + ric_ff + cross
-    return IdentityResidual.build("bochner", lhs, rhs, p)
+    lhs = 0.5 * value_of(lap_u)
+    hess_sq = value_of(sym2_norm_sq(ginv, core.hess))
+    grad_up = core.grad_up
+    ric_ff = value_of(_ric_ff(d.ricci, grad_up))
+    cross = value_of(sum(grad_up[i] * core.d_lap[i] for i in range(n)))
+    return IdentityResidual.build("bochner", lhs, hess_sq + ric_ff + cross, batch)
 
 
 def check_commutation(g: MetricField, f: ScalarField, p) -> IdentityResidual:
     """Delta grad_i f - grad_i Delta f = R_ij g^{jk} d_k f."""
-    x = coords_of(p)
-    return _commutation_from_core(_universal_core(g, f, x), p)
+    batch = PointBatch.of(p)
+    return _commutation_from_core(_universal_core(g, f, batch), batch)
 
 
 def check_bochner(g: MetricField, f: ScalarField, p) -> IdentityResidual:
     """1/2 Delta |grad f|^2 = |Hess f|^2 + Ric(grad f, grad f)
     + <grad f, grad Delta f>."""
-    x = coords_of(p)
-    return _bochner_from_core(g, f, _universal_core(g, f, x), x, p)
+    batch = PointBatch.of(p)
+    return _bochner_from_core(_universal_core(g, f, batch), batch)
 
 
 def universal_residuals(g: MetricField, f: ScalarField, p) -> list[IdentityResidual]:
     """Contracted Bianchi, commutation, and Bochner residuals at one point,
-    computed with shared intermediates (the hot path for property sweeps)."""
-    x = coords_of(p)
-    core = _universal_core(g, f, x)
+    or over a batch, computed with shared intermediates."""
+    batch = PointBatch.of(p)
+    core = _universal_core(g, f, batch)
     return [
-        check_contracted_bianchi(g, p),
-        _commutation_from_core(core, p),
-        _bochner_from_core(g, f, core, x, p),
+        _bianchi(g, batch),
+        _commutation_from_core(core, batch),
+        _bochner_from_core(core, batch),
     ]

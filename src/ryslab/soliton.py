@@ -8,6 +8,9 @@ where D_ij is 1/2 (L_X g)_ij for a vector-field instance or the Hessian
 of the potential for a gradient instance, and the mu-term T is eta (x) eta
 or df (x) df depending on the flavor.  A true soliton has vanishing
 residual; the residual tensor itself is the unit of verification.
+
+Every function that takes a point ``p`` also takes a ``PointBatch`` and
+then evaluates once over all of its points (arrays of shape (m,)).
 """
 
 from __future__ import annotations
@@ -19,23 +22,17 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .ad import value_and_gradient, value_of, vlift, vparts
-from .curvature import (
-    Sym2Tensor,
-    christoffel_generic,
-    hessian_generic,
-    lie_metric_generic,
-    ricci_generic,
-)
+from .ad import value_of, vlift, vparts
+from .curvature import Sym2Tensor, curvature_data, lie_metric_generic
 from .geometry import (
     MetricField,
     OneFormField,
+    PointBatch,
     ScalarField,
     VectorField,
     coords_of,
 )
 from .errors import AlphaZero, DegenerateBeta
-from .tensors import mat_inverse, trace_pair
 
 STEADY_TOL = 1e-12
 
@@ -130,34 +127,26 @@ def rys_residual(inst: SolitonInstance, p) -> Sym2Tensor:
     """alpha Ric + 1/2 L_X g + (lam - beta/2 R) g at a point."""
     if inst.kind not in (SolitonKind.RYS, SolitonKind.ETA_RYS):
         raise ValueError(f"rys_residual needs a vector-field instance, got {inst.kind}")
-    return Sym2Tensor.from_matrix(
-        _base_residual_generic(inst, coords_of(p), mu_term=False)
-    )
+    return _base_residual(inst, p, mu_term=False)
 
 
 def grys_residual(inst: SolitonInstance, p) -> Sym2Tensor:
     """alpha Ric + Hess f + (lam - beta/2 R) g at a point."""
     if inst.kind not in (SolitonKind.GRYS, SolitonKind.GEN_GRYS):
         raise ValueError(f"grys_residual needs a gradient instance, got {inst.kind}")
-    return Sym2Tensor.from_matrix(
-        _base_residual_generic(inst, coords_of(p), mu_term=False)
-    )
+    return _base_residual(inst, p, mu_term=False)
 
 
 def eta_rys_residual(inst: SolitonInstance, p) -> Sym2Tensor:
     if inst.kind is not SolitonKind.ETA_RYS:
         raise ValueError(f"eta_rys_residual needs kind eta-rys, got {inst.kind}")
-    return Sym2Tensor.from_matrix(
-        _base_residual_generic(inst, coords_of(p), mu_term=True)
-    )
+    return _base_residual(inst, p, mu_term=True)
 
 
 def gen_grys_residual(inst: SolitonInstance, p) -> Sym2Tensor:
     if inst.kind is not SolitonKind.GEN_GRYS:
         raise ValueError(f"gen_grys_residual needs kind gen-grys, got {inst.kind}")
-    return Sym2Tensor.from_matrix(
-        _base_residual_generic(inst, coords_of(p), mu_term=True)
-    )
+    return _base_residual(inst, p, mu_term=True)
 
 
 def defining_residual(inst: SolitonInstance, p) -> Sym2Tensor:
@@ -170,23 +159,24 @@ def defining_residual(inst: SolitonInstance, p) -> Sym2Tensor:
     }[inst.kind](inst, p)
 
 
-def _base_residual_generic(inst: SolitonInstance, x, mu_term: bool):
-    """Residual matrix with generic (dual-capable) entries."""
-    g = inst.metric
-    n = g.domain.dim
-    pr = inst.params
-    gm = g.matrix(x)
-    ric = ricci_generic(g, x)
-    ginv = mat_inverse(gm)
-    scal = trace_pair(ginv, ric)
+def residual_on(inst: SolitonInstance, batch: PointBatch) -> Sym2Tensor:
+    """The defining residual on ``batch``, computed once per batch."""
+    return batch.memo(("residual", inst), lambda: defining_residual(inst, batch))
 
+
+def _base_residual(inst: SolitonInstance, p, mu_term: bool) -> Sym2Tensor:
+    """Residual tensor from the shared curvature data of the point(s)."""
+    data = curvature_data(inst.metric, p)
+    n = inst.n
+    pr = inst.params
+    gm, ric = data.metric, data.ricci
     if inst.kind in (SolitonKind.GRYS, SolitonKind.GEN_GRYS):
-        second = hessian_generic(g, inst.potential, x)
+        second = data.hessian(inst.potential)
     else:
-        lie = lie_metric_generic(g, inst.vector_field, x)
+        lie = lie_metric_generic(inst.metric, inst.vector_field, data.x)
         second = [[0.5 * lie[i][j] for j in range(n)] for i in range(n)]
 
-    coef = pr.lam - 0.5 * pr.beta * scal
+    coef = pr.lam - 0.5 * pr.beta * data.scalar
     out = [
         [
             pr.alpha * ric[i][j] + second[i][j] + coef * gm[i][j]
@@ -196,29 +186,25 @@ def _base_residual_generic(inst: SolitonInstance, x, mu_term: bool):
     ]
     if mu_term and pr.mu != 0.0:
         if inst.kind is SolitonKind.GEN_GRYS:
-            _, w = value_and_gradient(inst.potential.fn, x)
+            w = data.jet(inst.potential)[1]
         else:
-            w = inst.eta(x)
+            w = inst.eta(data.x)
         for i in range(n):
             for j in range(n):
                 out[i][j] = out[i][j] + pr.mu * w[i] * w[j]
-    return out
+    return Sym2Tensor.from_matrix(out)
 
 
 def residual_report(inst: SolitonInstance, p) -> dict:
-    """Max-abs component and g-norm of the defining residual at a point."""
-    x = coords_of(p)
-    res = defining_residual(inst, p).components
-    ginv = np.array(
-        [
-            [float(value_of(v)) for v in row]
-            for row in mat_inverse(inst.metric.matrix(x))
-        ]
-    )
-    gnorm_sq = float(np.einsum("ij,kl,ik,jl->", res, res, ginv, ginv))
+    """Max-abs component and g-norm of the defining residual at a point,
+    or arrays of both over a batch."""
+    batch = PointBatch.of(p)
+    res = residual_on(inst, batch).components
+    ginv = batch.matrix(curvature_data(inst.metric, batch).inverse)
+    gnorm_sq = np.einsum("ij...,kl...,ik...,jl...->...", res, res, ginv, ginv)
     return {
-        "max_abs": float(np.max(np.abs(res))),
-        "g_norm": math.sqrt(max(gnorm_sq, 0.0)),
+        "max_abs": batch.values(np.max(np.abs(res), axis=(0, 1))),
+        "g_norm": batch.values(np.sqrt(np.maximum(gnorm_sq, 0.0))),
     }
 
 
@@ -226,22 +212,29 @@ def concircular_defect(
     g: MetricField, X: VectorField, phi, p
 ) -> np.ndarray:
     """nabla X - phi * identity as a (1,1) matrix; zero iff X is
-    concircular with factor phi at the point."""
-    x = coords_of(p)
+    concircular with factor phi at the point.  Shape (n, n, m) over a
+    batch."""
+    batch = PointBatch.of(p)
+    x = batch.columns
     n = g.domain.dim
-    gamma = christoffel_generic(g, x)
+    gamma = curvature_data(g, batch).christoffel
     xv = X(x)
     phi_val = phi(x) if callable(phi) else float(phi)
     lifted = X(vlift(x))
     dX = [[vparts(lifted[i], n)[j] for i in range(n)] for j in range(n)]
-    out = np.zeros((n, n))
+    out = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             v = dX[j][i] + sum(gamma[i][j][k] * xv[k] for k in range(n))
             if i == j:
                 v = v - phi_val
-            out[i][j] = float(value_of(v))
-    return out
+            out[i][j] = v
+    return batch.matrix(out)
+
+
+_CLASS_ORDER = np.array(
+    [SolitonClass.EXPANDING, SolitonClass.STEADY, SolitonClass.SHRINKING], dtype=object
+)
 
 
 def concircular_conclusions(
@@ -254,21 +247,17 @@ def concircular_conclusions(
     2 n (lam + phi) / (beta - 2 alpha), and every vector is a Ricci
     eigenvector with eigenvalue (beta R - 2 phi - 2 lam) / (2 alpha).
     Classification threshold: expanding, steady or shrinking according
-    as phi is below, at, or above (beta - 2 alpha) R / (2 n).
+    as phi is below, at, or above (beta - 2 alpha) R / (2 n).  Over a
+    batch the defect, eigenvalue and class are arrays of shape (m,).
     """
     if params.alpha == 0.0:
         raise AlphaZero("concircular conclusions need alpha != 0")
-    x = coords_of(p)
+    batch = PointBatch.of(p)
+    data = curvature_data(g, batch)
     n = g.domain.dim
-    ric = ricci_generic(g, x)
-    gm = g.matrix(x)
-    ginv = mat_inverse(gm)
-    scal = float(value_of(trace_pair(ginv, ric)))
-    defect = max(
-        abs(float(value_of(ric[i][j])) - (scal / n) * float(value_of(gm[i][j])))
-        for i in range(n)
-        for j in range(n)
-    )
+    scal = batch.values(data.scalar)
+    gap = np.abs(batch.matrix(data.ricci) - (scal / n) * batch.matrix(data.metric))
+    defect = batch.values(np.max(gap, axis=(0, 1)))
     if params.beta == 2.0 * params.alpha:
         raise DegenerateBeta(
             "beta = 2*alpha degenerates the scalar-curvature prediction"
@@ -278,17 +267,17 @@ def concircular_conclusions(
         2.0 * params.alpha
     )
     threshold = (params.beta - 2.0 * params.alpha) * scal / (2.0 * n)
-    if phi_value < threshold - STEADY_TOL:
-        cls = SolitonClass.EXPANDING
-    elif phi_value > threshold + STEADY_TOL:
-        cls = SolitonClass.SHRINKING
-    else:
-        cls = SolitonClass.STEADY
+    # expanding below the threshold band, shrinking above it, steady inside
+    order = (
+        1
+        - np.asarray(phi_value < threshold - STEADY_TOL, dtype=int)
+        + np.asarray(phi_value > threshold + STEADY_TOL, dtype=int)
+    )
     return {
         "einstein_defect": defect,
         "scalar_pred": scalar_pred,
         "eigenvalue_pred": eigen_pred,
-        "class": cls,
+        "class": _CLASS_ORDER[order],
     }
 
 

@@ -144,3 +144,20 @@ def test_verify_case_defaults_are_solitons():
             p = sample_points(chart, 2, seed=10)
             for q in p:
                 assert defining_residual(inst, q).max_abs() < 1e-9, name
+
+
+def test_metrics_round_alike_at_a_point_and_over_a_batch():
+    """Every catalog metric gives bit-identical components at a point and
+    over a batch of coordinate columns, so batched checks reproduce the
+    per-point ones exactly.  (libm pow(x, 2) on a float and numpy's
+    square on an array disagree in the last bit for about 1 argument in
+    1,100; 2,000 points per chart would catch a metric that used it.)"""
+    from ryslab.geometry import PointBatch
+
+    for entry in catalog.catalog_entries():
+        for i, chart in enumerate(entry.charts):
+            batch = PointBatch(sample_points(chart, 2000, seed=3 + i))
+            whole = batch.matrix(entry.metric.matrix(batch.columns))
+            for k, p in enumerate(batch.points):
+                single = entry.metric.matrix_np(p.coords)
+                assert np.array_equal(whole[:, :, k], single), (entry.name, k)

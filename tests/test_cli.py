@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ryslab.cli import main
 
@@ -247,3 +248,72 @@ class TestReportInvariants:
         ])
         payload = json.loads(out.read_text())
         assert all(isinstance(r["anchor"], str) and r["anchor"] for r in payload["records"])
+
+
+class TestParseTimeValidation:
+    """Bad input is a usage error: exit 2 before any work, no traceback,
+    no report."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--case", "gaussian", "--points", "0"],
+            ["verify", "--case", "gaussian", "--points", "-5"],
+            ["verify", "--case", "gaussian", "--points", "10001"],
+            ["verify", "--case", "gaussian", "--lambda", "nan"],
+            ["verify", "--case", "gaussian", "--alpha", "inf"],
+            ["verify", "--case", "perturbed-flat", "--seed", "-3"],
+            ["verify", "--case", "gaussian", "--tol", "defining-residual=nan"],
+            ["solve", "--lambda", "nan"],
+            ["solve", "--alpha", "inf"],
+            ["solve", "--background", "sphere", "--radius", "0"],
+            ["solve", "--r-max", "-1"],
+            ["integrate", "--case", "unit-s3", "--divergence", "-1"],
+        ],
+        ids=[
+            "points-zero",
+            "points-negative",
+            "points-above-ceiling",
+            "verify-lambda-nan",
+            "verify-alpha-inf",
+            "seed-negative",
+            "tol-nan",
+            "solve-lambda-nan",
+            "solve-alpha-inf",
+            "solve-radius-zero",
+            "solve-r-max-negative",
+            "divergence-negative",
+        ],
+    )
+    def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
+def test_verify_builds_shared_quantities_once_per_batch(tmp_path, capsys, monkeypatch):
+    """One case evaluates the defining residual and the jet of R once for
+    its whole point batch, not once (or five times) per point."""
+    from ryslab import curvature, soliton
+
+    calls = {"defining_residual": 0, "scalar_curvature_jet": 0}
+    residual, jet2 = soliton.defining_residual, curvature.jet2
+
+    def counting_residual(inst, p):
+        calls["defining_residual"] += 1
+        return residual(inst, p)
+
+    def counting_jet2(fn, x):
+        if fn.__qualname__.startswith("scalar_curvature_field."):
+            calls["scalar_curvature_jet"] += 1
+        return jet2(fn, x)
+
+    monkeypatch.setattr(soliton, "defining_residual", counting_residual)
+    monkeypatch.setattr(curvature, "jet2", counting_jet2)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--case", "einstein-s3", "--points", "12", "--out", str(out)]
+    assert run(argv) == 0
+    assert calls == {"defining_residual": 1, "scalar_curvature_jet": 1}

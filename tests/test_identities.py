@@ -11,7 +11,7 @@ from ryslab.errors import (
     NotASoliton,
     NotCompact,
 )
-from ryslab.geometry import ScalarField, sample_points
+from ryslab.geometry import PointBatch, ScalarField, sample_points
 from ryslab.soliton import SolitonClass, SolitonInstance, SolitonKind, SolitonParams
 
 
@@ -261,3 +261,74 @@ class TestUniversalIdentities:
         traced = float(np.einsum("ij,ij->", ginv, res))
         trace_val = identities.check_trace_identity(inst, p).lhs
         assert abs(traced - trace_val) < 1e-12
+
+
+def _same_at_every_point(whole, singles):
+    for k, one in enumerate(singles):
+        assert one.name == whole.name
+        assert whole.lhs[k] == one.lhs, (whole.name, k)
+        assert whole.rhs[k] == one.rhs, (whole.name, k)
+        assert whole.abs_gap[k] == one.abs_gap, (whole.name, k)
+        assert whole.rel_gap[k] == one.rel_gap, (whole.name, k)
+        assert whole.point.points[k] == one.point
+
+
+@pytest.mark.parametrize(
+    "case", ["gaussian", "einstein-s3", "einstein-h3", "s2xr", "flat-product"]
+)
+def test_batch_equals_point_on_gradient_cases(case):
+    """A check over a batch gives, at every point, exactly the numbers of
+    the same check at that point alone."""
+    from ryslab.soliton import residual_report
+
+    spec = catalog.verify_cases()[case]
+    inst = spec.build(spec.defaults)
+    pts = [
+        p for i, chart in enumerate(inst.entry.charts) for p in sample_points(chart, 4, seed=20 + i)
+    ]
+    batch = PointBatch(pts)
+    checks = [
+        identities.check_trace_identity,
+        identities.check_gradient_identity,
+        identities.check_laplacian_identity,
+        identities.check_splitting_identity,
+    ]
+    for check in checks:
+        _same_at_every_point(check(inst, batch), [check(inst, p) for p in pts])
+    norms = residual_report(inst, batch)
+    for k, p in enumerate(pts):
+        one = residual_report(inst, p)
+        assert norms["max_abs"][k] == one["max_abs"]
+        assert norms["g_norm"][k] == one["g_norm"]
+
+
+def test_batch_equals_point_on_perturbed_flat():
+    entry = catalog.make_perturbed_flat(1e-2, 24)
+    f = catalog.random_polynomial_field(entry.metric.domain, seed=25)
+    pts = sample_points(entry.metric.domain, 6, seed=26)
+    whole = identities.universal_residuals(entry.metric, f, PointBatch(pts))
+    singles = [identities.universal_residuals(entry.metric, f, p) for p in pts]
+    for j, res in enumerate(whole):
+        _same_at_every_point(res, [row[j] for row in singles])
+
+
+def test_batch_worst_is_first_maximum():
+    inst = einstein_s3(mu=1.0)
+    pts = sample_points(inst.entry.charts[0], 5, seed=27)
+    whole = identities.check_laplacian_identity(inst, PointBatch(pts))
+    worst = whole.worst()
+    k = int(np.argmax(whole.rel_gap))
+    assert worst.point == pts[k]
+    assert worst.rel_gap == max(float(v) for v in whole.rel_gap)
+
+
+def test_batch_not_a_soliton_names_worst_point():
+    entry = catalog.flat_entry(3)
+    inst = SolitonInstance(
+        SolitonParams(1.0, 0.0, 1.0), entry.metric, SolitonKind.GRYS,
+        potential=catalog.coordinate_potential(entry.metric.domain, 0),
+    )
+    with pytest.raises(NotASoliton):
+        identities.check_gradient_identity(
+            inst, PointBatch(sample_points(entry.metric.domain, 3, seed=28))
+        )
