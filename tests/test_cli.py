@@ -307,7 +307,7 @@ def test_verify_builds_shared_quantities_once_per_batch(tmp_path, capsys, monkey
         return residual(inst, p)
 
     def counting_jet2(fn, x):
-        if fn.__qualname__.startswith("scalar_curvature_field."):
+        if getattr(fn, "__qualname__", "").startswith("scalar_curvature_field."):
             calls["scalar_curvature_jet"] += 1
         return jet2(fn, x)
 
