@@ -85,6 +85,11 @@ PERTURBED_METRICS = 5
 # fourth-order jet of R is the largest), so --points has a ceiling: at
 # 10,000 points a full `verify` peaks near 280 MB.
 MAX_POINTS = 10000
+# `solve` holds dense (2m+1) x m matrices (m = --grid): 2048 intervals peak
+# near 170 MB.  `integrate` evaluates every quadrature node at once, about
+# 2 * resolution^3 of them per chart: resolution 40 peaks near 215 MB.
+MAX_INTERVALS = 2048
+MAX_RESOLUTION = 40
 
 
 # -- verify -----------------------------------------------------------------
@@ -360,11 +365,16 @@ def _run_universal_case(name, points, seed, tols, report) -> None:
 
 # -- argument types: bad input is a usage error (exit 2) at parse time --------
 
-def _points(raw: str) -> int:
-    value = _integer(raw)
-    if not 1 <= value <= MAX_POINTS:
-        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_POINTS}, got {value}")
-    return value
+def _bounded(low: int, high: int):
+    """An integer type accepting low..high."""
+
+    def parse(raw: str) -> int:
+        value = _integer(raw)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be between {low} and {high}, got {value}")
+        return value
+
+    return parse
 
 
 def _non_negative(raw: str) -> int:
@@ -580,11 +590,6 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.grid < solver.MIN_INTERVALS:
-        print(
-            f"error: --grid must be >= {solver.MIN_INTERVALS}", file=sys.stderr
-        )
-        return 2
     params = SolitonParams(args.alpha, args.beta, args.lam, 0.0)
     grid = solver.make_grid(args.grid, r_max=args.r_max)
     code = 0
@@ -643,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--lambda", dest="lam", type=_finite, default=None)
     v.add_argument("--mu", type=_finite, default=None)
     v.add_argument(
-        "--points", type=_points, default=200, help=f"sample points per case, 1..{MAX_POINTS}"
+        "--points", type=_bounded(1, MAX_POINTS), default=200, help=f"sample points per case, 1..{MAX_POINTS}"
     )
     v.add_argument("--seed", type=_non_negative, default=7)
     v.add_argument("--tol", action="append", type=_tolerance, metavar="NAME=VALUE")
@@ -652,7 +657,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("integrate", help="volume and divergence checks on compact entries")
     q.add_argument("--case", required=True)
-    q.add_argument("--resolution", type=int, default=24)
+    q.add_argument(
+        "--resolution",
+        type=_bounded(quadrature.MIN_RESOLUTION, MAX_RESOLUTION),
+        default=24,
+        help=f"Gauss-Legendre nodes per axis, {quadrature.MIN_RESOLUTION}..{MAX_RESOLUTION}",
+    )
     q.add_argument(
         "--divergence", type=_non_negative, default=0, help="number of random divergence checks"
     )
@@ -667,7 +677,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=_finite, default=1.0)
     s.add_argument("--beta", type=_finite, default=0.0)
     s.add_argument("--lambda", dest="lam", type=_finite, default=0.0)
-    s.add_argument("--grid", type=int, default=128, help="number of grid intervals")
+    s.add_argument(
+        "--grid",
+        type=_bounded(solver.MIN_INTERVALS, MAX_INTERVALS),
+        default=128,
+        help=f"number of grid intervals, {solver.MIN_INTERVALS}..{MAX_INTERVALS}",
+    )
     s.add_argument("--r-max", type=_r_max, default=1.0)
     s.add_argument("--out", default="rys-profile.csv")
     s.set_defaults(func=cmd_solve)

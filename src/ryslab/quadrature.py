@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -78,6 +79,11 @@ class QuadratureGrid:
     entry_name: str
     resolution: int
     charts: tuple[ChartGrid, ...]
+
+    @cached_property
+    def volume(self) -> float:
+        """Sum of every chart's weights: the integral of 1, summed once per grid."""
+        return math.fsum(np.concatenate([c.weight for c in self.charts]).tolist())
 
 
 _GRID_CACHE: dict = {}
@@ -222,12 +228,12 @@ def integrate(
         vals = np.broadcast_to(
             np.asarray(value_of(fn(cols)), dtype=float), chart.weight.shape
         )
-        total_terms.extend(chart.weight * vals)
+        total_terms.extend((chart.weight * vals).tolist())
     return math.fsum(total_terms)
 
 
 def volume(entry: CatalogEntry, resolution: int) -> float:
-    return integrate(entry, lambda x: 1.0, resolution)
+    return build_grid(entry, resolution).volume
 
 
 def integrate_laplacian(
@@ -247,7 +253,7 @@ def integrate_laplacian(
             chart.weight.shape,
         )
         max_abs = max(max_abs, float(np.max(np.abs(lap))))
-        terms.extend(chart.weight * lap)
+        terms.extend((chart.weight * lap).tolist())
     vol = volume(entry, resolution)
     return {
         "integral": math.fsum(terms),

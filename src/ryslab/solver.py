@@ -9,8 +9,11 @@ potential f(r) reduces to two scalar blocks per radius:
 
 with c the Einstein factor (Ric = c g) and R the scalar curvature of the
 background.  ``radial_residual`` stacks the two blocks over a uniform
-grid using 4th-order finite differences; ``solve_radial`` minimizes the
-squared norm with a damped Gauss-Newton / Levenberg-Marquardt loop.
+grid using 4th-order finite differences.  The blocks are affine in the
+grid values, so ``solve_radial`` builds their Jacobian once and solves
+the linear least-squares problem directly: one normal-equations solve,
+then a few steps of iterative refinement (Bjorck, BIT 7, 1967), each an
+undamped Gauss-Newton step on the recomputed residual.
 
 The potential is defined up to an additive constant, so the gauge
 f(r_0) = 0 is fixed by construction.  Smoothness at the origin requires
@@ -32,7 +35,8 @@ from .soliton import SolitonParams
 
 MIN_INTERVALS = 16
 RESIDUAL_TOL = 1e-8
-MAX_ITERS = 500
+# Normal-equations steps per solve: the first solves, the rest refine.
+MAX_STEPS = 4
 ORIGIN_MARGIN = 1e-3
 
 
@@ -117,12 +121,13 @@ def derivative_matrices(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = grid[1] - grid[0]
     d1 = np.zeros((m, m))
     d2 = np.zeros((m, m))
-    # interior 5-point stencils
-    for k in range(2, m - 2):
-        d1[k, k - 2 : k + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
-        d2[k, k - 2 : k + 3] = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (
-            12 * h * h
-        )
+    # interior 5-point stencils, one band (offset -2..2) at a time
+    rows = np.arange(2, m - 2)
+    s1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
+    s2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
+    for j, offset in enumerate(range(-2, 3)):
+        d1[rows, rows + offset] = s1[j]
+        d2[rows, rows + offset] = s2[j]
     # one-sided 4th-order stencils at the ends
     e1_0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
     e1_1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h)
@@ -172,14 +177,24 @@ def solve_radial(
     init: Optional[RadialProfile] = None,
     cost_trace: Optional[list] = None,
 ) -> RadialProfile:
-    """Damped Gauss-Newton / Levenberg-Marquardt fit of the radial potential.
+    """Least-squares fit of the radial potential on the gauged grid.
 
-    Terminates successfully when the sup norm of the soliton blocks
-    drops to RESIDUAL_TOL; raises NoConvergence with the final iterate
-    attached otherwise.  The output obeys the gauge f(r_0) = 0, so it is
-    invariant under additive shifts of the initial guess.  When
-    ``cost_trace`` is a list it receives the objective value after every
-    accepted step (monotonically nonincreasing by construction).
+    The stacked residual is affine in the free values x = f(r_1), ...:
+    r(x) = J x + r0, with J = [d2; (w'/w) d1; delta d1[0]] (column of
+    the gauged value f(r_0) dropped) and r0 the constant soliton
+    coefficient on both blocks.  J is built once.  Unless the initial
+    residual already meets RESIDUAL_TOL, the normal equations are solved
+    and the answer refined: each step is x <- x - solve(J^T J, J^T r(x)),
+    an undamped Gauss-Newton step, at most MAX_STEPS in all; a step that
+    raises the cost ends the loop.
+
+    Terminates successfully when the sup norm of the soliton blocks is
+    at most RESIDUAL_TOL; raises NoConvergence with the final iterate
+    attached otherwise, also when the normal matrix is singular.  The
+    output obeys the gauge f(r_0) = 0, so it is invariant under additive
+    shifts of the initial guess.  When ``cost_trace`` is a list it
+    receives the initial objective value and then the value after every
+    accepted step (nonincreasing by construction).
     """
     grid = np.asarray(grid, dtype=float)
     _require_grid(grid)
@@ -191,55 +206,51 @@ def solve_radial(
         values = np.asarray(init.values, dtype=float).copy()
     if not np.all(np.isfinite(values)):
         raise ValueError("init profile must be finite")
-    values = values - values[0]  # gauge f(r_0) = 0
+    x = values[1:] - values[0]  # gauge f(r_0) = 0
 
-    d1, _ = derivative_matrices(grid)
-    delta = grid[0]
+    m = len(grid)
+    d1, d2 = derivative_matrices(grid)
+    jac = np.empty((2 * m + 1, m - 1))
+    jac[:m] = d2[:, 1:]
+    np.multiply(background.log_warp_deriv(grid)[:, None], d1[:, 1:], out=jac[m : 2 * m])
+    jac[2 * m] = grid[0] * d1[0, 1:]  # regularity row delta * f'(r_0)
+    del d1, d2  # free both m x m matrices before J^T J is formed
+    offset = np.zeros(2 * m + 1)
+    offset[: 2 * m] = (
+        params.alpha * background.ric_factor + params.lam - 0.5 * params.beta * background.scalar
+    )
 
-    def full_residual(vals: np.ndarray) -> np.ndarray:
-        prof = RadialProfile(grid, vals, params, background)
-        pde = radial_residual(prof)
-        regularity = delta * float(d1[0] @ vals)
-        return np.concatenate([pde, [regularity]])
+    def pde_inf(res: np.ndarray) -> float:
+        return float(np.max(np.abs(res[:-1])))
 
-    profile = RadialProfile(grid, values, params, background)
-    jac_pde = residual_jacobian(profile)
-    jac = np.vstack([jac_pde, delta * d1[0][None, :]])[:, 1:]  # drop gauged dof
-
-    x = values[1:].copy()
-    res = full_residual(np.concatenate([[0.0], x]))
+    res = jac @ x + offset
     cost = 0.5 * float(res @ res)
     if cost_trace is not None:
         cost_trace.append(cost)
-    damping = 1e-4
-    jtj = jac.T @ jac
-    diag = np.diag(np.diag(jtj))
-
-    for _ in range(MAX_ITERS):
-        pde_inf = float(np.max(np.abs(res[:-1])))
-        if pde_inf <= RESIDUAL_TOL:
-            return RadialProfile(grid, np.concatenate([[0.0], x]), params, background)
-        grad = jac.T @ res
-        if float(np.max(np.abs(grad))) <= 1e-14 * (1.0 + cost):
-            break  # stationary but not solved
-        step = np.linalg.solve(jtj + damping * diag + 1e-15 * np.eye(len(x)), -grad)
-        trial = x + step
-        trial_res = full_residual(np.concatenate([[0.0], trial]))
-        trial_cost = 0.5 * float(trial_res @ trial_res)
-        if trial_cost < cost:
+    if pde_inf(res) > RESIDUAL_TOL:
+        normal = jac.T @ jac
+        for _ in range(MAX_STEPS):
+            try:
+                step = np.linalg.solve(normal, jac.T @ res)
+            except np.linalg.LinAlgError:
+                break  # singular normal matrix
+            trial = x - step
+            trial_res = jac @ trial + offset
+            trial_cost = 0.5 * float(trial_res @ trial_res)
+            if not trial_cost <= cost:
+                break  # the step raised the cost (or is not finite)
             x, res, cost = trial, trial_res, trial_cost
             if cost_trace is not None:
                 cost_trace.append(cost)
-            damping = max(damping / 8.0, 1e-12)
-        else:
-            damping = min(damping * 10.0, 1e12)
-            if damping >= 1e12:
+            if pde_inf(res) <= RESIDUAL_TOL:
                 break
 
-    final = RadialProfile(grid, np.concatenate([[0.0], x]), params, background)
-    pde_inf = float(np.max(np.abs(radial_residual(final))))
+    profile = RadialProfile(grid, np.concatenate([[0.0], x]), params, background)
+    residual_inf = pde_inf(res)
+    if residual_inf <= RESIDUAL_TOL:
+        return profile
     raise NoConvergence(
-        f"residual sup norm {pde_inf:.3e} after optimization",
-        profile=final,
-        residual_inf=pde_inf,
+        f"residual sup norm {residual_inf:.3e} after least-squares refinement",
+        profile=profile,
+        residual_inf=residual_inf,
     )

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ryslab import cli
 from ryslab.cli import main
 
 
@@ -269,6 +270,10 @@ class TestParseTimeValidation:
             ["solve", "--background", "sphere", "--radius", "0"],
             ["solve", "--r-max", "-1"],
             ["integrate", "--case", "unit-s3", "--divergence", "-1"],
+            ["solve", "--grid", "10000000"],
+            ["solve", "--grid", str(cli.MAX_INTERVALS + 1)],
+            ["integrate", "--case", "unit-s3", "--resolution", "100000000"],
+            ["integrate", "--case", "unit-s3", "--resolution", str(cli.MAX_RESOLUTION + 1)],
         ],
         ids=[
             "points-zero",
@@ -283,6 +288,10 @@ class TestParseTimeValidation:
             "solve-radius-zero",
             "solve-r-max-negative",
             "divergence-negative",
+            "grid-huge",
+            "grid-above-ceiling",
+            "resolution-huge",
+            "resolution-above-ceiling",
         ],
     )
     def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
@@ -292,6 +301,16 @@ class TestParseTimeValidation:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+
+def test_size_ceilings_parse():
+    parser = cli.build_parser()
+    args = parser.parse_args(["solve", "--grid", str(cli.MAX_INTERVALS)])
+    assert args.grid == cli.MAX_INTERVALS
+    args = parser.parse_args(
+        ["integrate", "--case", "unit-s3", "--resolution", str(cli.MAX_RESOLUTION)]
+    )
+    assert args.resolution == cli.MAX_RESOLUTION
 
 
 def test_verify_builds_shared_quantities_once_per_batch(tmp_path, capsys, monkeypatch):

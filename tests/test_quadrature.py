@@ -57,6 +57,12 @@ class TestVolume:
         entry = catalog.sphere_entry(1.0)
         assert quad.integrate(entry, lambda x: 0.0, 8) == 0.0
 
+    def test_volume_is_the_integral_of_one_summed_once(self):
+        entry = catalog.sphere_entry(1.0)
+        v = quad.volume(entry, 10)
+        assert v == quad.integrate(entry, lambda x: 1.0, 10)
+        assert quad.build_grid(entry, 10).__dict__["volume"] == v
+
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             quad.volume(catalog.sphere_entry(1.0), 4)

@@ -142,3 +142,94 @@ def test_named_background():
     assert solver.named_background("hyperbolic").scalar == -6.0
     with pytest.raises(ValueError):
         solver.named_background("torus")
+
+
+def _loop_derivative_matrices(grid):
+    """Row-by-row reference for solver.derivative_matrices."""
+    m = len(grid)
+    h = grid[1] - grid[0]
+    d1 = np.zeros((m, m))
+    d2 = np.zeros((m, m))
+    for k in range(2, m - 2):
+        d1[k, k - 2 : k + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
+        d2[k, k - 2 : k + 3] = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
+    e1_0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
+    e1_1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h)
+    e2_0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / (12 * h * h)
+    e2_1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / (12 * h * h)
+    d1[0, :5], d1[1, :5] = e1_0, e1_1
+    d1[m - 1, -5:], d1[m - 2, -5:] = -e1_0[::-1], -e1_1[::-1]
+    d2[0, :6], d2[1, :6] = e2_0, e2_1
+    d2[m - 1, -6:], d2[m - 2, -6:] = e2_0[::-1], e2_1[::-1]
+    return d1, d2
+
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("m", [17, 128, 1025])
+    def test_derivative_matrices_match_row_loop_bitwise(self, m):
+        grid = np.linspace(solver.ORIGIN_MARGIN, 1.3, m)
+        for got, want in zip(solver.derivative_matrices(grid), _loop_derivative_matrices(grid)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_flat_gaussian_at_1024_intervals(self):
+        """Rounding in the 1/h^2-scaled differences is about 2e-9 at this
+        size (the exact profile itself re-evaluates to 2.0e-9), so the bound
+        is half the solver tolerance."""
+        grid = solver.make_grid(1024)
+        params = SolitonParams(1.0, 0.0, 2.0, 0.0)
+        prof = solver.solve_radial(params, FLAT, grid)
+        assert np.max(np.abs(solver.radial_residual(prof))) <= 0.5 * solver.RESIDUAL_TOL
+        assert np.max(np.abs(prof.values + (grid**2 - grid[0] ** 2))) <= 1e-8
+
+    def test_builds_derivative_matrices_once(self, monkeypatch):
+        calls = []
+        build = solver.derivative_matrices
+
+        def counting(grid):
+            calls.append(len(grid))
+            return build(grid)
+
+        monkeypatch.setattr(solver, "derivative_matrices", counting)
+        solver.solve_radial(SolitonParams(1.0, 0.0, 2.0, 0.0), FLAT, solver.make_grid(256))
+        assert len(calls) <= 1
+
+    def test_balanced_sphere_needs_no_linear_solve(self, monkeypatch):
+        def forbidden(*_args):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        bg = solver.Background.sphere(1.0)
+        grid = solver.make_grid(128, r_max=1.5)
+        trace: list = []
+        prof = solver.solve_radial(
+            SolitonParams(1.0, 0.0, -bg.ric_factor, 0.0), bg, grid, cost_trace=trace
+        )
+        assert np.max(np.abs(prof.values)) == 0.0
+        assert trace == [0.0]
+
+    def test_singular_normal_matrix_is_no_convergence(self, monkeypatch):
+        def singular(*_args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        grid = solver.make_grid(32)
+        with pytest.raises(NoConvergence) as info:
+            solver.solve_radial(SolitonParams(1.0, 0.0, 2.0, 0.0), FLAT, grid)
+        assert info.value.residual_inf == pytest.approx(2.0)
+        assert np.array_equal(info.value.profile.values, np.zeros_like(grid))
+
+    def test_off_balance_refinement_stops(self):
+        """Off balance the least-squares minimum is not a solution; past it
+        a step only moves the cost by rounding, so a step that raises it
+        ends the refinement, and MAX_STEPS bounds it in any case."""
+        bg = solver.Background.sphere(1.0)
+        trace: list = []
+        with pytest.raises(NoConvergence):
+            solver.solve_radial(
+                SolitonParams(1.0, 0.0, -bg.ric_factor + 0.5, 0.0),
+                bg,
+                solver.make_grid(64, r_max=1.5),
+                cost_trace=trace,
+            )
+        assert 2 <= len(trace) <= solver.MAX_STEPS + 1
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
