@@ -379,16 +379,24 @@ def value_and_gradient(f, coords):
     return (r.a, list(r.b)) if isinstance(r, VDual) else (r, [0.0] * n)
 
 
-def jet2(f, coords):
-    """Value, gradient, and full second-partial matrix in one nested
-    vector-mode evaluation."""
+def lift2(coords):
+    """Every coordinate lifted into two nested vector-dual layers.
+
+    A function evaluated on these carries its value, gradient and second
+    partials; ``read2`` takes them out.  Work done on the lifted
+    coordinates (a chart embedding, say) can be shared by several fields.
+    """
     n = len(coords)
     inner = vlift(list(coords))
-    outer = [
+    return [
         VDual(u, [1.0 if k == i else 0.0 for i in range(n)])
         for k, u in enumerate(inner)
     ]
-    r = f(outer)
+
+
+def read2(r, n):
+    """Value, gradient and second-partial matrix of a result computed on
+    ``lift2`` coordinates (zeros when it does not depend on them)."""
     if not isinstance(r, VDual):
         zero = [0.0] * n
         return r, list(zero), [list(zero) for _ in range(n)]
@@ -400,6 +408,12 @@ def jet2(f, coords):
             hess[i][j] = col[i]
     val = r.a.a if isinstance(r.a, VDual) else r.a
     return val, grad, hess
+
+
+def jet2(f, coords):
+    """Value, gradient, and full second-partial matrix in one nested
+    vector-mode evaluation."""
+    return read2(f(lift2(coords)), len(coords))
 
 
 # -- finite-difference cross-check backend ---------------------------------

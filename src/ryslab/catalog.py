@@ -11,7 +11,7 @@ pipeline; that agreement is the module's defining contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -68,17 +68,8 @@ class SphereAtlas:
 
 
 def _with_instances(entry, instances):
-    import dataclasses
-
-    fitted = tuple(
-        SolitonInstance(
-            params=i.params, metric=i.metric, kind=i.kind, potential=i.potential,
-            vector_field=i.vector_field, eta=i.eta, phi=i.phi,
-            compact=entry.compact, note=i.note, entry=entry,
-        )
-        for i in instances
-    )
-    return dataclasses.replace(entry, instances=fitted)
+    fitted = tuple(replace(i, compact=entry.compact, entry=entry) for i in instances)
+    return replace(entry, instances=fitted)
 
 
 @dataclass(frozen=True)
@@ -527,18 +518,7 @@ def _with_entry(builder, entry_fn):
     def build(params: SolitonParams) -> SolitonInstance:
         inst = builder(params)
         entry = entry_fn()
-        return SolitonInstance(
-            params=inst.params,
-            metric=entry.metric,
-            kind=inst.kind,
-            potential=inst.potential,
-            vector_field=inst.vector_field,
-            eta=inst.eta,
-            phi=inst.phi,
-            compact=entry.compact,
-            note=inst.note,
-            entry=entry,
-        )
+        return replace(inst, metric=entry.metric, compact=entry.compact, entry=entry)
 
     return build
 

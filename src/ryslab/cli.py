@@ -87,7 +87,8 @@ PERTURBED_METRICS = 5
 MAX_POINTS = 10000
 # `solve` holds dense (2m+1) x m matrices (m = --grid): 2048 intervals peak
 # near 170 MB.  `integrate` evaluates every quadrature node at once, about
-# 2 * resolution^3 of them per chart: resolution 40 peaks near 215 MB.
+# 2 * resolution^3 of them per chart: resolution 40 peaks near 200 MB with
+# 2 divergence checks and 232 MB from 32 on (quadrature.FIELDS_PER_PASS).
 MAX_INTERVALS = 2048
 MAX_RESOLUTION = 40
 
@@ -402,9 +403,14 @@ def _finite(raw: str) -> float:
 
 
 def _radius(raw: str) -> float:
+    """A sphere radius small enough to underflow would make the background's
+    scalar curvature n (n - 1) / radius^2 = 6 / radius^2 infinite."""
     value = _finite(raw)
     if value <= 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value!r}")
+    squared = value * value
+    if squared == 0.0 or not math.isfinite(6.0 / squared):
+        raise argparse.ArgumentTypeError(f"6 / radius^2 is not finite, got {value!r}")
     return value
 
 
@@ -498,6 +504,9 @@ def cmd_verify(args) -> int:
 # -- integrate ----------------------------------------------------------------
 
 def _ambient_quadratic(seed: int):
+    """The random test field sum_ij c_ij a_i a_j + sum_i lin_i a_i on the
+    ambient coordinates a, factored as sum_i a_i (lin_i + sum_j c_ij a_j):
+    4 products of two jets instead of 16."""
     rng = np.random.default_rng(seed)
     c = rng.uniform(-1.0, 1.0, size=(4, 4))
     lin = rng.uniform(-1.0, 1.0, size=4)
@@ -505,9 +514,10 @@ def _ambient_quadratic(seed: int):
     def fn(ambient):
         total = 0.0
         for i in range(4):
-            total = total + lin[i] * ambient[i]
-            for j in range(4):
-                total = total + c[i][j] * ambient[i] * ambient[j]
+            row = c[i][0] * ambient[0]
+            for j in range(1, 4):
+                row = row + c[i][j] * ambient[j]
+            total = total + ambient[i] * (row + lin[i])
         return total
 
     return fn
@@ -550,11 +560,14 @@ def cmd_integrate(args) -> int:
                 tol=tols["volume"],
             )
         )
-        for k in range(args.divergence):
-            field = quadrature.ManifoldScalarField.from_ambient(
+        fields = [
+            quadrature.ManifoldScalarField.from_ambient(
                 entry, _ambient_quadratic(args.seed + k), name=f"u{k}"
             )
-            out = quadrature.integrate_laplacian(entry, field, args.resolution)
+            for k in range(args.divergence)
+        ]
+        outs = quadrature.integrate_laplacians(entry, fields, args.resolution)
+        for k, out in enumerate(outs):
             ratio = abs(out["integral"]) / out["scale"] if out["scale"] > 0 else 0.0
             report.add(
                 CheckRecord.build(

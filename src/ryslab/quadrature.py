@@ -13,20 +13,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .ad import value_of
+from .ad import lift2, read2, value_of
 from .catalog import BUMP_INNER, BUMP_OUTER, CatalogEntry
-from .curvature import hessian_generic, laplacian_generic, ricci_generic
+from .curvature import (
+    christoffel_generic,
+    covariant_hessian,
+    hessian_generic,
+    ricci_generic,
+)
 from .errors import DegenerateDenominator, NotCompact, NotSteady
 from .geometry import MetricField, ScalarField, sample_points
 from .identities import IdentityResidual, require_soliton
 from .soliton import SolitonInstance, SolitonKind
-from .tensors import mat_det, mat_inverse, sym2_norm_sq
+from .tensors import mat_det, mat_inverse, sym2_norm_sq, trace_pair
 
 MIN_RESOLUTION = 8
+# A Laplacian pass holds each of its fields' chart-0 terms (8 bytes a node,
+# 1 MB at resolution 40) until the last chart is done; capping the fields
+# per pass bounds that memory however many fields are integrated.
+FIELDS_PER_PASS = 32
 
 # 64-point Gauss-Legendre rule for the mollifier cumulative; the profile
 # is smooth with flat endpoints, so this is accurate to rounding.
@@ -69,21 +78,40 @@ def bump_profile(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChartGrid:
-    nodes: np.ndarray        # (m, n) chart coordinates
+    nodes: np.ndarray        # (m, n) chart coordinates, a view shared by every chart
     weight: np.ndarray       # (m,) combined GL x jacobian x partition x sqrt(det g)
     partition: np.ndarray    # (m,) partition-of-unity weight alone
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
+    """Every chart's nodes and weights.
+
+    Both stereographic charts share the metric's coordinate form, so the
+    node coordinates, g^{ij} and Gamma are held once for all charts; the
+    partition carries the overlap bookkeeping.
+    """
+
     entry_name: str
     resolution: int
     charts: tuple[ChartGrid, ...]
+    columns: tuple[np.ndarray, ...]   # node coordinate i of every node, shape (m,)
+    metric: MetricField
 
     @cached_property
     def volume(self) -> float:
         """Sum of every chart's weights: the integral of 1, summed once per grid."""
         return math.fsum(np.concatenate([c.weight for c in self.charts]).tolist())
+
+    @cached_property
+    def inverse(self):
+        """g^{ij} at every node."""
+        return mat_inverse(self.metric.matrix(list(self.columns)))
+
+    @cached_property
+    def christoffel(self):
+        """Gamma^k_ij at every node."""
+        return christoffel_generic(self.metric, list(self.columns))
 
 
 _GRID_CACHE: dict = {}
@@ -145,50 +173,46 @@ def build_grid(entry: CatalogEntry, resolution: int) -> QuadratureGrid:
     R, T, P = np.meshgrid(rho, theta, phi, indexing="ij")
     WR, WT, WP = np.meshgrid(w_rho, w_theta, w_phi, indexing="ij")
     sin_t = np.sin(T)
-    nodes = np.stack(
+    coords = np.stack(
         [
             (R * sin_t * np.cos(P)).ravel(),
             (R * sin_t * np.sin(P)).ravel(),
             (R * np.cos(T)).ravel(),
-        ],
-        axis=1,
+        ]
     )
     glw = (WR * WT * WP * R * R * sin_t).ravel()
-    partition = _partition_weight(R.ravel(), radius)
+    # The partition depends on rho alone: evaluate it on the 2 * resolution
+    # radii and repeat it over each radius's (theta, phi) block.
+    partition = np.repeat(_partition_weight(rho, radius), resolution * resolution)
 
     live = partition > 0.0
-    nodes = nodes[live]
+    coords = coords[:, live]
     glw = glw[live]
     partition = partition[live]
 
-    charts = []
-    cols = [np.ascontiguousarray(nodes[:, j]) for j in range(3)]
+    columns = tuple(coords)
     dets = np.asarray(
-        value_of(mat_det(entry.metric.matrix(cols))), dtype=float
+        value_of(mat_det(entry.metric.matrix(list(columns)))), dtype=float
     )
     sqrt_det = np.sqrt(np.maximum(np.broadcast_to(dets, glw.shape), 0.0))
-    for _chart_idx in range(len(entry.charts)):
-        # Both stereographic charts share the metric coordinate form, so
-        # the node geometry is identical; the partition carries the
-        # overlap bookkeeping.
-        charts.append(
-            ChartGrid(
-                nodes=nodes.copy(),
-                weight=glw * partition * sqrt_det,
-                partition=partition.copy(),
-            )
-        )
-    grid = QuadratureGrid(entry.name, resolution, tuple(charts))
+    chart = ChartGrid(nodes=coords.T, weight=glw * partition * sqrt_det, partition=partition)
+    charts = (chart,) * len(entry.charts)
+    grid = QuadratureGrid(entry.name, resolution, charts, columns, entry.metric)
     _GRID_CACHE[key] = grid
     return grid
 
 
 @dataclass(frozen=True)
 class ManifoldScalarField:
-    """A global scalar field given by one coordinate expression per chart."""
+    """A global scalar field given by one coordinate expression per chart.
+
+    A field built ``from_ambient`` also keeps its ambient expression, so
+    that several fields can share one chart embedding.
+    """
 
     per_chart: tuple[Callable, ...]
     name: str = "field"
+    ambient: Optional[Callable] = None
 
     @classmethod
     def constant(cls, value: float, charts: int = 2) -> "ManifoldScalarField":
@@ -202,7 +226,7 @@ class ManifoldScalarField:
             (lambda x, c=c: fn(entry.atlas.ambient(c, x)))
             for c in range(len(entry.charts))
         )
-        return cls(charts, name=name)
+        return cls(charts, name=name, ambient=fn)
 
 
 def integrate(
@@ -224,9 +248,8 @@ def integrate(
         pairs = pairs[::-1]
     total_terms = []
     for chart, fn in pairs:
-        cols = [np.ascontiguousarray(chart.nodes[:, j]) for j in range(chart.nodes.shape[1])]
         vals = np.broadcast_to(
-            np.asarray(value_of(fn(cols)), dtype=float), chart.weight.shape
+            np.asarray(value_of(fn(list(grid.columns))), dtype=float), chart.weight.shape
         )
         total_terms.extend((chart.weight * vals).tolist())
     return math.fsum(total_terms)
@@ -236,30 +259,70 @@ def volume(entry: CatalogEntry, resolution: int) -> float:
     return build_grid(entry, resolution).volume
 
 
+def _chart_laplacians(entry, grid: QuadratureGrid, fields, chart: int, lifted):
+    """Delta u on one chart for each field in turn, from u evaluated on the
+    ``lift2`` node columns (embedded once for all ambient fields), with
+    laplacian_generic's arithmetic on the grid's g^{ij} and Gamma.  Each
+    field's jet is dropped before the next field is evaluated."""
+    embedded = None
+    for field in fields:
+        if field.ambient is None:
+            yield _grid_laplacian(grid, field.per_chart[chart](lifted))
+        else:
+            if embedded is None:
+                embedded = entry.atlas.ambient(chart, lifted)
+            yield _grid_laplacian(grid, field.ambient(embedded))
+
+
+def _grid_laplacian(grid: QuadratureGrid, u) -> np.ndarray:
+    _, du, ddu = read2(u, len(grid.columns))
+    lap = trace_pair(grid.inverse, covariant_hessian(grid.christoffel, du, ddu))
+    return np.broadcast_to(np.asarray(value_of(lap), dtype=float), grid.charts[0].weight.shape)
+
+
 def integrate_laplacian(
     entry: CatalogEntry, field: ManifoldScalarField, resolution: int
 ) -> dict:
     """Integral of Delta u over a compact entry, with the scale used to
     judge the divergence-theorem residual (the integral should vanish)."""
+    return integrate_laplacians(entry, [field], resolution)[0]
+
+
+def integrate_laplacians(
+    entry: CatalogEntry, fields, resolution: int
+) -> list[dict]:
+    """``integrate_laplacian`` of each field, in order, in passes of at
+    most ``FIELDS_PER_PASS`` fields."""
+    results = []
+    for start in range(0, len(fields), FIELDS_PER_PASS):
+        results += _laplacian_pass(entry, fields[start : start + FIELDS_PER_PASS], resolution)
+    return results
+
+
+def _laplacian_pass(entry: CatalogEntry, fields, resolution: int) -> list[dict]:
+    """One pass of ``integrate_laplacians``: charts are walked outermost and
+    the node columns are lifted once.  A field's weighted terms are summed
+    as soon as its last chart is done."""
     grid = build_grid(entry, resolution)
-    g = entry.metric
-    terms = []
-    max_abs = 0.0
-    for chart, fn in zip(grid.charts, field.per_chart):
-        sf = ScalarField(fn, g.domain, name=field.name)
-        cols = [np.ascontiguousarray(chart.nodes[:, j]) for j in range(chart.nodes.shape[1])]
-        lap = np.broadcast_to(
-            np.asarray(value_of(laplacian_generic(g, sf, cols)), dtype=float),
-            chart.weight.shape,
-        )
-        max_abs = max(max_abs, float(np.max(np.abs(lap))))
-        terms.extend((chart.weight * lap).tolist())
-    vol = volume(entry, resolution)
-    return {
-        "integral": math.fsum(terms),
-        "scale": vol * max_abs,
-        "volume": vol,
-    }
+    pending = [[] for _ in fields]
+    max_abs = [0.0] * len(fields)
+    integrals = [0.0] * len(fields)
+    last = len(grid.charts) - 1
+    lifted = lift2(grid.columns)
+    for c, chart in enumerate(grid.charts):
+        for k, lap in enumerate(_chart_laplacians(entry, grid, fields, c, lifted)):
+            max_abs[k] = max(max_abs[k], float(np.max(np.abs(lap))))
+            pending[k].append(chart.weight * lap)
+            if c == last:
+                integrals[k] = math.fsum(np.concatenate(pending[k]).tolist())
+                pending[k] = None
+    results = []
+    for integral, peak in zip(integrals, max_abs):
+        # One volume() call per field, as integrate_laplacian always made
+        # (bench/selftest.py counts divergence + 1 calls per integrate run).
+        vol = volume(entry, resolution)
+        results.append({"integral": integral, "scale": vol * peak, "volume": vol})
+    return results
 
 
 def _require_compact_instance(inst: SolitonInstance) -> CatalogEntry:

@@ -274,6 +274,8 @@ class TestParseTimeValidation:
             ["solve", "--grid", str(cli.MAX_INTERVALS + 1)],
             ["integrate", "--case", "unit-s3", "--resolution", "100000000"],
             ["integrate", "--case", "unit-s3", "--resolution", str(cli.MAX_RESOLUTION + 1)],
+            ["solve", "--background", "sphere", "--radius", "1e-300"],
+            ["solve", "--background", "sphere", "--radius", "1e-154"],
         ],
         ids=[
             "points-zero",
@@ -292,6 +294,8 @@ class TestParseTimeValidation:
             "grid-above-ceiling",
             "resolution-huge",
             "resolution-above-ceiling",
+            "solve-radius-underflow",
+            "solve-radius-curvature-overflow",
         ],
     )
     def test_rejected_with_exit_2(self, argv, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Quadrature over compact entries: volume, divergence theorem, and the
 integral theorem checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -175,3 +176,109 @@ def test_grid_caching_and_shape():
     assert g1 is g2
     assert len(g1.charts) == 2
     assert g1.charts[0].nodes.shape[1] == 3
+
+
+@pytest.mark.parametrize("resolution", [8, 12, 24, 40])
+def test_radial_partition_matches_per_node_weights(resolution):
+    """The partition, evaluated once per radius, equals the per-node
+    evaluation bit for bit."""
+    entry = catalog.sphere_entry(1.0)
+    radius = entry.atlas.radius
+    inner, outer = catalog.BUMP_INNER * radius, catalog.BUMP_OUTER * radius
+    x, _ = np.polynomial.legendre.leggauss(resolution)
+    rho = np.concatenate([(x + 1.0) / 2.0 * inner, inner + (x + 1.0) / 2.0 * (outer - inner)])
+    per_node_rho = np.meshgrid(rho, x, x, indexing="ij")[0].ravel()
+    per_node = quad._partition_weight(per_node_rho, radius)
+    live = per_node > 0.0
+    chart = quad.build_grid(entry, resolution).charts[0]
+    assert np.allclose(np.linalg.norm(chart.nodes, axis=1), per_node_rho[live], rtol=1e-14)
+    assert np.array_equal(chart.partition, per_node[live])
+
+
+def test_integrate_builds_grid_geometry_once(tmp_path, capsys, monkeypatch):
+    """One `integrate` builds Gamma once for all its divergence checks, and
+    still reads the volume once per record."""
+    from ryslab import cli
+
+    calls = {"christoffel_generic": 0, "volume": 0}
+    christoffel, volume = quad.christoffel_generic, quad.volume
+
+    def counting_christoffel(g, x):
+        calls["christoffel_generic"] += 1
+        return christoffel(g, x)
+
+    def counting_volume(entry, resolution):
+        calls["volume"] += 1
+        return volume(entry, resolution)
+
+    monkeypatch.setattr(quad, "_GRID_CACHE", {})
+    monkeypatch.setattr(quad, "christoffel_generic", counting_christoffel)
+    monkeypatch.setattr(quad, "volume", counting_volume)
+    argv = [
+        "integrate", "--case", "unit-s3", "--resolution", "12",
+        "--divergence", "3", "--out", str(tmp_path / "report.json"),
+    ]
+    assert cli.main(argv) == 0
+    assert calls == {"christoffel_generic": 1, "volume": 4}
+
+
+def laplacian_integral_per_field(entry, field, resolution):
+    """Reference: each chart's Laplacian through laplacian_generic, one
+    field at a time."""
+    from ryslab.ad import value_of
+    from ryslab.curvature import laplacian_generic
+
+    grid = quad.build_grid(entry, resolution)
+    terms, max_abs = [], 0.0
+    for chart, fn in zip(grid.charts, field.per_chart):
+        sf = ScalarField(fn, entry.metric.domain)
+        lap = np.broadcast_to(
+            np.asarray(value_of(laplacian_generic(entry.metric, sf, list(grid.columns))), dtype=float),
+            chart.weight.shape,
+        )
+        max_abs = max(max_abs, float(np.max(np.abs(lap))))
+        terms.extend((chart.weight * lap).tolist())
+    vol = quad.volume(entry, resolution)
+    return {"integral": math.fsum(terms), "scale": vol * max_abs, "volume": vol}
+
+
+def test_many_fields_match_one_field_at_a_time(monkeypatch):
+    """Fields integrated together, in any order and over several passes,
+    give each field's one-at-a-time result bit for bit; a field without an
+    ambient expression goes through its per-chart expressions."""
+    from ryslab.cli import _ambient_quadratic
+
+    entry = catalog.sphere_entry(1.0)
+    ambient = [
+        quad.ManifoldScalarField.from_ambient(entry, _ambient_quadratic(s)) for s in (1, 2)
+    ]
+    fields = ambient + [
+        quad.ManifoldScalarField(ambient[0].per_chart),
+        quad.ManifoldScalarField.constant(3.0),
+    ]
+    expected = [laplacian_integral_per_field(entry, f, 10) for f in fields]
+    assert [quad.integrate_laplacian(entry, f, 10) for f in fields] == expected
+    for order in itertools.permutations(range(len(fields))):
+        got = quad.integrate_laplacians(entry, [fields[k] for k in order], 10)
+        assert got == [expected[k] for k in order], order
+    monkeypatch.setattr(quad, "FIELDS_PER_PASS", 3)
+    assert quad.integrate_laplacians(entry, fields, 10) == expected
+
+
+def test_factored_test_field_matches_the_double_sum():
+    """cli's divergence test field is sum_ij c_ij a_i a_j + sum_i lin_i a_i
+    from the same seeded coefficients, evaluated in factored form."""
+    from ryslab.cli import _ambient_quadratic
+
+    points = np.random.default_rng(11).uniform(-2.0, 2.0, size=(200, 4)).tolist()
+    for seed in (0, 7, 1001):
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-1.0, 1.0, size=(4, 4))
+        lin = rng.uniform(-1.0, 1.0, size=4)
+        field = _ambient_quadratic(seed)
+        for a in points:
+            terms = [c[i][j] * a[i] * a[j] for i in range(4) for j in range(4)]
+            terms += [lin[i] * a[i] for i in range(4)]
+            expanded = math.fsum(terms)
+            scale = math.fsum(abs(t) for t in terms)
+            assert abs(field(a) - expanded) <= 1e-14 * scale, (seed, a)
