@@ -6,6 +6,11 @@ first-order dual numbers, one level per differentiation.  At every level
 through the target function is either a plain number or a dual belonging
 to the current level; no perturbation mixing between levels can occur.
 
+Second order has its own Taylor jet, :class:`Jet2` (value, gradient and
+packed Hessian as stacked arrays), which is always the innermost level:
+``lift2``/``read2``/``jet2`` use it, and outer ``Dual``/``VDual`` levels
+may be lifted over it (a third or fourth derivative).
+
 A Richardson-extrapolated central-difference backend is provided as an
 independent cross-check for orders up to 3.
 
@@ -16,6 +21,7 @@ here (``sin``, ``exp``, ...), which accept plain floats and duals alike.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,6 +183,117 @@ class VDual:
         return exp(self * math.log(base))
 
 
+@lru_cache(maxsize=None)
+def _triangle(n):
+    """Row and column index of each packed upper-triangle slot (row-major,
+    i <= j), and the slot of every (i, j) as nested lists."""
+    rows, cols = np.triu_indices(n)
+    slot = np.zeros((n, n), dtype=int)
+    slot[rows, cols] = slot[cols, rows] = np.arange(len(rows))
+    return rows, cols, slot.tolist()
+
+
+class Jet2:
+    """Second-order Taylor jet in n coordinates (Griewank & Walther,
+    *Evaluating Derivatives*, ch. 13).
+
+    ``v`` is the value (a float, or an array of shape S over a batch),
+    ``g`` the gradient (n, *S) and ``h`` the upper triangle of the Hessian
+    packed row by row, (n(n+1)/2, *S).  Jet2 is always the innermost lift:
+    an operation with a Dual or VDual operand returns NotImplemented so
+    that the outer type carries the Jet2 in its components.  The product
+    and quotient rules group their terms as two nested VDual levels would
+    (hess[i][j] is the inner direction i of the outer direction j), so both
+    round alike.
+    """
+
+    __slots__ = ("v", "g", "h")
+    __array_ufunc__ = None
+
+    def __init__(self, v, g, h):
+        self.v = v
+        self.g = g
+        self.h = h
+
+    def __repr__(self):
+        return f"Jet2({self.v!r}, {self.g!r}, {self.h!r})"
+
+    def __add__(self, o):
+        if isinstance(o, Jet2):
+            return Jet2(self.v + o.v, self.g + o.g, self.h + o.h)
+        if isinstance(o, (Dual, VDual)):
+            return NotImplemented
+        return Jet2(self.v + o, self.g, self.h)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, Jet2):
+            return Jet2(self.v - o.v, self.g - o.g, self.h - o.h)
+        if isinstance(o, (Dual, VDual)):
+            return NotImplemented
+        return Jet2(self.v - o, self.g, self.h)
+
+    def __rsub__(self, o):
+        return Jet2(o - self.v, -self.g, -self.h)
+
+    def __neg__(self):
+        return Jet2(-self.v, -self.g, -self.h)
+
+    def __pos__(self):
+        return self
+
+    def __mul__(self, o):
+        if isinstance(o, Jet2):
+            i, j = _triangle(len(self.g))[:2]
+            a, b, ga, gb = self.v, o.v, self.g, o.g
+            h = (a * o.h + ga[i] * gb[j]) + (ga[j] * gb[i] + self.h * b)
+            return Jet2(a * b, a * gb + ga * b, h)
+        if isinstance(o, (Dual, VDual)):
+            return NotImplemented
+        return Jet2(self.v * o, self.g * o, self.h * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, Jet2):
+            i, j = _triangle(len(self.g))[:2]
+            b, gb = o.v, o.g
+            q = self.v / b
+            dq = (self.g - q * gb) / b
+            h = ((self.h - (q * o.h + dq[i] * gb[j])) - dq[j] * gb[i]) / b
+            return Jet2(q, dq, h)
+        if isinstance(o, (Dual, VDual)):
+            return NotImplemented
+        return Jet2(self.v / o, self.g / o, self.h / o)
+
+    def __rtruediv__(self, o):
+        i, j = _triangle(len(self.g))[:2]
+        a, g = self.v, self.g
+        q = o / a
+        dq = (-q) * g / a
+        return Jet2(q, dq, (((-q) * self.h - dq[i] * g[j]) - dq[j] * g[i]) / a)
+
+    def __pow__(self, p):
+        if isinstance(p, (Dual, VDual, Jet2)):
+            raise TypeError("dual exponents are not supported")
+        if p == 0:
+            return Jet2(self.v**0, np.zeros_like(self.g), np.zeros_like(self.h))
+        if p == 1:
+            return self
+        a = self.v
+        return _chain(self, a**p, p * a ** (p - 1), p * (p - 1) * a ** (p - 2))
+
+    def __rpow__(self, base):
+        return exp(self * math.log(base))
+
+
+def _chain(x, f0, f1, f2):
+    """f(x) for a Jet2 ``x``, from f, f' and f'' at its value."""
+    i, j = _triangle(len(x.g))[:2]
+    return Jet2(f0, f1 * x.g, f1 * x.h + (f2 * x.g[i]) * x.g[j])
+
+
 def vlift(coords):
     """Lift every coordinate into one vector-mode dual layer."""
     n = len(coords)
@@ -211,7 +328,7 @@ def value_of(v):
     """Collapse a dual tower to its underlying float value."""
     while isinstance(v, (Dual, VDual)):
         v = v.a
-    return v
+    return v.v if isinstance(v, Jet2) else v
 
 
 def eps_of(v):
@@ -221,120 +338,44 @@ def eps_of(v):
 
 # -- elementary functions, float/dual polymorphic -------------------------
 
-def sin(x):
-    if isinstance(x, Dual):
-        return Dual(sin(x.a), cos(x.a) * x.b)
-    if isinstance(x, VDual):
-        c = cos(x.a)
-        return VDual(sin(x.a), [c * v for v in x.b])
-    if type(x) is float:
-        return math.sin(x)
-    return np.sin(x)
+def _elementary(name, on_float, on_array, d1, d2):
+    """An elementary function of floats, columns, duals and jets.
+    ``d1(a, y)`` and ``d2(a, y)`` give its first and second derivative at
+    a value ``a`` (itself possibly a dual) where it takes the value ``y``."""
+
+    def fn(x):
+        if isinstance(x, (Dual, VDual)):
+            y = fn(x.a)
+            c = d1(x.a, y)
+            if isinstance(x, Dual):
+                return Dual(y, c * x.b)
+            return VDual(y, [c * v for v in x.b])
+        if isinstance(x, Jet2):
+            y = fn(x.v)
+            return _chain(x, y, d1(x.v, y), d2(x.v, y))
+        return on_float(x) if type(x) is float else on_array(x)
+
+    fn.__name__ = fn.__qualname__ = name
+    return fn
 
 
-def cos(x):
-    if isinstance(x, Dual):
-        return Dual(cos(x.a), -sin(x.a) * x.b)
-    if isinstance(x, VDual):
-        s = -sin(x.a)
-        return VDual(cos(x.a), [s * v for v in x.b])
-    if type(x) is float:
-        return math.cos(x)
-    return np.cos(x)
-
-
-def tan(x):
-    if isinstance(x, Dual):
-        c = cos(x.a)
-        return Dual(tan(x.a), x.b / (c * c))
-    if isinstance(x, VDual):
-        c = cos(x.a)
-        c2 = c * c
-        return VDual(tan(x.a), [v / c2 for v in x.b])
-    if type(x) is float:
-        return math.tan(x)
-    return np.tan(x)
-
-
-def exp(x):
-    if isinstance(x, Dual):
-        e = exp(x.a)
-        return Dual(e, e * x.b)
-    if isinstance(x, VDual):
-        e = exp(x.a)
-        return VDual(e, [e * v for v in x.b])
-    if type(x) is float:
-        return math.exp(x)
-    return np.exp(x)
-
-
-def log(x):
-    if isinstance(x, Dual):
-        return Dual(log(x.a), x.b / x.a)
-    if isinstance(x, VDual):
-        return VDual(log(x.a), [v / x.a for v in x.b])
-    if type(x) is float:
-        return math.log(x)
-    return np.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, Dual):
-        r = sqrt(x.a)
-        return Dual(r, x.b / (2.0 * r))
-    if isinstance(x, VDual):
-        r = sqrt(x.a)
-        half = 2.0 * r
-        return VDual(r, [v / half for v in x.b])
-    if type(x) is float:
-        return math.sqrt(x)
-    return np.sqrt(x)
-
-
-def sinh(x):
-    if isinstance(x, Dual):
-        return Dual(sinh(x.a), cosh(x.a) * x.b)
-    if isinstance(x, VDual):
-        c = cosh(x.a)
-        return VDual(sinh(x.a), [c * v for v in x.b])
-    if type(x) is float:
-        return math.sinh(x)
-    return np.sinh(x)
-
-
-def cosh(x):
-    if isinstance(x, Dual):
-        return Dual(cosh(x.a), sinh(x.a) * x.b)
-    if isinstance(x, VDual):
-        s = sinh(x.a)
-        return VDual(cosh(x.a), [s * v for v in x.b])
-    if type(x) is float:
-        return math.cosh(x)
-    return np.cosh(x)
-
-
-def tanh(x):
-    if isinstance(x, Dual):
-        c = cosh(x.a)
-        return Dual(tanh(x.a), x.b / (c * c))
-    if isinstance(x, VDual):
-        c = cosh(x.a)
-        c2 = c * c
-        return VDual(tanh(x.a), [v / c2 for v in x.b])
-    if type(x) is float:
-        return math.tanh(x)
-    return np.tanh(x)
-
-
-def atan(x):
-    if isinstance(x, Dual):
-        return Dual(atan(x.a), x.b / (1.0 + x.a * x.a))
-    if isinstance(x, VDual):
-        d = 1.0 + x.a * x.a
-        return VDual(atan(x.a), [v / d for v in x.b])
-    if type(x) is float:
-        return math.atan(x)
-    return np.arctan(x)
+sin = _elementary("sin", math.sin, np.sin, lambda a, y: cos(a), lambda a, y: -y)
+cos = _elementary("cos", math.cos, np.cos, lambda a, y: -sin(a), lambda a, y: -y)
+tan = _elementary(
+    "tan", math.tan, np.tan, lambda a, y: 1.0 + y * y, lambda a, y: 2.0 * y * (1.0 + y * y)
+)
+exp = _elementary("exp", math.exp, np.exp, lambda a, y: y, lambda a, y: y)
+log = _elementary("log", math.log, np.log, lambda a, y: 1.0 / a, lambda a, y: -1.0 / (a * a))
+sqrt = _elementary("sqrt", math.sqrt, np.sqrt, lambda a, y: 0.5 / y, lambda a, y: -0.25 / (a * y))
+sinh = _elementary("sinh", math.sinh, np.sinh, lambda a, y: cosh(a), lambda a, y: y)
+cosh = _elementary("cosh", math.cosh, np.cosh, lambda a, y: sinh(a), lambda a, y: y)
+tanh = _elementary(
+    "tanh", math.tanh, np.tanh, lambda a, y: 1.0 - y * y, lambda a, y: -2.0 * y * (1.0 - y * y)
+)
+atan = _elementary(
+    "atan", math.atan, np.arctan, lambda a, y: 1.0 / (1.0 + a * a),
+    lambda a, y: -2.0 * a / ((1.0 + a * a) * (1.0 + a * a)),
+)
 
 
 # -- derivative drivers ----------------------------------------------------
@@ -380,39 +421,43 @@ def value_and_gradient(f, coords):
 
 
 def lift2(coords):
-    """Every coordinate lifted into two nested vector-dual layers.
+    """Every coordinate lifted into a Jet2.
 
     A function evaluated on these carries its value, gradient and second
     partials; ``read2`` takes them out.  Work done on the lifted
     coordinates (a chart embedding, say) can be shared by several fields.
+    Coordinates must be floats or columns: Jet2 is the innermost lift.
     """
+    coords = list(coords)
+    if any(isinstance(c, (Dual, VDual, Jet2)) for c in coords):
+        raise TypeError("lift2 takes float coordinates or columns, not lifted ones")
     n = len(coords)
-    inner = vlift(list(coords))
-    return [
-        VDual(u, [1.0 if k == i else 0.0 for i in range(n)])
-        for k, u in enumerate(inner)
-    ]
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    unit = np.broadcast_to(np.eye(n).reshape((n, n) + (1,) * len(shape)), (n, n) + shape)
+    zero = np.zeros((n * (n + 1) // 2,) + shape)
+    return [Jet2(c, unit[k], zero) for k, c in enumerate(coords)]
+
+
+def _rows(a):
+    """The leading-axis entries of a Jet2 part: floats at a point, arrays
+    over a batch."""
+    return a.tolist() if a.ndim == 1 else list(a)
 
 
 def read2(r, n):
-    """Value, gradient and second-partial matrix of a result computed on
-    ``lift2`` coordinates (zeros when it does not depend on them)."""
-    if not isinstance(r, VDual):
+    """Value, gradient and (exactly symmetric) second-partial matrix of a
+    result computed on ``lift2`` coordinates (zeros when it does not
+    depend on them)."""
+    if not isinstance(r, Jet2):
         zero = [0.0] * n
         return r, list(zero), [list(zero) for _ in range(n)]
-    grad = vparts(r.a, n)
-    hess = [[0.0] * n for _ in range(n)]
-    for j, col_v in enumerate(vparts(r, n)):
-        col = vparts(col_v, n)
-        for i in range(n):
-            hess[i][j] = col[i]
-    val = r.a.a if isinstance(r.a, VDual) else r.a
-    return val, grad, hess
+    h = _rows(r.h)
+    return r.v, _rows(r.g), [[h[k] for k in row] for row in _triangle(n)[2]]
 
 
 def jet2(f, coords):
-    """Value, gradient, and full second-partial matrix in one nested
-    vector-mode evaluation."""
+    """Value, gradient, and full second-partial matrix in one Jet2
+    evaluation."""
     return read2(f(lift2(coords)), len(coords))
 
 

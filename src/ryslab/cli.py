@@ -83,12 +83,12 @@ DEFAULT_TOLS = {
 PERTURBED_METRICS = 5
 # Every check holds all of a case's points in memory at once (the
 # fourth-order jet of R is the largest), so --points has a ceiling: at
-# 10,000 points a full `verify` peaks near 280 MB.
+# 10,000 points a full `verify` peaks near 195 MB.
 MAX_POINTS = 10000
 # `solve` holds dense (2m+1) x m matrices (m = --grid): 2048 intervals peak
 # near 170 MB.  `integrate` evaluates every quadrature node at once, about
-# 2 * resolution^3 of them per chart: resolution 40 peaks near 200 MB with
-# 2 divergence checks and 232 MB from 32 on (quadrature.FIELDS_PER_PASS).
+# 2 * resolution^3 of them per chart: resolution 40 peaks near 165 MB with
+# 2 divergence checks and 198 MB from 32 on (quadrature.FIELDS_PER_PASS).
 MAX_INTERVALS = 2048
 MAX_RESOLUTION = 40
 
@@ -424,6 +424,26 @@ def _r_max(raw: str) -> float:
     return value
 
 
+def _solve_problem(args):
+    """Why a `solve` option set that each option type accepts still cannot
+    be represented (None if it can): the second-derivative stencil scale
+    1 / (12 h^2) of the grid step h, and the squared soliton coefficient
+    summed over the 2 (grid + 1) rows of both blocks, must be finite and
+    the scale nonzero."""
+    grid = solver.make_grid(args.grid, r_max=args.r_max)
+    h = float(grid[1] - grid[0])
+    if not 0.0 < 12.0 * h * h < math.inf:
+        return f"--r-max {args.r_max!r} with --grid {args.grid}: 1 / (12 h^2) is not finite and nonzero"
+    background = solver.named_background(args.background, args.radius)
+    coef = solver.soliton_coefficient(SolitonParams(args.alpha, args.beta, args.lam, 0.0), background)
+    if not math.isfinite(2 * (args.grid + 1) * (coef * coef)):
+        return (
+            f"the soliton coefficient alpha c + lambda - beta R / 2 = {coef!r} "
+            f"(--radius {args.radius!r}) squared over the grid is not finite"
+        )
+    return None
+
+
 def _tolerance(raw: str) -> tuple:
     """NAME=VALUE with a known check name and a finite VALUE >= 0."""
     if "=" not in raw:
@@ -709,6 +729,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        problem = _solve_problem(args) if args.command == "solve" else None
+        if problem:
+            parser.error(f"solve: {problem}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     return args.func(args)

@@ -24,13 +24,13 @@ from typing import Any
 
 import numpy as np
 
-from .ad import jet2, value_of, vlift, vparts
+from .ad import VDual, jet2, lift2, read2, value_of, vlift, vparts
 from .curvature import (  # noqa: F401 (bench/selftest.py looks up ricci_generic here)
     CurvatureData,
+    christoffel_with_partials,
     curvature_data,
     divergence_ricci_from,
     grad_norm_sq_generic,
-    hessian_generic,
     ricci_generic,
     ricci_with_partials,
 )
@@ -352,13 +352,25 @@ def check_contracted_bianchi(g: MetricField, p) -> IdentityResidual:
 
 
 def _hessian_partials(g: MetricField, f: ScalarField, x):
-    """dh[j][k][i] = d_j (Hess f)_{ki} from one vector-lifted pass."""
+    """dh[j][k][i] = d_j (Hess f)_{ki}
+    = d_j d_k d_i f - d_j Gamma^m_ki d_m f - Gamma^m_ki d_j d_m f,
+    the third partials of f from one vector lift over ``lift2``."""
     n = g.domain.dim
-    hl = hessian_generic(g, f, vlift(x))
-    return [
-        [[vparts(hl[k][i], n)[j] for i in range(n)] for k in range(n)]
-        for j in range(n)
-    ]
+    gamma, dgamma = christoffel_with_partials(g, x)
+    r = f.fn(vlift(lift2(x)))
+    _, df, ddf = read2(r.a if isinstance(r, VDual) else r, n)
+    third = [read2(d, n)[2] for d in vparts(r, n)]
+    dh = [[[0.0] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k in range(n):
+            for i in range(k, n):
+                v = third[j][k][i] - sum(
+                    gamma[m][k][i] * ddf[j][m] + dgamma[j][m][k][i] * df[m]
+                    for m in range(n)
+                )
+                dh[j][k][i] = v
+                dh[j][i][k] = v
+    return dh
 
 
 def _rough_laplacian_df(ginv, gamma, hess, dh):

@@ -144,6 +144,11 @@ def derivative_matrices(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
+def soliton_coefficient(params: SolitonParams, background: Background) -> float:
+    """alpha c + lam - beta/2 R, the constant term of both soliton blocks."""
+    return params.alpha * background.ric_factor + params.lam - 0.5 * params.beta * background.scalar
+
+
 def radial_residual(profile: RadialProfile) -> np.ndarray:
     """Stacked radial and tangential soliton blocks over the grid.
 
@@ -152,13 +157,11 @@ def radial_residual(profile: RadialProfile) -> np.ndarray:
     """
     _require_grid(profile.grid)
     d1, d2 = derivative_matrices(profile.grid)
-    pr = profile.params
-    bg = profile.background
-    coef = pr.alpha * bg.ric_factor + pr.lam - 0.5 * pr.beta * bg.scalar
+    coef = soliton_coefficient(profile.params, profile.background)
     fp = d1 @ profile.values
     fpp = d2 @ profile.values
     radial = coef + fpp
-    tangential = coef + bg.log_warp_deriv(profile.grid) * fp
+    tangential = coef + profile.background.log_warp_deriv(profile.grid) * fp
     return np.concatenate([radial, tangential])
 
 
@@ -216,9 +219,7 @@ def solve_radial(
     jac[2 * m] = grid[0] * d1[0, 1:]  # regularity row delta * f'(r_0)
     del d1, d2  # free both m x m matrices before J^T J is formed
     offset = np.zeros(2 * m + 1)
-    offset[: 2 * m] = (
-        params.alpha * background.ric_factor + params.lam - 0.5 * params.beta * background.scalar
-    )
+    offset[: 2 * m] = soliton_coefficient(params, background)
 
     def pde_inf(res: np.ndarray) -> float:
         return float(np.max(np.abs(res[:-1])))

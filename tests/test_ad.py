@@ -154,3 +154,88 @@ def test_backends_agree_on_catalog_fields():
                 dual = partial_derivative(field, p, index, backend="dual")
                 fd = partial_derivative(field, p, index, backend="fd")
                 assert abs(dual - fd) <= 1e-7 * (1 + abs(dual)), (field.name, index)
+
+
+# -- Jet2: the second-order Taylor jet behind lift2/read2/jet2 --------------
+
+def _inner(x):
+    """A nonlinear argument in (0.3, 1.1) on [0.2, 0.9]^3, so that every
+    chain rule meets a full gradient and Hessian."""
+    return 0.3 + 0.4 * x[0] * x[1] + 0.2 * x[2] * x[2] + 0.1 * x[1]
+
+
+JET_CASES = {
+    "add": lambda x: x[0] * x[1] + (x[2] + 2.0) + (3.0 + x[0]),
+    "sub": lambda x: x[0] * x[1] - x[2] * x[2] - 1.5 - (0.5 - x[1]),
+    "neg": lambda x: -(x[0] * x[2]),
+    "mul": lambda x: (x[0] * x[1]) * (x[1] * x[2]) * 2.5,
+    "div": lambda x: (x[0] * x[1] + 1.0) / (x[2] * x[0] + 0.5) / 3.0,
+    "reciprocal": lambda x: 1.0 / _inner(x),
+    "pow0": lambda x: _inner(x) ** 0,
+    "pow1": lambda x: _inner(x) ** 1,
+    "pow2": lambda x: _inner(x) ** 2,
+    "pow3": lambda x: _inner(x) ** 3,
+    "pow-1": lambda x: _inner(x) ** -1,
+    "pow0.5": lambda x: _inner(x) ** 0.5,
+    "rpow": lambda x: 2.0 ** _inner(x),
+}
+for _name in ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "atan"):
+    JET_CASES[_name] = lambda x, fn=getattr(ad, _name): fn(_inner(x)) * x[0]
+
+
+def _close(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return bool(np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))))
+
+
+@pytest.mark.parametrize("name", sorted(JET_CASES))
+@pytest.mark.parametrize("where", ["point", "columns"])
+def test_jet2_matches_dual_towers(name, where):
+    """Value, gradient and Hessian of a Jet2 evaluation equal the Dual-tower
+    partials to 1e-13 relative, at a float point and on (m,) columns."""
+    f = JET_CASES[name]
+    if where == "point":
+        x = [0.35, 0.6, 0.8]
+    else:
+        x = list(np.random.default_rng(5).uniform(0.2, 0.9, size=(3, 7)))
+    val, grad, hess = ad.jet2(f, x)
+    assert _close(val, ad.derive(f, x, ()))
+    for i in range(3):
+        assert _close(grad[i], ad.derive(f, x, (i,))), i
+        for j in range(3):
+            assert _close(hess[i][j], ad.derive(f, x, (i, j))), (i, j)
+
+
+def test_read2_hessian_is_exactly_symmetric():
+    x = list(np.random.default_rng(6).uniform(0.2, 0.9, size=(3, 9)))
+    f = lambda q: ad.exp(q[0] * q[1]) / (1.0 + q[2] * q[0]) + ad.sin(q[1] * q[2])
+    for coords in (x, [float(c[0]) for c in x]):
+        _, _, hess = ad.jet2(f, coords)
+        for i in range(3):
+            for j in range(3):
+                assert np.array_equal(hess[i][j], hess[j][i])
+
+
+def test_jet2_defers_to_outer_duals():
+    """A Jet2 meeting a Dual or VDual is a constant of that outer level:
+    the result has the outer type, never a Jet2 holding duals."""
+    jet = ad.lift2([0.4, 0.7])[0]
+    outer = [ad.Dual(0.5, 1.0), ad.vlift([0.5, 0.2])[0]]
+    for d in outer:
+        for result in (jet + d, d + jet, jet - d, d - jet, jet * d, d * jet, jet / d, d / jet):
+            assert type(result) is type(d)
+            assert isinstance(result.a, ad.Jet2)
+    lifted = ad.vlift(ad.lift2([0.4, 0.7]))
+    y = lifted[0] * lifted[1] / (1.0 + lifted[0])
+    assert isinstance(y, ad.VDual) and isinstance(y.a, ad.Jet2)
+    assert all(isinstance(b, ad.Jet2) for b in y.b)
+
+
+def test_jet2_rejects_lifted_coordinates():
+    f = lambda q: q[0] * q[1]
+    with pytest.raises(TypeError):
+        ad.jet2(f, ad.vlift([0.1, 0.2]))
+    with pytest.raises(TypeError):
+        ad.jet2(f, [ad.Dual(0.1, 1.0), 0.2])
+    with pytest.raises(TypeError):
+        ad.lift2(ad.lift2([0.1, 0.2]))

@@ -276,6 +276,8 @@ class TestParseTimeValidation:
             ["integrate", "--case", "unit-s3", "--resolution", str(cli.MAX_RESOLUTION + 1)],
             ["solve", "--background", "sphere", "--radius", "1e-300"],
             ["solve", "--background", "sphere", "--radius", "1e-154"],
+            ["solve", "--r-max", "1e300", "--grid", "16"],
+            ["solve", "--background", "sphere", "--radius", "1e-150", "--lambda", "-2"],
         ],
         ids=[
             "points-zero",
@@ -296,6 +298,8 @@ class TestParseTimeValidation:
             "resolution-above-ceiling",
             "solve-radius-underflow",
             "solve-radius-curvature-overflow",
+            "solve-r-max-stencil-overflow",
+            "solve-radius-coefficient-overflow",
         ],
     )
     def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
