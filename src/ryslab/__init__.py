@@ -38,7 +38,6 @@ from .curvature import (
     Sym2Tensor,
     christoffel,
     curvature_bundle,
-    divergence_ricci,
     grad_norm_sq,
     grad_scalar_curvature,
     gradient,
@@ -60,10 +59,6 @@ from .soliton import (
     concircular_conclusions,
     concircular_defect,
     defining_residual,
-    eta_rys_residual,
-    gen_grys_residual,
-    grys_residual,
-    rys_residual,
 )
 
 __version__ = "0.1.0"

@@ -457,6 +457,11 @@ class CaseSpec:
     defaults: SolitonParams
     description: str
     universal_only: bool = False
+    # Names of the case-specific rows of the `verify` check table it reports.
+    checks: tuple[str, ...] = ()
+
+
+_PRODUCT_CHECKS = ("product-affine-hessian", "product-grad-constancy")
 
 
 def verify_cases() -> dict[str, CaseSpec]:
@@ -488,6 +493,7 @@ def verify_cases() -> dict[str, CaseSpec]:
             cylinder_instance,
             SolitonParams(0.0, 1.0, 1.0, 0.0),
             "sphere-line product with affine potential",
+            checks=_PRODUCT_CHECKS,
         ),
         "flat-product": CaseSpec(
             "flat-product",
@@ -495,6 +501,7 @@ def verify_cases() -> dict[str, CaseSpec]:
             flat_product_instance,
             SolitonParams(1.0, 0.0, 0.0, 0.0),
             "flat plane-times-line split, steady Ricci-flat",
+            checks=_PRODUCT_CHECKS + ("steady-ricci-flat", "steady-lambda"),
         ),
         "concircular-flat": CaseSpec(
             "concircular-flat",

@@ -13,6 +13,8 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,55 +32,6 @@ from .soliton import (
     residual_report,
 )
 
-ANCHORS = {
-    "defining-residual": "defining soliton equation",
-    "defining-residual-gnorm": "defining soliton equation",
-    "trace-identity": "trace of the defining equation",
-    "gradient-identity": "soliton gradient identity",
-    "laplacian-identity": "soliton Laplacian identity",
-    "splitting-identity": "Bochner splitting identity",
-    "scalar-constancy": "compact scalar-curvature constancy",
-    "scalar-sign-law": "scalar-curvature sign law",
-    "product-affine-hessian": "affine potential on a product geometry",
-    "product-grad-constancy": "constant gradient norm on a product geometry",
-    "steady-ricci-flat": "steady split instances are Ricci-flat",
-    "steady-lambda": "steady classification",
-    "concircular-defect": "concircular vector field defect",
-    "einstein-defect": "Einstein reduction under a concircular field",
-    "scalar-prediction": "scalar curvature prediction",
-    "ricci-eigenvalue": "Ricci operator eigenvalue",
-    "class-consistency": "classification threshold consistency",
-    "contracted-bianchi": "contracted second Bianchi identity",
-    "commutation": "covariant derivative commutation rule",
-    "bochner": "Bochner formula",
-    "volume": "Riemannian volume form",
-    "divergence-theorem": "divergence theorem",
-}
-
-DEFAULT_TOLS = {
-    "defining-residual": 1e-8,
-    "defining-residual-gnorm": 1e-8,
-    "trace-identity": 1e-8,
-    "gradient-identity": 1e-6,
-    "laplacian-identity": 1e-4,
-    "splitting-identity": 1e-5,
-    "scalar-constancy": 1e-9,
-    "scalar-sign-law": 0.5,
-    "product-affine-hessian": 1e-9,
-    "product-grad-constancy": 1e-9,
-    "steady-ricci-flat": 1e-10,
-    "steady-lambda": 1e-12,
-    "concircular-defect": 1e-10,
-    "einstein-defect": 1e-10,
-    "scalar-prediction": 1e-9,
-    "ricci-eigenvalue": 1e-10,
-    "class-consistency": 0.5,
-    "contracted-bianchi": 1e-6,
-    "commutation": 1e-6,
-    "bochner": 1e-6,
-    "volume": 1e-5,
-    "divergence-theorem": 1e-5,
-}
 
 PERTURBED_METRICS = 5
 # Every check holds all of a case's points in memory at once (the
@@ -106,235 +59,253 @@ def _case_points(entry, count: int, seed: int):
     return pts
 
 
-def _record_worst(report, case, check, residual, tols):
-    """Report an identity checked over a batch by its worst point."""
-    worst = residual.worst()
-    report.add(
-        CheckRecord.build(
-            name=f"{case}:{check}",
-            anchor=ANCHORS[check],
-            point=list(worst.point.coords),
-            lhs=worst.lhs,
-            rhs=worst.rhs,
-            gap=worst.rel_gap,
-            tol=tols[check],
-        )
-    )
-
-
 def _last_argmax(values) -> int:
     """Index of the last maximum, the point a running ``>=`` scan keeps."""
     values = np.asarray(values)
     return len(values) - 1 - int(np.argmax(values[::-1]))
 
 
-def _run_soliton_case(name, spec, params, points, seed, tols, report) -> None:
-    entry = spec.entry()
-    inst = spec.build(params)
-    batch = PointBatch(_case_points(entry, points, seed))
-    pts = batch.points
-    inst.metric.require_spd(batch)
-
-    # Both norms of the defining residual are reported; tolerances match.
-    norms = residual_report(inst, batch)
-    residuals = norms["max_abs"]
-    worst_idx = int(np.argmax(residuals))
-    gnorm_idx = int(np.argmax(norms["g_norm"]))
-    defining_tol = tols["defining-residual"]
-    report.add(
-        CheckRecord.build(
-            name=f"{name}:defining-residual",
-            anchor=ANCHORS["defining-residual"],
-            point=list(pts[worst_idx].coords),
-            lhs=residuals[worst_idx],
-            rhs=0.0,
-            gap=residuals[worst_idx],
-            tol=defining_tol,
-        )
-    )
-    report.add(
-        CheckRecord.build(
-            name=f"{name}:defining-residual-gnorm",
-            anchor=ANCHORS["defining-residual"],
-            point=list(pts[gnorm_idx].coords),
-            lhs=norms["g_norm"][gnorm_idx],
-            rhs=0.0,
-            gap=norms["g_norm"][gnorm_idx],
-            tol=tols["defining-residual-gnorm"],
-        )
-    )
-    if residuals[worst_idx] > defining_tol:
-        return  # derived identities are meaningless off the soliton
-
-    if inst.kind in (SolitonKind.GRYS, SolitonKind.GEN_GRYS):
-        for check, fn in (
-            ("trace-identity", identities.check_trace_identity),
-            ("gradient-identity", identities.check_gradient_identity),
-            ("laplacian-identity", identities.check_laplacian_identity),
-        ):
-            _record_worst(report, name, check, fn(inst, batch, defining_tol), tols)
-        n = inst.n
-        if params.mu == 0.0 and abs(params.alpha - params.beta * (n - 1)) > 1e-12:
-            _record_worst(
-                report, name, "splitting-identity",
-                identities.check_splitting_identity(inst, batch, defining_tol),
-                tols,
-            )
-        if inst.compact and abs(n * params.beta - 2.0 * params.alpha) > 1e-12:
-            out = identities.check_scalar_constancy(inst, batch, tols["scalar-constancy"])
-            report.add(
-                CheckRecord.build(
-                    name=f"{name}:scalar-constancy",
-                    anchor=ANCHORS["scalar-constancy"],
-                    point=list(pts[0].coords),
-                    lhs=out["r_value"],
-                    rhs=out["predicted"],
-                    gap=out["gap"] / (1.0 + abs(out["predicted"])),
-                    tol=tols["scalar-constancy"],
-                )
-            )
-            if out["sign_law_applies"]:
-                report.add(
-                    CheckRecord.build(
-                        name=f"{name}:scalar-sign-law",
-                        anchor=ANCHORS["scalar-sign-law"],
-                        point=list(pts[0].coords),
-                        lhs=out["r_value"],
-                        rhs=out["predicted"],
-                        gap=0.0 if out["sign_consistent"] else 1.0,
-                        tol=tols["scalar-sign-law"],
-                    )
-                )
-        if name in ("s2xr", "flat-product"):
-            flags = identities.check_affine_splitting_flags(inst, batch)
-            report.add(
-                CheckRecord.build(
-                    name=f"{name}:product-affine-hessian",
-                    anchor=ANCHORS["product-affine-hessian"],
-                    point=list(pts[0].coords),
-                    lhs=flags["hessian_norm"],
-                    rhs=0.0,
-                    gap=flags["hessian_norm"],
-                    tol=tols["product-affine-hessian"],
-                )
-            )
-            report.add(
-                CheckRecord.build(
-                    name=f"{name}:product-grad-constancy",
-                    anchor=ANCHORS["product-grad-constancy"],
-                    point=list(pts[0].coords),
-                    lhs=flags["grad_norm_variation"],
-                    rhs=0.0,
-                    gap=flags["grad_norm_variation"],
-                    tol=tols["product-grad-constancy"],
-                )
-            )
-        if name == "flat-product":
-            ric_max = ricci(inst.metric, batch).max_abs()
-            report.add(
-                CheckRecord.build(
-                    name=f"{name}:steady-ricci-flat",
-                    anchor=ANCHORS["steady-ricci-flat"],
-                    point=list(pts[0].coords),
-                    lhs=ric_max,
-                    rhs=0.0,
-                    gap=ric_max,
-                    tol=tols["steady-ricci-flat"],
-                )
-            )
-            report.add(
-                CheckRecord.build(
-                    name=f"{name}:steady-lambda",
-                    anchor=ANCHORS["steady-lambda"],
-                    point=list(pts[0].coords),
-                    lhs=params.lam,
-                    rhs=0.0,
-                    gap=abs(params.lam),
-                    tol=tols["steady-lambda"],
-                )
-            )
-
-    if inst.kind is SolitonKind.RYS and inst.phi is not None:
-        _concircular_records(name, inst, batch, tols, report)
+def _largest(batch, values, last=False):
+    """A quantity that must vanish, reported at its first maximum over the
+    batch, or with ``last`` at its last maximum."""
+    k = _last_argmax(values) if last else int(np.argmax(values))
+    return batch.points[k], values[k], 0.0, values[k]
 
 
-def _concircular_records(name, inst, batch, tols, report) -> None:
-    phi = inst.phi
-    pts = batch.points
-    defects = np.max(
-        np.abs(concircular_defect(inst.metric, inst.vector_field, phi, batch)), axis=(0, 1)
-    )
-    k = int(np.argmax(defects))
-    report.add(
-        CheckRecord.build(
-            name=f"{name}:concircular-defect",
-            anchor=ANCHORS["concircular-defect"],
-            point=list(pts[k].coords),
-            lhs=defects[k],
-            rhs=0.0,
-            gap=defects[k],
-            tol=tols["concircular-defect"],
-        )
-    )
-    out = concircular_conclusions(inst.metric, inst.params, phi, batch)
+def _vanishing(batch, value):
+    """A batch-level quantity that must vanish, reported at the first point."""
+    return batch.points[0], value, 0.0, value
+
+
+def _shared(batch, fn, *args):
+    """``fn(*args)``, computed once per batch however many rows read it."""
+    return batch.memo((fn, *args), lambda: fn(*args))
+
+
+# Applicability predicates on (instance, CaseSpec).
+
+def _always(inst, spec) -> bool:
+    return True
+
+
+def _gradient(inst, spec) -> bool:
+    return inst.kind in (SolitonKind.GRYS, SolitonKind.GEN_GRYS)
+
+
+def _splitting(inst, spec) -> bool:
+    pr = inst.params
+    return _gradient(inst, spec) and pr.mu == 0.0 and abs(pr.alpha - pr.beta * (inst.n - 1)) > 1e-12
+
+
+def _scalar_law(inst, spec) -> bool:
+    """R is constant on a compact gradient soliton unless n beta = 2 alpha."""
+    pr = inst.params
+    return _gradient(inst, spec) and inst.compact and abs(inst.n * pr.beta - 2.0 * pr.alpha) > 1e-12
+
+
+def _sign_law(inst, spec) -> bool:
+    """The sign of that constant R is forced only where n beta > 2 alpha."""
+    pr = inst.params
+    return _scalar_law(inst, spec) and inst.n * pr.beta - 2.0 * pr.alpha > 1e-12
+
+
+def _listed(name: str):
+    """Applies to the cases whose ``CaseSpec.checks`` name the row."""
+    return lambda inst, spec: name in spec.checks
+
+
+def _concircular(inst, spec) -> bool:
+    return inst.kind is SolitonKind.RYS and inst.phi is not None
+
+
+# Measures: each returns the record's (point, lhs, rhs, gap) over a batch.
+
+def _defining(norm: str):
+    """One norm of the defining residual, at its first maximum."""
+
+    def measure(inst, batch, tols):
+        return _largest(batch, _shared(batch, residual_report, inst, batch)[norm])
+
+    return measure
+
+
+def _identity(check: str):
+    """An identity check of ``identities`` at its worst point (the first
+    maximum).  The check is looked up when it runs, so a rebinding of the
+    module attribute (a tracing span) sees the call."""
+
+    def measure(inst, batch, tols):
+        worst = getattr(identities, check)(inst, batch, tols["defining-residual"]).worst()
+        return worst.point, worst.lhs, worst.rhs, worst.rel_gap
+
+    return measure
+
+
+def _constancy(inst, batch, tols):
+    return _shared(batch, identities.check_scalar_constancy, inst, batch, tols["scalar-constancy"])
+
+
+def _scalar_constancy(inst, batch, tols):
+    out = _constancy(inst, batch, tols)
+    gap = out["gap"] / (1.0 + abs(out["predicted"]))
+    return batch.points[0], out["r_value"], out["predicted"], gap
+
+
+def _scalar_sign_law(inst, batch, tols):
+    out = _constancy(inst, batch, tols)
+    gap = 0.0 if out["sign_consistent"] else 1.0
+    return batch.points[0], out["r_value"], out["predicted"], gap
+
+
+def _affine_flag(flag: str):
+    """One of the affine-potential flags of a product geometry."""
+
+    def measure(inst, batch, tols):
+        flags = _shared(batch, identities.check_affine_splitting_flags, inst, batch)
+        return _vanishing(batch, flags[flag])
+
+    return measure
+
+
+def _ricci_flat(inst, batch, tols):
+    return _vanishing(batch, ricci(inst.metric, batch).max_abs())
+
+
+def _steady_lambda(inst, batch, tols):
+    lam = inst.params.lam
+    return batch.points[0], lam, 0.0, abs(lam)
+
+
+def _concircular_defect(inst, batch, tols):
+    defect = concircular_defect(inst.metric, inst.vector_field, inst.phi, batch)
+    return _largest(batch, np.max(np.abs(defect), axis=(0, 1)))
+
+
+# The concircular conclusions are reported at their last maxima.
+
+def _conclusions(inst, batch):
+    return _shared(batch, concircular_conclusions, inst.metric, inst.params, inst.phi, batch)
+
+
+def _einstein_defect(inst, batch, tols):
+    return _largest(batch, _conclusions(inst, batch)["einstein_defect"], last=True)
+
+
+def _scalar_prediction(inst, batch, tols):
+    predicted = _conclusions(inst, batch)["scalar_pred"]
     measured = scalar_curvature(inst.metric, batch)
-    predicted = out["scalar_pred"]
-    scalar_gaps = np.abs(measured - predicted) / (1.0 + abs(predicted))
-    eye = np.eye(inst.n)[:, :, None]
-    eigen_gaps = np.max(
-        np.abs(ricci_operator(inst.metric, batch) - out["eigenvalue_pred"] * eye),
-        axis=(0, 1),
-    )
+    gaps = np.abs(measured - predicted) / (1.0 + abs(predicted))
+    k = _last_argmax(gaps)
+    return batch.points[k], measured[k], predicted, gaps[k]
+
+
+def _ricci_eigenvalue(inst, batch, tols):
+    expected = _conclusions(inst, batch)["eigenvalue_pred"] * np.eye(inst.n)[:, :, None]
+    gaps = np.max(np.abs(ricci_operator(inst.metric, batch) - expected), axis=(0, 1))
+    return _largest(batch, gaps, last=True)
+
+
+def _class_consistency(inst, batch, tols):
     lam_class = classify(inst.params)
-    class_ok = all(c is lam_class for c in out["class"])
-    # Worst points are the last maxima, as a running >= scan keeps them.
-    e = _last_argmax(out["einstein_defect"])
-    s = _last_argmax(scalar_gaps)
-    q = _last_argmax(eigen_gaps)
-    report.add(
-        CheckRecord.build(
-            name=f"{name}:einstein-defect",
-            anchor=ANCHORS["einstein-defect"],
-            point=list(pts[e].coords),
-            lhs=out["einstein_defect"][e],
-            rhs=0.0,
-            gap=out["einstein_defect"][e],
-            tol=tols["einstein-defect"],
-        )
+    consistent = all(c is lam_class for c in _conclusions(inst, batch)["class"])
+    return batch.points[0], 0.0, 0.0, 0.0 if consistent else 1.0
+
+
+@dataclass(frozen=True)
+class Check:
+    """One table row: a kind of report record and how `verify` measures it.
+
+    ``applies(inst, spec)`` says whether a soliton case reports the row, and
+    ``measure(inst, batch, tols)`` returns the record's (point, lhs, rhs,
+    gap).  A ``derived`` row runs only once the defining residual is within
+    its tolerance.  Rows without ``measure`` (volume, divergence and the
+    universal identities) are measured by their own commands and give them
+    only an anchor and a default tolerance.
+    """
+
+    name: str
+    anchor: str
+    tol: float
+    applies: Optional[Callable] = None
+    measure: Optional[Callable] = None
+    derived: bool = True
+
+
+# Every check, in report order.  A soliton case reports each row that
+# applies to it; `--tol` accepts exactly these names.
+CHECKS = {
+    check.name: check
+    for check in (
+        Check("defining-residual", "defining soliton equation", 1e-8,
+              _always, _defining("max_abs"), derived=False),
+        Check("defining-residual-gnorm", "defining soliton equation", 1e-8,
+              _always, _defining("g_norm"), derived=False),
+        Check("trace-identity", "trace of the defining equation", 1e-8,
+              _gradient, _identity("check_trace_identity")),
+        Check("gradient-identity", "soliton gradient identity", 1e-6,
+              _gradient, _identity("check_gradient_identity")),
+        Check("laplacian-identity", "soliton Laplacian identity", 1e-4,
+              _gradient, _identity("check_laplacian_identity")),
+        Check("splitting-identity", "Bochner splitting identity", 1e-5,
+              _splitting, _identity("check_splitting_identity")),
+        Check("scalar-constancy", "compact scalar-curvature constancy", 1e-9,
+              _scalar_law, _scalar_constancy),
+        Check("scalar-sign-law", "scalar-curvature sign law", 0.5,
+              _sign_law, _scalar_sign_law),
+        Check("product-affine-hessian", "affine potential on a product geometry", 1e-9,
+              _listed("product-affine-hessian"), _affine_flag("hessian_norm")),
+        Check("product-grad-constancy", "constant gradient norm on a product geometry", 1e-9,
+              _listed("product-grad-constancy"), _affine_flag("grad_norm_variation")),
+        Check("steady-ricci-flat", "steady split instances are Ricci-flat", 1e-10,
+              _listed("steady-ricci-flat"), _ricci_flat),
+        Check("steady-lambda", "steady classification", 1e-12,
+              _listed("steady-lambda"), _steady_lambda),
+        Check("concircular-defect", "concircular vector field defect", 1e-10,
+              _concircular, _concircular_defect),
+        Check("einstein-defect", "Einstein reduction under a concircular field", 1e-10,
+              _concircular, _einstein_defect),
+        Check("scalar-prediction", "scalar curvature prediction", 1e-9,
+              _concircular, _scalar_prediction),
+        Check("ricci-eigenvalue", "Ricci operator eigenvalue", 1e-10,
+              _concircular, _ricci_eigenvalue),
+        Check("class-consistency", "classification threshold consistency", 0.5,
+              _concircular, _class_consistency),
+        Check("contracted-bianchi", "contracted second Bianchi identity", 1e-6),
+        Check("commutation", "covariant derivative commutation rule", 1e-6),
+        Check("bochner", "Bochner formula", 1e-6),
+        Check("volume", "Riemannian volume form", 1e-5),
+        Check("divergence-theorem", "divergence theorem", 1e-5),
     )
-    report.add(
-        CheckRecord.build(
-            name=f"{name}:scalar-prediction",
-            anchor=ANCHORS["scalar-prediction"],
-            point=list(pts[s].coords),
-            lhs=measured[s],
-            rhs=predicted,
-            gap=scalar_gaps[s],
-            tol=tols["scalar-prediction"],
-        )
+}
+
+
+def _record(case, check, tols, point, lhs, rhs, gap, suffix=""):
+    """The report record of table row ``check`` for ``case``."""
+    return CheckRecord.build(
+        name=f"{case}:{check}{suffix}",
+        anchor=CHECKS[check].anchor,
+        point=None if point is None else list(point.coords),
+        lhs=lhs,
+        rhs=rhs,
+        gap=gap,
+        tol=tols[check],
     )
-    report.add(
-        CheckRecord.build(
-            name=f"{name}:ricci-eigenvalue",
-            anchor=ANCHORS["ricci-eigenvalue"],
-            point=list(pts[q].coords),
-            lhs=eigen_gaps[q],
-            rhs=0.0,
-            gap=eigen_gaps[q],
-            tol=tols["ricci-eigenvalue"],
-        )
-    )
-    report.add(
-        CheckRecord.build(
-            name=f"{name}:class-consistency",
-            anchor=ANCHORS["class-consistency"],
-            point=list(pts[0].coords),
-            lhs=0.0,
-            rhs=0.0,
-            gap=0.0 if class_ok else 1.0,
-            tol=tols["class-consistency"],
-        )
-    )
+
+
+def _run_soliton_case(name, spec, params, points, seed, tols, report) -> None:
+    inst = spec.build(params)
+    batch = PointBatch(_case_points(spec.entry(), points, seed))
+    inst.metric.require_spd(batch)
+    on_soliton = False
+    for check in CHECKS.values():
+        if check.measure is None or not check.applies(inst, spec):
+            continue
+        if check.derived and not on_soliton:
+            continue  # derived identities are meaningless off the soliton
+        record = _record(name, check.name, tols, *check.measure(inst, batch, tols))
+        report.add(record)
+        if check.name == "defining-residual":
+            on_soliton = not record.gap > record.tol
 
 
 def _run_universal_case(name, points, seed, tols, report) -> None:
@@ -349,19 +320,8 @@ def _run_universal_case(name, points, seed, tols, report) -> None:
             prev = worst.get(res.name)
             if prev is None or res.rel_gap > prev.rel_gap:
                 worst[res.name] = res
-    for check in ("contracted-bianchi", "commutation", "bochner"):
-        res = worst[check]
-        report.add(
-            CheckRecord.build(
-                name=f"{name}:{check}",
-                anchor=ANCHORS[check],
-                point=list(res.point.coords),
-                lhs=res.lhs,
-                rhs=res.rhs,
-                gap=res.rel_gap,
-                tol=tols[check],
-            )
-        )
+    for check, res in worst.items():
+        report.add(_record(name, check, tols, res.point, res.lhs, res.rhs, res.rel_gap))
 
 
 # -- argument types: bad input is a usage error (exit 2) at parse time --------
@@ -449,7 +409,7 @@ def _tolerance(raw: str) -> tuple:
     if "=" not in raw:
         raise argparse.ArgumentTypeError(f"expects NAME=VALUE, got '{raw}'")
     key, val = raw.split("=", 1)
-    if key not in DEFAULT_TOLS:
+    if key not in CHECKS:
         raise argparse.ArgumentTypeError(f"unknown tolerance name '{key}'")
     value = _finite(val)
     if value < 0.0:
@@ -458,9 +418,21 @@ def _tolerance(raw: str) -> tuple:
 
 
 def _tols(pairs) -> dict:
-    tols = dict(DEFAULT_TOLS)
+    tols = {name: check.tol for name, check in CHECKS.items()}
     tols.update(pairs or [])
     return tols
+
+
+def _finish(report, start, out, summary: str) -> int:
+    """Print the records and ``summary``, write the report, and return the
+    exit code: 1 if any check failed."""
+    report.wall_time_s = time.perf_counter() - start
+    for rec in report.records:
+        print(f"[{rec.verdict.upper():4s}] {rec.name}  gap={rec.gap:.3e}  tol={rec.tol:.1e}")
+    print(summary)
+    print(f"wall time: {report.wall_time_s:.2f} s", file=sys.stderr)
+    write_report(report, out)
+    return 0 if report.all_passed else 1
 
 
 def cmd_verify(args) -> int:
@@ -510,15 +482,8 @@ def cmd_verify(args) -> int:
     except RysLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    report.wall_time_s = time.perf_counter() - start
-
-    for rec in report.records:
-        print(f"[{rec.verdict.upper():4s}] {rec.name}  gap={rec.gap:.3e}  tol={rec.tol:.1e}")
     s = report.summary
-    print(f"{s['pass']}/{s['total']} checks passed")
-    print(f"wall time: {report.wall_time_s:.2f} s", file=sys.stderr)
-    write_report(report, args.out)
-    return 0 if report.all_passed else 1
+    return _finish(report, start, args.out, f"{s['pass']}/{s['total']} checks passed")
 
 
 # -- integrate ----------------------------------------------------------------
@@ -569,17 +534,7 @@ def cmd_integrate(args) -> int:
             print(f"error: entry '{args.case}' has no reference volume", file=sys.stderr)
             return 2
         rel = abs(measured - expected) / abs(expected)
-        report.add(
-            CheckRecord.build(
-                name=f"{args.case}:volume",
-                anchor=ANCHORS["volume"],
-                point=None,
-                lhs=measured,
-                rhs=expected,
-                gap=rel,
-                tol=tols["volume"],
-            )
-        )
+        report.add(_record(args.case, "volume", tols, None, measured, expected, rel))
         fields = [
             quadrature.ManifoldScalarField.from_ambient(
                 entry, _ambient_quadratic(args.seed + k), name=f"u{k}"
@@ -589,16 +544,9 @@ def cmd_integrate(args) -> int:
         outs = quadrature.integrate_laplacians(entry, fields, args.resolution)
         for k, out in enumerate(outs):
             ratio = abs(out["integral"]) / out["scale"] if out["scale"] > 0 else 0.0
+            integral = out["integral"]
             report.add(
-                CheckRecord.build(
-                    name=f"{args.case}:divergence-theorem[{k}]",
-                    anchor=ANCHORS["divergence-theorem"],
-                    point=None,
-                    lhs=out["integral"],
-                    rhs=0.0,
-                    gap=ratio,
-                    tol=tols["divergence-theorem"],
-                )
+                _record(args.case, "divergence-theorem", tols, None, integral, 0.0, ratio, f"[{k}]")
             )
     except (NotCompact, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -606,13 +554,7 @@ def cmd_integrate(args) -> int:
     except RysLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    report.wall_time_s = time.perf_counter() - start
-    for rec in report.records:
-        print(f"[{rec.verdict.upper():4s}] {rec.name}  gap={rec.gap:.3e}  tol={rec.tol:.1e}")
-    print(f"volume = {measured!r} (reference {expected!r})")
-    print(f"wall time: {report.wall_time_s:.2f} s", file=sys.stderr)
-    write_report(report, args.out)
-    return 0 if report.all_passed else 1
+    return _finish(report, start, args.out, f"volume = {measured!r} (reference {expected!r})")
 
 
 # -- solve ---------------------------------------------------------------------

@@ -84,10 +84,6 @@ class CurvatureBundle:
 
 # -- generic core (float or dual coordinates) ------------------------------
 
-def metric_at(g: MetricField, x):
-    return g.matrix(x)
-
-
 def metric_partials(g: MetricField, x):
     """dg[l][i][j] = d g_ij / dx_l from one vector-lifted metric evaluation."""
     n = g.domain.dim
@@ -264,13 +260,6 @@ def divergence_ricci_from(ginv, gamma, ric, dric):
     return out
 
 
-def divergence_ricci_generic(g: MetricField, x):
-    """(div Ric)_i = g^{jk} nabla_k R_ij."""
-    ginv = mat_inverse(g.matrix(x))
-    ric, dric = ricci_with_partials(g, x)
-    return divergence_ricci_from(ginv, christoffel_generic(g, x), ric, dric)
-
-
 # -- shared quantities of one batch ------------------------------------------
 
 class CurvatureData:
@@ -430,9 +419,3 @@ def laplacian_scalar_curvature(g: MetricField, p) -> float:
     """Delta R, reaching fourth metric derivatives through the R field."""
     rf = scalar_curvature_field(g)
     return float(value_of(laplacian_generic(g, rf, coords_of(p))))
-
-
-def divergence_ricci(g: MetricField, p) -> np.ndarray:
-    return np.array(
-        [float(value_of(v)) for v in divergence_ricci_generic(g, coords_of(p))]
-    )

@@ -306,8 +306,3 @@ def sample_points(domain: ChartDomain, count: int, seed: int) -> list[ChartPoint
 
 def constant_scalar(domain: ChartDomain, value: float, name: str = "const") -> ScalarField:
     return ScalarField(lambda x, v=value: v, domain, name)
-
-
-def zero_vector(domain: ChartDomain, name: str = "zero") -> VectorField:
-    n = domain.dim
-    return VectorField(lambda x, n=n: [0.0] * n, domain, name)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 VERSION = "0.1.0"
@@ -119,19 +119,7 @@ class CheckReport:
             "version": self.version,
             "command": self.command,
             "config": self.config,
-            "records": [
-                {
-                    "name": r.name,
-                    "anchor": r.anchor,
-                    "point": r.point,
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "gap": r.gap,
-                    "tol": r.tol,
-                    "verdict": r.verdict,
-                }
-                for r in self.records
-            ],
+            "records": [asdict(r) for r in self.records],
             "warnings": list(self.warnings),
             "summary": self.summary,
         }

@@ -123,49 +123,11 @@ class SolitonInstance:
         return self.metric.domain.dim
 
 
-def rys_residual(inst: SolitonInstance, p) -> Sym2Tensor:
-    """alpha Ric + 1/2 L_X g + (lam - beta/2 R) g at a point."""
-    if inst.kind not in (SolitonKind.RYS, SolitonKind.ETA_RYS):
-        raise ValueError(f"rys_residual needs a vector-field instance, got {inst.kind}")
-    return _base_residual(inst, p, mu_term=False)
-
-
-def grys_residual(inst: SolitonInstance, p) -> Sym2Tensor:
-    """alpha Ric + Hess f + (lam - beta/2 R) g at a point."""
-    if inst.kind not in (SolitonKind.GRYS, SolitonKind.GEN_GRYS):
-        raise ValueError(f"grys_residual needs a gradient instance, got {inst.kind}")
-    return _base_residual(inst, p, mu_term=False)
-
-
-def eta_rys_residual(inst: SolitonInstance, p) -> Sym2Tensor:
-    if inst.kind is not SolitonKind.ETA_RYS:
-        raise ValueError(f"eta_rys_residual needs kind eta-rys, got {inst.kind}")
-    return _base_residual(inst, p, mu_term=True)
-
-
-def gen_grys_residual(inst: SolitonInstance, p) -> Sym2Tensor:
-    if inst.kind is not SolitonKind.GEN_GRYS:
-        raise ValueError(f"gen_grys_residual needs kind gen-grys, got {inst.kind}")
-    return _base_residual(inst, p, mu_term=True)
-
-
 def defining_residual(inst: SolitonInstance, p) -> Sym2Tensor:
-    """Dispatch to the residual operation matching the instance kind."""
-    return {
-        SolitonKind.RYS: rys_residual,
-        SolitonKind.GRYS: grys_residual,
-        SolitonKind.ETA_RYS: eta_rys_residual,
-        SolitonKind.GEN_GRYS: gen_grys_residual,
-    }[inst.kind](inst, p)
-
-
-def residual_on(inst: SolitonInstance, batch: PointBatch) -> Sym2Tensor:
-    """The defining residual on ``batch``, computed once per batch."""
-    return batch.memo(("residual", inst), lambda: defining_residual(inst, batch))
-
-
-def _base_residual(inst: SolitonInstance, p, mu_term: bool) -> Sym2Tensor:
-    """Residual tensor from the shared curvature data of the point(s)."""
+    """alpha Ric + D + (lam - beta/2 R) g + mu T at a point, or over a batch,
+    from the shared curvature data.  D is Hess f for a gradient instance
+    and 1/2 L_X g for a vector-field one; the mu-term T is df (x) df
+    (gen-grys) or eta (x) eta (eta-rys), and the other kinds carry none."""
     data = curvature_data(inst.metric, p)
     n = inst.n
     pr = inst.params
@@ -184,7 +146,7 @@ def _base_residual(inst: SolitonInstance, p, mu_term: bool) -> Sym2Tensor:
         ]
         for i in range(n)
     ]
-    if mu_term and pr.mu != 0.0:
+    if inst.kind in (SolitonKind.ETA_RYS, SolitonKind.GEN_GRYS) and pr.mu != 0.0:
         if inst.kind is SolitonKind.GEN_GRYS:
             w = data.jet(inst.potential)[1]
         else:
@@ -193,6 +155,11 @@ def _base_residual(inst: SolitonInstance, p, mu_term: bool) -> Sym2Tensor:
             for j in range(n):
                 out[i][j] = out[i][j] + pr.mu * w[i] * w[j]
     return Sym2Tensor.from_matrix(out)
+
+
+def residual_on(inst: SolitonInstance, batch: PointBatch) -> Sym2Tensor:
+    """The defining residual on ``batch``, computed once per batch."""
+    return batch.memo(("residual", inst), lambda: defining_residual(inst, batch))
 
 
 def residual_report(inst: SolitonInstance, p) -> dict:

@@ -76,7 +76,8 @@ class Background:
             return 1.0 / r
         if self.name == "sphere":
             return np.cos(r / self.radius) / (self.radius * np.sin(r / self.radius))
-        return np.cosh(r) / np.sinh(r)
+        # coth(r) as 1 / tanh(r): cosh and sinh overflow past r = 710.
+        return 1.0 / np.tanh(r)
 
 
 def named_background(name: str, radius: float = 1.0) -> Background:

@@ -168,8 +168,3 @@ def sym2_norm_sq(ginv, t):
             )
             total = total + t[i][j] * raised
     return total
-
-
-def symmetrize(m):
-    n = len(m)
-    return [[(m[i][j] + m[j][i]) * 0.5 for j in range(n)] for i in range(n)]

@@ -344,3 +344,103 @@ def test_verify_builds_shared_quantities_once_per_batch(tmp_path, capsys, monkey
     argv = ["verify", "--case", "einstein-s3", "--points", "12", "--out", str(out)]
     assert run(argv) == 0
     assert calls == {"defining_residual": 1, "scalar_curvature_jet": 1}
+
+
+# The verify check table's contract: record order per case, the rows a
+# case may name, and the tolerance names and defaults `--tol` accepts.
+GRADIENT_RECORDS = [
+    "defining-residual",
+    "defining-residual-gnorm",
+    "trace-identity",
+    "gradient-identity",
+    "laplacian-identity",
+    "splitting-identity",
+]
+CASE_RECORDS = {
+    "gaussian": GRADIENT_RECORDS,
+    "einstein-s3": GRADIENT_RECORDS + ["scalar-constancy"],
+    "einstein-h3": GRADIENT_RECORDS,
+    "s2xr": GRADIENT_RECORDS + ["product-affine-hessian", "product-grad-constancy"],
+    "flat-product": GRADIENT_RECORDS
+    + ["product-affine-hessian", "product-grad-constancy", "steady-ricci-flat", "steady-lambda"],
+    "concircular-flat": [
+        "defining-residual",
+        "defining-residual-gnorm",
+        "concircular-defect",
+        "einstein-defect",
+        "scalar-prediction",
+        "ricci-eigenvalue",
+        "class-consistency",
+    ],
+    "perturbed-flat": ["contracted-bianchi", "commutation", "bochner"],
+}
+DEFAULT_TOLERANCES = {
+    "bochner": 1e-6,
+    "class-consistency": 0.5,
+    "commutation": 1e-6,
+    "concircular-defect": 1e-10,
+    "contracted-bianchi": 1e-6,
+    "defining-residual": 1e-8,
+    "defining-residual-gnorm": 1e-8,
+    "divergence-theorem": 1e-5,
+    "einstein-defect": 1e-10,
+    "gradient-identity": 1e-6,
+    "laplacian-identity": 1e-4,
+    "product-affine-hessian": 1e-9,
+    "product-grad-constancy": 1e-9,
+    "ricci-eigenvalue": 1e-10,
+    "scalar-constancy": 1e-9,
+    "scalar-prediction": 1e-9,
+    "scalar-sign-law": 0.5,
+    "splitting-identity": 1e-5,
+    "steady-lambda": 1e-12,
+    "steady-ricci-flat": 1e-10,
+    "trace-identity": 1e-8,
+    "volume": 1e-5,
+}
+
+
+class TestCheckTable:
+    def test_record_order_of_every_case_at_defaults(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--points", "6", "--out", str(out)]) == 0
+        records = {}
+        for rec in json.loads(out.read_text())["records"]:
+            case, check = rec["name"].split(":", 1)
+            records.setdefault(case, []).append(check)
+        assert records == CASE_RECORDS
+        assert list(records) == list(CASE_RECORDS)
+
+    def test_case_specific_checks_are_table_rows(self):
+        from ryslab import catalog
+
+        listed = [c for spec in catalog.verify_cases().values() for c in spec.checks]
+        assert listed
+        assert all(c in cli.CHECKS and cli.CHECKS[c].measure for c in listed)
+
+    def test_tol_accepts_exactly_the_table_names(self, tmp_path, capsys):
+        assert {name: c.tol for name, c in cli.CHECKS.items()} == DEFAULT_TOLERANCES
+        for name in DEFAULT_TOLERANCES:
+            assert cli._tolerance(f"{name}=0.25") == (name, 0.25)
+        out = tmp_path / "report.json"
+        for bogus in ("defining_residual", "divergence-theorem[0]", "Volume"):
+            assert run(["verify", "--tol", f"{bogus}=1", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_tolerance_echo_keeps_every_name(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--case", "gaussian", "--points", "3", "--tol", "volume=0.5"]
+        assert run(argv + ["--out", str(out)]) == 0
+        echo = json.loads(out.read_text())["config"]["tolerances"]
+        assert list(echo) == sorted(DEFAULT_TOLERANCES)
+        assert echo == {**DEFAULT_TOLERANCES, "volume": 0.5}
+
+
+def test_solve_hyperbolic_far_from_the_origin(tmp_path, capsys):
+    """coth(r) stays finite past r = 710, where cosh and sinh overflow."""
+    out = tmp_path / "profile.csv"
+    argv = ["solve", "--background", "hyperbolic", "--lambda", "2", "--r-max", "1000", "--grid", "16"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert "converged" in capsys.readouterr().out
+    residuals = [float(row.split(",")[2]) for row in out.read_text().splitlines()[1:]]
+    assert len(residuals) == 17 and max(residuals) <= 1e-8

@@ -248,12 +248,12 @@ class TestUniversalIdentities:
     def test_trace_of_tensor_residual_matches_trace_identity(self):
         """The g-trace of the defining tensor residual equals the scalar
         trace identity value algebraically (not just to tolerance)."""
-        from ryslab.soliton import gen_grys_residual
+        from ryslab.soliton import defining_residual
         from ryslab.tensors import mat_inverse
 
         inst = einstein_s3(mu=1.0)
         p = sample_points(inst.entry.charts[0], 1, seed=14)[0]
-        res = gen_grys_residual(inst, p).components
+        res = defining_residual(inst, p).components
         x = list(p.coords)
         ginv = np.array(
             [[float(v) for v in row] for row in mat_inverse(inst.metric.matrix(x))]

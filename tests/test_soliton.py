@@ -24,12 +24,8 @@ from ryslab.soliton import (
     concircular_conclusions,
     concircular_defect,
     defining_residual,
-    eta_rys_residual,
-    gen_grys_residual,
-    grys_residual,
     phi_constancy,
     residual_report,
-    rys_residual,
 )
 from ryslab.tensors import mat_inverse
 from ryslab.ad import value_and_gradient
@@ -67,7 +63,7 @@ class TestVectorResiduals:
             vector_field=X,
         )
         for p in sample_points(entry.metric.domain, 5, seed=1):
-            assert rys_residual(inst, p).max_abs() < 1e-12
+            assert defining_residual(inst, p).max_abs() < 1e-12
 
     def test_unit_sphere_zero_field(self):
         entry = catalog.sphere_entry(1.0)
@@ -81,16 +77,10 @@ class TestVectorResiduals:
             vector_field=zero,
         )
         p = sample_points(entry.charts[0], 1, seed=2)[0]
-        assert rys_residual(good, p).max_abs() < 1e-9
-        res = rys_residual(bad, p).components
+        assert defining_residual(good, p).max_abs() < 1e-9
+        res = defining_residual(bad, p).components
         gm = entry.metric.matrix_np(p.coords)
         assert np.max(np.abs(res - 2.0 * gm)) < 1e-9  # negative control
-
-    def test_kind_dispatch_guard(self):
-        entry = catalog.gaussian_entry()
-        inst = entry.instances[0]
-        with pytest.raises(ValueError):
-            rys_residual(inst, (0.1, 0.1, 0.1))
 
 
 class TestGradientResiduals:
@@ -100,7 +90,7 @@ class TestGradientResiduals:
             for alpha, beta in ((1.0, 0.0), (0.0, 2.0), (2.5, -1.0)):
                 inst = catalog.gaussian_instance(SolitonParams(alpha, beta, lam))
                 for p in sample_points(entry.metric.domain, 3, seed=4):
-                    assert grys_residual(inst, p).max_abs() < 1e-12
+                    assert defining_residual(inst, p).max_abs() < 1e-12
 
     def test_einstein_sphere_balance(self):
         """Constant potential on the unit 3-sphere solves exactly when
@@ -109,13 +99,13 @@ class TestGradientResiduals:
             lam = 3.0 * beta - 2.0 * alpha
             inst = catalog.einstein_sphere_instance(SolitonParams(alpha, beta, lam))
             p = sample_points(inst.entry.charts[0], 1, seed=5)[0]
-            assert grys_residual(inst, p).max_abs() < 1e-9
+            assert defining_residual(inst, p).max_abs() < 1e-9
 
     def test_einstein_sphere_off_balance_magnitude(self):
         alpha, beta, lam = 1.0, 0.0, -1.5
         inst = catalog.einstein_sphere_instance(SolitonParams(alpha, beta, lam))
         p = sample_points(inst.entry.charts[0], 1, seed=6)[0]
-        res = grys_residual(inst, p).components
+        res = defining_residual(inst, p).components
         gm = inst.metric.matrix_np(p.coords)
         gap = abs(3.0 * beta - 2.0 * alpha - lam)
         assert np.max(np.abs(res - gap * gm)) < 1e-9
@@ -123,7 +113,7 @@ class TestGradientResiduals:
     def test_hyperbolic_balance(self):
         inst = catalog.einstein_hyperbolic_instance(SolitonParams(1.0, 0.0, 2.0))
         p = sample_points(inst.metric.domain, 1, seed=7)[0]
-        assert grys_residual(inst, p).max_abs() < 1e-9
+        assert defining_residual(inst, p).max_abs() < 1e-9
 
 
 class TestMuCoupledResiduals:
@@ -139,14 +129,14 @@ class TestMuCoupledResiduals:
             potential=f,
         )
         for p in sample_points(entry.metric.domain, 5, seed=8):
-            a = grys_residual(base, p).components
-            b = gen_grys_residual(gen, p).components
+            a = defining_residual(base, p).components
+            b = defining_residual(gen, p).components
             assert np.array_equal(a, b)
 
     def test_einstein_sphere_with_mu(self):
         inst = catalog.einstein_sphere_instance(SolitonParams(1.0, 0.0, -2.0, 1.0))
         p = sample_points(inst.entry.charts[0], 1, seed=9)[0]
-        assert gen_grys_residual(inst, p).max_abs() < 1e-9
+        assert defining_residual(inst, p).max_abs() < 1e-9
 
     def test_gaussian_mu_term_survives(self):
         """With mu = 1 the Gaussian stops solving; the residual is exactly
@@ -159,7 +149,7 @@ class TestMuCoupledResiduals:
             potential=f,
         )
         p = (0.4, -0.3, 0.2)
-        res = gen_grys_residual(inst, p).components
+        res = defining_residual(inst, p).components
         x = np.array(p)
         expected = lam * lam * np.outer(x, x)
         assert np.max(np.abs(res - expected)) < 1e-12
@@ -178,8 +168,8 @@ class TestMuCoupledResiduals:
         )
         p = (0.2, -0.6, 0.4)
         assert np.array_equal(
-            eta_rys_residual(eta_inst, p).components,
-            rys_residual(rys_inst, p).components,
+            defining_residual(eta_inst, p).components,
+            defining_residual(rys_inst, p).components,
         )
 
     def test_eta_form_matches_gradient_dual(self):
@@ -202,8 +192,8 @@ class TestMuCoupledResiduals:
             potential=f,
         )
         p = (0.3, 0.1, -0.5)
-        a = eta_rys_residual(eta_inst, p).components
-        b = gen_grys_residual(gen_inst, p).components
+        a = defining_residual(eta_inst, p).components
+        b = defining_residual(gen_inst, p).components
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_residual_linear_structure(self):
@@ -215,7 +205,7 @@ class TestMuCoupledResiduals:
         gen = SolitonInstance(pr, entry.metric, SolitonKind.GEN_GRYS, potential=f)
         base = SolitonInstance(pr, entry.metric, SolitonKind.GRYS, potential=f)
         for p in sample_points(entry.metric.domain, 4, seed=42):
-            diff = gen_grys_residual(gen, p).components - grys_residual(base, p).components
+            diff = defining_residual(gen, p).components - defining_residual(base, p).components
             _, df = value_and_gradient(f.fn, list(p.coords))
             expected = mu * np.outer(df, df)
             assert np.max(np.abs(diff - expected)) < 1e-14 * (1 + np.max(np.abs(expected)))
@@ -231,7 +221,7 @@ class TestMuCoupledResiduals:
         n = 3
         for p in sample_points(g.domain, 4, seed=45):
             x = list(p.coords)
-            res = gen_grys_residual(inst, p).components
+            res = defining_residual(inst, p).components
             ginv = np.array(
                 [[float(v) for v in row] for row in mat_inverse(g.matrix(x))]
             )
