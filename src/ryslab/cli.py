@@ -20,7 +20,7 @@ import numpy as np
 
 from . import catalog, identities, quadrature, solver
 from .curvature import ricci, ricci_operator, scalar_curvature
-from .errors import NoConvergence, NotCompact, RysLabError
+from .errors import AlphaZero, DegenerateBeta, NoConvergence, NotCompact, RysLabError
 from .geometry import PointBatch, sample_points
 from .report import VERSION, CheckRecord, CheckReport, RunConfig, write_report
 from .soliton import (
@@ -29,6 +29,7 @@ from .soliton import (
     classify,
     concircular_conclusions,
     concircular_defect,
+    require_concircular_params,
     residual_report,
 )
 
@@ -40,10 +41,13 @@ PERTURBED_METRICS = 5
 MAX_POINTS = 10000
 # `solve` holds dense (2m+1) x m matrices (m = --grid): 2048 intervals peak
 # near 170 MB.  `integrate` evaluates every quadrature node at once, about
-# 2 * resolution^3 of them per chart: resolution 40 peaks near 165 MB with
-# 2 divergence checks and 198 MB from 32 on (quadrature.FIELDS_PER_PASS).
+# 2 * resolution^3 of them per chart: resolution 40 peaks near 56 MB for the
+# volume alone, and near 156 MB with divergence checks (163 MB at 1000 of
+# them), which share one basis per chart.  Each check sums its own terms,
+# so time grows with the count: 1000 checks take about 26 s at resolution 40.
 MAX_INTERVALS = 2048
 MAX_RESOLUTION = 40
+MAX_DIVERGENCE = 1000
 
 
 # -- verify -----------------------------------------------------------------
@@ -292,8 +296,7 @@ def _record(case, check, tols, point, lhs, rhs, gap, suffix=""):
     )
 
 
-def _run_soliton_case(name, spec, params, points, seed, tols, report) -> None:
-    inst = spec.build(params)
+def _run_soliton_case(name, spec, inst, points, seed, tols, report) -> None:
     batch = PointBatch(_case_points(spec.entry(), points, seed))
     inst.metric.require_spd(batch)
     on_soliton = False
@@ -459,6 +462,7 @@ def cmd_verify(args) -> int:
     report = CheckReport(command="verify", config=config.to_echo())
     start = time.perf_counter()
     try:
+        runs = []
         for name in requested:
             spec = cases[name]
             params = SolitonParams(
@@ -467,6 +471,21 @@ def cmd_verify(args) -> int:
                 lam=spec.defaults.lam if args.lam is None else args.lam,
                 mu=spec.defaults.mu if args.mu is None else args.mu,
             )
+            inst = None if spec.universal_only else spec.build(params)
+            if inst is not None and _concircular(inst, spec):
+                # Parameters that leave a row undefined are a usage error,
+                # found before any case runs.
+                try:
+                    require_concircular_params(params)
+                except (AlphaZero, DegenerateBeta) as exc:
+                    print(
+                        f"error: case '{name}' with alpha = {params.alpha!r}, "
+                        f"beta = {params.beta!r}: {exc}",
+                        file=sys.stderr,
+                    )
+                    return 2
+            runs.append((name, spec, params, inst))
+        for name, spec, params, inst in runs:
             if abs(params.mu * params.alpha + 1.0) <= 1e-12:
                 # The gradient/Laplacian identities carry a (mu*alpha + 1)
                 # factor; at mu*alpha = -1 several terms drop out and the
@@ -475,10 +494,10 @@ def cmd_verify(args) -> int:
                     f"case '{name}': mu*alpha = -1 is degenerate for the "
                     "gradient and Laplacian identities"
                 )
-            if spec.universal_only:
+            if inst is None:
                 _run_universal_case(name, args.points, args.seed, tols, report)
             else:
-                _run_soliton_case(name, spec, params, args.points, args.seed, tols, report)
+                _run_soliton_case(name, spec, inst, args.points, args.seed, tols, report)
     except RysLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -488,24 +507,13 @@ def cmd_verify(args) -> int:
 
 # -- integrate ----------------------------------------------------------------
 
-def _ambient_quadratic(seed: int):
-    """The random test field sum_ij c_ij a_i a_j + sum_i lin_i a_i on the
-    ambient coordinates a, factored as sum_i a_i (lin_i + sum_j c_ij a_j):
-    4 products of two jets instead of 16."""
+def _ambient_quadratic(seed: int) -> quadrature.AmbientQuadratic:
+    """The random divergence test field sum_ij c_ij a_i a_j + sum_i lin_i a_i
+    on the 4 ambient coordinates a, from seeded uniform draws."""
     rng = np.random.default_rng(seed)
     c = rng.uniform(-1.0, 1.0, size=(4, 4))
     lin = rng.uniform(-1.0, 1.0, size=4)
-
-    def fn(ambient):
-        total = 0.0
-        for i in range(4):
-            row = c[i][0] * ambient[0]
-            for j in range(1, 4):
-                row = row + c[i][j] * ambient[j]
-            total = total + ambient[i] * (row + lin[i])
-        return total
-
-    return fn
+    return quadrature.AmbientQuadratic(c, lin)
 
 
 def cmd_integrate(args) -> int:
@@ -639,7 +647,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"Gauss-Legendre nodes per axis, {quadrature.MIN_RESOLUTION}..{MAX_RESOLUTION}",
     )
     q.add_argument(
-        "--divergence", type=_non_negative, default=0, help="number of random divergence checks"
+        "--divergence",
+        type=_bounded(0, MAX_DIVERGENCE),
+        default=0,
+        help=f"number of random divergence checks, 0..{MAX_DIVERGENCE}",
     )
     q.add_argument("--seed", type=_non_negative, default=7)
     q.add_argument("--tol", action="append", type=_tolerance, metavar="NAME=VALUE")

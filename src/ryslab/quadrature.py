@@ -32,10 +32,6 @@ from .soliton import SolitonInstance, SolitonKind
 from .tensors import mat_det, mat_inverse, sym2_norm_sq, trace_pair
 
 MIN_RESOLUTION = 8
-# A Laplacian pass holds each of its fields' chart-0 terms (8 bytes a node,
-# 1 MB at resolution 40) until the last chart is done; capping the fields
-# per pass bounds that memory however many fields are integrated.
-FIELDS_PER_PASS = 32
 
 # 64-point Gauss-Legendre rule for the mollifier cumulative; the profile
 # is smooth with flat endpoints, so this is accurate to rounding.
@@ -202,12 +198,43 @@ def build_grid(entry: CatalogEntry, resolution: int) -> QuadratureGrid:
     return grid
 
 
+@dataclass(frozen=True, eq=False)
+class AmbientQuadratic:
+    """u(a) = sum_ij c_ij a_i a_j + sum_i lin_i a_i on ambient coordinates a.
+
+    Calling it evaluates the factored form sum_i a_i (sum_j c_ij a_j + lin_i),
+    n products of two jets instead of n^2.  ``basis_coefficients`` are its
+    coordinates on the monomials a_i a_j (i <= j, row by row) and then a_i,
+    the rows of ``_chart_basis``.
+    """
+
+    c: np.ndarray    # (n, n)
+    lin: np.ndarray  # (n,)
+
+    def __call__(self, ambient):
+        c, lin = self.c, self.lin
+        total = 0.0
+        for i in range(len(lin)):
+            row = c[i][0] * ambient[0]
+            for j in range(1, len(lin)):
+                row = row + c[i][j] * ambient[j]
+            total = total + ambient[i] * (row + lin[i])
+        return total
+
+    @property
+    def basis_coefficients(self) -> np.ndarray:
+        i, j = np.triu_indices(len(self.lin))
+        pairs = np.where(i == j, self.c[i, j], self.c[i, j] + self.c[j, i])
+        return np.concatenate([pairs, self.lin])
+
+
 @dataclass(frozen=True)
 class ManifoldScalarField:
     """A global scalar field given by one coordinate expression per chart.
 
-    A field built ``from_ambient`` also keeps its ambient expression, so
-    that several fields can share one chart embedding.
+    A field built ``from_ambient`` also keeps its ambient expression; when
+    that is an ``AmbientQuadratic``, its Laplacian is read off the chart's
+    basis instead of its own jet.
     """
 
     per_chart: tuple[Callable, ...]
@@ -259,25 +286,66 @@ def volume(entry: CatalogEntry, resolution: int) -> float:
     return build_grid(entry, resolution).volume
 
 
-def _chart_laplacians(entry, grid: QuadratureGrid, fields, chart: int, lifted):
-    """Delta u on one chart for each field in turn, from u evaluated on the
-    ``lift2`` node columns (embedded once for all ambient fields), with
-    laplacian_generic's arithmetic on the grid's g^{ij} and Gamma.  Each
-    field's jet is dropped before the next field is evaluated."""
-    embedded = None
-    for field in fields:
-        if field.ambient is None:
-            yield _grid_laplacian(grid, field.per_chart[chart](lifted))
-        else:
-            if embedded is None:
-                embedded = entry.atlas.ambient(chart, lifted)
-            yield _grid_laplacian(grid, field.ambient(embedded))
-
-
 def _grid_laplacian(grid: QuadratureGrid, u) -> np.ndarray:
+    """Delta u at every node from u evaluated on the ``lift2`` node columns,
+    with laplacian_generic's arithmetic on the grid's g^{ij} and Gamma."""
     _, du, ddu = read2(u, len(grid.columns))
     lap = trace_pair(grid.inverse, covariant_hessian(grid.christoffel, du, ddu))
-    return np.broadcast_to(np.asarray(value_of(lap), dtype=float), grid.charts[0].weight.shape)
+    return _nodes(grid, lap)
+
+
+def _nodes(grid: QuadratureGrid, value) -> np.ndarray:
+    """A float or node column as an array over the grid's nodes."""
+    return np.broadcast_to(np.asarray(value_of(value), dtype=float), grid.charts[0].weight.shape)
+
+
+def _gradient_pairings(grid: QuadratureGrid, grads) -> list:
+    """<grad a_i, grad a_j> = g^{pq} d_p a_i d_q a_j for i <= j, row by row,
+    from each function's coordinate partials ``grads[i]``."""
+    ginv, n, k = grid.inverse, len(grid.columns), len(grads)
+    raised = [[sum(ginv[p][q] * du[q] for q in range(n)) for p in range(n)] for du in grads]
+    return [sum(grads[a][p] * raised[b][p] for p in range(n)) for a in range(k) for b in range(a, k)]
+
+
+def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, chart: int, lifted) -> np.ndarray:
+    """Delta of each ambient monomial on one chart, in the order of
+    ``AmbientQuadratic.basis_coefficients``: a_i a_j (i <= j), then a_i.
+
+    Only the ambient coordinates' own Laplacians come from jets (their
+    chart embedding on the ``lift2`` columns, with the grid's g^{ij} and
+    Gamma); the products follow by the product rule
+    Delta(a_i a_j) = a_i Delta a_j + a_j Delta a_i + 2 <grad a_i, grad a_j>.
+    Shape (k (k + 3) / 2, m) for k ambient coordinates; the embedding jets
+    are dropped on return.
+    """
+    # g^{ij} and Gamma are built first, so that their temporaries and the
+    # embedding's jets are not held at once.
+    grid.inverse, grid.christoffel
+    ambient = entry.atlas.ambient(chart, lifted)
+    n = len(grid.columns)
+    values, grads, laps = [], [], []
+    for c in range(len(ambient)):
+        v, da, _ = read2(ambient[c], n)
+        values.append(_nodes(grid, v))
+        grads.append([_nodes(grid, d) for d in da])
+        laps.append(_grid_laplacian(grid, ambient[c]))
+        ambient[c] = None  # its value and gradient are kept, its second partials dropped
+    i, j = np.triu_indices(len(values))
+    basis = np.empty((len(i) + len(values), len(grid.charts[0].weight)))
+    for row, (a, b, pairing) in enumerate(zip(i, j, _gradient_pairings(grid, grads))):
+        basis[row] = values[a] * laps[b] + values[b] * laps[a] + 2.0 * pairing
+    basis[len(i):] = laps
+    return basis
+
+
+def _chart_laplacian(entry, grid: QuadratureGrid, field, chart: int, lifted, bases) -> np.ndarray:
+    """Delta u on one chart: an ``AmbientQuadratic`` field combines the
+    chart's basis columns, any other field goes through its own jet."""
+    if isinstance(field.ambient, AmbientQuadratic):
+        return field.ambient.basis_coefficients @ bases[chart]
+    if field.ambient is not None:
+        return _grid_laplacian(grid, field.ambient(entry.atlas.ambient(chart, lifted)))
+    return _grid_laplacian(grid, field.per_chart[chart](lifted))
 
 
 def integrate_laplacian(
@@ -291,37 +359,29 @@ def integrate_laplacian(
 def integrate_laplacians(
     entry: CatalogEntry, fields, resolution: int
 ) -> list[dict]:
-    """``integrate_laplacian`` of each field, in order, in passes of at
-    most ``FIELDS_PER_PASS`` fields."""
-    results = []
-    for start in range(0, len(fields), FIELDS_PER_PASS):
-        results += _laplacian_pass(entry, fields[start : start + FIELDS_PER_PASS], resolution)
-    return results
+    """``integrate_laplacian`` of each field, in order.
 
-
-def _laplacian_pass(entry: CatalogEntry, fields, resolution: int) -> list[dict]:
-    """One pass of ``integrate_laplacians``: charts are walked outermost and
-    the node columns are lifted once.  A field's weighted terms are summed
-    as soon as its last chart is done."""
+    The node columns are lifted once, and each chart's basis (see
+    ``_chart_basis``) is built once for all ``AmbientQuadratic`` fields.
+    Fields are then taken one at a time: a field's chart columns are
+    summed before the next field's are computed, so memory does not grow
+    with the number of fields.
+    """
     grid = build_grid(entry, resolution)
-    pending = [[] for _ in fields]
-    max_abs = [0.0] * len(fields)
-    integrals = [0.0] * len(fields)
-    last = len(grid.charts) - 1
+    charts = range(len(grid.charts))
     lifted = lift2(grid.columns)
-    for c, chart in enumerate(grid.charts):
-        for k, lap in enumerate(_chart_laplacians(entry, grid, fields, c, lifted)):
-            max_abs[k] = max(max_abs[k], float(np.max(np.abs(lap))))
-            pending[k].append(chart.weight * lap)
-            if c == last:
-                integrals[k] = math.fsum(np.concatenate(pending[k]).tolist())
-                pending[k] = None
+    bases = None
+    if any(isinstance(field.ambient, AmbientQuadratic) for field in fields):
+        bases = [_chart_basis(entry, grid, c, lifted) for c in charts]
     results = []
-    for integral, peak in zip(integrals, max_abs):
+    for field in fields:
+        laps = [_chart_laplacian(entry, grid, field, c, lifted, bases) for c in charts]
+        terms = np.concatenate([chart.weight * lap for chart, lap in zip(grid.charts, laps)])
+        peak = max(float(np.max(np.abs(lap))) for lap in laps)
         # One volume() call per field, as integrate_laplacian always made
         # (bench/selftest.py counts divergence + 1 calls per integrate run).
         vol = volume(entry, resolution)
-        results.append({"integral": integral, "scale": vol * peak, "volume": vol})
+        results.append({"integral": math.fsum(terms.tolist()), "scale": vol * peak, "volume": vol})
     return results
 
 

@@ -204,6 +204,17 @@ _CLASS_ORDER = np.array(
 )
 
 
+def require_concircular_params(params: SolitonParams) -> None:
+    """Raise when the concircular conclusions are undefined: they divide
+    by alpha and by beta - 2 alpha."""
+    if params.alpha == 0.0:
+        raise AlphaZero("concircular conclusions need alpha != 0")
+    if params.beta == 2.0 * params.alpha:
+        raise DegenerateBeta(
+            "beta = 2*alpha degenerates the scalar-curvature prediction"
+        )
+
+
 def concircular_conclusions(
     g: MetricField, params: SolitonParams, phi_value: float, p
 ) -> dict:
@@ -217,18 +228,13 @@ def concircular_conclusions(
     as phi is below, at, or above (beta - 2 alpha) R / (2 n).  Over a
     batch the defect, eigenvalue and class are arrays of shape (m,).
     """
-    if params.alpha == 0.0:
-        raise AlphaZero("concircular conclusions need alpha != 0")
+    require_concircular_params(params)
     batch = PointBatch.of(p)
     data = curvature_data(g, batch)
     n = g.domain.dim
     scal = batch.values(data.scalar)
     gap = np.abs(batch.matrix(data.ricci) - (scal / n) * batch.matrix(data.metric))
     defect = batch.values(np.max(gap, axis=(0, 1)))
-    if params.beta == 2.0 * params.alpha:
-        raise DegenerateBeta(
-            "beta = 2*alpha degenerates the scalar-curvature prediction"
-        )
     scalar_pred = 2.0 * n * (params.lam + phi_value) / (params.beta - 2.0 * params.alpha)
     eigen_pred = (params.beta * scal - 2.0 * phi_value - 2.0 * params.lam) / (
         2.0 * params.alpha

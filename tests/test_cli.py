@@ -274,6 +274,7 @@ class TestParseTimeValidation:
             ["solve", "--grid", str(cli.MAX_INTERVALS + 1)],
             ["integrate", "--case", "unit-s3", "--resolution", "100000000"],
             ["integrate", "--case", "unit-s3", "--resolution", str(cli.MAX_RESOLUTION + 1)],
+            ["integrate", "--case", "unit-s3", "--divergence", str(cli.MAX_DIVERGENCE + 1)],
             ["solve", "--background", "sphere", "--radius", "1e-300"],
             ["solve", "--background", "sphere", "--radius", "1e-154"],
             ["solve", "--r-max", "1e300", "--grid", "16"],
@@ -296,6 +297,7 @@ class TestParseTimeValidation:
             "grid-above-ceiling",
             "resolution-huge",
             "resolution-above-ceiling",
+            "divergence-above-ceiling",
             "solve-radius-underflow",
             "solve-radius-curvature-overflow",
             "solve-r-max-stencil-overflow",
@@ -319,6 +321,37 @@ def test_size_ceilings_parse():
         ["integrate", "--case", "unit-s3", "--resolution", str(cli.MAX_RESOLUTION)]
     )
     assert args.resolution == cli.MAX_RESOLUTION
+    args = parser.parse_args(
+        ["integrate", "--case", "unit-s3", "--divergence", str(cli.MAX_DIVERGENCE)]
+    )
+    assert args.divergence == cli.MAX_DIVERGENCE
+
+
+@pytest.mark.parametrize(
+    "argv, parameter",
+    [
+        (["verify", "--alpha", "0"], "alpha != 0"),
+        (["verify", "--case", "concircular-flat", "--alpha", "1", "--beta", "2"], "beta = 2*alpha"),
+    ],
+    ids=["alpha-zero", "beta-twice-alpha"],
+)
+def test_undefined_concircular_conclusions_exit_2(argv, parameter, tmp_path, capsys, monkeypatch):
+    """Parameters that leave the concircular rows undefined are a usage
+    error: exit 2 before any case runs, one line naming the case and the
+    parameter, no traceback and no report."""
+    ran = []
+    monkeypatch.setattr(cli, "_run_soliton_case", lambda name, *rest: ran.append(name))
+    monkeypatch.setattr(cli, "_run_universal_case", lambda name, *rest: ran.append(name))
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert ran == []
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: case 'concircular-flat'")
+    assert parameter in lines[0]
 
 
 def test_verify_builds_shared_quantities_once_per_batch(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 integral theorem checks."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -242,10 +243,12 @@ def laplacian_integral_per_field(entry, field, resolution):
     return {"integral": math.fsum(terms), "scale": vol * max_abs, "volume": vol}
 
 
-def test_many_fields_match_one_field_at_a_time(monkeypatch):
-    """Fields integrated together, in any order and over several passes,
-    give each field's one-at-a-time result bit for bit; a field without an
-    ambient expression goes through its per-chart expressions."""
+def test_many_fields_match_one_field_at_a_time():
+    """Fields integrated together, in any order, give each field's
+    one-at-a-time result bit for bit.  A field without an ambient
+    expression goes through its per-chart expressions, bit for bit as
+    laplacian_integral_per_field; the quadratic test fields go through the
+    chart basis and agree with it to rounding."""
     from ryslab.cli import _ambient_quadratic
 
     entry = catalog.sphere_entry(1.0)
@@ -257,12 +260,15 @@ def test_many_fields_match_one_field_at_a_time(monkeypatch):
         quad.ManifoldScalarField.constant(3.0),
     ]
     expected = [laplacian_integral_per_field(entry, f, 10) for f in fields]
-    assert [quad.integrate_laplacian(entry, f, 10) for f in fields] == expected
+    own = [quad.integrate_laplacian(entry, f, 10) for f in fields]
+    for got, want in zip(own[:2], expected[:2]):
+        assert got["volume"] == want["volume"]
+        for key in ("integral", "scale"):
+            assert abs(got[key] - want[key]) <= 1e-13 * want["scale"], key
+    assert own[2:] == expected[2:]
     for order in itertools.permutations(range(len(fields))):
         got = quad.integrate_laplacians(entry, [fields[k] for k in order], 10)
-        assert got == [expected[k] for k in order], order
-    monkeypatch.setattr(quad, "FIELDS_PER_PASS", 3)
-    assert quad.integrate_laplacians(entry, fields, 10) == expected
+        assert got == [own[k] for k in order], order
 
 
 def test_factored_test_field_matches_the_double_sum():
@@ -282,3 +288,114 @@ def test_factored_test_field_matches_the_double_sum():
             expanded = math.fsum(terms)
             scale = math.fsum(abs(t) for t in terms)
             assert abs(field(a) - expanded) <= 1e-14 * scale, (seed, a)
+
+
+def monomials(ambient):
+    """The ambient monomials in basis order: a_i a_j (i <= j), then a_i."""
+    k = len(ambient)
+    return [ambient[i] * ambient[j] for i in range(k) for j in range(i, k)] + list(ambient)
+
+
+def test_chart_basis_matches_each_monomials_jet():
+    """Every product-rule column equals the Laplacian of that monomial's
+    own jet, at every node of both charts."""
+    from ryslab.ad import lift2
+
+    entry = catalog.sphere_entry(1.0)
+    grid = quad.build_grid(entry, 10)
+    lifted = lift2(grid.columns)
+    for chart in range(len(grid.charts)):
+        basis = quad._chart_basis(entry, grid, chart, lifted)
+        expected = [
+            quad._grid_laplacian(grid, u) for u in monomials(entry.atlas.ambient(chart, lifted))
+        ]
+        assert basis.shape == (14, len(grid.charts[chart].weight))
+        for row, (got, want) in enumerate(zip(basis, expected)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (chart, row)
+
+
+def test_basis_coefficients_expand_the_quadratic():
+    """The 14 coefficients reproduce the field on the monomials."""
+    from ryslab.cli import _ambient_quadratic
+
+    a = np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 50))
+    for seed in (1, 2, 7):
+        field = _ambient_quadratic(seed)
+        combined = field.basis_coefficients @ np.array(monomials(list(a)))
+        assert np.allclose(combined, field(list(a)), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_quadratic_field_matches_the_generic_path(seed):
+    """The basis path and the field's own jet (the same field wrapped as an
+    opaque callable) give the same integral and scale to rounding."""
+    from ryslab.cli import _ambient_quadratic
+
+    entry = catalog.sphere_entry(1.0)
+    field = _ambient_quadratic(seed)
+    basis = quad.integrate_laplacian(entry, quad.ManifoldScalarField.from_ambient(entry, field), 12)
+    opaque = quad.ManifoldScalarField.from_ambient(entry, lambda a: field(a))
+    generic = quad.integrate_laplacian(entry, opaque, 12)
+    assert basis["volume"] == generic["volume"]
+    for key in ("integral", "scale"):
+        assert abs(basis[key] - generic[key]) <= 1e-13 * generic["scale"], key
+
+
+@pytest.mark.parametrize("divergence", [3, 20])
+def test_integrate_cost_is_flat_in_the_divergence_count(divergence, tmp_path, capsys, monkeypatch):
+    """However many divergence checks run, each chart is embedded once and
+    its 4 coordinate Laplacians are taken once."""
+    from ryslab import cli
+
+    events = []
+    ambient, laplacian = catalog.SphereAtlas.ambient, quad._grid_laplacian
+
+    def counting_ambient(self, chart, coords):
+        events.append(("embed", chart))
+        return ambient(self, chart, coords)
+
+    def counting_laplacian(grid, u):
+        events.append("laplacian")
+        return laplacian(grid, u)
+
+    monkeypatch.setattr(catalog.SphereAtlas, "ambient", counting_ambient)
+    monkeypatch.setattr(quad, "_grid_laplacian", counting_laplacian)
+    argv = [
+        "integrate", "--case", "unit-s3", "--resolution", "12",
+        "--divergence", str(divergence), "--out", str(tmp_path / "report.json"),
+    ]
+    assert cli.main(argv) == 0
+    assert events == [("embed", 0)] + ["laplacian"] * 4 + [("embed", 1)] + ["laplacian"] * 4
+
+
+@pytest.mark.parametrize("mutation", ["gamma-scaled", "gamma-zeroed", "pairing-factor-dropped"])
+def test_divergence_check_fails_when_the_laplacian_is_wrong(mutation, tmp_path, capsys, monkeypatch):
+    """Negative controls: with Gamma scaled by 1.1 or zeroed, or without the
+    factor 2 on the product rule's pairing term, every divergence record
+    fails and `integrate` exits 1.  The volume, which needs no Laplacian,
+    still passes."""
+    from ryslab import cli
+
+    christoffel, pairings = quad.christoffel_generic, quad._gradient_pairings
+    if mutation == "pairing-factor-dropped":
+        # 2 x (pairing / 2): the term enters once instead of twice.
+        monkeypatch.setattr(
+            quad, "_gradient_pairings", lambda grid, grads: [0.5 * p for p in pairings(grid, grads)]
+        )
+    else:
+        factor = 1.1 if mutation == "gamma-scaled" else 0.0
+
+        def mutated(g, x):
+            return [[[factor * e for e in row] for row in plane] for plane in christoffel(g, x)]
+
+        monkeypatch.setattr(quad, "_GRID_CACHE", {})
+        monkeypatch.setattr(quad, "christoffel_generic", mutated)
+    out = tmp_path / "report.json"
+    argv = [
+        "integrate", "--case", "unit-s3", "--resolution", "12",
+        "--divergence", "3", "--out", str(out),
+    ]
+    assert cli.main(argv) == 1
+    verdicts = {r["name"]: r["verdict"] for r in json.loads(out.read_text())["records"]}
+    assert verdicts.pop("unit-s3:volume") == "pass"
+    assert verdicts == {f"unit-s3:divergence-theorem[{k}]": "fail" for k in range(3)}
