@@ -1,15 +1,17 @@
 """Forward-mode automatic differentiation for chart functions.
 
-Mixed partial derivatives up to total order 4 are computed by nesting
-first-order dual numbers, one level per differentiation.  At every level
-*all* coordinates are lifted into fresh duals, so any value flowing
-through the target function is either a plain number or a dual belonging
-to the current level; no perturbation mixing between levels can occur.
+Two lift types carry every derivative.  Mixed partials up to total order
+4 nest first-order :class:`VDual` numbers, one level per differentiation:
+``vlift`` lifts in all n directions, ``derive`` in the one direction of
+each index, and ``split`` reads a lifted result.  At every level *all*
+coordinates are lifted into fresh duals, so any value flowing through the
+target function is either a plain number or a dual of the current level;
+no perturbation mixing between levels can occur.
 
 Second order has its own Taylor jet, :class:`Jet2` (value, gradient and
 packed Hessian as stacked arrays), which is always the innermost level:
-``lift2``/``read2``/``jet2`` use it, and outer ``Dual``/``VDual`` levels
-may be lifted over it (a third or fourth derivative).
+``lift2``/``read2``/``jet2`` use it, and outer VDual levels may be lifted
+over it (a third or fourth derivative).
 
 A Richardson-extrapolated central-difference backend is provided as an
 independent cross-check for orders up to 3.
@@ -30,92 +32,14 @@ from .errors import OrderTooHigh
 MAX_ORDER = 4
 
 
-class Dual:
-    """First-order dual number a + b*eps with eps**2 = 0.
-
-    Components may themselves be duals, which is how higher derivatives
-    are represented (a depth-k tower carries a k-th order jet).
-    Components may also be numpy arrays, which evaluates a whole batch
-    of points in one pass (numpy defers to these operators because
-    __array_ufunc__ is None).
-    """
-
-    __slots__ = ("a", "b")
-    __array_ufunc__ = None
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def __repr__(self):
-        return f"Dual({self.a!r}, {self.b!r})"
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.a + o.a, self.b + o.b)
-        return Dual(self.a + o, self.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.a - o.a, self.b - o.b)
-        return Dual(self.a - o, self.b)
-
-    def __rsub__(self, o):
-        return Dual(o - self.a, -self.b)
-
-    def __neg__(self):
-        return Dual(-self.a, -self.b)
-
-    def __pos__(self):
-        return self
-
-    def __mul__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.a * o.a, self.a * o.b + self.b * o.a)
-        return Dual(self.a * o, self.b * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Dual):
-            inv = 1.0 / o.a if not isinstance(o.a, Dual) else None
-            if inv is not None:
-                return Dual(self.a * inv, (self.b * o.a - self.a * o.b) * inv * inv)
-            aa = self.a / o.a
-            return Dual(aa, (self.b - aa * o.b) / o.a)
-        return Dual(self.a / o, self.b / o)
-
-    def __rtruediv__(self, o):
-        if isinstance(self.a, Dual):
-            aa = o / self.a
-            return Dual(aa, -aa * self.b / self.a)
-        inv = 1.0 / self.a
-        return Dual(o * inv, -o * self.b * inv * inv)
-
-    def __pow__(self, p):
-        if isinstance(p, Dual):
-            raise TypeError("dual exponents are not supported")
-        if p == 0:
-            return Dual(_one_like(self.a), _zero_like(self.b))
-        if p == 1:
-            return self
-        return Dual(self.a ** p, (p * self.a ** (p - 1)) * self.b)
-
-    def __rpow__(self, base):
-        return exp(self * math.log(base))
-
-
 class VDual:
     """Vector-mode dual number: value plus one derivative per direction.
 
     A single lifted evaluation yields all n first partials at once,
     which is what the curvature pipeline wants (it always needs full
-    coordinate gradients, never a single direction).  Components may be
-    floats, Dual towers, or nested VDuals.
+    coordinate gradients); ``derive`` lifts in one direction per level.
+    Components may be floats, (m,) columns (numpy defers to these operators
+    because __array_ufunc__ is None), Jet2s or nested VDuals.
     """
 
     __slots__ = ("a", "b")
@@ -170,10 +94,10 @@ class VDual:
         return VDual(aa, [-aa * x / self.a for x in self.b])
 
     def __pow__(self, p):
-        if isinstance(p, (Dual, VDual)):
+        if isinstance(p, VDual):
             raise TypeError("dual exponents are not supported")
         if p == 0:
-            return VDual(_one_like(self.a), [_zero_like(x) for x in self.b])
+            return VDual(self.a ** 0, [0.0] * len(self.b))
         if p == 1:
             return self
         fac = p * self.a ** (p - 1)
@@ -200,7 +124,7 @@ class Jet2:
     ``v`` is the value (a float, or an array of shape S over a batch),
     ``g`` the gradient (n, *S) and ``h`` the upper triangle of the Hessian
     packed row by row, (n(n+1)/2, *S).  Jet2 is always the innermost lift:
-    an operation with a Dual or VDual operand returns NotImplemented so
+    an operation with a VDual operand returns NotImplemented so
     that the outer type carries the Jet2 in its components.  The product
     and quotient rules group their terms as two nested VDual levels would
     (hess[i][j] is the inner direction i of the outer direction j), so both
@@ -221,7 +145,7 @@ class Jet2:
     def __add__(self, o):
         if isinstance(o, Jet2):
             return Jet2(self.v + o.v, self.g + o.g, self.h + o.h)
-        if isinstance(o, (Dual, VDual)):
+        if isinstance(o, VDual):
             return NotImplemented
         return Jet2(self.v + o, self.g, self.h)
 
@@ -230,7 +154,7 @@ class Jet2:
     def __sub__(self, o):
         if isinstance(o, Jet2):
             return Jet2(self.v - o.v, self.g - o.g, self.h - o.h)
-        if isinstance(o, (Dual, VDual)):
+        if isinstance(o, VDual):
             return NotImplemented
         return Jet2(self.v - o, self.g, self.h)
 
@@ -249,7 +173,7 @@ class Jet2:
             a, b, ga, gb = self.v, o.v, self.g, o.g
             h = (a * o.h + ga[i] * gb[j]) + (ga[j] * gb[i] + self.h * b)
             return Jet2(a * b, a * gb + ga * b, h)
-        if isinstance(o, (Dual, VDual)):
+        if isinstance(o, VDual):
             return NotImplemented
         return Jet2(self.v * o, self.g * o, self.h * o)
 
@@ -263,7 +187,7 @@ class Jet2:
             dq = (self.g - q * gb) / b
             h = ((self.h - (q * o.h + dq[i] * gb[j])) - dq[j] * gb[i]) / b
             return Jet2(q, dq, h)
-        if isinstance(o, (Dual, VDual)):
+        if isinstance(o, VDual):
             return NotImplemented
         return Jet2(self.v / o, self.g / o, self.h / o)
 
@@ -275,7 +199,7 @@ class Jet2:
         return Jet2(q, dq, (((-q) * self.h - dq[i] * g[j]) - dq[j] * g[i]) / a)
 
     def __pow__(self, p):
-        if isinstance(p, (Dual, VDual, Jet2)):
+        if isinstance(p, (VDual, Jet2)):
             raise TypeError("dual exponents are not supported")
         if p == 0:
             return Jet2(self.v**0, np.zeros_like(self.g), np.zeros_like(self.h))
@@ -303,37 +227,23 @@ def vlift(coords):
     ]
 
 
-def vparts(v, n):
-    """All direction derivatives of a vector-dual result (0s if constant)."""
-    return list(v.b) if isinstance(v, VDual) else [0.0] * n
-
-
-def _one_like(v):
-    if isinstance(v, Dual):
-        return Dual(_one_like(v.a), _zero_like(v.b))
+def split(v, n):
+    """``(value, parts)`` of a result of ``n``-direction VDual coordinates,
+    ``parts[k]`` its derivative in direction k (0.0 for a constant); nested
+    lists map entry by entry, so ``parts[k]`` has the shape of ``value``."""
+    if isinstance(v, list):
+        pairs = [split(x, n) for x in v]
+        return [a for a, _ in pairs], [[b[k] for _, b in pairs] for k in range(n)]
     if isinstance(v, VDual):
-        return VDual(_one_like(v.a), [_zero_like(x) for x in v.b])
-    return 1.0
-
-
-def _zero_like(v):
-    if isinstance(v, Dual):
-        return Dual(_zero_like(v.a), _zero_like(v.b))
-    if isinstance(v, VDual):
-        return VDual(_zero_like(v.a), [_zero_like(x) for x in v.b])
-    return 0.0
+        return v.a, list(v.b)
+    return v, [0.0] * n
 
 
 def value_of(v):
     """Collapse a dual tower to its underlying float value."""
-    while isinstance(v, (Dual, VDual)):
+    while isinstance(v, VDual):
         v = v.a
     return v.v if isinstance(v, Jet2) else v
-
-
-def eps_of(v):
-    """Derivative part of a dual, or 0 for a value with no dependence."""
-    return v.b if isinstance(v, Dual) else 0.0
 
 
 # -- elementary functions, float/dual polymorphic -------------------------
@@ -344,11 +254,9 @@ def _elementary(name, on_float, on_array, d1, d2):
     a value ``a`` (itself possibly a dual) where it takes the value ``y``."""
 
     def fn(x):
-        if isinstance(x, (Dual, VDual)):
+        if isinstance(x, VDual):
             y = fn(x.a)
             c = d1(x.a, y)
-            if isinstance(x, Dual):
-                return Dual(y, c * x.b)
             return VDual(y, [c * v for v in x.b])
         if isinstance(x, Jet2):
             y = fn(x.v)
@@ -400,24 +308,19 @@ def derive(f, coords, index):
 
 def _lift(f, direction):
     def df(q):
-        lifted = [
-            Dual(v, 1.0 if k == direction else 0.0) for k, v in enumerate(q)
-        ]
-        return eps_of(f(lifted))
+        lifted = [VDual(v, [1.0 if k == direction else 0.0]) for k, v in enumerate(q)]
+        return split(f(lifted), 1)[1][0]
 
     return df
 
 
 def gradient(f, coords):
     """All first partials of ``f`` at ``coords`` in one vector-mode pass."""
-    n = len(coords)
-    return vparts(f(vlift(list(coords))), n)
+    return split(f(vlift(list(coords))), len(coords))[1]
 
 
 def value_and_gradient(f, coords):
-    n = len(coords)
-    r = f(vlift(list(coords)))
-    return (r.a, list(r.b)) if isinstance(r, VDual) else (r, [0.0] * n)
+    return split(f(vlift(list(coords))), len(coords))
 
 
 def lift2(coords):
@@ -429,7 +332,7 @@ def lift2(coords):
     Coordinates must be floats or columns: Jet2 is the innermost lift.
     """
     coords = list(coords)
-    if any(isinstance(c, (Dual, VDual, Jet2)) for c in coords):
+    if any(isinstance(c, (VDual, Jet2)) for c in coords):
         raise TypeError("lift2 takes float coordinates or columns, not lifted ones")
     n = len(coords)
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords))

@@ -1,9 +1,9 @@
 """Command-line driver: verify / integrate / solve / catalog.
 
 Exit codes: 0 all checks pass, 1 at least one check failed (or a
-computation could not finish), 2 configuration/usage error.  Reports are
-written atomically and are byte-identical for identical
-(config, seed, version) triples.
+computation could not finish), 2 configuration/usage error or an ``--out``
+that cannot be written.  Reports are written atomically and are
+byte-identical for identical (config, seed, version) triples.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import catalog, identities, quadrature, solver
 from .curvature import ricci, ricci_operator, scalar_curvature
 from .errors import AlphaZero, DegenerateBeta, NoConvergence, NotCompact, RysLabError
 from .geometry import PointBatch, sample_points
-from .report import VERSION, CheckRecord, CheckReport, RunConfig, write_report
+from .report import VERSION, CheckRecord, CheckReport, RunConfig, write_atomic, write_report
 from .soliton import (
     SolitonKind,
     SolitonParams,
@@ -47,7 +47,15 @@ MAX_POINTS = 10000
 # so time grows with the count: 1000 checks take about 26 s at resolution 40.
 MAX_INTERVALS = 2048
 MAX_RESOLUTION = 40
+# From 12 up every grid passes the volume record's default tolerance 1e-5 (gap
+# at most 7.05e-6, at 12, on every catalog sphere); the gap is not monotone
+# below: 4.79e-5, 9.11e-6, 1.88e-5, 1.37e-5 at 8 to 11.
+MIN_RESOLUTION = 12
 MAX_DIVERGENCE = 1000
+# verify's couplings: the defining residual's g-norm squares it, and its
+# gaussian term mu lambda^2 |x|^2 is cubic in them (lambda = mu = 1e90 gives
+# an inf g-norm).  Every case keeps finite records with each at +-1e50.
+MAX_PARAMETER = 1e50
 
 
 # -- verify -----------------------------------------------------------------
@@ -365,6 +373,14 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _parameter(raw: str) -> float:
+    """A finite soliton coupling of magnitude at most MAX_PARAMETER."""
+    value = _finite(raw)
+    if abs(value) > MAX_PARAMETER:
+        raise argparse.ArgumentTypeError(f"magnitude must be <= {MAX_PARAMETER:g}, got {value!r}")
+    return value
+
+
 def _radius(raw: str) -> float:
     """A sphere radius small enough to underflow would make the background's
     scalar curvature n (n - 1) / radius^2 = 6 / radius^2 infinite."""
@@ -426,15 +442,33 @@ def _tols(pairs) -> dict:
     return tols
 
 
+def _print_lines(lines) -> None:
+    """Print ``lines``; if the reader closed stdout, drop the rest and point
+    stdout at os.devnull so that the flush at exit cannot raise either."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def _finish(report, start, out, summary: str) -> int:
-    """Print the records and ``summary``, write the report, and return the
-    exit code: 1 if any check failed."""
+    """Write the report, then print the records and ``summary``; return the
+    exit code: 1 if any check failed, 2 if the report cannot be written."""
     report.wall_time_s = time.perf_counter() - start
-    for rec in report.records:
-        print(f"[{rec.verdict.upper():4s}] {rec.name}  gap={rec.gap:.3e}  tol={rec.tol:.1e}")
-    print(summary)
+    try:
+        write_report(report, out)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
+    _print_lines(
+        [f"[{rec.verdict.upper():4s}] {rec.name}  gap={rec.gap:.3e}  tol={rec.tol:.1e}"
+         for rec in report.records]
+        + [summary]
+    )
     print(f"wall time: {report.wall_time_s:.2f} s", file=sys.stderr)
-    write_report(report, out)
     return 0 if report.all_passed else 1
 
 
@@ -586,31 +620,27 @@ def cmd_solve(args) -> int:
     residual = solver.radial_residual(profile)
     m = len(grid)
     per_node = np.maximum(np.abs(residual[:m]), np.abs(residual[m:]))
-    _write_csv(args.out, profile, per_node)
-    print(f"{message}; profile written to {args.out}")
+    rows = [
+        f"{float(r)!r},{float(f)!r},{float(res)!r}\n"
+        for r, f, res in zip(profile.grid, profile.values, per_node)
+    ]
+    try:
+        write_atomic(args.out, "r,f,residual\n" + "".join(rows))
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
+    _print_lines([f"{message}; profile written to {args.out}"])
     return code
-
-
-def _write_csv(path: str, profile, residual) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write("r,f,residual\n")
-        for r, f, res in zip(profile.grid, profile.values, residual):
-            handle.write(f"{float(r)!r},{float(f)!r},{float(res)!r}\n")
-    os.replace(tmp, path)
 
 
 # -- catalog ---------------------------------------------------------------------
 
 def cmd_catalog(_args) -> int:
-    for entry in catalog.catalog_entries():
-        compact = "compact" if entry.compact else "open"
-        print(
-            f"{entry.name:16s} dim={entry.dim}  {compact:7s} "
-            f"charts={len(entry.charts)}  {entry.notes}"
-        )
+    _print_lines(
+        f"{entry.name:16s} dim={entry.dim}  {'compact' if entry.compact else 'open':7s} "
+        f"charts={len(entry.charts)}  {entry.notes}"
+        for entry in catalog.catalog_entries()
+    )
     return 0
 
 
@@ -626,10 +656,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the identity suite over catalog instances")
     v.add_argument("--case", action="append", help="case name (repeatable); default: all")
-    v.add_argument("--alpha", type=_finite, default=None)
-    v.add_argument("--beta", type=_finite, default=None)
-    v.add_argument("--lambda", dest="lam", type=_finite, default=None)
-    v.add_argument("--mu", type=_finite, default=None)
+    v.add_argument("--alpha", type=_parameter, default=None)
+    v.add_argument("--beta", type=_parameter, default=None)
+    v.add_argument("--lambda", dest="lam", type=_parameter, default=None)
+    v.add_argument("--mu", type=_parameter, default=None)
     v.add_argument(
         "--points", type=_bounded(1, MAX_POINTS), default=200, help=f"sample points per case, 1..{MAX_POINTS}"
     )
@@ -642,9 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--case", required=True)
     q.add_argument(
         "--resolution",
-        type=_bounded(quadrature.MIN_RESOLUTION, MAX_RESOLUTION),
+        type=_bounded(MIN_RESOLUTION, MAX_RESOLUTION),
         default=24,
-        help=f"Gauss-Legendre nodes per axis, {quadrature.MIN_RESOLUTION}..{MAX_RESOLUTION}",
+        help=f"Gauss-Legendre nodes per axis, {MIN_RESOLUTION}..{MAX_RESOLUTION}",
     )
     q.add_argument(
         "--divergence",

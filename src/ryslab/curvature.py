@@ -11,12 +11,13 @@ Every ``_generic`` helper accepts coordinates whose entries are floats or
 dual towers, which is how third and fourth derivatives of curvature
 quantities are produced: the scalar-curvature map itself is fed back
 through the forward-mode differentiator rather than expanding
-fourth-order tensor formulas.  The same helpers accept coordinate
-columns (float arrays of shape (m,)), which evaluates a whole batch of
-points in one pass.  ``CurvatureData`` holds the quantities of one
-metric on one ``PointBatch`` so that every check shares them.  Public
-wrappers take a ``MetricField`` plus a point and return floats / numpy
-arrays.
+fourth-order tensor formulas; coordinate partials come from one
+evaluation on ``vlift`` coordinates, read by ``ad.split``.  The same
+helpers accept coordinate columns (float arrays of shape (m,)), which
+evaluates a whole batch of points in one pass.  ``CurvatureData`` holds
+the quantities of one metric on one ``PointBatch`` so that every check
+shares them.  Public wrappers take a ``MetricField`` plus a point and
+return floats / numpy arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ad import VDual, jet2, value_and_gradient, value_of, vlift, vparts
+from .ad import jet2, split, value_and_gradient, value_of, vlift
 from .geometry import (
     ChartPoint,
     MetricField,
@@ -86,12 +87,7 @@ class CurvatureBundle:
 
 def metric_partials(g: MetricField, x):
     """dg[l][i][j] = d g_ij / dx_l from one vector-lifted metric evaluation."""
-    n = g.domain.dim
-    m = g.matrix(vlift(x))
-    cols = [[vparts(m[i][j], n) for j in range(n)] for i in range(n)]
-    return [
-        [[cols[i][j][l] for j in range(n)] for i in range(n)] for l in range(n)
-    ]
+    return split(g.matrix(vlift(x)), g.domain.dim)[1]
 
 
 def christoffel_generic(g: MetricField, x):
@@ -113,28 +109,8 @@ def christoffel_generic(g: MetricField, x):
 
 
 def christoffel_with_partials(g: MetricField, x):
-    """Gamma and dGamma[m][k][i][j] = d_m Gamma^k_ij.
-
-    One vector-lifted Christoffel evaluation carries the value in its
-    primal part and all coordinate partials in the derivative slots.
-    """
-    n = g.domain.dim
-    gl = christoffel_generic(g, vlift(x))
-    gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    dgamma = [
-        [[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)
-    ]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                v = gl[k][i][j]
-                if isinstance(v, VDual):
-                    gamma[k][i][j] = v.a
-                    for m_dir in range(n):
-                        dgamma[m_dir][k][i][j] = v.b[m_dir]
-                else:
-                    gamma[k][i][j] = v
-    return gamma, dgamma
+    """Gamma and dGamma[m][k][i][j] = d_m Gamma^k_ij from one lifted pass."""
+    return split(christoffel_generic(g, vlift(x)), g.domain.dim)
 
 
 def ricci_generic(g: MetricField, x):
@@ -188,7 +164,6 @@ def laplacian_generic(g: MetricField, f: ScalarField, x):
 
 
 def gradient_generic(g: MetricField, f: ScalarField, x):
-    n = g.domain.dim
     ginv = mat_inverse(g.matrix(x))
     _, df = value_and_gradient(f.fn, x)
     return mat_vec(ginv, df), df, ginv
@@ -208,11 +183,7 @@ def lie_metric_generic(g: MetricField, X: VectorField, x):
         xv = X(q)
         return [sum(m[j][k] * xv[k] for k in range(n)) for j in range(n)]
 
-    lifted_low = lowered(vlift(x))
-    low = [c.a if isinstance(c, VDual) else c for c in lifted_low]
-    dlow = [
-        [vparts(lifted_low[j], n)[i] for j in range(n)] for i in range(n)
-    ]
+    low, dlow = split(lowered(vlift(x)), n)
     gamma = christoffel_generic(g, x)
     out = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -227,20 +198,7 @@ def lie_metric_generic(g: MetricField, X: VectorField, x):
 
 def ricci_with_partials(g: MetricField, x):
     """Ric together with dric[k][i][j] = d_k R_ij from one lifted pass."""
-    n = g.domain.dim
-    rl = ricci_generic(g, vlift(x))
-    ric = [[0.0] * n for _ in range(n)]
-    dric = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            v = rl[i][j]
-            if isinstance(v, VDual):
-                ric[i][j] = v.a
-                for k in range(n):
-                    dric[k][i][j] = v.b[k]
-            else:
-                ric[i][j] = v
-    return ric, dric
+    return split(ricci_generic(g, vlift(x)), g.domain.dim)
 
 
 def divergence_ricci_from(ginv, gamma, ric, dric):

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .ad import VDual, jet2, lift2, read2, value_of, vlift, vparts
+from .ad import jet2, lift2, read2, split, value_of, vlift
 from .curvature import (  # noqa: F401 (bench/selftest.py looks up ricci_generic here)
     CurvatureData,
     christoffel_with_partials,
@@ -357,9 +357,9 @@ def _hessian_partials(g: MetricField, f: ScalarField, x):
     the third partials of f from one vector lift over ``lift2``."""
     n = g.domain.dim
     gamma, dgamma = christoffel_with_partials(g, x)
-    r = f.fn(vlift(lift2(x)))
-    _, df, ddf = read2(r.a if isinstance(r, VDual) else r, n)
-    third = [read2(d, n)[2] for d in vparts(r, n)]
+    r, dr = split(f.fn(vlift(lift2(x))), n)
+    _, df, ddf = read2(r, n)
+    third = [read2(d, n)[2] for d in dr]
     dh = [[[0.0] * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
         for k in range(n):

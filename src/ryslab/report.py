@@ -128,16 +128,22 @@ class CheckReport:
         return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
 
 
-def write_report(report: CheckReport, path: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+def write_atomic(path: str, text: str) -> None:
+    """Atomic write: temp file in the target directory, then rename.  The
+    temp file is removed on any failure, and the error is raised."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(report.to_json())
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_report(report: CheckReport, path: str) -> None:
+    """The report's JSON, written atomically to ``path``."""
+    write_atomic(path, report.to_json())

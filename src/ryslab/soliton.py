@@ -22,7 +22,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .ad import value_of, vlift, vparts
+from .ad import split, value_of, vlift
 from .curvature import Sym2Tensor, curvature_data, lie_metric_generic
 from .geometry import (
     MetricField,
@@ -185,10 +185,8 @@ def concircular_defect(
     x = batch.columns
     n = g.domain.dim
     gamma = curvature_data(g, batch).christoffel
-    xv = X(x)
+    xv, dX = split(X(vlift(x)), n)
     phi_val = phi(x) if callable(phi) else float(phi)
-    lifted = X(vlift(x))
-    dX = [[vparts(lifted[i], n)[j] for i in range(n)] for j in range(n)]
     out = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

@@ -2,15 +2,15 @@
 
 The curvature pipeline must run at dual-number points (that is how
 derivatives of curvature are taken), so inversion and contractions are
-written for nested lists whose entries are floats or :class:`ryslab.ad.Dual`
-towers.  Pivoting decisions use the float value part only.
+written for nested lists of floats, (m,) columns or :mod:`ryslab.ad`
+lifts.  Pivoting decisions use the float value part only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ad import Dual, value_of
+from .ad import value_of
 from .errors import MetricSingular
 
 CONDITION_LIMIT = 1e10
@@ -30,8 +30,6 @@ def mat_inverse(m, cond_limit: float = CONDITION_LIMIT):
         c, d = m[1]
         det = a * d - b * c
         _guard_det(det, m, n, cond_limit)
-        if isinstance(det, Dual):
-            return [[d / det, (-b) / det], [(-c) / det, a / det]]
         inv = 1.0 / det
         return [[d * inv, -b * inv], [-c * inv, a * inv]]
     if n == 3:
@@ -47,12 +45,6 @@ def mat_inverse(m, cond_limit: float = CONDITION_LIMIT):
         co22 = a * e - b * d
         det = a * co00 + b * co10 + c * co20
         _guard_det(det, m, n, cond_limit)
-        if isinstance(det, Dual):
-            return [
-                [co00 / det, co01 / det, co02 / det],
-                [co10 / det, co11 / det, co12 / det],
-                [co20 / det, co21 / det, co22 / det],
-            ]
         inv = 1.0 / det
         return [
             [co00 * inv, co01 * inv, co02 * inv],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ryslab import ad
+from ryslab import ad, curvature
 from ryslab.errors import OrderTooHigh
 
 
@@ -217,10 +217,10 @@ def test_read2_hessian_is_exactly_symmetric():
 
 
 def test_jet2_defers_to_outer_duals():
-    """A Jet2 meeting a Dual or VDual is a constant of that outer level:
+    """A Jet2 meeting a VDual is a constant of that outer level:
     the result has the outer type, never a Jet2 holding duals."""
     jet = ad.lift2([0.4, 0.7])[0]
-    outer = [ad.Dual(0.5, 1.0), ad.vlift([0.5, 0.2])[0]]
+    outer = [ad.vlift([0.5, 0.2])[0]]
     for d in outer:
         for result in (jet + d, d + jet, jet - d, d - jet, jet * d, d * jet, jet / d, d / jet):
             assert type(result) is type(d)
@@ -236,6 +236,96 @@ def test_jet2_rejects_lifted_coordinates():
     with pytest.raises(TypeError):
         ad.jet2(f, ad.vlift([0.1, 0.2]))
     with pytest.raises(TypeError):
-        ad.jet2(f, [ad.Dual(0.1, 1.0), 0.2])
-    with pytest.raises(TypeError):
         ad.lift2(ad.lift2([0.1, 0.2]))
+
+
+# -- split: the one reader of a vector-lifted result ------------------------
+
+COLUMN = np.linspace(0.5, 1.5, 4)
+
+
+def _mixed_matrix(x):
+    """A nested 3x3 list of polynomial entries, float constants and (m,)
+    columns, some of them lifted with column derivative parts."""
+    return [
+        [x[0] * x[1], 2.5, x[2] * x[2] + x[0]],
+        [COLUMN, x[1] - 3.0 * x[2], x[0] * x[1] * x[2]],
+        [x[2] ** 3, COLUMN * x[0], (x[0] + 1.0) ** 2 - x[1]],
+    ]
+
+
+def test_split_matches_derive_on_a_mixed_nested_list():
+    """Values and direction-first partials equal ``derive`` exactly on
+    polynomial entries; constant entries have partials of exactly 0.0."""
+    p = [0.3, -0.7, 1.1]
+    value, parts = ad.split(_mixed_matrix(ad.vlift(p)), 3)
+    assert len(parts) == 3
+    for i in range(3):
+        for j in range(3):
+            entry = lambda q, i=i, j=j: _mixed_matrix(q)[i][j]
+            assert np.array_equal(value[i][j], ad.derive(entry, p, ())), (i, j)
+            for k in range(3):
+                assert np.array_equal(parts[k][i][j], ad.derive(entry, p, (k,))), (k, i, j)
+    for i, j in ((0, 1), (1, 0)):
+        for k in range(3):
+            assert type(parts[k][i][j]) is float and parts[k][i][j] == 0.0
+
+
+def _christoffel_by_loops(g, x):
+    """Gamma and dGamma[m][k][i][j] unpacked from a lifted Christoffel
+    evaluation entry by entry."""
+    n = g.domain.dim
+    gl = curvature.christoffel_generic(g, ad.vlift(x))
+    gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
+    dgamma = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                v = gl[k][i][j]
+                if isinstance(v, ad.VDual):
+                    gamma[k][i][j] = v.a
+                    for m in range(n):
+                        dgamma[m][k][i][j] = v.b[m]
+                else:
+                    gamma[k][i][j] = v
+    return gamma, dgamma
+
+
+def _ricci_by_loops(g, x):
+    """Ric and dric[k][i][j] unpacked from a lifted Ricci evaluation entry
+    by entry."""
+    n = g.domain.dim
+    rl = curvature.ricci_generic(g, ad.vlift(x))
+    ric = [[0.0] * n for _ in range(n)]
+    dric = [[[0.0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            v = rl[i][j]
+            if isinstance(v, ad.VDual):
+                ric[i][j] = v.a
+                for k in range(n):
+                    dric[k][i][j] = v.b[k]
+            else:
+                ric[i][j] = v
+    return ric, dric
+
+
+def _bits(nested):
+    return np.asarray(nested, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", ["unit-s3", "h3", "s2xr", "perturbed"])
+def test_with_partials_equal_the_entrywise_unpacking(name):
+    from ryslab import catalog
+    from ryslab.geometry import sample_points
+
+    if name == "perturbed":
+        g = catalog.make_perturbed_flat(1e-2, 11).metric
+    else:
+        g = catalog.get_entry(name).metric
+    for p in sample_points(g.domain, 2, seed=3):
+        x = list(p.coords)
+        for got, ref in zip(curvature.christoffel_with_partials(g, x), _christoffel_by_loops(g, x)):
+            assert _bits(got) == _bits(ref)
+        for got, ref in zip(curvature.ricci_with_partials(g, x), _ricci_by_loops(g, x)):
+            assert _bits(got) == _bits(ref)

@@ -1,6 +1,9 @@
 """CLI behavior: exit codes, report determinism, CSV output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -274,6 +277,10 @@ class TestParseTimeValidation:
             ["solve", "--grid", str(cli.MAX_INTERVALS + 1)],
             ["integrate", "--case", "unit-s3", "--resolution", "100000000"],
             ["integrate", "--case", "unit-s3", "--resolution", str(cli.MAX_RESOLUTION + 1)],
+            ["integrate", "--case", "unit-s3", "--resolution", "8"],
+            ["integrate", "--case", "unit-s3", "--resolution", "11"],
+            ["verify", "--case", "gaussian", "--lambda", "1e300"],
+            ["verify", "--case", "gaussian", "--mu=-1e51"],
             ["integrate", "--case", "unit-s3", "--divergence", str(cli.MAX_DIVERGENCE + 1)],
             ["solve", "--background", "sphere", "--radius", "1e-300"],
             ["solve", "--background", "sphere", "--radius", "1e-154"],
@@ -297,6 +304,10 @@ class TestParseTimeValidation:
             "grid-above-ceiling",
             "resolution-huge",
             "resolution-above-ceiling",
+            "resolution-8-below-floor",
+            "resolution-11-below-floor",
+            "verify-lambda-above-ceiling",
+            "verify-mu-below-negative-ceiling",
             "divergence-above-ceiling",
             "solve-radius-underflow",
             "solve-radius-curvature-overflow",
@@ -325,6 +336,20 @@ def test_size_ceilings_parse():
         ["integrate", "--case", "unit-s3", "--divergence", str(cli.MAX_DIVERGENCE)]
     )
     assert args.divergence == cli.MAX_DIVERGENCE
+
+
+def test_couplings_at_their_ceiling_keep_every_record_finite(tmp_path, capsys):
+    """gaussian with lambda and mu at MAX_PARAMETER is the largest g-norm of
+    the defining residual that `verify` accepts; it stays finite."""
+    out = tmp_path / "report.json"
+    top = repr(cli.MAX_PARAMETER)
+    code = run([
+        "verify", "--case", "gaussian", "--points", "3",
+        "--lambda", top, "--mu", top, "--out", str(out),
+    ])
+    assert code == 1
+    records = json.loads(out.read_text())["records"]
+    assert all(np.isfinite([r["lhs"], r["rhs"], r["gap"]]).all() for r in records)
 
 
 @pytest.mark.parametrize(
@@ -477,3 +502,83 @@ def test_solve_hyperbolic_far_from_the_origin(tmp_path, capsys):
     assert "converged" in capsys.readouterr().out
     residuals = [float(row.split(",")[2]) for row in out.read_text().splitlines()[1:]]
     assert len(residuals) == 17 and max(residuals) <= 1e-8
+
+
+def _unwritable_out(kind, tmp_path):
+    """An existing directory, or a path under a regular file."""
+    if kind == "directory":
+        return tmp_path
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    return blocker / "x.json"
+
+
+@pytest.mark.parametrize("kind", ["directory", "under-a-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--case", "gaussian", "--points", "1"],
+        ["integrate", "--case", "unit-s3", "--resolution", "12"],
+        ["solve", "--grid", "16"],
+    ],
+    ids=["verify", "integrate", "solve"],
+)
+def test_unwritable_out_is_a_usage_error(argv, kind, tmp_path, capsys):
+    """An --out that cannot be written exits 2 with one error line, no
+    traceback, and no temp file left behind."""
+    out = _unwritable_out(kind, tmp_path)
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out}: ")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _run_into_closed_pipe(argv, cwd, unbuffered):
+    """Run the CLI in a child whose stdout is a pipe with its read end
+    already closed, so every write to stdout meets a broken pipe."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ryslab.cli"] + argv,
+            stdout=write_end, stderr=subprocess.PIPE, cwd=cwd, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["print-raises", "exit-flush-raises"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--case", "unit-s3", "--resolution", "12", "--divergence", "20", "--out", "out"],
+        ["verify", "--case", "gaussian", "--points", "2", "--out", "out"],
+        ["solve", "--grid", "16", "--out", "out"],
+        ["catalog"],
+    ],
+    ids=["integrate", "verify", "solve", "catalog"],
+)
+def test_closed_stdout_keeps_the_outputs(argv, unbuffered, tmp_path, monkeypatch, capsys):
+    """A reader that closes stdout early loses only the console lines: the
+    exit code is the verdict's, stderr has no traceback, and the report or
+    CSV is byte-identical to a normal run's."""
+    direct, piped = tmp_path / "direct", tmp_path / "piped"
+    direct.mkdir()
+    piped.mkdir()
+    monkeypatch.chdir(direct)
+    assert run(argv) == 0
+    code, err = _run_into_closed_pipe(argv, piped, unbuffered)
+    assert code == 0, err
+    for marker in ("Traceback", "BrokenPipeError", "Exception ignored"):
+        assert marker not in err
+    assert sorted(os.listdir(piped)) == sorted(os.listdir(direct))
+    for name in os.listdir(direct):
+        assert (piped / name).read_bytes() == (direct / name).read_bytes()

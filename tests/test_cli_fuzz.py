@@ -54,7 +54,7 @@ VERIFY = command(
 )
 INTEGRATE = command(
     "integrate",
-    [("--case", ["unit-s3", "sphere-0.5", "gaussian"]), ("--resolution", ["8"])],
+    [("--case", ["unit-s3", "sphere-0.5", "gaussian"]), ("--resolution", ["8", "12"])],
     [
         ("--divergence", ["0", "1"]),
         ("--seed", ["0", "7"]),
@@ -74,15 +74,21 @@ SOLVE = command(
     ],
 )
 CATALOG = st.sampled_from([["catalog"], ["catalog", "--points", "3"]])
+# Where --out points: a new file, an existing directory, or a path under a
+# regular file (the last two cannot be written).
+OUT = st.sampled_from(["file", "directory", "under-a-file"])
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(st.one_of(VERIFY, INTEGRATE, SOLVE, CATALOG))
-def test_exit_code_contract_holds_for_every_argv(args):
+@given(st.one_of(VERIFY, INTEGRATE, SOLVE, CATALOG), OUT)
+def test_exit_code_contract_holds_for_every_argv(args, out):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
+        blocker = os.path.join(tmp, "file")
+        open(blocker, "w").close()
+        target = {"file": os.path.join(tmp, "out"), "directory": tmp}.get(out, os.path.join(blocker, "out"))
         if args[0] != "catalog":
-            args = args + ["--out", os.path.join(tmp, "out")]
+            args = args + ["--out", target]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(args)
     assert code in (0, 1, 2), args
