@@ -9,6 +9,7 @@ byte-identical for identical (config, seed, version) triples.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -39,12 +40,15 @@ PERTURBED_METRICS = 5
 # fourth-order jet of R is the largest), so --points has a ceiling: at
 # 10,000 points a full `verify` peaks near 195 MB.
 MAX_POINTS = 10000
-# `solve` holds dense (2m+1) x m matrices (m = --grid): 2048 intervals peak
-# near 170 MB.  `integrate` evaluates every quadrature node at once, about
-# 2 * resolution^3 of them per chart: resolution 40 peaks near 56 MB for the
-# volume alone, and near 156 MB with divergence checks (163 MB at 1000 of
-# them), which share one basis per chart.  Each check sums its own terms,
-# so time grows with the count: 1000 checks take about 26 s at resolution 40.
+# `solve` holds O(m) arrays (m = --grid; 6-wide stencils and a band factor):
+# 2048 intervals take under 0.1 s and peak near 34 MB.  The ceiling is set by
+# rounding instead: the differences lose about |f| eps / h^2, which at 2048
+# is near the solver's absolute tolerance 1e-8.  `integrate` evaluates every
+# quadrature node at once, about 2 * resolution^3 of them per chart:
+# resolution 40 peaks near 56 MB for the volume alone, and near 156 MB with
+# divergence checks (163 MB at 1000 of them), which share one basis per
+# chart.  Each check sums its own terms, so time grows with the count: 1000
+# checks take about 26 s at resolution 40.
 MAX_INTERVALS = 2048
 MAX_RESOLUTION = 40
 # From 12 up every grid passes the volume record's default tolerance 1e-5 (gap
@@ -423,6 +427,21 @@ def _solve_problem(args):
     return None
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why ``path`` cannot be written, when the file system already shows it
+    before any work is done: it is a directory, or its nearest existing
+    ancestor is not one.  None otherwise; failures that show up only when
+    writing are reported then."""
+    if os.path.isdir(path):
+        return str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path))
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        return str(NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), parent))
+    return None
+
+
 def _tolerance(raw: str) -> tuple:
     """NAME=VALUE with a known check name and a finite VALUE >= 0."""
     if "=" not in raw:
@@ -717,6 +736,11 @@ def main(argv=None) -> int:
             parser.error(f"solve: {problem}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    out = getattr(args, "out", None)
+    problem = None if out is None else _unwritable(out)
+    if problem:
+        print(f"error: cannot write {out}: {problem}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -130,12 +130,17 @@ class CheckReport:
 
 def write_atomic(path: str, text: str) -> None:
     """Atomic write: temp file in the target directory, then rename.  The
-    temp file is removed on any failure, and the error is raised."""
+    file gets the mode a plain ``open`` would give it (0o666 less the
+    umask), not ``mkstemp``'s 0o600.  The temp file is removed on any
+    failure, and the error is raised."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -533,6 +533,47 @@ def test_unwritable_out_is_a_usage_error(argv, kind, tmp_path, capsys):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("kind", ["directory", "under-a-file", "below-a-file"])
+def test_unwritable_out_is_rejected_before_any_check(kind, tmp_path, capsys, monkeypatch):
+    """A directory target, or a path under a regular file, is refused as
+    soon as the arguments are parsed: no check runs."""
+    def forbidden(*_args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "_run_soliton_case", forbidden)
+    monkeypatch.setattr(cli.solver, "solve_radial", forbidden)
+    out = _unwritable_out("under-a-file" if kind == "below-a-file" else kind, tmp_path)
+    if kind == "below-a-file":
+        out = out / "deeper.json"
+    for argv in (["verify", "--case", "gaussian", "--points", "1"], ["solve", "--grid", "16"]):
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out}: ")
+
+
+def test_outputs_follow_the_umask(tmp_path, capsys):
+    """Reports and profiles get 0o666 less the umask, as a plain open gives."""
+    old = os.umask(0o022)
+    try:
+        report = tmp_path / "report.json"
+        profile = tmp_path / "profile.csv"
+        assert run(["verify", "--case", "gaussian", "--points", "1", "--out", str(report)]) == 0
+        assert run(["solve", "--grid", "16", "--out", str(profile)]) == 0
+    finally:
+        os.umask(old)
+    assert oct(report.stat().st_mode & 0o777) == oct(0o644)
+    assert oct(profile.stat().st_mode & 0o777) == oct(0o644)
+
+
+def test_flat_solve_at_the_largest_grid_converges(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    argv = ["solve", "--background", "flat", "--lambda", "2", "--grid", "2048", "--out", str(out)]
+    assert run(argv) == 0
+    assert "converged" in capsys.readouterr().out
+    residuals = [float(row.split(",")[2]) for row in out.read_text().splitlines()[1:]]
+    assert len(residuals) == 2049 and max(residuals) <= 1e-8
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 

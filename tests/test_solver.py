@@ -1,5 +1,7 @@
 """Radial least-squares solver: residual blocks, recovery, and guards."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,22 +184,30 @@ class TestDirectSolve:
         assert np.max(np.abs(prof.values + (grid**2 - grid[0] ** 2))) <= 1e-8
 
     def test_builds_derivative_matrices_once(self, monkeypatch):
+        """The solve builds the stencil table at most once and never the
+        dense matrices."""
         calls = []
-        build = solver.derivative_matrices
+        build = solver.derivative_stencils
 
         def counting(grid):
             calls.append(len(grid))
             return build(grid)
 
-        monkeypatch.setattr(solver, "derivative_matrices", counting)
+        def forbidden(*_args):
+            raise AssertionError("derivative_matrices called")
+
+        monkeypatch.setattr(solver, "derivative_stencils", counting)
+        monkeypatch.setattr(solver, "derivative_matrices", forbidden)
         solver.solve_radial(SolitonParams(1.0, 0.0, 2.0, 0.0), FLAT, solver.make_grid(256))
         assert len(calls) <= 1
 
     def test_balanced_sphere_needs_no_linear_solve(self, monkeypatch):
-        def forbidden(*_args):
-            raise AssertionError("np.linalg.solve called")
+        """A zero initial residual returns before the band factorisation."""
 
-        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        def forbidden(*_args):
+            raise AssertionError("band_cholesky called")
+
+        monkeypatch.setattr(solver, "band_cholesky", forbidden)
         bg = solver.Background.sphere(1.0)
         grid = solver.make_grid(128, r_max=1.5)
         trace: list = []
@@ -208,15 +218,24 @@ class TestDirectSolve:
         assert trace == [0.0]
 
     def test_singular_normal_matrix_is_no_convergence(self, monkeypatch):
-        def singular(*_args):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(solver, "band_cholesky", lambda band: None)
         grid = solver.make_grid(32)
         with pytest.raises(NoConvergence) as info:
             solver.solve_radial(SolitonParams(1.0, 0.0, 2.0, 0.0), FLAT, grid)
         assert info.value.residual_inf == pytest.approx(2.0)
         assert np.array_equal(info.value.profile.values, np.zeros_like(grid))
+
+    def test_flat_gaussian_at_2048_intervals_in_little_memory(self):
+        """No grid x grid array: the solve's allocations stay O(grid)."""
+        grid = solver.make_grid(2048)
+        tracemalloc.start()
+        try:
+            prof = solver.solve_radial(SolitonParams(1.0, 0.0, 2.0, 0.0), FLAT, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert np.max(np.abs(prof.values + (grid**2 - grid[0] ** 2))) <= 1e-8
 
     def test_off_balance_refinement_stops(self):
         """Off balance the least-squares minimum is not a solution; past it
@@ -233,3 +252,68 @@ class TestDirectSolve:
             )
         assert 2 <= len(trace) <= solver.MAX_STEPS + 1
         assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
+def _dense_band(band):
+    n = len(band[0])
+    dense = np.zeros((n, n))
+    for d, diagonal in enumerate(band):
+        for j in range(n - d):
+            dense[j, j + d] = dense[j + d, j] = diagonal[j]
+    return dense
+
+
+def _random_spd_band(n, rng, p=5):
+    """A random symmetric, strictly diagonally dominant (so positive
+    definite) matrix of half-bandwidth p, as the diagonals
+    ``band_cholesky`` takes (padded to length n)."""
+    upper = np.triu(np.tril(rng.uniform(-1.0, 1.0, size=(n, n)), p), 1)
+    dense = upper + upper.T
+    dense[np.diag_indices(n)] = np.abs(dense).sum(axis=1) + rng.uniform(0.5, 1.5, size=n)
+    return [[dense[j, j + d] if j + d < n else 0.0 for j in range(n)] for d in range(p + 1)]
+
+
+class TestBandCholesky:
+    @pytest.mark.parametrize("n", [1, 6, 7, 100])
+    def test_matches_dense_cholesky(self, n):
+        rng = np.random.default_rng(n)
+        band = _random_spd_band(n, rng)
+        dense = _dense_band(band)
+        factor = solver.band_cholesky(band)
+        lower = np.zeros((n, n))
+        for i, row in enumerate(factor):
+            for b, value in enumerate(row):
+                if i - 5 + b >= 0:
+                    lower[i, i - 5 + b] = value
+        want = np.linalg.cholesky(dense)
+        assert np.max(np.abs(lower - want)) <= 1e-12 * np.max(np.abs(want))
+        rhs = rng.normal(size=n)
+        x = np.array(solver.band_solve(factor, rhs.tolist()))
+        assert np.max(np.abs(dense @ x - rhs)) <= 1e-10 * (1.0 + np.max(np.abs(rhs)))
+
+    def test_not_positive_definite_is_singular(self):
+        band = _random_spd_band(20, np.random.default_rng(3))
+        band[0][12] = -abs(band[0][12])  # a negative diagonal entry
+        assert solver.band_cholesky(band) is None
+        zero = [[0.0] * 20 for _ in range(6)]
+        assert solver.band_cholesky(zero) is None
+        nan = _random_spd_band(20, np.random.default_rng(4))
+        nan[0][7] = float("nan")
+        assert solver.band_cholesky(nan) is None
+
+
+@pytest.mark.parametrize("background", ["flat", "sphere", "hyperbolic"])
+def test_radial_residual_matches_dense_operators(background):
+    bg = solver.named_background(background)
+    rng = np.random.default_rng(11)
+    for m in (17, 64, 513):
+        grid = np.linspace(solver.ORIGIN_MARGIN, 1.4, m)
+        values = rng.normal(size=m)
+        params = SolitonParams(1.0, 0.3, -0.7, 0.0)
+        coef = solver.soliton_coefficient(params, bg)
+        d1, d2 = _loop_derivative_matrices(grid)
+        warp = bg.log_warp_deriv(grid)
+        want = np.concatenate([coef + d2 @ values, coef + warp * (d1 @ values)])
+        got = solver.radial_residual(solver.RadialProfile(grid, values, params, bg))
+        scale = np.max(np.abs(d2)) * np.max(np.abs(values)) + np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
