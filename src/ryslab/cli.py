@@ -65,13 +65,17 @@ MAX_PARAMETER = 1e50
 # -- verify -----------------------------------------------------------------
 
 def _case_points(entry, count: int, seed: int):
-    """Samples spread across all charts of an entry, deterministically."""
+    """``count`` samples spread across the charts of an entry,
+    deterministically; below one per chart, the first charts take one each."""
     charts = entry.charts
     per = max(1, count // len(charts))
     pts = []
     for i, chart in enumerate(charts):
-        take = per if i < len(charts) - 1 else count - per * (len(charts) - 1)
-        pts.extend(sample_points(chart, max(1, take), seed + i))
+        left = count - len(pts)
+        if left < 1:
+            break
+        take = left if i == len(charts) - 1 else min(per, left)
+        pts.extend(sample_points(chart, take, seed + i))
     return pts
 
 

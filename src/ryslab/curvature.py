@@ -23,11 +23,11 @@ return floats / numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
-from .ad import jet2, split, value_and_gradient, value_of, vlift
+from .ad import jet2, lift2, read2, split, value_and_gradient, value_of, vlift
 from .geometry import (
     ChartPoint,
     MetricField,
@@ -113,10 +113,10 @@ def christoffel_with_partials(g: MetricField, x):
     return split(christoffel_generic(g, vlift(x)), g.domain.dim)
 
 
-def ricci_generic(g: MetricField, x):
-    """R_ij from the Riemann contraction; round spheres come out positive."""
-    n = g.domain.dim
-    gamma, dgamma = christoffel_with_partials(g, x)
+def ricci_from(gamma, dgamma):
+    """R_ij from Gamma and dGamma[m][k][i][j] = d_m Gamma^k_ij by the Riemann
+    contraction; round spheres come out positive."""
+    n = len(gamma)
     ric = [[0.0] * n for _ in range(n)]
     # Precontract Gamma^k_kl for the trace term.
     gtrace = [sum(gamma[k][k][l] for k in range(n)) for l in range(n)]
@@ -132,6 +132,11 @@ def ricci_generic(g: MetricField, x):
             ric[i][j] = term
             ric[j][i] = term
     return ric
+
+
+def ricci_generic(g: MetricField, x):
+    """R_ij from the Riemann contraction; round spheres come out positive."""
+    return ricci_from(*christoffel_with_partials(g, x))
 
 
 def scalar_curvature_generic(g: MetricField, x):
@@ -220,12 +225,27 @@ def divergence_ricci_from(ginv, gamma, ric, dric):
 
 # -- shared quantities of one batch ------------------------------------------
 
+def _per_field(build):
+    """A quantity of a scalar field, built once per batch, metric and field."""
+
+    @wraps(build)
+    def quantity(self, f: ScalarField):
+        return self.batch.memo((build.__name__, self.g, f), lambda: build(self, f))
+
+    return quantity
+
+
 class CurvatureData:
     """Curvature of one metric on one batch of points, each quantity
     computed on first use and then shared by every check that needs it.
 
-    Entries are floats for a single point (``PointBatch.of``) and (m,)
-    columns, or plain floats where constant, for a batch.
+    Each derivative level is one lifted evaluation: the connection
+    (Gamma, dGamma), Ricci's partials, the inverse metric's partials and,
+    per scalar field, its jet and the partials of its Hessian.  Gamma is
+    the value part of the connection's pass, which equals the float pass
+    bit for bit, and Ric is contracted from the connection.  Entries are
+    floats for a single point (``PointBatch.of``) and (m,) columns, or
+    plain floats where constant, for a batch.
     """
 
     def __init__(self, g: MetricField, batch: PointBatch):
@@ -242,16 +262,41 @@ class CurvatureData:
         return mat_inverse(self.metric)
 
     @cached_property
-    def metric_partials(self):
-        return metric_partials(self.g, self.x)
+    def inverse_partials(self):
+        """dginv[l][j][k] = d_l g^{jk} = -(g^{-1} (d_l g) g^{-1})^{jk}."""
+        ginv = self.inverse
+        n = len(ginv)
+        out = []
+        for dgl in metric_partials(self.g, self.x):
+            left = [
+                [sum(ginv[j][a] * dgl[a][b] for a in range(n)) for b in range(n)]
+                for j in range(n)
+            ]
+            out.append(
+                [
+                    [-sum(left[j][b] * ginv[b][k] for b in range(n)) for k in range(n)]
+                    for j in range(n)
+                ]
+            )
+        return out
+
+    @cached_property
+    def connection(self):
+        """(Gamma, dGamma), dGamma[m][k][i][j] = d_m Gamma^k_ij."""
+        return christoffel_with_partials(self.g, self.x)
 
     @cached_property
     def christoffel(self):
-        return christoffel_generic(self.g, self.x)
+        return self.connection[0]
 
     @cached_property
     def ricci(self):
-        return ricci_generic(self.g, self.x)
+        return ricci_from(*self.connection)
+
+    @cached_property
+    def ricci_partials(self):
+        """dric[k][i][j] = d_k R_ij."""
+        return ricci_with_partials(self.g, self.x)[1]
 
     @cached_property
     def scalar(self):
@@ -261,15 +306,52 @@ class CurvatureData:
     def ricci_norm_sq(self):
         return sym2_norm_sq(self.inverse, self.ricci)
 
+    @_per_field
     def jet(self, f: ScalarField):
         """Value, partials and second partials of ``f``, from one jet2 pass."""
-        return self.batch.memo(("jet", self.g, f), lambda: jet2(f.fn, self.x))
+        return jet2(f.fn, self.x)
 
+    @_per_field
     def hessian(self, f: ScalarField):
         _, df, ddf = self.jet(f)
-        return self.batch.memo(
-            ("hessian", self.g, f), lambda: covariant_hessian(self.christoffel, df, ddf)
-        )
+        return covariant_hessian(self.christoffel, df, ddf)
+
+    @_per_field
+    def hessian_partials(self, f: ScalarField):
+        """dh[j][k][i] = d_j (Hess f)_{ki}
+        = d_j d_k d_i f - d_j Gamma^m_ki d_m f - Gamma^m_ki d_j d_m f,
+        the third partials of f from one vector lift over ``lift2``."""
+        n = self.g.domain.dim
+        gamma, dgamma = self.connection
+        r, dr = split(f.fn(vlift(lift2(self.x))), n)
+        _, df, ddf = read2(r, n)
+        third = [read2(d, n)[2] for d in dr]
+        dh = [[[0.0] * n for _ in range(n)] for _ in range(n)]
+        for j in range(n):
+            for k in range(n):
+                for i in range(k, n):
+                    v = third[j][k][i] - sum(
+                        gamma[m][k][i] * ddf[j][m] + dgamma[j][m][k][i] * df[m]
+                        for m in range(n)
+                    )
+                    dh[j][k][i] = v
+                    dh[j][i][k] = v
+        return dh
+
+    @_per_field
+    def laplacian_partials(self, f: ScalarField):
+        """d_i Delta f, by the product rule on g^{jk} (Hess f)_jk."""
+        ginv, dginv = self.inverse, self.inverse_partials
+        hess, dh = self.hessian(f), self.hessian_partials(f)
+        n = len(ginv)
+        return [
+            sum(
+                dginv[i][j][k] * hess[j][k] + ginv[j][k] * dh[i][j][k]
+                for j in range(n)
+                for k in range(n)
+            )
+            for i in range(n)
+        ]
 
     def laplacian(self, f: ScalarField):
         return trace_pair(self.inverse, self.hessian(f))

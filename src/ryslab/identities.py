@@ -24,15 +24,12 @@ from typing import Any
 
 import numpy as np
 
-from .ad import jet2, lift2, read2, split, value_of, vlift
+from .ad import jet2, value_of
 from .curvature import (  # noqa: F401 (bench/selftest.py looks up ricci_generic here)
-    CurvatureData,
-    christoffel_with_partials,
     curvature_data,
     divergence_ricci_from,
     grad_norm_sq_generic,
     ricci_generic,
-    ricci_with_partials,
 )
 from .errors import DegenerateDenominator, NotASoliton, NotCompact
 from .geometry import ChartPoint, MetricField, PointBatch, ScalarField
@@ -293,39 +290,15 @@ def check_affine_splitting_flags(inst: SolitonInstance, points) -> dict:
 
 # -- universal identities ----------------------------------------------------
 #
-# These share a lot of intermediates (Ricci, Christoffel, metric inverse,
-# Hessian), so they are computed once per batch.  Derivatives of traced
-# quantities (grad R, grad Delta f) use the product rule with the
-# already-computed component partials instead of re-running the pipeline.
+# These read the curvature levels of one batch from ``curvature_data``:
+# derivatives of traced quantities (grad R, grad Delta f) come from the
+# product rule on the already-built component partials.
 
-def _inverse_partials(ginv, dg):
-    """dginv[l][j][k] = d_l g^{jk} = -(g^{-1} (d_l g) g^{-1})^{jk}."""
-    n = len(ginv)
-    out = []
-    for l in range(n):
-        dgl = dg[l]
-        left = [
-            [sum(ginv[j][a] * dgl[a][b] for a in range(n)) for b in range(n)]
-            for j in range(n)
-        ]
-        out.append(
-            [
-                [
-                    -sum(left[j][b] * ginv[b][k] for b in range(n))
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
-        )
-    return out
-
-
-def _bianchi(g: MetricField, batch: PointBatch) -> IdentityResidual:
-    d = curvature_data(g, batch)
+def check_contracted_bianchi(g: MetricField, p) -> IdentityResidual:
+    """div Ric = 1/2 grad R, the contracted second Bianchi identity."""
+    d = curvature_data(g, p)
     n = g.domain.dim
-    ginv = d.inverse
-    ric, dric = ricci_with_partials(g, d.x)
-    dginv = _inverse_partials(ginv, d.metric_partials)
+    ginv, dginv, ric, dric = d.inverse, d.inverse_partials, d.ricci, d.ricci_partials
     div = [value_of(v) for v in divergence_ricci_from(ginv, d.christoffel, ric, dric)]
     half_dR = [
         0.5 * value_of(
@@ -341,36 +314,9 @@ def _bianchi(g: MetricField, batch: PointBatch) -> IdentityResidual:
         "contracted-bianchi",
         _sup(div),
         _sup(half_dR),
-        batch,
+        d.batch,
         gap=_sup([a - b for a, b in zip(div, half_dR)]),
     )
-
-
-def check_contracted_bianchi(g: MetricField, p) -> IdentityResidual:
-    """div Ric = 1/2 grad R, the contracted second Bianchi identity."""
-    return _bianchi(g, PointBatch.of(p))
-
-
-def _hessian_partials(g: MetricField, f: ScalarField, x):
-    """dh[j][k][i] = d_j (Hess f)_{ki}
-    = d_j d_k d_i f - d_j Gamma^m_ki d_m f - Gamma^m_ki d_j d_m f,
-    the third partials of f from one vector lift over ``lift2``."""
-    n = g.domain.dim
-    gamma, dgamma = christoffel_with_partials(g, x)
-    r, dr = split(f.fn(vlift(lift2(x))), n)
-    _, df, ddf = read2(r, n)
-    third = [read2(d, n)[2] for d in dr]
-    dh = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            for i in range(k, n):
-                v = third[j][k][i] - sum(
-                    gamma[m][k][i] * ddf[j][m] + dgamma[j][m][k][i] * df[m]
-                    for m in range(n)
-                )
-                dh[j][k][i] = v
-                dh[j][i][k] = v
-    return dh
 
 
 def _rough_laplacian_df(ginv, gamma, hess, dh):
@@ -390,58 +336,33 @@ def _rough_laplacian_df(ginv, gamma, hess, dh):
     return out
 
 
-@dataclass(frozen=True)
-class _UniversalCore:
-    """Shared intermediates of the commutation and Bochner checks."""
-
-    data: CurvatureData
-    f: ScalarField
-    hess: list
-    dh: list
-    grad_up: list
-    d_lap: list  # grad of Delta f, by the product rule on g^{jk} H_jk
-
-
-def _universal_core(g: MetricField, f: ScalarField, batch: PointBatch) -> _UniversalCore:
-    d = curvature_data(g, batch)
+def check_commutation(g: MetricField, f: ScalarField, p) -> IdentityResidual:
+    """Delta grad_i f - grad_i Delta f = R_ij g^{jk} d_k f."""
+    d = curvature_data(g, p)
     n = g.domain.dim
-    ginv = d.inverse
-    dginv = _inverse_partials(ginv, d.metric_partials)
-    hess = d.hessian(f)
-    dh = _hessian_partials(g, f, d.x)
-    d_lap = [
-        sum(
-            dginv[i][j][k] * hess[j][k] + ginv[j][k] * dh[i][j][k]
-            for j in range(n)
-            for k in range(n)
-        )
-        for i in range(n)
-    ]
-    return _UniversalCore(d, f, hess, dh, d.gradient_up(f), d_lap)
-
-
-def _commutation_from_core(core: _UniversalCore, batch: PointBatch) -> IdentityResidual:
-    d = core.data
-    n = len(core.grad_up)
-    lap_df = _rough_laplacian_df(d.inverse, d.christoffel, core.hess, core.dh)
-    lhs = [lap_df[i] - value_of(core.d_lap[i]) for i in range(n)]
-    ric, grad_up = d.ricci, core.grad_up
+    hess, dh = d.hessian(f), d.hessian_partials(f)
+    lap_df = _rough_laplacian_df(d.inverse, d.christoffel, hess, dh)
+    d_lap = d.laplacian_partials(f)
+    lhs = [lap_df[i] - value_of(d_lap[i]) for i in range(n)]
+    ric, grad_up = d.ricci, d.gradient_up(f)
     rhs = [value_of(sum(ric[i][j] * grad_up[j] for j in range(n))) for i in range(n)]
     return IdentityResidual.build(
         "commutation",
         _sup(lhs),
         _sup(rhs),
-        batch,
+        d.batch,
         gap=_sup([a - b for a, b in zip(lhs, rhs)]),
     )
 
 
-def _bochner_from_core(core: _UniversalCore, batch: PointBatch) -> IdentityResidual:
-    d = core.data
-    n = len(core.grad_up)
+def check_bochner(g: MetricField, f: ScalarField, p) -> IdentityResidual:
+    """1/2 Delta |grad f|^2 = |Hess f|^2 + Ric(grad f, grad f)
+    + <grad f, grad Delta f>."""
+    d = curvature_data(g, p)
+    n = g.domain.dim
     # Delta of the energy with the already-built connection data.
     ginv, gamma = d.inverse, d.christoffel
-    _, du, ddu = jet2(_energy(d.g, core.f).fn, d.x)
+    _, du, ddu = jet2(_energy(g, f).fn, d.x)
     lap_u = 0.0
     for i in range(n):
         for j in range(i, n):
@@ -449,33 +370,19 @@ def _bochner_from_core(core: _UniversalCore, batch: PointBatch) -> IdentityResid
             w = 1.0 if i == j else 2.0
             lap_u = lap_u + w * ginv[i][j] * h_ij
     lhs = 0.5 * value_of(lap_u)
-    hess_sq = value_of(sym2_norm_sq(ginv, core.hess))
-    grad_up = core.grad_up
+    hess_sq = value_of(sym2_norm_sq(ginv, d.hessian(f)))
+    grad_up, d_lap = d.gradient_up(f), d.laplacian_partials(f)
     ric_ff = value_of(_ric_ff(d.ricci, grad_up))
-    cross = value_of(sum(grad_up[i] * core.d_lap[i] for i in range(n)))
-    return IdentityResidual.build("bochner", lhs, hess_sq + ric_ff + cross, batch)
-
-
-def check_commutation(g: MetricField, f: ScalarField, p) -> IdentityResidual:
-    """Delta grad_i f - grad_i Delta f = R_ij g^{jk} d_k f."""
-    batch = PointBatch.of(p)
-    return _commutation_from_core(_universal_core(g, f, batch), batch)
-
-
-def check_bochner(g: MetricField, f: ScalarField, p) -> IdentityResidual:
-    """1/2 Delta |grad f|^2 = |Hess f|^2 + Ric(grad f, grad f)
-    + <grad f, grad Delta f>."""
-    batch = PointBatch.of(p)
-    return _bochner_from_core(_universal_core(g, f, batch), batch)
+    cross = value_of(sum(grad_up[i] * d_lap[i] for i in range(n)))
+    return IdentityResidual.build("bochner", lhs, hess_sq + ric_ff + cross, d.batch)
 
 
 def universal_residuals(g: MetricField, f: ScalarField, p) -> list[IdentityResidual]:
     """Contracted Bianchi, commutation, and Bochner residuals at one point,
-    or over a batch, computed with shared intermediates."""
+    or over a batch, on the batch's shared curvature data."""
     batch = PointBatch.of(p)
-    core = _universal_core(g, f, batch)
     return [
-        _bianchi(g, batch),
-        _commutation_from_core(core, batch),
-        _bochner_from_core(core, batch),
+        check_contracted_bianchi(g, batch),
+        check_commutation(g, f, batch),
+        check_bochner(g, f, batch),
     ]

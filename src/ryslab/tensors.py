@@ -3,10 +3,12 @@
 The curvature pipeline must run at dual-number points (that is how
 derivatives of curvature are taken), so inversion and contractions are
 written for nested lists of floats, (m,) columns or :mod:`ryslab.ad`
-lifts.  Pivoting decisions use the float value part only.
+lifts.  Conditioning checks use the float value part only.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -20,9 +22,9 @@ def mat_inverse(m, cond_limit: float = CONDITION_LIMIT):
     """Inverse of a small dense matrix with generic entries.
 
     Dimensions 2 and 3 (the hot path) use the closed-form adjugate;
-    larger matrices fall back to Gauss-Jordan with partial pivoting on
-    value magnitude.  Raises MetricSingular when the matrix is not
-    invertible to the conditioning threshold.
+    larger matrices fall back to Gauss-Jordan without row exchanges.
+    Raises MetricSingular when the matrix is not invertible to the
+    conditioning threshold.
     """
     n = len(m)
     if n == 2:
@@ -69,24 +71,22 @@ def _guard_det(det, m, n, cond_limit):
 
 
 def _gauss_jordan_inverse(m, cond_limit: float = CONDITION_LIMIT):
+    """Gauss-Jordan without row exchanges: a metric is positive definite, so
+    every diagonal pivot is positive, and the same steps serve floats and
+    columns."""
     n = len(m)
     a = [row[:] for row in m]
     inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    scale = max(abs(value_of(a[i][j])) for i in range(n) for j in range(n))
-    if scale == 0.0:
-        raise MetricSingular("zero matrix")
+    scale = reduce(np.maximum, [np.abs(value_of(v)) for row in m for v in row])
     floor = scale / cond_limit
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(value_of(a[r][col])))
-        if abs(value_of(a[piv][col])) <= floor:
-            raise MetricSingular(
-                f"pivot {value_of(a[piv][col]):.3e} below conditioning floor "
-                f"{floor:.3e}"
-            )
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
         d = a[col][col]
+        dv = np.abs(value_of(d))
+        if np.any(dv <= floor):
+            raise MetricSingular(
+                f"pivot {float(np.min(dv)):.3e} below conditioning floor "
+                f"{float(np.max(floor)):.3e}"
+            )
         arow, irow = a[col], inv[col]
         for j in range(n):
             arow[j] = arow[j] / d
@@ -95,8 +95,6 @@ def _gauss_jordan_inverse(m, cond_limit: float = CONDITION_LIMIT):
             if r == col:
                 continue
             f = a[r][col]
-            if isinstance(f, float) and f == 0.0:
-                continue
             ar, ir = a[r], inv[r]
             for j in range(n):
                 ar[j] = ar[j] - f * arow[j]
@@ -105,7 +103,9 @@ def _gauss_jordan_inverse(m, cond_limit: float = CONDITION_LIMIT):
 
 
 def mat_det(m):
-    """Determinant with generic entries; closed form for n <= 3."""
+    """Determinant with generic entries; closed form for n <= 3, else the
+    product of the pivots of elimination without row exchanges (valid
+    for a metric, whose leading minors are positive)."""
     n = len(m)
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -117,18 +117,12 @@ def mat_det(m):
     a = [row[:] for row in m]
     det = 1.0
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(value_of(a[r][col])))
-        if abs(value_of(a[piv][col])) == 0.0:
-            return 0.0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
         d = a[col][col]
+        if np.any(value_of(d) == 0.0):
+            raise MetricSingular("a leading minor vanishes: not a metric")
         det = det * d
         for r in range(col + 1, n):
             f = a[r][col] / d
-            if isinstance(f, float) and f == 0.0:
-                continue
             for j in range(col, n):
                 a[r][j] = a[r][j] - f * a[col][j]
     return det

@@ -379,6 +379,21 @@ def test_undefined_concircular_conclusions_exit_2(argv, parameter, tmp_path, cap
     assert parameter in lines[0]
 
 
+def test_case_points_never_exceed_the_count():
+    """Below one point per chart the first charts take one each; from one
+    per chart up, the draws are the per-chart samples they always were."""
+    from ryslab.catalog import sphere_entry
+    from ryslab.geometry import sample_points
+
+    entry = sphere_entry(1.0)
+    north, south = entry.charts
+    assert cli._case_points(entry, 1, 7) == sample_points(north, 1, 7)
+    for count in (2, 3, 200):
+        per = count // 2
+        expected = sample_points(north, per, 7) + sample_points(south, count - per, 8)
+        assert cli._case_points(entry, count, 7) == expected
+
+
 def test_verify_builds_shared_quantities_once_per_batch(tmp_path, capsys, monkeypatch):
     """One case evaluates the defining residual and the jet of R once for
     its whole point batch, not once (or five times) per point."""

@@ -8,7 +8,14 @@ import pytest
 from ryslab import ad, catalog
 from ryslab import curvature as cv
 from ryslab.errors import MetricSingular
-from ryslab.geometry import ChartDomain, MetricField, ScalarField, VectorField, sample_points
+from ryslab.geometry import (
+    ChartDomain,
+    MetricField,
+    PointBatch,
+    ScalarField,
+    VectorField,
+    sample_points,
+)
 
 
 def flat3():
@@ -234,3 +241,16 @@ def test_metric_singular_guard():
 def test_sym2tensor_rejects_asymmetric():
     with pytest.raises(ValueError):
         cv.Sym2Tensor.from_matrix([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_four_dimensional_batch_equals_each_point():
+    """Ricci and R of a 4D metric over a batch (the n >= 4 inverse on
+    columns) equal the values at each point alone."""
+    g = catalog.make_perturbed_flat(1e-2, 3, dim=4).metric
+    pts = sample_points(g.domain, 3, seed=1)
+    batch = PointBatch(pts)
+    ric = cv.ricci(g, batch).components
+    scal = cv.scalar_curvature(g, batch)
+    for k, p in enumerate(pts):
+        assert np.array_equal(ric[..., k], cv.ricci(g, p).components)
+        assert scal[k] == cv.scalar_curvature(g, p)

@@ -1,6 +1,8 @@
 """Identity checks: positive cases from closed forms, negative controls,
 and the universal suite on random geometries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from ryslab.errors import (
     NotASoliton,
     NotCompact,
 )
-from ryslab.geometry import PointBatch, ScalarField, sample_points
+from ryslab.geometry import MetricField, PointBatch, ScalarField, sample_points
 from ryslab.soliton import SolitonClass, SolitonInstance, SolitonKind, SolitonParams
 
 
@@ -336,8 +338,9 @@ def test_batch_not_a_soliton_names_worst_point():
 
 @pytest.mark.parametrize("where", ["point", "batch"])
 def test_hessian_partials_match_dual_towers(where):
-    """d_j (Hess f)_ki equals the Dual-tower third partial d_j d_k d_i f
-    minus the Christoffel terms, at a float point and over a batch."""
+    """CurvatureData's d_j (Hess f)_ki equals the Dual-tower third partial
+    d_j d_k d_i f minus the Christoffel terms, at a float point and over a
+    batch."""
     from ryslab import ad
 
     entry = catalog.make_perturbed_flat(1e-1, 31)
@@ -346,9 +349,10 @@ def test_hessian_partials_match_dual_towers(where):
         lambda x: ad.sin(x[0] * x[1]) * ad.exp(0.5 * x[2]) + x[0] * x[1] * x[2] * x[2], dom
     )
     pts = sample_points(dom, 5, seed=32)
-    x = list(PointBatch(pts).columns) if where == "batch" else list(pts[0].coords)
+    data = cv.curvature_data(entry.metric, PointBatch(pts) if where == "batch" else pts[0])
+    x = data.x
     gamma, dgamma = cv.christoffel_with_partials(entry.metric, x)
-    dh = identities._hessian_partials(entry.metric, f, x)
+    dh = data.hessian_partials(f)
     n = dom.dim
     for j in range(n):
         for k in range(n):
@@ -360,3 +364,60 @@ def test_hessian_partials_match_dual_towers(where):
                 )
                 scale = np.maximum(1.0, np.abs(ref))
                 assert np.all(np.abs(dh[j][k][i] - ref) <= 1e-13 * scale), (j, k, i)
+
+
+def test_per_field_memo_is_keyed_on_the_field():
+    """Two fields on one batch each give bitwise the residuals they give
+    alone on a fresh batch."""
+    entry = catalog.make_perturbed_flat(1e-2, 33)
+    dom = entry.metric.domain
+    fields = [catalog.random_polynomial_field(dom, seed=s) for s in (34, 35)]
+    pts = sample_points(dom, 8, seed=36)
+    shared = PointBatch(pts)
+    together = [identities.universal_residuals(entry.metric, f, shared) for f in fields]
+    for f, both in zip(fields, together):
+        alone = identities.universal_residuals(entry.metric, f, PointBatch(pts))
+        for a, b in zip(alone[1:], both[1:]):
+            assert a.name == b.name
+            assert np.array_equal(a.lhs, b.lhs) and np.array_equal(a.rhs, b.rhs), a.name
+            assert np.array_equal(a.abs_gap, b.abs_gap), a.name
+    assert not np.array_equal(together[0][1].lhs, together[1][1].lhs)
+
+
+class TestMetricEvaluationsPerBatch:
+    """Each curvature level is one metric evaluation per batch, shared by
+    every check that reads it."""
+
+    @staticmethod
+    def counted(metric):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return metric.fn(x)
+
+        return MetricField(fn, metric.domain, metric.name), calls
+
+    def test_universal_batch(self):
+        entry = catalog.make_perturbed_flat(1e-2, 7)
+        g, calls = self.counted(entry.metric)
+        f = catalog.random_polynomial_field(g.domain, seed=1007)
+        batch = PointBatch(sample_points(g.domain, 16, seed=7))
+        identities.universal_residuals(g, f, batch)
+        assert len(calls) <= 7
+
+    def test_soliton_batch(self):
+        from ryslab import cli
+
+        spec = catalog.verify_cases()["einstein-s3"]
+        inst = spec.build(spec.defaults)
+        g, calls = self.counted(inst.metric)
+        inst = dataclasses.replace(inst, metric=g)
+        tols = {check.name: check.tol for check in cli.CHECKS.values()}
+
+        class Sink:
+            def add(self, record):
+                assert record.passed, record.name
+
+        cli._run_soliton_case("einstein-s3", spec, inst, 16, 7, tols, Sink())
+        assert len(calls) <= 8

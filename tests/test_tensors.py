@@ -39,9 +39,10 @@ def test_inverse_propagates_duals():
 
 def test_singular_guard_all_sizes():
     for n in (2, 3, 4):
-        m = [[1.0] * n for _ in range(n)]
-        with pytest.raises(MetricSingular):
-            mat_inverse(m)
+        for one in (1.0, np.ones(3)):
+            m = [[one] * n for _ in range(n)]
+            with pytest.raises(MetricSingular):
+                mat_inverse(m)
 
 
 def test_trace_and_norm_contractions():
@@ -54,3 +55,22 @@ def test_trace_and_norm_contractions():
     gi = np.array([[0.5, 0.0], [0.0, 2.0]])
     expected = float(np.einsum("ij,kl,ik,jl->", tn, tn, gi, gi))
     assert sym2_norm_sq(ginv, t) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_elimination_on_columns_equals_each_point(n):
+    """n >= 4 eliminates without row exchanges, so a batch of matrices as
+    (m,) columns takes exactly the steps of each matrix alone."""
+    mats = [random_spd(n, 20 + k) for k in range(3)]
+    cols = [[np.array([mat[i][j] for mat in mats]) for j in range(n)] for i in range(n)]
+    inv, det = mat_inverse(cols), mat_det(cols)
+    for k, mat in enumerate(mats):
+        one = mat_inverse(mat)
+        assert all(inv[i][j][k] == one[i][j] for i in range(n) for j in range(n))
+        assert det[k] == mat_det(mat)
+        assert det[k] == pytest.approx(np.linalg.det(np.array(mat)), rel=1e-12)
+
+
+def test_det_of_a_singular_metric_is_rejected():
+    with pytest.raises(MetricSingular):
+        mat_det([[1.0] * 4 for _ in range(4)])
