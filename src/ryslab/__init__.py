@@ -34,19 +34,9 @@ from .geometry import (
     sample_points,
 )
 from .curvature import (
-    CurvatureBundle,
     Sym2Tensor,
-    christoffel,
-    curvature_bundle,
-    grad_norm_sq,
-    grad_scalar_curvature,
-    gradient,
-    hessian,
-    laplacian,
-    laplacian_scalar_curvature,
-    lie_derivative_metric,
+    curvature_data,
     ricci,
-    ricci_norm_sq,
     ricci_operator,
     scalar_curvature,
 )

@@ -314,12 +314,9 @@ def _lift(f, direction):
     return df
 
 
-def gradient(f, coords):
-    """All first partials of ``f`` at ``coords`` in one vector-mode pass."""
-    return split(f(vlift(list(coords))), len(coords))[1]
-
-
 def value_and_gradient(f, coords):
+    """Value and all first partials of ``f`` at ``coords`` in one
+    vector-mode pass."""
     return split(f(vlift(list(coords))), len(coords))
 
 

@@ -2,16 +2,18 @@
 
 Every positive test in the package is anchored here: flat space, round
 spheres on two antipodal stereographic charts, hyperbolic upper
-half-space, a product cylinder, seeded perturbed-flat random metrics,
-and the soliton instances they carry.  Entries are immutable after
-construction and their ``closed_forms`` must agree with the curvature
-pipeline; that agreement is the module's defining contract.
+half-space, a product cylinder and seeded perturbed-flat random
+metrics.  Entries are immutable after construction and their
+``closed_forms`` must agree with the curvature pipeline; that agreement
+is the module's defining contract.  Soliton instances come from one
+registry, ``verify_cases``: each case builds its instance on its entry's
+metric from a parameter set (``*_instance(params)``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -67,11 +69,6 @@ class SphereAtlas:
         return head + [last]
 
 
-def _with_instances(entry, instances):
-    fitted = tuple(replace(i, compact=entry.compact, entry=entry) for i in instances)
-    return replace(entry, instances=fitted)
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -79,7 +76,6 @@ class CatalogEntry:
     charts: tuple[ChartDomain, ...]
     compact: bool = False
     closed_forms: Optional[ClosedForms] = None
-    instances: tuple[SolitonInstance, ...] = ()
     atlas: Optional[SphereAtlas] = None
     notes: str = ""
 
@@ -193,32 +189,12 @@ def random_polynomial_field(
 def flat_entry(dim: int = 3) -> CatalogEntry:
     name = f"flat-r{dim}"
     metric = _flat_metric(dim, name)
-    instances = ()
-    if dim == 3:
-        instances = (
-            SolitonInstance(
-                SolitonParams(1.0, 0.0, -1.0),
-                metric,
-                SolitonKind.RYS,
-                vector_field=position_field(metric.domain),
-                phi=1.0,
-                note="concircular position field, factor 1, lam = -1",
-            ),
-            SolitonInstance(
-                SolitonParams(1.0, 0.0, 0.0),
-                metric,
-                SolitonKind.GRYS,
-                potential=coordinate_potential(metric.domain, 2),
-                note="plane-times-line split with affine potential, steady Ricci-flat",
-            ),
-        )
     return CatalogEntry(
         name=name,
         metric=metric,
         charts=(metric.domain,),
         compact=False,
         closed_forms=ClosedForms(einstein_factor=0.0, scalar=0.0),
-        instances=instances,
         notes="Euclidean space, single Cartesian chart",
     )
 
@@ -226,14 +202,12 @@ def flat_entry(dim: int = 3) -> CatalogEntry:
 @lru_cache(maxsize=None)
 def gaussian_entry() -> CatalogEntry:
     metric = _flat_metric(3, "gaussian")
-    inst = gaussian_instance(SolitonParams(1.0, 0.0, 2.0, 0.0))
     return CatalogEntry(
         name="gaussian",
         metric=metric,
         charts=(metric.domain,),
         compact=False,
         closed_forms=ClosedForms(einstein_factor=0.0, scalar=0.0),
-        instances=(inst,),
         notes="flat space with quadratic potential; a soliton for every lam",
     )
 
@@ -244,7 +218,7 @@ def sphere_entry(radius: float = 1.0, name: Optional[str] = None) -> CatalogEntr
     north = _sphere_metric(radius, f"{name}/north")
     south = _sphere_metric(radius, f"{name}/south")
     factor = 2.0 / (radius * radius)
-    entry = CatalogEntry(
+    return CatalogEntry(
         name=name,
         metric=north,
         charts=(north.domain, south.domain),
@@ -257,15 +231,6 @@ def sphere_entry(radius: float = 1.0, name: Optional[str] = None) -> CatalogEntr
         atlas=SphereAtlas(radius),
         notes="round 3-sphere on two antipodal stereographic charts",
     )
-    balanced = SolitonInstance(
-        SolitonParams(1.0, 0.0, -2.0 / (radius * radius)),
-        north,
-        SolitonKind.GRYS,
-        potential=constant_scalar(north.domain, 0.0),
-        compact=True,
-        note="constant potential at the Einstein balance",
-    )
-    return _with_instances(entry, (balanced,))
 
 
 @lru_cache(maxsize=None)
@@ -277,15 +242,6 @@ def hyperbolic_entry() -> CatalogEntry:
         charts=(metric.domain,),
         compact=False,
         closed_forms=ClosedForms(einstein_factor=-2.0, scalar=-6.0),
-        instances=(
-            SolitonInstance(
-                SolitonParams(1.0, 0.0, 2.0),
-                metric,
-                SolitonKind.GRYS,
-                potential=constant_scalar(metric.domain, 0.0),
-                note="constant potential at the Einstein balance",
-            ),
-        ),
         notes="hyperbolic space, upper half-space model",
     )
 
@@ -293,24 +249,14 @@ def hyperbolic_entry() -> CatalogEntry:
 @lru_cache(maxsize=None)
 def cylinder_entry() -> CatalogEntry:
     metric = _cylinder_metric("s2xr")
-    entry = CatalogEntry(
+    return CatalogEntry(
         name="s2xr",
         metric=metric,
         charts=(metric.domain,),
         compact=False,
         closed_forms=ClosedForms(scalar=2.0, ricci_fn=_cylinder_ricci),
-        instances=(
-            SolitonInstance(
-                SolitonParams(0.0, 1.0, 1.0),
-                metric,
-                SolitonKind.GRYS,
-                potential=coordinate_potential(metric.domain, 2),
-                note="line-coordinate potential; needs alpha = 0, lam = beta",
-            ),
-        ),
         notes="unit 2-sphere times a line; potential is the line coordinate",
     )
-    return entry
 
 
 def make_perturbed_flat(epsilon: float, seed: int, dim: int = 3) -> CatalogEntry:
@@ -368,14 +314,15 @@ def _gradient_kind(params: SolitonParams) -> SolitonKind:
 
 
 def gaussian_instance(params: SolitonParams) -> SolitonInstance:
-    metric = _flat_metric(3, "gaussian")
+    entry = gaussian_entry()
     return SolitonInstance(
         params=params,
-        metric=metric,
+        metric=entry.metric,
         kind=_gradient_kind(params),
-        potential=gaussian_potential(metric.domain, params.lam),
+        potential=gaussian_potential(entry.metric.domain, params.lam),
         compact=False,
         note="flat Gaussian family: Hess f = -lam g, soliton for every lam",
+        entry=entry,
     )
 
 
@@ -469,7 +416,7 @@ def verify_cases() -> dict[str, CaseSpec]:
         "gaussian": CaseSpec(
             "gaussian",
             gaussian_entry,
-            _with_entry(gaussian_instance, gaussian_entry),
+            gaussian_instance,
             SolitonParams(1.0, 0.0, 2.0, 0.0),
             "Gaussian potential on flat space",
         ),
@@ -519,15 +466,6 @@ def verify_cases() -> dict[str, CaseSpec]:
             universal_only=True,
         ),
     }
-
-
-def _with_entry(builder, entry_fn):
-    def build(params: SolitonParams) -> SolitonInstance:
-        inst = builder(params)
-        entry = entry_fn()
-        return replace(inst, metric=entry.metric, compact=entry.compact, entry=entry)
-
-    return build
 
 
 @lru_cache(maxsize=1)

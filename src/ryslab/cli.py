@@ -416,7 +416,8 @@ def _solve_problem(args):
     be represented (None if it can): the second-derivative stencil scale
     1 / (12 h^2) of the grid step h, and the squared soliton coefficient
     summed over the 2 (grid + 1) rows of both blocks, must be finite and
-    the scale nonzero."""
+    the scale nonzero, and a sphere grid must stop short of the antipode
+    r = pi * radius, where the warp radius * sin(r / radius) vanishes."""
     grid = solver.make_grid(args.grid, r_max=args.r_max)
     h = float(grid[1] - grid[0])
     if not 0.0 < 12.0 * h * h < math.inf:
@@ -427,6 +428,11 @@ def _solve_problem(args):
         return (
             f"the soliton coefficient alpha c + lambda - beta R / 2 = {coef!r} "
             f"(--radius {args.radius!r}) squared over the grid is not finite"
+        )
+    if args.background == "sphere" and args.r_max >= math.pi * args.radius:
+        return (
+            f"--r-max {args.r_max!r} reaches the antipode pi * radius = "
+            f"{math.pi * args.radius!r} of the sphere (--radius {args.radius!r})"
         )
     return None
 

@@ -14,10 +14,11 @@ through the forward-mode differentiator rather than expanding
 fourth-order tensor formulas; coordinate partials come from one
 evaluation on ``vlift`` coordinates, read by ``ad.split``.  The same
 helpers accept coordinate columns (float arrays of shape (m,)), which
-evaluates a whole batch of points in one pass.  ``CurvatureData`` holds
-the quantities of one metric on one ``PointBatch`` so that every check
-shares them.  Public wrappers take a ``MetricField`` plus a point and
-return floats / numpy arrays.
+evaluates a whole batch of points in one pass.  ``curvature_data(g, p)``
+is the one way in: its ``CurvatureData`` holds every quantity of one
+metric on one ``PointBatch`` (or on a single point), so that every check
+shares them.  ``ricci``, ``scalar_curvature`` and ``ricci_operator``
+read it and return numpy values.
 """
 
 from __future__ import annotations
@@ -27,17 +28,8 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from .ad import jet2, lift2, read2, split, value_and_gradient, value_of, vlift
-from .geometry import (
-    ChartPoint,
-    MetricField,
-    PointBatch,
-    ScalarField,
-    VectorField,
-    as_chart_point,
-    coords_of,
-    stack,
-)
+from .ad import jet2, lift2, read2, split, value_and_gradient, vlift
+from .geometry import MetricField, PointBatch, ScalarField, VectorField, stack
 from .tensors import mat_inverse, mat_vec, sym2_norm_sq, trace_pair, vec_dot
 
 SYMMETRY_TOL = 1e-12
@@ -70,17 +62,6 @@ class Sym2Tensor:
 
     def __getitem__(self, ij):
         return float(self.components[ij])
-
-
-@dataclass(frozen=True)
-class CurvatureBundle:
-    """All pointwise curvature data needed by the soliton residuals."""
-
-    christoffel: np.ndarray  # Gamma^k_ij indexed [k][i][j]
-    ricci: Sym2Tensor
-    scalar: float
-    ricci_norm_sq: float
-    at: ChartPoint
 
 
 # -- generic core (float or dual coordinates) ------------------------------
@@ -143,6 +124,13 @@ def scalar_curvature_generic(g: MetricField, x):
     gm = g.matrix(x)
     ginv = mat_inverse(gm)
     return trace_pair(ginv, ricci_generic(g, x))
+
+
+def scalar_curvature_field(g: MetricField) -> ScalarField:
+    """The scalar-curvature map as a differentiable scalar field."""
+    return ScalarField(
+        lambda x: scalar_curvature_generic(g, x), g.domain, name="scalar-curvature"
+    )
 
 
 def covariant_hessian(gamma, df, ddf):
@@ -375,12 +363,6 @@ def curvature_data(g: MetricField, p) -> CurvatureData:
 
 # -- public API -------------------------------------------------------------
 
-def christoffel(g: MetricField, p) -> np.ndarray:
-    """Levi-Civita connection coefficients Gamma^k_ij at a point."""
-    gamma = christoffel_generic(g, coords_of(p))
-    return np.array(gamma, dtype=float)
-
-
 def ricci(g: MetricField, p) -> Sym2Tensor:
     """Ric at a point, or at each point of a batch."""
     return Sym2Tensor.from_matrix(curvature_data(g, p).ricci)
@@ -392,10 +374,6 @@ def scalar_curvature(g: MetricField, p):
     return batch.values(curvature_data(g, batch).scalar)
 
 
-def ricci_norm_sq(g: MetricField, p) -> float:
-    return float(value_of(curvature_data(g, p).ricci_norm_sq))
-
-
 def ricci_operator(g: MetricField, p) -> np.ndarray:
     """(1,1) Ricci operator Q^i_j = g^{ik} R_kj; g-self-adjoint.  Shape
     (n, n), or (n, n, m) over a batch."""
@@ -405,57 +383,3 @@ def ricci_operator(g: MetricField, p) -> np.ndarray:
     ric = np.atleast_3d(batch.matrix(Sym2Tensor.from_matrix(data.ricci).components))
     q = np.moveaxis(ginv, -1, 0) @ np.moveaxis(ric, -1, 0)  # one product per point
     return np.moveaxis(q, 0, -1).reshape((g.domain.dim,) * 2 + batch.shape)
-
-
-def curvature_bundle(g: MetricField, p) -> CurvatureBundle:
-    data = curvature_data(g, p)
-    return CurvatureBundle(
-        christoffel=np.array(data.christoffel, dtype=float),
-        ricci=Sym2Tensor.from_matrix(data.ricci),
-        scalar=float(value_of(data.scalar)),
-        ricci_norm_sq=float(value_of(data.ricci_norm_sq)),
-        at=as_chart_point(p),
-    )
-
-
-def hessian(g: MetricField, f: ScalarField, p) -> Sym2Tensor:
-    return Sym2Tensor.from_matrix(hessian_generic(g, f, coords_of(p)))
-
-
-def laplacian(g: MetricField, f: ScalarField, p) -> float:
-    return float(value_of(laplacian_generic(g, f, coords_of(p))))
-
-
-def gradient(g: MetricField, f: ScalarField, p) -> np.ndarray:
-    """Contravariant gradient components (grad f)^i = g^{ij} d_j f."""
-    up, _, _ = gradient_generic(g, f, coords_of(p))
-    return np.array([float(value_of(v)) for v in up])
-
-
-def grad_norm_sq(g: MetricField, f: ScalarField, p) -> float:
-    return float(value_of(grad_norm_sq_generic(g, f, coords_of(p))))
-
-
-def lie_derivative_metric(g: MetricField, X: VectorField, p) -> Sym2Tensor:
-    return Sym2Tensor.from_matrix(lie_metric_generic(g, X, coords_of(p)))
-
-
-def scalar_curvature_field(g: MetricField) -> ScalarField:
-    """The scalar-curvature map as a differentiable scalar field."""
-    return ScalarField(
-        lambda x: scalar_curvature_generic(g, x), g.domain, name="scalar-curvature"
-    )
-
-
-def grad_scalar_curvature(g: MetricField, p) -> np.ndarray:
-    """Coordinate partials d_i R (third metric derivatives inside)."""
-    x = coords_of(p)
-    rf = scalar_curvature_field(g)
-    _, dR = value_and_gradient(rf.fn, x)
-    return np.array([float(value_of(v)) for v in dR])
-
-
-def laplacian_scalar_curvature(g: MetricField, p) -> float:
-    """Delta R, reaching fourth metric derivatives through the R field."""
-    rf = scalar_curvature_field(g)
-    return float(value_of(laplacian_generic(g, rf, coords_of(p))))

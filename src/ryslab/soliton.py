@@ -22,16 +22,9 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .ad import split, value_of, vlift
+from .ad import split, vlift
 from .curvature import Sym2Tensor, curvature_data, lie_metric_generic
-from .geometry import (
-    MetricField,
-    OneFormField,
-    PointBatch,
-    ScalarField,
-    VectorField,
-    coords_of,
-)
+from .geometry import MetricField, OneFormField, PointBatch, ScalarField, VectorField
 from .errors import AlphaZero, DegenerateBeta
 
 STEADY_TOL = 1e-12
@@ -56,22 +49,6 @@ class SolitonParams:
         for name in ("alpha", "beta", "lam", "mu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"parameter {name} must be finite")
-
-    @property
-    def is_proper(self) -> bool:
-        return self.alpha not in (0.0, 1.0)
-
-    @property
-    def is_ricci_soliton(self) -> bool:
-        return (self.alpha, self.beta) == (1.0, 0.0)
-
-    @property
-    def is_yamabe_soliton(self) -> bool:
-        return (self.alpha, self.beta) == (0.0, 2.0)
-
-    def rho_einstein_factor(self) -> Optional[float]:
-        """rho with (alpha, beta) = (1, 2*rho), if this is that family."""
-        return self.beta / 2.0 if self.alpha == 1.0 else None
 
 
 def classify(params: SolitonParams, tol: float = STEADY_TOL) -> SolitonClass:
@@ -250,13 +227,3 @@ def concircular_conclusions(
         "eigenvalue_pred": eigen_pred,
         "class": _CLASS_ORDER[order],
     }
-
-
-def phi_constancy(phi: ScalarField, points, tol: float = 1e-9) -> float:
-    """Max variation of a concircular factor over samples.
-
-    Conclusions that need a constant factor check this first; the
-    Bianchi argument forces constancy, it is never assumed.
-    """
-    vals = [float(value_of(phi(coords_of(p)))) for p in points]
-    return max(vals) - min(vals)

@@ -6,8 +6,8 @@ import pytest
 from ryslab import catalog
 from ryslab import curvature as cv
 from ryslab.errors import NotSPD
-from ryslab.geometry import sample_points
-from ryslab.soliton import defining_residual
+from ryslab.geometry import constant_scalar, sample_points
+from ryslab.soliton import SolitonInstance, SolitonKind, SolitonParams, defining_residual
 
 
 def test_stable_entry_names():
@@ -50,15 +50,34 @@ def test_entry_metrics_are_spd_on_samples():
 
 
 def test_default_instances_are_solitons():
-    for entry in catalog.catalog_entries():
-        for inst in entry.instances:
-            for p in sample_points(inst.metric.domain, 5, seed=3):
-                assert defining_residual(inst, p).max_abs() < 1e-9, entry.name
+    """Every verify case's default instance, and the balanced round spheres
+    of radius 0.5 and 2 (constant potential, lam = -2 / radius^2)."""
+    instances = [
+        spec.build(spec.defaults)
+        for spec in catalog.verify_cases().values()
+        if spec.build is not None
+    ]
+    for radius in (0.5, 2.0):
+        metric = catalog.sphere_entry(radius).metric
+        instances.append(
+            SolitonInstance(
+                SolitonParams(1.0, 0.0, -2.0 / (radius * radius)),
+                metric,
+                SolitonKind.GRYS,
+                potential=constant_scalar(metric.domain, 0.0),
+            )
+        )
+    for inst in instances:
+        for p in sample_points(inst.metric.domain, 5, seed=3):
+            assert defining_residual(inst, p).max_abs() < 1e-9, inst.metric.name
 
 
 def test_gaussian_entry_closed_form():
-    inst = catalog.gaussian_entry().instances[0]
+    spec = catalog.verify_cases()["gaussian"]
+    inst = spec.build(spec.defaults)
     assert inst.params.lam == 2.0
+    assert inst.entry is catalog.gaussian_entry()
+    assert inst.metric is catalog.gaussian_entry().metric
     for p in sample_points(inst.metric.domain, 10, seed=4):
         assert defining_residual(inst, p).max_abs() < 1e-12
 
@@ -69,7 +88,7 @@ def test_cylinder_ricci_annihilates_line_direction():
     f = catalog.coordinate_potential(entry.metric.domain, 2)
     for p in sample_points(entry.metric.domain, 5, seed=5):
         ric = cv.ricci(entry.metric, p).components
-        up = cv.gradient(entry.metric, f, p)
+        up = np.array(cv.curvature_data(entry.metric, p).gradient_up(f))
         assert abs(up @ ric @ up) < 1e-10
 
 

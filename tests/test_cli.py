@@ -286,6 +286,7 @@ class TestParseTimeValidation:
             ["solve", "--background", "sphere", "--radius", "1e-154"],
             ["solve", "--r-max", "1e300", "--grid", "16"],
             ["solve", "--background", "sphere", "--radius", "1e-150", "--lambda", "-2"],
+            ["solve", "--background", "sphere", "--lambda", "-2", "--r-max", "10"],
         ],
         ids=[
             "points-zero",
@@ -313,6 +314,7 @@ class TestParseTimeValidation:
             "solve-radius-curvature-overflow",
             "solve-r-max-stencil-overflow",
             "solve-radius-coefficient-overflow",
+            "solve-sphere-past-antipode",
         ],
     )
     def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
@@ -322,6 +324,14 @@ class TestParseTimeValidation:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+
+def test_sphere_grid_short_of_the_antipode_parses():
+    """--r-max 6 stays below pi * radius = 6.28 on the radius-2 sphere."""
+    args = cli.build_parser().parse_args(
+        ["solve", "--background", "sphere", "--radius", "2", "--r-max", "6"]
+    )
+    assert cli._solve_problem(args) is None
 
 
 def test_size_ceilings_parse():

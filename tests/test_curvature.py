@@ -22,6 +22,10 @@ def flat3():
     return catalog.flat_entry(3).metric
 
 
+def christoffel(g, p):
+    return np.array(cv.curvature_data(g, p).christoffel, dtype=float)
+
+
 def s2_polar():
     dom = ChartDomain(2, ((0.3, math.pi - 0.3), (0.0, 2.0)), "s2-polar")
     return MetricField(
@@ -33,12 +37,12 @@ class TestChristoffel:
     def test_flat_vanishes(self):
         g = flat3()
         for p in sample_points(g.domain, 5, seed=1):
-            assert np.max(np.abs(cv.christoffel(g, p))) == 0.0
+            assert np.max(np.abs(christoffel(g, p))) == 0.0
 
     def test_round_sphere_polar_component(self):
         """Gamma^theta_{phi phi} = -sin(theta)cos(theta) = -sqrt(3)/4 at pi/3."""
         g = s2_polar()
-        gamma = cv.christoffel(g, (math.pi / 3, 0.5))
+        gamma = christoffel(g, (math.pi / 3, 0.5))
         assert abs(gamma[0][1][1] + math.sqrt(3) / 4) < 1e-12
 
     def test_scale_invariance(self):
@@ -50,7 +54,7 @@ class TestChristoffel:
         )
         p = (1.1, 0.4)
         assert np.allclose(
-            cv.christoffel(g, p), cv.christoffel(scaled, p), atol=1e-12
+            christoffel(g, p), christoffel(scaled, p), atol=1e-12
         )
 
 
@@ -116,7 +120,7 @@ class TestRicciAndScalar:
         p = (0.2, 0.1, -0.4)
         assert abs(cv.scalar_curvature(scaled, p) - 6.0 / c2) < 1e-9
         assert np.allclose(
-            cv.christoffel(scaled, p), cv.christoffel(g, p), atol=1e-12
+            christoffel(scaled, p), christoffel(g, p), atol=1e-12
         )
 
     def test_ricci_operator_self_adjoint(self):
@@ -130,11 +134,14 @@ class TestRicciAndScalar:
     def test_ricci_norm_nonnegative(self):
         g = catalog.sphere_entry(1.0).metric
         p = (0.3, 0.0, 0.2)
-        norm = cv.ricci_norm_sq(g, p)
-        assert abs(norm - 12.0) < 1e-6  # |2g|^2 = 4*n on the unit 3-sphere
-        bundle = cv.curvature_bundle(g, p)
-        assert abs(bundle.ricci_norm_sq - norm) < 1e-9
-        assert abs(bundle.scalar - 6.0) < 1e-7
+        data = cv.curvature_data(g, p)
+        assert abs(data.ricci_norm_sq - 12.0) < 1e-6  # |2g|^2 = 4*n on the unit 3-sphere
+        assert abs(data.scalar - 6.0) < 1e-7
+
+
+def grad_norm_sq(data, f):
+    """|grad f|^2 = (grad f)^i d_i f."""
+    return sum(u * d for u, d in zip(data.gradient_up(f), data.jet(f)[1]))
 
 
 class TestHessianFamily:
@@ -144,19 +151,20 @@ class TestHessianFamily:
             lambda x: 0.5 * (x[0] ** 2 + x[1] ** 2 + x[2] ** 2), g.domain, "r2/2"
         )
         p = (0.3, -0.5, 0.1)
-        assert np.allclose(cv.hessian(g, f, p).components, np.eye(3), atol=1e-12)
-        assert abs(cv.laplacian(g, f, p) - 3.0) < 1e-12
+        data = cv.curvature_data(g, p)
+        assert np.allclose(data.hessian(f), np.eye(3), atol=1e-12)
+        assert abs(data.laplacian(f) - 3.0) < 1e-12
         r2 = sum(c * c for c in p)
-        assert abs(cv.grad_norm_sq(g, f, p) - r2) < 1e-12
-        assert np.allclose(cv.gradient(g, f, p), np.array(p), atol=1e-12)
+        assert abs(grad_norm_sq(data, f) - r2) < 1e-12
+        assert np.allclose(data.gradient_up(f), np.array(p), atol=1e-12)
 
     def test_constant_potential(self):
         g = flat3()
         f = ScalarField(lambda x: 4.2, g.domain, "const")
-        p = (0.1, 0.2, 0.3)
-        assert cv.hessian(g, f, p).max_abs() == 0.0
-        assert cv.laplacian(g, f, p) == 0.0
-        assert cv.grad_norm_sq(g, f, p) == 0.0
+        data = cv.curvature_data(g, (0.1, 0.2, 0.3))
+        assert np.max(np.abs(data.hessian(f))) == 0.0
+        assert data.laplacian(f) == 0.0
+        assert grad_norm_sq(data, f) == 0.0
 
     def test_sphere_eigenfunction(self):
         """An ambient coordinate restricted to the unit sphere satisfies
@@ -171,23 +179,28 @@ class TestHessianFamily:
         f = ScalarField(first_ambient, g.domain, "ambient-x")
         for p in sample_points(entry.charts[0], 5, seed=8):
             fv = first_ambient(list(p.coords))
-            hess = cv.hessian(g, f, p).components
+            data = cv.curvature_data(g, p)
+            hess = np.array(data.hessian(f))
             gm = g.matrix_np(p.coords)
             assert np.max(np.abs(hess + fv * gm)) < 1e-9
-            assert abs(cv.laplacian(g, f, p) + 3.0 * fv) < 1e-9
+            assert abs(data.laplacian(f) + 3.0 * fv) < 1e-9
+
+
+def lie_derivative(g, X, p):
+    return np.array(cv.lie_metric_generic(g, X, list(p)), dtype=float)
 
 
 class TestLieDerivative:
     def test_zero_field(self):
         g = flat3()
         X = VectorField(lambda x: [0.0, 0.0, 0.0], g.domain, "zero")
-        assert cv.lie_derivative_metric(g, X, (0.1, 0.2, 0.3)).max_abs() == 0.0
+        assert np.max(np.abs(lie_derivative(g, X, (0.1, 0.2, 0.3)))) == 0.0
 
     def test_position_field_flat(self):
         g = flat3()
         X = VectorField(lambda x: list(x), g.domain, "position")
         p = (0.4, -0.2, 0.6)
-        lie = cv.lie_derivative_metric(g, X, p).components
+        lie = lie_derivative(g, X, p)
         assert np.allclose(lie, 2.0 * np.eye(3), atol=1e-12)
 
     def test_gradient_field_gives_twice_hessian(self):
@@ -202,8 +215,8 @@ class TestLieDerivative:
 
         X = VectorField(grad_up, g.domain, "grad-f")
         for p in sample_points(g.domain, 4, seed=23):
-            lie = cv.lie_derivative_metric(g, X, p).components
-            hess = cv.hessian(g, f, p).components
+            lie = lie_derivative(g, X, p.coords)
+            hess = np.array(cv.curvature_data(g, p).hessian(f))
             scale = 1.0 + np.max(np.abs(hess))
             assert np.max(np.abs(lie - 2.0 * hess)) <= 1e-9 * scale
 
@@ -212,9 +225,10 @@ class TestScalarCurvatureDerivatives:
     def test_einstein_entries_have_constant_r(self):
         for entry in (catalog.sphere_entry(1.0), catalog.hyperbolic_entry()):
             g = entry.metric
-            p = sample_points(entry.charts[0], 1, seed=11)[0]
-            assert np.max(np.abs(cv.grad_scalar_curvature(g, p))) < 1e-5
-            assert abs(cv.laplacian_scalar_curvature(g, p)) < 1e-5
+            data = cv.curvature_data(g, sample_points(entry.charts[0], 1, seed=11)[0])
+            _, dR, _ = data.jet(data.scalar_field)
+            assert np.max(np.abs(dR)) < 1e-5
+            assert abs(data.laplacian(data.scalar_field)) < 1e-5
 
     def test_grad_r_matches_fd_oracle(self):
         """Differentiating the scalar-curvature map agrees with Richardson
@@ -225,7 +239,7 @@ class TestScalarCurvatureDerivatives:
         steps = [0.5 * h for h in g.domain.fd_steps()]
         for p in sample_points(g.domain, 3, seed=32):
             x = list(p.coords)
-            grad = cv.grad_scalar_curvature(g, p)
+            _, grad = ad.value_and_gradient(rf.fn, x)
             for i in range(3):
                 fd = ad.fd_derive(rf.fn, x, (i,), steps)
                 assert abs(grad[i] - fd) <= 1e-6 * (1 + abs(grad[i]))
