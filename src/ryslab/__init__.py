@@ -1,7 +1,7 @@
 """Numerical laboratory for Ricci-Yamabe soliton geometry on coordinate charts.
 
 The package represents metrics and potentials as closed-form component
-functions, runs the full curvature pipeline through a nested forward-mode
+functions, runs the full curvature pipeline through a Taylor-mode
 differentiation core (exact to rounding up to fourth order), and checks
 the defining soliton equations together with every identity they imply,
 pointwise on catalog geometries and integrally on compact ones.

@@ -1,116 +1,299 @@
 """Forward-mode automatic differentiation for chart functions.
 
-Two lift types carry every derivative.  Mixed partials up to total order
-4 nest first-order :class:`VDual` numbers, one level per differentiation:
-``vlift`` lifts in all n directions, ``derive`` in the one direction of
-each index, and ``split`` reads a lifted result.  At every level *all*
-coordinates are lifted into fresh duals, so any value flowing through the
-target function is either a plain number or a dual of the current level;
-no perturbation mixing between levels can occur.
-
-Second order has its own Taylor jet, :class:`Jet2` (value, gradient and
-packed Hessian as stacked arrays), which is always the innermost level:
-``lift2``/``read2``/``jet2`` use it, and outer VDual levels may be lifted
-over it (a third or fourth derivative).
-
-A Richardson-extrapolated central-difference backend is provided as an
-independent cross-check for orders up to 3.
-
-Component functions must be written against the math wrappers exported
-here (``sin``, ``exp``, ...), which accept plain floats and duals alike.
+:class:`Taylor` holds the normalised coefficients f_alpha = d^alpha f / alpha!
+of a truncated multivariate Taylor polynomial, packed by total degree in one
+array.  One evaluation on ``lift(x, order)`` coordinates carries every mixed
+partial up to that order; ``partial`` (a coefficient shift), ``split`` and
+``value_of`` read them.  ``vlift`` is the order-1 lift; ``derive`` is an
+oracle that lifts one fresh variable per differentiation.  :class:`Jet2`
+(``lift2``/``read2``/``jet2``) is a closed-form second-order jet in separate
+arrays, faster and leaner on large node sets; the two do not mix.
+``fd_derive`` (Richardson differences) checks orders up to 3.  Component
+functions use the math wrappers here (``sin``, ``exp``, ...), which take
+floats, columns and lifts alike.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import OrderTooHigh
 
 MAX_ORDER = 4
+CHUNK = 1024  # points per lifted pass (curvature lifts larger batches in chunks)
+_scratch = threading.local()
 
 
-class VDual:
-    """Vector-mode dual number: value plus one derivative per direction.
+# -- index tables, built once per (n, order) on first use -------------------
 
-    A single lifted evaluation yields all n first partials at once,
-    which is what the curvature pipeline wants (it always needs full
-    coordinate gradients); ``derive`` lifts in one direction per level.
-    Components may be floats, (m,) columns (numpy defers to these operators
-    because __array_ufunc__ is None), Jet2s or nested VDuals.
-    """
+def _size(n, order):
+    return math.comb(n + order, order)
 
-    __slots__ = ("a", "b")
-    __array_ufunc__ = None
 
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b  # list, one entry per direction
+@lru_cache(maxsize=None)
+def _indices(n, order):
+    """Multi-indices of degree <= order by degree (so each order is a prefix;
+    the second order packs the upper triangle), and their positions."""
+    combos = (c for d in range(order + 1) for c in combinations_with_replacement(range(n), d))
+    idx = [tuple(c.count(i) for i in range(n)) for c in combos]
+    return idx, {alpha: k for k, alpha in enumerate(idx)}
 
-    def __repr__(self):
-        return f"VDual({self.a!r}, {self.b!r})"
+
+@lru_cache(maxsize=None)
+def _pairs(n, order, lo, hi):
+    """Pairs alpha + beta = gamma per gamma in slots lo:hi (alpha of lower
+    degree if lo > 0) for ``_convolve``: gather indices of each gamma's first
+    pair, then of each second pair, ... (most pairs first, so a rank is a
+    prefix), the spans of ranks 1, 2, ..., and the order restoring the
+    packing.  a_0 b_l + a_l b_0 sums as a product rule does."""
+    idx, pos = _indices(n, order)
+    factors = idx[:lo] if lo else idx
+    groups = [
+        [(pos[a], pos[r]) for a in factors if min(r := tuple(g - x for g, x in zip(gamma, a))) >= 0]
+        for gamma in idx[lo:hi]
+    ]
+    ranked = sorted(range(len(groups)), key=lambda k: -len(groups[k]))
+    ia, ib, spans = [], [], []
+    for rank in range(len(groups[ranked[0]])):
+        members = [groups[k][rank] for k in ranked if len(groups[k]) > rank]
+        if rank:
+            spans.append((len(ia), len(members)))
+        ia += [a for a, _ in members]
+        ib += [b for _, b in members]
+    return np.array(ia), np.array(ib), spans, np.argsort(ranked)
+
+
+def _convolve(a, b, table):
+    """Per gamma of ``table``, sum a_alpha b_beta over its pairs in order.
+    Batches of up to ``CHUNK`` points use a per-thread work array, so that
+    their products fault in no fresh pages; larger ones allocate their own."""
+    ia, ib, spans, restore = table
+    shape = (len(ia),) + a.shape[1:]
+    size = 2 * math.prod(shape)
+    work = np.empty(size) if math.prod(shape[1:]) > CHUNK else getattr(_scratch, "work", np.empty(0))
+    if work.size < size:
+        work = _scratch.work = np.empty(size)
+    pa, pb = work[:size].reshape((2,) + shape)
+    np.take(a, ia, axis=0, out=pa, mode="clip")
+    np.take(b, ib, axis=0, out=pb, mode="clip")
+    prod = np.multiply(pa, pb, out=pa)
+    for start, count in spans:
+        prod[:count] += prod[start : start + count]
+    return prod[restore]
+
+
+@lru_cache(maxsize=None)
+def _shift(n, order, i):
+    """Source slots and factors of (d_i f)_alpha = (alpha_i + 1) f_{alpha + e_i}."""
+    idx, pos = _indices(n, order)
+    low = idx[: _size(n, order - 1)]
+    src = [pos[tuple(a + (k == i) for k, a in enumerate(alpha))] for alpha in low]
+    return np.array(src), np.array([alpha[i] + 1.0 for alpha in low])
+
+
+class Taylor:
+    """Truncated Taylor polynomial in n variables (Griewank & Walther,
+    *Evaluating Derivatives*, ch. 13): ``c`` of shape (coefficients, *S),
+    floats at a point, (m,) columns over a batch.  Mixed orders truncate to
+    the lower one.  Values and first-order slots round as a first-order dual
+    number's would; only higher orders carry the series' grouping."""
+
+    __slots__ = ("c", "n", "order")
+    __array_ufunc__ = None  # numpy defers to these operators
+
+    def __init__(self, c, n, order):
+        self.c = c
+        self.n = n
+        self.order = order
+
+    def _new(self, c, order=None):
+        return Taylor(c, self.n, self.order if order is None else order)
+
+    def truncate(self, order):
+        """Orders above ``order`` dropped, in an array of its own."""
+        return self if order >= self.order else self._new(self.c[: _size(self.n, order)].copy(), order)
+
+    def _pair(self, o):
+        p = min(self.order, o.order)
+        return self.c[: _size(self.n, p)], o.c[: _size(self.n, p)], p
+
+    def _with_value(self, c, value):
+        c[0] = value
+        return self._new(c)
 
     def __add__(self, o):
-        if isinstance(o, VDual):
-            return VDual(self.a + o.a, [x + y for x, y in zip(self.b, o.b)])
-        return VDual(self.a + o, self.b)
+        if isinstance(o, Taylor):
+            a, b, p = self._pair(o)
+            return self._new(a + b, p)
+        return self._with_value(self.c.copy(), self.c[0] + o)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        if isinstance(o, VDual):
-            return VDual(self.a - o.a, [x - y for x, y in zip(self.b, o.b)])
-        return VDual(self.a - o, self.b)
+        if isinstance(o, Taylor):
+            a, b, p = self._pair(o)
+            return self._new(a - b, p)
+        return self._with_value(self.c.copy(), self.c[0] - o)
 
     def __rsub__(self, o):
-        return VDual(o - self.a, [-x for x in self.b])
+        return self._with_value(-self.c, o - self.c[0])
 
     def __neg__(self):
-        return VDual(-self.a, [-x for x in self.b])
-
-    def __pos__(self):
-        return self
+        return self._new(-self.c)
 
     def __mul__(self, o):
-        if isinstance(o, VDual):
-            sa, oa = self.a, o.a
-            return VDual(
-                sa * oa, [sa * y + x * oa for x, y in zip(self.b, o.b)]
-            )
-        return VDual(self.a * o, [x * o for x in self.b])
+        if not isinstance(o, Taylor):
+            return self._new(self.c * o)
+        a, b, p = self._pair(o)
+        if p == 1:  # the product rule itself: no tables, no work arrays
+            return self._new(np.concatenate([a[:1] * b[:1], a[0] * b[1:] + a[1:] * b[0]]), p)
+        return self._new(_convolve(a, b, _pairs(self.n, p, 0, _size(self.n, p))), p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        if isinstance(o, VDual):
-            aa = self.a / o.a
-            return VDual(aa, [(x - aa * y) / o.a for x, y in zip(self.b, o.b)])
-        return VDual(self.a / o, [x / o for x in self.b])
+        if isinstance(o, Taylor):
+            return _quotient(self, o)
+        return self._new(self.c / o)
 
     def __rtruediv__(self, o):
-        aa = o / self.a
-        return VDual(aa, [-aa * x / self.a for x in self.b])
+        return _quotient(o, self)
 
     def __pow__(self, p):
-        if isinstance(p, VDual):
-            raise TypeError("dual exponents are not supported")
+        if isinstance(p, (Taylor, Jet2)):
+            raise TypeError("lifted exponents are not supported")
         if p == 0:
-            return VDual(self.a ** 0, [0.0] * len(self.b))
+            return self._with_value(np.zeros_like(self.c), self.c[0] ** 0)
         if p == 1:
             return self
-        fac = p * self.a ** (p - 1)
-        return VDual(self.a ** p, [fac * x for x in self.b])
+        a = self.c[0]
+        tower = [a**p, p * a ** (p - 1)]
+        for k in range(2, self.order + 1):
+            coef = math.prod(p - i for i in range(k)) / math.factorial(k)
+            tower.append(coef * a ** (p - k) if coef else 0.0)  # 0 past an integer power
+        return self._compose(tower)
 
     def __rpow__(self, base):
         return exp(self * math.log(base))
 
+    def partial(self, i):
+        """d_i, one order lower."""
+        src, fac = _shift(self.n, self.order, i)
+        return self._new(self.c[src] * fac.reshape((-1,) + (1,) * (self.c.ndim - 1)), self.order - 1)
+
+    def _compose(self, f):
+        """f(self) from f[k] = f^(k)(a) / k! at the value a: Horner in h =
+        self - a, then the value f[0] and first-order slots f[1] d_i self."""
+        out = h = self._with_value(self.c.copy(), 0.0)
+        if self.order:
+            acc = f[self.order]
+            for fk in f[self.order - 1 : 0 : -1]:
+                acc = h * acc + fk
+            out = h * acc
+            out.c[1 : self.n + 1] = f[1] * self.c[1 : self.n + 1]
+        out.c[0] = f[0]
+        return out
+
+
+def _quotient(a, b):
+    """a / b for a Taylor ``b`` and a Taylor or constant ``a``, degree by
+    degree: q_gamma = (a_gamma - sum q_beta b_{gamma - beta}) / b_0."""
+    lifted = isinstance(a, Taylor)
+    n, p = b.n, min(a.order, b.order) if lifted else b.order
+    q0 = (a.c[0] if lifted else a) / b.c[0]
+    q = np.empty((_size(n, p),) + np.shape(q0))
+    q[0] = q0
+    for d in range(1, p + 1):
+        lo, hi = _size(n, d - 1), _size(n, d)
+        s = _convolve(q, b.c, _pairs(n, p, lo, hi))
+        q[lo:hi] = ((a.c[lo:hi] - s) if lifted else -s) / b.c[0]
+    return Taylor(q, n, p)
+
+
+def _lifted(coords, n, order, directions):
+    """Coordinate j in n variables: value x_j, slots directions[j] set to 1."""
+    coords = list(coords)
+    if any(isinstance(c, (Taylor, Jet2)) for c in coords):
+        raise TypeError("lifts take float coordinates or columns, not lifted ones")
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    out = []
+    for x, slots in zip(coords, directions):
+        c = np.zeros((_size(n, order),) + shape)
+        c[0] = x
+        c[[1 + s for s in slots]] = 1.0
+        out.append(Taylor(c, n, order))
+    return out
+
+
+def lift(coords, order):
+    """Every coordinate (float or column) lifted to ``order``, slot e_k = 1."""
+    return _lifted(coords, len(coords), order, [[k] for k in range(len(coords))])
+
+
+def vlift(coords):
+    """The order-1 lift: one evaluation gives all n first partials."""
+    return lift(coords, 1)
+
+
+def _entrywise(v, fn, const):
+    """``fn`` of each Taylor entry of a nested list (once if shared)."""
+    seen = {}
+
+    def walk(x):
+        if isinstance(x, list):
+            return [walk(y) for y in x]
+        if not isinstance(x, Taylor):
+            return const(x)
+        if id(x) not in seen:
+            seen[id(x)] = fn(x)
+        return seen[id(x)]
+
+    return walk(v)
+
+
+def partial(v, i):
+    """d_i of a lifted result, entry by entry (0.0 for a constant)."""
+    return _entrywise(v, lambda t: t.partial(i), lambda x: 0.0)
+
+
+def truncate(v, order):
+    """A lifted result truncated to ``order``, entry by entry."""
+    return _entrywise(v, lambda t: t.truncate(order), lambda x: x)
+
+
+def _rows(a):
+    """Leading-axis entries: floats at a point, arrays over a batch."""
+    return a.tolist() if a.ndim == 1 else list(a)
+
+
+def split(v, n):
+    """``(value, parts)`` of a lifted result, ``parts[k]`` its first partial
+    in x_k (0.0 for a constant), copied; nested lists map entry by entry."""
+    if isinstance(v, list):
+        pairs = [split(x, n) for x in v]
+        return [a for a, _ in pairs], [[b[k] for _, b in pairs] for k in range(n)]
+    if isinstance(v, Taylor):
+        rows = _rows(v.c[: n + 1].copy())
+        return rows[0], rows[1:]
+    return v, [0.0] * n
+
+
+def value_of(v):
+    """The value of a lifted number (the number itself if not lifted)."""
+    if isinstance(v, Taylor):
+        return v.c[0]
+    return v.v if isinstance(v, Jet2) else v
+
 
 @lru_cache(maxsize=None)
 def _triangle(n):
-    """Row and column index of each packed upper-triangle slot (row-major,
-    i <= j), and the slot of every (i, j) as nested lists."""
+    """Row and column of each packed upper-triangle slot (row-major, i <= j),
+    and the slot of every (i, j) as nested lists."""
     rows, cols = np.triu_indices(n)
     slot = np.zeros((n, n), dtype=int)
     slot[rows, cols] = slot[cols, rows] = np.arange(len(rows))
@@ -118,18 +301,11 @@ def _triangle(n):
 
 
 class Jet2:
-    """Second-order Taylor jet in n coordinates (Griewank & Walther,
-    *Evaluating Derivatives*, ch. 13).
-
-    ``v`` is the value (a float, or an array of shape S over a batch),
-    ``g`` the gradient (n, *S) and ``h`` the upper triangle of the Hessian
-    packed row by row, (n(n+1)/2, *S).  Jet2 is always the innermost lift:
-    an operation with a VDual operand returns NotImplemented so
-    that the outer type carries the Jet2 in its components.  The product
-    and quotient rules group their terms as two nested VDual levels would
-    (hess[i][j] is the inner direction i of the outer direction j), so both
-    round alike.
-    """
+    """Second-order jet with closed-form rules, kept as separate arrays: value
+    ``v`` (a float or an array of shape S), gradient ``g`` (n, *S) and the
+    Hessian's packed upper triangle ``h`` (n(n+1)/2, *S), unnormalised.  On
+    tens of thousands of nodes it is faster and leaner than :class:`Taylor`
+    (an addend shares the parts it leaves unchanged)."""
 
     __slots__ = ("v", "g", "h")
     __array_ufunc__ = None
@@ -139,14 +315,9 @@ class Jet2:
         self.g = g
         self.h = h
 
-    def __repr__(self):
-        return f"Jet2({self.v!r}, {self.g!r}, {self.h!r})"
-
     def __add__(self, o):
         if isinstance(o, Jet2):
             return Jet2(self.v + o.v, self.g + o.g, self.h + o.h)
-        if isinstance(o, VDual):
-            return NotImplemented
         return Jet2(self.v + o, self.g, self.h)
 
     __radd__ = __add__
@@ -154,8 +325,6 @@ class Jet2:
     def __sub__(self, o):
         if isinstance(o, Jet2):
             return Jet2(self.v - o.v, self.g - o.g, self.h - o.h)
-        if isinstance(o, VDual):
-            return NotImplemented
         return Jet2(self.v - o, self.g, self.h)
 
     def __rsub__(self, o):
@@ -164,17 +333,12 @@ class Jet2:
     def __neg__(self):
         return Jet2(-self.v, -self.g, -self.h)
 
-    def __pos__(self):
-        return self
-
     def __mul__(self, o):
         if isinstance(o, Jet2):
             i, j = _triangle(len(self.g))[:2]
             a, b, ga, gb = self.v, o.v, self.g, o.g
             h = (a * o.h + ga[i] * gb[j]) + (ga[j] * gb[i] + self.h * b)
             return Jet2(a * b, a * gb + ga * b, h)
-        if isinstance(o, VDual):
-            return NotImplemented
         return Jet2(self.v * o, self.g * o, self.h * o)
 
     __rmul__ = __mul__
@@ -185,10 +349,7 @@ class Jet2:
             b, gb = o.v, o.g
             q = self.v / b
             dq = (self.g - q * gb) / b
-            h = ((self.h - (q * o.h + dq[i] * gb[j])) - dq[j] * gb[i]) / b
-            return Jet2(q, dq, h)
-        if isinstance(o, VDual):
-            return NotImplemented
+            return Jet2(q, dq, ((self.h - (q * o.h + dq[i] * gb[j])) - dq[j] * gb[i]) / b)
         return Jet2(self.v / o, self.g / o, self.h / o)
 
     def __rtruediv__(self, o):
@@ -199,14 +360,12 @@ class Jet2:
         return Jet2(q, dq, (((-q) * self.h - dq[i] * g[j]) - dq[j] * g[i]) / a)
 
     def __pow__(self, p):
-        if isinstance(p, (VDual, Jet2)):
-            raise TypeError("dual exponents are not supported")
+        if isinstance(p, (Taylor, Jet2)):
+            raise TypeError("lifted exponents are not supported")
         if p == 0:
             return Jet2(self.v**0, np.zeros_like(self.g), np.zeros_like(self.h))
-        if p == 1:
-            return self
         a = self.v
-        return _chain(self, a**p, p * a ** (p - 1), p * (p - 1) * a ** (p - 2))
+        return self if p == 1 else _chain(self, a**p, p * a ** (p - 1), p * (p - 1) * a ** (p - 2))
 
     def __rpow__(self, base):
         return exp(self * math.log(base))
@@ -218,118 +377,82 @@ def _chain(x, f0, f1, f2):
     return Jet2(f0, f1 * x.g, f1 * x.h + (f2 * x.g[i]) * x.g[j])
 
 
-def vlift(coords):
-    """Lift every coordinate into one vector-mode dual layer."""
-    n = len(coords)
-    return [
-        VDual(v, [1.0 if k == i else 0.0 for i in range(n)])
-        for k, v in enumerate(coords)
-    ]
+# -- elementary functions, float/column/lift polymorphic -------------------
 
-
-def split(v, n):
-    """``(value, parts)`` of a result of ``n``-direction VDual coordinates,
-    ``parts[k]`` its derivative in direction k (0.0 for a constant); nested
-    lists map entry by entry, so ``parts[k]`` has the shape of ``value``."""
-    if isinstance(v, list):
-        pairs = [split(x, n) for x in v]
-        return [a for a, _ in pairs], [[b[k] for _, b in pairs] for k in range(n)]
-    if isinstance(v, VDual):
-        return v.a, list(v.b)
-    return v, [0.0] * n
-
-
-def value_of(v):
-    """Collapse a dual tower to its underlying float value."""
-    while isinstance(v, VDual):
-        v = v.a
-    return v.v if isinstance(v, Jet2) else v
-
-
-# -- elementary functions, float/dual polymorphic -------------------------
-
-def _elementary(name, on_float, on_array, d1, d2):
-    """An elementary function of floats, columns, duals and jets.
-    ``d1(a, y)`` and ``d2(a, y)`` give its first and second derivative at
-    a value ``a`` (itself possibly a dual) where it takes the value ``y``."""
+def _elementary(name, on_float, on_array, tower):
+    """An elementary function; ``tower(a, y)`` gives f^(k)(a) / k!, k = 0..4,
+    at a value ``a`` where f takes the value ``y``."""
 
     def fn(x):
-        if isinstance(x, VDual):
-            y = fn(x.a)
-            c = d1(x.a, y)
-            return VDual(y, [c * v for v in x.b])
+        if isinstance(x, Taylor):
+            return x._compose(tower(x.c[0], fn(x.c[0])))
         if isinstance(x, Jet2):
-            y = fn(x.v)
-            return _chain(x, y, d1(x.v, y), d2(x.v, y))
-        return on_float(x) if type(x) is float else on_array(x)
+            f = tower(x.v, fn(x.v))
+            return _chain(x, f[0], f[1], 2.0 * f[2])
+        return on_float(x) if isinstance(x, float) else on_array(x)
 
     fn.__name__ = fn.__qualname__ = name
     return fn
 
 
-sin = _elementary("sin", math.sin, np.sin, lambda a, y: cos(a), lambda a, y: -y)
-cos = _elementary("cos", math.cos, np.cos, lambda a, y: -sin(a), lambda a, y: -y)
-tan = _elementary(
-    "tan", math.tan, np.tan, lambda a, y: 1.0 + y * y, lambda a, y: 2.0 * y * (1.0 + y * y)
-)
-exp = _elementary("exp", math.exp, np.exp, lambda a, y: y, lambda a, y: y)
-log = _elementary("log", math.log, np.log, lambda a, y: 1.0 / a, lambda a, y: -1.0 / (a * a))
-sqrt = _elementary("sqrt", math.sqrt, np.sqrt, lambda a, y: 0.5 / y, lambda a, y: -0.25 / (a * y))
-sinh = _elementary("sinh", math.sinh, np.sinh, lambda a, y: cosh(a), lambda a, y: y)
-cosh = _elementary("cosh", math.cosh, np.cosh, lambda a, y: sinh(a), lambda a, y: y)
-tanh = _elementary(
-    "tanh", math.tanh, np.tanh, lambda a, y: 1.0 - y * y, lambda a, y: -2.0 * y * (1.0 - y * y)
-)
-atan = _elementary(
-    "atan", math.atan, np.arctan, lambda a, y: 1.0 / (1.0 + a * a),
-    lambda a, y: -2.0 * a / ((1.0 + a * a) * (1.0 + a * a)),
-)
+def _cyclic(y, d, s):
+    """sin, cos (s = -1), exp, sinh, cosh (s = 1): f'' = s f, f' = d."""
+    return [y, d, 0.5 * s * y, s * d / 6.0, y / 24.0]
+
+
+def _tangent(y, s):
+    """tan (s = 1) and tanh (s = -1): f' = 1 + s f^2."""
+    t = 1.0 + s * y * y
+    return [y, t, s * y * t, s * t * (1.0 + 3.0 * s * y * y) / 3.0, y * t * (2.0 + 3.0 * s * y * y) / 3.0]
+
+
+def _atan_tower(a, y):
+    u = 1.0 / (1.0 + a * a)
+    return [y, u, -a * u * u, (3.0 * a * a - 1.0) * u**3 / 3.0, a * (1.0 - a * a) * u**4]
+
+
+sin = _elementary("sin", math.sin, np.sin, lambda a, y: _cyclic(y, cos(a), -1.0))
+cos = _elementary("cos", math.cos, np.cos, lambda a, y: _cyclic(y, -sin(a), -1.0))
+tan = _elementary("tan", math.tan, np.tan, lambda a, y: _tangent(y, 1.0))
+exp = _elementary("exp", math.exp, np.exp, lambda a, y: _cyclic(y, y, 1.0))
+log = _elementary("log", math.log, np.log, lambda a, y: [y] + [(-1.0) ** (k + 1) / (k * a**k) for k in range(1, 5)])
+sqrt = _elementary("sqrt", math.sqrt, np.sqrt, lambda a, y: [y, 0.5 / y] + [
+    c / (a**k * y) for k, c in enumerate((-0.125, 0.0625, -0.0390625), 1)])
+sinh = _elementary("sinh", math.sinh, np.sinh, lambda a, y: _cyclic(y, cosh(a), 1.0))
+cosh = _elementary("cosh", math.cosh, np.cosh, lambda a, y: _cyclic(y, sinh(a), 1.0))
+tanh = _elementary("tanh", math.tanh, np.tanh, lambda a, y: _tangent(y, -1.0))
+atan = _elementary("atan", math.atan, np.arctan, _atan_tower)
 
 
 # -- derivative drivers ----------------------------------------------------
 
+def _check_order(k):
+    if k > MAX_ORDER:
+        raise OrderTooHigh(f"derivative order {k} exceeds supported maximum {MAX_ORDER}")
+
+
 def derive(f, coords, index):
-    """Mixed partial d^k f / dx_{i1}...dx_{ik} at ``coords``.
-
-    ``coords`` entries may themselves be duals, in which case the result
-    is a dual tower carrying the dependence on the outer perturbations.
-    The index order is immaterial (mixed partials commute for the smooth
-    fields this package evaluates).
-    """
-    if len(index) > MAX_ORDER:
-        raise OrderTooHigh(
-            f"derivative order {len(index)} exceeds supported maximum {MAX_ORDER}"
-        )
-    g = f
-    for i in reversed(index):
-        g = _lift(g, i)
-    return g(list(coords))
-
-
-def _lift(f, direction):
-    def df(q):
-        lifted = [VDual(v, [1.0 if k == direction else 0.0]) for k, v in enumerate(q)]
-        return split(f(lifted), 1)[1][0]
-
-    return df
+    """d^k f / dx_{i1}...dx_{ik} by a hyper-dual lift, independent of the
+    packing it checks: x_j plus the fresh t_s with i_s = j, read at t_1..t_k."""
+    k = len(index)
+    _check_order(k)
+    if not k:
+        return f(list(coords))
+    directions = [[s for s, i in enumerate(index) if i == j] for j in range(len(coords))]
+    r = f(_lifted(coords, k, k, directions))
+    return _rows(r.c)[_indices(k, k)[1][(1,) * k]] if isinstance(r, Taylor) else 0.0
 
 
 def value_and_gradient(f, coords):
-    """Value and all first partials of ``f`` at ``coords`` in one
-    vector-mode pass."""
-    return split(f(vlift(list(coords))), len(coords))
+    """Value and all first partials of ``f`` at ``coords`` in one pass."""
+    return split(f(vlift(coords)), len(coords))
 
 
 def lift2(coords):
-    """Every coordinate lifted into a Jet2.
-
-    A function evaluated on these carries its value, gradient and second
-    partials; ``read2`` takes them out.  Work done on the lifted
-    coordinates (a chart embedding, say) can be shared by several fields.
-    Coordinates must be floats or columns: Jet2 is the innermost lift.
-    """
+    """Every coordinate (a float or a column) lifted into a Jet2; work on them
+    (a chart embedding) can serve several fields."""
     coords = list(coords)
-    if any(isinstance(c, (VDual, Jet2)) for c in coords):
+    if any(isinstance(c, (Taylor, Jet2)) for c in coords):
         raise TypeError("lift2 takes float coordinates or columns, not lifted ones")
     n = len(coords)
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
@@ -338,16 +461,9 @@ def lift2(coords):
     return [Jet2(c, unit[k], zero) for k, c in enumerate(coords)]
 
 
-def _rows(a):
-    """The leading-axis entries of a Jet2 part: floats at a point, arrays
-    over a batch."""
-    return a.tolist() if a.ndim == 1 else list(a)
-
-
 def read2(r, n):
     """Value, gradient and (exactly symmetric) second-partial matrix of a
-    result computed on ``lift2`` coordinates (zeros when it does not
-    depend on them)."""
+    result computed on ``lift2`` coordinates (zeros for a constant)."""
     if not isinstance(r, Jet2):
         zero = [0.0] * n
         return r, list(zero), [list(zero) for _ in range(n)]
@@ -356,48 +472,30 @@ def read2(r, n):
 
 
 def jet2(f, coords):
-    """Value, gradient, and full second-partial matrix in one Jet2
-    evaluation."""
+    """Value, gradient and second-partial matrix from one Jet2 evaluation."""
     return read2(f(lift2(coords)), len(coords))
 
 
 # -- finite-difference cross-check backend ---------------------------------
 
 def fd_partial(f, coords, direction, step):
-    """Central difference with two Richardson extrapolation levels.
-
-    Leading error of the base rule is O(h^2); two elimination rounds
-    leave O(h^6) truncation on smooth integrands.
-    """
+    """Central difference with two Richardson levels: O(h^6) on smooth f."""
     def central(h):
-        xp = list(coords)
-        xm = list(coords)
-        xp[direction] = xp[direction] + h
-        xm[direction] = xm[direction] - h
+        xp, xm = list(coords), list(coords)
+        xp[direction] += h
+        xm[direction] -= h
         return (f(xp) - f(xm)) / (2.0 * h)
 
-    d0 = central(step)
-    d1 = central(step / 2.0)
-    d2 = central(step / 4.0)
-    r0 = (4.0 * d1 - d0) / 3.0
-    r1 = (4.0 * d2 - d1) / 3.0
+    d0, d1, d2 = central(step), central(step / 2.0), central(step / 4.0)
+    r0, r1 = (4.0 * d1 - d0) / 3.0, (4.0 * d2 - d1) / 3.0
     return (16.0 * r1 - r0) / 15.0
 
 
 def fd_derive(f, coords, index, steps):
-    """Nested Richardson central differences for mixed partials.
-
-    ``steps`` gives the base step per coordinate.  Intended as an
-    independent oracle for orders <= 3; truncation/roundoff trade-off
-    makes order 4 unreliable, which is why the dual backend is primary.
-    """
-    if len(index) > MAX_ORDER:
-        raise OrderTooHigh(
-            f"derivative order {len(index)} exceeds supported maximum {MAX_ORDER}"
-        )
+    """Nested Richardson differences, base step ``steps[i]`` per coordinate:
+    an oracle for orders <= 3 (rounding makes order 4 unreliable)."""
+    _check_order(len(index))
     if not index:
         return f(list(coords))
     head, rest = index[0], index[1:]
-    return fd_partial(
-        lambda q: fd_derive(f, q, rest, steps), coords, head, steps[head]
-    )
+    return fd_partial(lambda q: fd_derive(f, q, rest, steps), coords, head, steps[head])

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import catalog, identities, quadrature, solver
 from .curvature import ricci, ricci_operator, scalar_curvature
-from .errors import AlphaZero, DegenerateBeta, NoConvergence, NotCompact, RysLabError
+from .errors import AlphaZero, BeyondAntipode, DegenerateBeta, NoConvergence, NotCompact, RysLabError
 from .geometry import PointBatch, sample_points
 from .report import VERSION, CheckRecord, CheckReport, RunConfig, write_atomic, write_report
 from .soliton import (
@@ -36,9 +36,10 @@ from .soliton import (
 
 
 PERTURBED_METRICS = 5
-# Every check holds all of a case's points in memory at once (the
-# fourth-order jet of R is the largest), so --points has a ceiling: at
-# 10,000 points a full `verify` peaks near 195 MB.
+# Every check holds all of a case's points in memory at once (curvature
+# lifts them to order 4 in chunks of ad.CHUNK points, but keeps every
+# read), so --points has a ceiling: at 10,000 points a full `verify` peaks
+# near 156 MB.
 MAX_POINTS = 10000
 # `solve` holds O(m) arrays (m = --grid; 6-wide stencils and a band factor):
 # 2048 intervals take under 0.1 s and peak near 34 MB.  The ceiling is set by
@@ -416,8 +417,8 @@ def _solve_problem(args):
     be represented (None if it can): the second-derivative stencil scale
     1 / (12 h^2) of the grid step h, and the squared soliton coefficient
     summed over the 2 (grid + 1) rows of both blocks, must be finite and
-    the scale nonzero, and a sphere grid must stop short of the antipode
-    r = pi * radius, where the warp radius * sin(r / radius) vanishes."""
+    the scale nonzero, and the solver must accept the grid on the
+    background (a sphere grid stops short of its antipode)."""
     grid = solver.make_grid(args.grid, r_max=args.r_max)
     h = float(grid[1] - grid[0])
     if not 0.0 < 12.0 * h * h < math.inf:
@@ -429,11 +430,10 @@ def _solve_problem(args):
             f"the soliton coefficient alpha c + lambda - beta R / 2 = {coef!r} "
             f"(--radius {args.radius!r}) squared over the grid is not finite"
         )
-    if args.background == "sphere" and args.r_max >= math.pi * args.radius:
-        return (
-            f"--r-max {args.r_max!r} reaches the antipode pi * radius = "
-            f"{math.pi * args.radius!r} of the sphere (--radius {args.radius!r})"
-        )
+    try:
+        solver.require_before_antipode(background, grid)
+    except BeyondAntipode as exc:
+        return f"--r-max {args.r_max!r}: {exc}"
     return None
 
 

@@ -1,24 +1,13 @@
-"""Curvature pipeline on coordinate charts.
+"""Curvature on coordinate charts: Christoffel symbols, Ricci tensor, scalar
+curvature, covariant Hessian, Laplacian, Lie derivative, Ricci operator and
+derivatives of R (round unit sphere: Ric = (n-1) g, R = n(n-1)).
 
-Christoffel symbols, Ricci tensor, scalar curvature, covariant Hessian,
-Laplacian, gradient, Lie derivative of the metric, Ricci operator, and
-derivatives of the scalar-curvature field.
-
-Sign convention: the Riemann contraction is chosen so the round unit
-sphere has Ric = (n-1) g and positive scalar curvature n(n-1).
-
-Every ``_generic`` helper accepts coordinates whose entries are floats or
-dual towers, which is how third and fourth derivatives of curvature
-quantities are produced: the scalar-curvature map itself is fed back
-through the forward-mode differentiator rather than expanding
-fourth-order tensor formulas; coordinate partials come from one
-evaluation on ``vlift`` coordinates, read by ``ad.split``.  The same
-helpers accept coordinate columns (float arrays of shape (m,)), which
-evaluates a whole batch of points in one pass.  ``curvature_data(g, p)``
-is the one way in: its ``CurvatureData`` holds every quantity of one
-metric on one ``PointBatch`` (or on a single point), so that every check
-shares them.  ``ricci``, ``scalar_curvature`` and ``ricci_operator``
-read it and return numpy values.
+The formulas take floats, coordinate columns (shape (m,): a batch in one
+pass) and ``ad.Taylor`` entries alike.  ``curvature_data(g, p)`` is the one
+way in: its ``CurvatureData`` evaluates the metric once per batch, lifted to
+``ad.MAX_ORDER``, builds g^{-1}, Gamma, Ric and R from it by the same
+formulas (each one order below its input) and reads every level a check
+needs off their coefficients.  ``*_generic`` read one at given coordinates.
 """
 
 from __future__ import annotations
@@ -28,7 +17,7 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from .ad import jet2, lift2, read2, split, value_and_gradient, vlift
+from .ad import CHUNK, MAX_ORDER, jet2, lift, partial, split, truncate, vlift
 from .geometry import MetricField, PointBatch, ScalarField, VectorField, stack
 from .tensors import mat_inverse, mat_vec, sym2_norm_sq, trace_pair, vec_dot
 
@@ -49,49 +38,28 @@ class Sym2Tensor:
         gap = np.max(np.abs(arr - swapped), axis=(0, 1))
         bad = gap > SYMMETRY_TOL * (1.0 + np.max(np.abs(arr), axis=(0, 1)))
         if np.any(bad):
-            worst = float(np.max(gap[bad]))
-            raise ValueError(f"matrix is not symmetric, antisymmetry {worst:.3e}")
+            raise ValueError(f"matrix is not symmetric, antisymmetry {float(np.max(gap[bad])):.3e}")
         return cls(0.5 * (arr + swapped))
-
-    @property
-    def n(self) -> int:
-        return self.components.shape[0]
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.components)))
 
-    def __getitem__(self, ij):
-        return float(self.components[ij])
 
+# -- formulas (floats, columns or Taylor entries) ----------------------------
 
-# -- generic core (float or dual coordinates) ------------------------------
-
-def metric_partials(g: MetricField, x):
-    """dg[l][i][j] = d g_ij / dx_l from one vector-lifted metric evaluation."""
-    return split(g.matrix(vlift(x)), g.domain.dim)[1]
-
-
-def christoffel_generic(g: MetricField, x):
-    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
-    n = g.domain.dim
-    gm = g.matrix(x)
-    ginv = mat_inverse(gm)
-    dg = metric_partials(g, x)
+def christoffel_from(ginv, dg):
+    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), from g^{-1}
+    and dg[l][i][j] = d_l g_ij."""
+    n = len(ginv)
     gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            # bracket_l = d_i g_jl + d_j g_il - d_l g_ij
             bracket = [dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in range(n)]
             for k in range(n):
                 v = 0.5 * sum(ginv[k][l] * bracket[l] for l in range(n))
                 gamma[k][i][j] = v
                 gamma[k][j][i] = v
     return gamma
-
-
-def christoffel_with_partials(g: MetricField, x):
-    """Gamma and dGamma[m][k][i][j] = d_m Gamma^k_ij from one lifted pass."""
-    return split(christoffel_generic(g, vlift(x)), g.domain.dim)
 
 
 def ricci_from(gamma, dgamma):
@@ -115,24 +83,6 @@ def ricci_from(gamma, dgamma):
     return ric
 
 
-def ricci_generic(g: MetricField, x):
-    """R_ij from the Riemann contraction; round spheres come out positive."""
-    return ricci_from(*christoffel_with_partials(g, x))
-
-
-def scalar_curvature_generic(g: MetricField, x):
-    gm = g.matrix(x)
-    ginv = mat_inverse(gm)
-    return trace_pair(ginv, ricci_generic(g, x))
-
-
-def scalar_curvature_field(g: MetricField) -> ScalarField:
-    """The scalar-curvature map as a differentiable scalar field."""
-    return ScalarField(
-        lambda x: scalar_curvature_generic(g, x), g.domain, name="scalar-curvature"
-    )
-
-
 def covariant_hessian(gamma, df, ddf):
     """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f from the partials of f."""
     n = len(df)
@@ -145,199 +95,208 @@ def covariant_hessian(gamma, df, ddf):
     return h
 
 
+# -- the same at float or column coordinates ---------------------------------
+
+def christoffel_generic(g: MetricField, x):
+    """Gamma alone, with dg from one order-1 lift (cheap on large grids)."""
+    return christoffel_from(mat_inverse(g.matrix(x)), split(g.matrix(vlift(x)), g.domain.dim)[1])
+
+
+def christoffel_with_partials(g: MetricField, x):
+    """(Gamma, dGamma[m][k][i][j] = d_m Gamma^k_ij)."""
+    return CurvatureData(g, x).connection
+
+
+def ricci_generic(g: MetricField, x):
+    return CurvatureData(g, x).ricci
+
+
+def ricci_with_partials(g: MetricField, x):
+    """(Ric, dric[k][i][j] = d_k R_ij)."""
+    d = CurvatureData(g, x)
+    return d.ricci, d.ricci_partials
+
+
+def scalar_curvature_generic(g: MetricField, x):
+    return CurvatureData(g, x).scalar
+
+
+def scalar_curvature_field(g: MetricField) -> ScalarField:
+    """R as a field of float or column coordinates (``CurvatureData`` reads
+    its derivatives off the metric's lift)."""
+    return ScalarField(lambda x: scalar_curvature_generic(g, x), g.domain, name="scalar-curvature")
+
+
 def hessian_generic(g: MetricField, f: ScalarField, x):
-    """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
+    """Hess f from one Jet2 pass of f and ``christoffel_generic``: the
+    arithmetic ``quadrature`` applies on its grids."""
     _, df, ddf = jet2(f.fn, x)
     return covariant_hessian(christoffel_generic(g, x), df, ddf)
 
 
 def laplacian_generic(g: MetricField, f: ScalarField, x):
-    ginv = mat_inverse(g.matrix(x))
-    return trace_pair(ginv, hessian_generic(g, f, x))
+    return trace_pair(mat_inverse(g.matrix(x)), hessian_generic(g, f, x))
 
 
 def gradient_generic(g: MetricField, f: ScalarField, x):
-    ginv = mat_inverse(g.matrix(x))
-    _, df = value_and_gradient(f.fn, x)
-    return mat_vec(ginv, df), df, ginv
+    """(grad f)^i, d_i f and g^{ij}."""
+    d = CurvatureData(g, x)
+    return d.gradient_up(f), d.jet(f)[1], d.inverse
 
 
 def grad_norm_sq_generic(g: MetricField, f: ScalarField, x):
-    up, df, _ = gradient_generic(g, f, x)
-    return vec_dot(up, df)
+    return vec_dot(*gradient_generic(g, f, x)[:2])
 
 
 def lie_metric_generic(g: MetricField, X: VectorField, x):
-    """(L_X g)_ij = d_i X_j + d_j X_i - 2 Gamma^k_ij X_k, X lowered by g."""
-    n = g.domain.dim
-
-    def lowered(q):
-        m = g.matrix(q)
-        xv = X(q)
-        return [sum(m[j][k] * xv[k] for k in range(n)) for j in range(n)]
-
-    low, dlow = split(lowered(vlift(x)), n)
-    gamma = christoffel_generic(g, x)
-    out = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = dlow[i][j] + dlow[j][i] - 2.0 * sum(
-                gamma[k][i][j] * low[k] for k in range(n)
-            )
-            out[i][j] = v
-            out[j][i] = v
-    return out
-
-
-def ricci_with_partials(g: MetricField, x):
-    """Ric together with dric[k][i][j] = d_k R_ij from one lifted pass."""
-    return split(ricci_generic(g, vlift(x)), g.domain.dim)
-
-
-def divergence_ricci_from(ginv, gamma, ric, dric):
-    """(div Ric)_i = g^{jk} nabla_k R_ij from Ric and its coordinate partials."""
-    n = len(ginv)
-    out = []
-    for i in range(n):
-        total = 0.0
-        for j in range(n):
-            for k in range(n):
-                cov = dric[k][i][j] - sum(
-                    gamma[l][k][i] * ric[l][j] + gamma[l][k][j] * ric[i][l]
-                    for l in range(n)
-                )
-                total = total + ginv[j][k] * cov
-        out.append(total)
-    return out
+    return CurvatureData(g, x).lie(X)
 
 
 # -- shared quantities of one batch ------------------------------------------
 
-def _per_field(build):
-    """A quantity of a scalar field, built once per batch, metric and field."""
+def _value(t):
+    """A lifted result read at its value, entry by entry."""
+    return split(t, 0)[0]
+
+
+def _stitch(parts):
+    """Per-chunk reads joined entry by entry, columns end to end; a constant
+    (a float, the same in every chunk) stays a float."""
+    first = parts[0]
+    if isinstance(first, (list, tuple)):
+        return type(first)(_stitch(list(p)) for p in zip(*parts))
+    return first if all(isinstance(p, float) for p in parts) else np.concatenate(parts)
+
+
+def _shared(build):
+    """A read of the batch (of a field, if ``build`` takes one), built once:
+    on each chunk, then stitched."""
 
     @wraps(build)
-    def quantity(self, f: ScalarField):
-        return self.batch.memo((build.__name__, self.g, f), lambda: build(self, f))
+    def read(self, *field):
+        key = (build.__name__,) + field
+        if key not in self._memo:
+            parts = [read(c, *field) for c in self._chunks or ()]
+            self._memo[key] = _stitch(parts) if parts else build(self, *field)
+        return self._memo[key]
 
-    return quantity
+    return read
+
+
+def _level(name):
+    """A metric level of the batch, read off ``_lifted``."""
+
+    def read(self):
+        return self._lifted[0][name]
+
+    read.__name__ = name
+    return property(_shared(read))
 
 
 class CurvatureData:
-    """Curvature of one metric on one batch of points, each quantity
-    computed on first use and then shared by every check that needs it.
+    """Curvature of one metric on one batch of points, each quantity built
+    on first use and shared by every check.
 
-    Each derivative level is one lifted evaluation: the connection
-    (Gamma, dGamma), Ricci's partials, the inverse metric's partials and,
-    per scalar field, its jet and the partials of its Hessian.  Gamma is
-    the value part of the connection's pass, which equals the float pass
-    bit for bit, and Ric is contracted from the connection.  Entries are
-    floats for a single point (``PointBatch.of``) and (m,) columns, or
-    plain floats where constant, for a batch.
+    g is evaluated once, lifted to ``MAX_ORDER``; g^{-1} (order 3), Gamma
+    (3), Ric (2) and R (2) follow, and each field is evaluated once on the
+    lift (to order 3).  Gamma, dGamma, Ric, dRic, R, grad R, Delta R, Hess f
+    and its partials, grad Delta f and Delta |grad f|^2 are coefficient
+    reads; g, g^{-1} and Gamma equal the float pass bit for bit.  Batches of
+    more than ``CHUNK`` points are lifted chunk by chunk and the reads
+    joined.  Entries are floats at a single point, and (m,) columns (plain
+    floats where constant) over a batch.
     """
 
-    def __init__(self, g: MetricField, batch: PointBatch):
+    def __init__(self, g: MetricField, x):
         self.g = g
-        self.batch = batch
-        self.x = list(batch.columns)
+        self.x = list(x)
+        self.n = g.domain.dim
+        self.scalar_field = scalar_curvature_field(g)
+        self._memo = {}
+        m = np.shape(self.x[0])[0] if np.ndim(self.x[0]) else 0
+        self._chunks = None
+        if m > CHUNK:
+            self._chunks = [CurvatureData(g, [c[s : s + CHUNK] for c in self.x]) for s in range(0, m, CHUNK)]
+            for chunk in self._chunks:
+                chunk.scalar_field = self.scalar_field  # R is read off, not evaluated
 
     @cached_property
-    def metric(self):
-        return self.g.matrix(self.x)
+    def _lifted(self):
+        """The metric's evaluation and the metric levels read off it.  Of the
+        polynomials only what the fields need is kept: g to order 1, g^{-1}
+        and Gamma to order 2, and R."""
+        gm = self.g.matrix(lift(self.x, MAX_ORDER))
+        ginv = mat_inverse(truncate(gm, MAX_ORDER - 1))
+        gamma = christoffel_from(ginv, [partial(gm, l) for l in range(self.n)])
+        dgamma = [partial(gamma, m) for m in range(self.n)]
+        ric = ricci_from(truncate(gamma, MAX_ORDER - 2), dgamma)
+        scalar = trace_pair(ginv, ric)
+        connection, (ricci, ricci_partials) = split(gamma, self.n), split(ric, self.n)
+        reads = dict(
+            metric=_value(gm), inverse=_value(ginv), connection=connection, christoffel=connection[0],
+            ricci=ricci, ricci_partials=ricci_partials, scalar=_value(scalar),
+        )
+        return reads, (truncate(gm, 1), truncate(ginv, 2), truncate(gamma, 2), scalar)
 
-    @cached_property
-    def inverse(self):
-        return mat_inverse(self.metric)
-
-    @cached_property
-    def inverse_partials(self):
-        """dginv[l][j][k] = d_l g^{jk} = -(g^{-1} (d_l g) g^{-1})^{jk}."""
-        ginv = self.inverse
-        n = len(ginv)
-        out = []
-        for dgl in metric_partials(self.g, self.x):
-            left = [
-                [sum(ginv[j][a] * dgl[a][b] for a in range(n)) for b in range(n)]
-                for j in range(n)
-            ]
-            out.append(
-                [
-                    [-sum(left[j][b] * ginv[b][k] for b in range(n)) for k in range(n)]
-                    for j in range(n)
-                ]
-            )
-        return out
-
-    @cached_property
-    def connection(self):
-        """(Gamma, dGamma), dGamma[m][k][i][j] = d_m Gamma^k_ij."""
-        return christoffel_with_partials(self.g, self.x)
-
-    @cached_property
-    def christoffel(self):
-        return self.connection[0]
-
-    @cached_property
-    def ricci(self):
-        return ricci_from(*self.connection)
-
-    @cached_property
-    def ricci_partials(self):
-        """dric[k][i][j] = d_k R_ij."""
-        return ricci_with_partials(self.g, self.x)[1]
-
-    @cached_property
-    def scalar(self):
-        return trace_pair(self.inverse, self.ricci)
+    metric = _level("metric")
+    inverse = _level("inverse")
+    connection = _level("connection")  # (Gamma, dGamma[m][k][i][j] = d_m Gamma^k_ij)
+    christoffel = _level("christoffel")
+    ricci = _level("ricci")
+    ricci_partials = _level("ricci_partials")  # dric[k][i][j] = d_k R_ij
+    scalar = _level("scalar")
 
     @cached_property
     def ricci_norm_sq(self):
         return sym2_norm_sq(self.inverse, self.ricci)
 
-    @_per_field
+    def _second(self, t):
+        """Partials, second partials and covariant Hessian of a lifted scalar."""
+        dt = [partial(t, i) for i in range(self.n)]
+        ddt = [partial(dt, j) for j in range(self.n)]
+        return dt, ddt, covariant_hessian(self._lifted[1][2], dt, ddt)
+
+    def _field(self, f: ScalarField):
+        """f on the lift (R read off g's) and ``_second`` of it, per chunk."""
+        if ("lifted", f) not in self._memo:
+            t = self._lifted[1][3] if f is self.scalar_field else f.fn(lift(self.x, MAX_ORDER - 1))
+            self._memo["lifted", f] = (t,) + self._second(t)
+        return self._memo["lifted", f]
+
+    @_shared
     def jet(self, f: ScalarField):
-        """Value, partials and second partials of ``f``, from one jet2 pass."""
-        return jet2(f.fn, self.x)
+        """Value, partials and second partials of ``f``."""
+        return tuple(_value(t) for t in self._field(f)[:3])
 
-    @_per_field
+    @_shared
     def hessian(self, f: ScalarField):
-        _, df, ddf = self.jet(f)
-        return covariant_hessian(self.christoffel, df, ddf)
+        return _value(self._field(f)[3])
 
-    @_per_field
+    @_shared
     def hessian_partials(self, f: ScalarField):
-        """dh[j][k][i] = d_j (Hess f)_{ki}
-        = d_j d_k d_i f - d_j Gamma^m_ki d_m f - Gamma^m_ki d_j d_m f,
-        the third partials of f from one vector lift over ``lift2``."""
-        n = self.g.domain.dim
-        gamma, dgamma = self.connection
-        r, dr = split(f.fn(vlift(lift2(self.x))), n)
-        _, df, ddf = read2(r, n)
-        third = [read2(d, n)[2] for d in dr]
-        dh = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-        for j in range(n):
-            for k in range(n):
-                for i in range(k, n):
-                    v = third[j][k][i] - sum(
-                        gamma[m][k][i] * ddf[j][m] + dgamma[j][m][k][i] * df[m]
-                        for m in range(n)
-                    )
-                    dh[j][k][i] = v
-                    dh[j][i][k] = v
-        return dh
+        """dh[j][k][i] = d_j (Hess f)_{ki}."""
+        return split(self._field(f)[3], self.n)[1]
 
-    @_per_field
+    @_shared
     def laplacian_partials(self, f: ScalarField):
-        """d_i Delta f, by the product rule on g^{jk} (Hess f)_jk."""
-        ginv, dginv = self.inverse, self.inverse_partials
-        hess, dh = self.hessian(f), self.hessian_partials(f)
-        n = len(ginv)
+        """d_i Delta f."""
+        return split(trace_pair(self._lifted[1][1], self._field(f)[3]), self.n)[1]
+
+    @_shared
+    def grad_norm_sq_laplacian(self, f: ScalarField):
+        """Delta |grad f|^2, with |grad f|^2 = g^{ij} d_i f d_j f on the lift."""
+        df = self._field(f)[1]
+        energy = vec_dot(mat_vec(self._lifted[1][1], df), df)
+        return trace_pair(self.inverse, _value(self._second(energy)[2]))
+
+    @_shared
+    def lie(self, X: VectorField):
+        """(L_X g)_ij = d_i X_j + d_j X_i - 2 Gamma^k_ij X_k, X on the order-1
+        lift lowered by the lifted g."""
+        gm, xv, gamma, n = self._lifted[1][0], X(lift(self.x, 1)), self.christoffel, self.n
+        low, dlow = split([sum(gm[j][k] * xv[k] for k in range(n)) for j in range(n)], n)
         return [
-            sum(
-                dginv[i][j][k] * hess[j][k] + ginv[j][k] * dh[i][j][k]
-                for j in range(n)
-                for k in range(n)
-            )
+            [dlow[i][j] + dlow[j][i] - 2.0 * sum(gamma[k][i][j] * low[k] for k in range(n)) for j in range(n)]
             for i in range(n)
         ]
 
@@ -348,17 +307,12 @@ class CurvatureData:
         """(grad f)^i = g^{ij} d_j f."""
         return mat_vec(self.inverse, self.jet(f)[1])
 
-    @cached_property
-    def scalar_field(self) -> ScalarField:
-        """R as a field; its jet gives R, grad R and Hess R (hence Delta R)."""
-        return scalar_curvature_field(self.g)
-
 
 def curvature_data(g: MetricField, p) -> CurvatureData:
     """The shared curvature data of ``g`` on a batch (one per batch and
     metric), or fresh data for a single point."""
     batch = PointBatch.of(p)
-    return batch.memo(("curvature", g), lambda: CurvatureData(g, batch))
+    return batch.memo(("curvature", g), lambda: CurvatureData(g, batch.columns))
 
 
 # -- public API -------------------------------------------------------------

@@ -49,6 +49,10 @@ class GridTooCoarse(RysLabError):
     """The radial grid has too few nodes for the finite-difference stencils."""
 
 
+class BeyondAntipode(RysLabError):
+    """A sphere grid reaches the antipode r = pi * radius, where the warp vanishes."""
+
+
 class NoConvergence(RysLabError):
     """The least-squares solve terminated above the residual tolerance.
 

@@ -3,7 +3,7 @@
 Every geometric object in the package is evaluated on a ``ChartDomain``,
 an open coordinate box.  Fields are closed-form component functions
 written against the polymorphic math wrappers in :mod:`ryslab.ad`, so a
-single definition serves plain evaluation and nested-dual
+single definition serves plain evaluation and Taylor-mode
 differentiation.  All evaluations are pure; the module is safe for
 concurrent read-only use.
 """
@@ -100,7 +100,7 @@ class PointBatch:
     floats.  Every check that takes a point also takes a batch; it then
     runs once over all points and returns arrays of shape (m,).
     Quantities that several checks need (the metric inverse, Ricci, the
-    defining residual, the jet of R) are kept in ``memo``, so each is
+    defining residual, the curvature data) are kept in ``memo``, so each is
     computed once per batch.
 
     ``PointBatch.of(p)`` wraps a single point as a batch whose columns are
@@ -168,8 +168,8 @@ def coords_of(p) -> list:
 
 
 def stack(m, shape=None) -> np.ndarray:
-    """Float values of a nested-list matrix whose entries are floats, dual
-    towers or (m,) columns, as an array of shape (n, n) + ``shape``.  By
+    """Float values of a nested-list matrix whose entries are floats, lifted
+    numbers or (m,) columns, as an array of shape (n, n) + ``shape``.  By
     default ``shape`` is that of the entries, so a matrix with one column
     entry gives (n, n, m) with its constant entries broadcast."""
     vals = [[np.asarray(ad.value_of(v), dtype=float) for v in row] for row in m]
@@ -270,7 +270,7 @@ def partial_derivative(field: ScalarField, p, multi_index, backend: str = "dual"
 
     ``multi_index`` lists coordinate indices, one per differentiation,
     total order at most 4; the empty index returns the plain value.  The
-    primary backend is nested forward-mode duals; ``backend='fd'``
+    primary backend is the hyper-dual lift of ``ad.derive``; ``backend='fd'``
     selects the Richardson central-difference cross-check.
     """
     index = tuple(multi_index)

@@ -24,13 +24,8 @@ from typing import Any
 
 import numpy as np
 
-from .ad import jet2, value_of  # noqa: F401 (bench/selftest.py looks up jet2 here)
-from .curvature import (  # noqa: F401 (bench/selftest.py looks up ricci_generic here)
-    curvature_data,
-    divergence_ricci_from,
-    grad_norm_sq_generic,
-    ricci_generic,
-)
+from .ad import jet2  # noqa: F401 (bench/selftest.py looks up jet2 here)
+from .curvature import curvature_data, ricci_generic  # noqa: F401 (bench/selftest.py looks up ricci_generic here)
 from .errors import DegenerateDenominator, NotASoliton, NotCompact
 from .geometry import ChartPoint, MetricField, PointBatch, ScalarField
 from .soliton import (
@@ -236,12 +231,6 @@ def check_scalar_constancy(
     }
 
 
-def _energy(g: MetricField, f: ScalarField) -> ScalarField:
-    return ScalarField(
-        lambda q: grad_norm_sq_generic(g, f, q), g.domain, name="|grad f|^2"
-    )
-
-
 def _ric_ff(ric, grad_up):
     """Ric(grad f, grad f)."""
     n = len(grad_up)
@@ -263,7 +252,7 @@ def check_splitting_identity(
     if abs(denom) <= 1e-12:
         raise DegenerateDenominator("alpha - beta(n-1) vanishes")
     batch, d = _soliton_data(inst, p, tol)
-    lhs = 0.5 * d.laplacian(_energy(g, f))
+    lhs = 0.5 * d.grad_norm_sq_laplacian(f)
     hess_sq = sym2_norm_sq(d.inverse, d.hessian(f))
     rhs = hess_sq + ((pr.beta - pr.alpha) / denom) * _ric_ff(d.ricci, d.gradient_up(f))
     return IdentityResidual.build("splitting-identity", lhs, rhs, batch)
@@ -291,30 +280,37 @@ def check_affine_splitting_flags(inst: SolitonInstance, points) -> dict:
 # -- universal identities ----------------------------------------------------
 #
 # These read the curvature levels of one batch from ``curvature_data``:
-# derivatives of traced quantities (grad R, grad Delta f) come from the
-# product rule on the already-built component partials.
+# derivatives of traced quantities (grad R, grad Delta f) are coefficients
+# of the batch's Taylor arithmetic.
+
+def _divergence_ricci(ginv, gamma, ric, dric):
+    """(div Ric)_i = g^{jk} nabla_k R_ij from Ric and its coordinate partials."""
+    n = len(ginv)
+    out = []
+    for i in range(n):
+        total = 0.0
+        for j in range(n):
+            for k in range(n):
+                cov = dric[k][i][j] - sum(
+                    gamma[l][k][i] * ric[l][j] + gamma[l][k][j] * ric[i][l]
+                    for l in range(n)
+                )
+                total = total + ginv[j][k] * cov
+        out.append(total)
+    return out
+
 
 def check_contracted_bianchi(g: MetricField, p) -> IdentityResidual:
     """div Ric = 1/2 grad R, the contracted second Bianchi identity."""
-    d = curvature_data(g, p)
-    n = g.domain.dim
-    ginv, dginv, ric, dric = d.inverse, d.inverse_partials, d.ricci, d.ricci_partials
-    div = [value_of(v) for v in divergence_ricci_from(ginv, d.christoffel, ric, dric)]
-    half_dR = [
-        0.5 * value_of(
-            sum(
-                dginv[i][j][k] * ric[j][k] + ginv[j][k] * dric[i][j][k]
-                for j in range(n)
-                for k in range(n)
-            )
-        )
-        for i in range(n)
-    ]
+    batch = PointBatch.of(p)
+    d = curvature_data(g, batch)
+    div = _divergence_ricci(d.inverse, d.christoffel, d.ricci, d.ricci_partials)
+    half_dR = [0.5 * v for v in d.jet(d.scalar_field)[1]]
     return IdentityResidual.build(
         "contracted-bianchi",
         _sup(div),
         _sup(half_dR),
-        d.batch,
+        batch,
         gap=_sup([a - b for a, b in zip(div, half_dR)]),
     )
 
@@ -332,25 +328,26 @@ def _rough_laplacian_df(ginv, gamma, hess, dh):
                     for m in range(n)
                 )
                 total = total + ginv[j][k] * cov
-        out.append(value_of(total))
+        out.append(total)
     return out
 
 
 def check_commutation(g: MetricField, f: ScalarField, p) -> IdentityResidual:
     """Delta grad_i f - grad_i Delta f = R_ij g^{jk} d_k f."""
-    d = curvature_data(g, p)
+    batch = PointBatch.of(p)
+    d = curvature_data(g, batch)
     n = g.domain.dim
     hess, dh = d.hessian(f), d.hessian_partials(f)
     lap_df = _rough_laplacian_df(d.inverse, d.christoffel, hess, dh)
     d_lap = d.laplacian_partials(f)
-    lhs = [lap_df[i] - value_of(d_lap[i]) for i in range(n)]
+    lhs = [lap_df[i] - d_lap[i] for i in range(n)]
     ric, grad_up = d.ricci, d.gradient_up(f)
-    rhs = [value_of(sum(ric[i][j] * grad_up[j] for j in range(n))) for i in range(n)]
+    rhs = [sum(ric[i][j] * grad_up[j] for j in range(n)) for i in range(n)]
     return IdentityResidual.build(
         "commutation",
         _sup(lhs),
         _sup(rhs),
-        d.batch,
+        batch,
         gap=_sup([a - b for a, b in zip(lhs, rhs)]),
     )
 
@@ -358,14 +355,15 @@ def check_commutation(g: MetricField, f: ScalarField, p) -> IdentityResidual:
 def check_bochner(g: MetricField, f: ScalarField, p) -> IdentityResidual:
     """1/2 Delta |grad f|^2 = |Hess f|^2 + Ric(grad f, grad f)
     + <grad f, grad Delta f>."""
-    d = curvature_data(g, p)
+    batch = PointBatch.of(p)
+    d = curvature_data(g, batch)
     n = g.domain.dim
-    lhs = 0.5 * value_of(d.laplacian(_energy(g, f)))
-    hess_sq = value_of(sym2_norm_sq(d.inverse, d.hessian(f)))
+    lhs = 0.5 * d.grad_norm_sq_laplacian(f)
+    hess_sq = sym2_norm_sq(d.inverse, d.hessian(f))
     grad_up, d_lap = d.gradient_up(f), d.laplacian_partials(f)
-    ric_ff = value_of(_ric_ff(d.ricci, grad_up))
-    cross = value_of(sum(grad_up[i] * d_lap[i] for i in range(n)))
-    return IdentityResidual.build("bochner", lhs, hess_sq + ric_ff + cross, d.batch)
+    ric_ff = _ric_ff(d.ricci, grad_up)
+    cross = sum(grad_up[i] * d_lap[i] for i in range(n))
+    return IdentityResidual.build("bochner", lhs, hess_sq + ric_ff + cross, batch)
 
 
 def universal_residuals(g: MetricField, f: ScalarField, p) -> list[IdentityResidual]:

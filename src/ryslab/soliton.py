@@ -23,7 +23,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .ad import split, vlift
-from .curvature import Sym2Tensor, curvature_data, lie_metric_generic
+from .curvature import Sym2Tensor, curvature_data
 from .geometry import MetricField, OneFormField, PointBatch, ScalarField, VectorField
 from .errors import AlphaZero, DegenerateBeta
 
@@ -112,7 +112,7 @@ def defining_residual(inst: SolitonInstance, p) -> Sym2Tensor:
     if inst.kind in (SolitonKind.GRYS, SolitonKind.GEN_GRYS):
         second = data.hessian(inst.potential)
     else:
-        lie = lie_metric_generic(inst.metric, inst.vector_field, data.x)
+        lie = data.lie(inst.vector_field)
         second = [[0.5 * lie[i][j] for j in range(n)] for i in range(n)]
 
     coef = pr.lam - 0.5 * pr.beta * data.scalar

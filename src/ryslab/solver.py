@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridTooCoarse, NoConvergence
+from .errors import BeyondAntipode, GridTooCoarse, NoConvergence
 from .soliton import SolitonParams
 
 MIN_INTERVALS = 16
@@ -123,6 +123,17 @@ def _require_grid(grid: np.ndarray) -> None:
     if len(grid) - 1 < MIN_INTERVALS:
         raise GridTooCoarse(
             f"need at least {MIN_INTERVALS} intervals, got {len(grid) - 1}"
+        )
+
+
+def require_before_antipode(background: Background, grid: np.ndarray) -> None:
+    """A sphere's warp radius * sin(r / radius) vanishes at r = pi * radius,
+    so a sphere grid must end before it."""
+    antipode = math.pi * background.radius
+    if background.name == "sphere" and grid[-1] >= antipode:
+        raise BeyondAntipode(
+            f"grid end r = {float(grid[-1])!r} reaches the antipode pi * radius = "
+            f"{antipode!r} of the sphere (radius {background.radius!r})"
         )
 
 
@@ -277,6 +288,7 @@ def solve_radial(
     Steps repeat while the cost does not rise, at most MAX_STEPS in all:
     refinement runs to the rounding floor, not just below the tolerance.
 
+    A sphere grid that reaches the antipode raises BeyondAntipode.
     Terminates successfully when the sup norm of the soliton blocks is
     at most RESIDUAL_TOL; raises NoConvergence with the final iterate
     attached otherwise, and with the initial iterate when the normal
@@ -288,6 +300,7 @@ def solve_radial(
     """
     grid = np.asarray(grid, dtype=float)
     _require_grid(grid)
+    require_before_antipode(background, grid)
     if init is None:
         values = np.zeros_like(grid)
     else:

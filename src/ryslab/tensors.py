@@ -1,6 +1,6 @@
-"""Small dense linear algebra generic over floats and dual towers.
+"""Small dense linear algebra generic over floats and lifted numbers.
 
-The curvature pipeline must run at dual-number points (that is how
+The curvature pipeline runs on Taylor-lifted coordinates (that is how
 derivatives of curvature are taken), so inversion and contractions are
 written for nested lists of floats, (m,) columns or :mod:`ryslab.ad`
 lifts.  Conditioning checks use the float value part only.

@@ -1,5 +1,6 @@
 """Differentiation backend tests against hand-computed oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -216,21 +217,6 @@ def test_read2_hessian_is_exactly_symmetric():
                 assert np.array_equal(hess[i][j], hess[j][i])
 
 
-def test_jet2_defers_to_outer_duals():
-    """A Jet2 meeting a VDual is a constant of that outer level:
-    the result has the outer type, never a Jet2 holding duals."""
-    jet = ad.lift2([0.4, 0.7])[0]
-    outer = [ad.vlift([0.5, 0.2])[0]]
-    for d in outer:
-        for result in (jet + d, d + jet, jet - d, d - jet, jet * d, d * jet, jet / d, d / jet):
-            assert type(result) is type(d)
-            assert isinstance(result.a, ad.Jet2)
-    lifted = ad.vlift(ad.lift2([0.4, 0.7]))
-    y = lifted[0] * lifted[1] / (1.0 + lifted[0])
-    assert isinstance(y, ad.VDual) and isinstance(y.a, ad.Jet2)
-    assert all(isinstance(b, ad.Jet2) for b in y.b)
-
-
 def test_jet2_rejects_lifted_coordinates():
     f = lambda q: q[0] * q[1]
     with pytest.raises(TypeError):
@@ -239,14 +225,14 @@ def test_jet2_rejects_lifted_coordinates():
         ad.lift2(ad.lift2([0.1, 0.2]))
 
 
-# -- split: the one reader of a vector-lifted result ------------------------
+# -- split: the reader of first partials --------------------------------------
 
 COLUMN = np.linspace(0.5, 1.5, 4)
 
 
 def _mixed_matrix(x):
     """A nested 3x3 list of polynomial entries, float constants and (m,)
-    columns, some of them lifted with column derivative parts."""
+    columns, some of them lifted."""
     return [
         [x[0] * x[1], 2.5, x[2] * x[2] + x[0]],
         [COLUMN, x[1] - 3.0 * x[2], x[0] * x[1] * x[2]],
@@ -257,7 +243,7 @@ def _mixed_matrix(x):
 def test_split_matches_derive_on_a_mixed_nested_list():
     """Values and direction-first partials equal ``derive`` exactly on
     polynomial entries; constant entries have partials of exactly 0.0."""
-    p = [0.3, -0.7, 1.1]
+    p = [COLUMN * 0.3, COLUMN - 1.7, COLUMN + 0.1]
     value, parts = ad.split(_mixed_matrix(ad.vlift(p)), 3)
     assert len(parts) == 3
     for i in range(3):
@@ -271,61 +257,217 @@ def test_split_matches_derive_on_a_mixed_nested_list():
             assert type(parts[k][i][j]) is float and parts[k][i][j] == 0.0
 
 
-def _christoffel_by_loops(g, x):
-    """Gamma and dGamma[m][k][i][j] unpacked from a lifted Christoffel
-    evaluation entry by entry."""
-    n = g.domain.dim
-    gl = curvature.christoffel_generic(g, ad.vlift(x))
-    gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    dgamma = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                v = gl[k][i][j]
-                if isinstance(v, ad.VDual):
-                    gamma[k][i][j] = v.a
-                    for m in range(n):
-                        dgamma[m][k][i][j] = v.b[m]
-                else:
-                    gamma[k][i][j] = v
-    return gamma, dgamma
-
-
-def _ricci_by_loops(g, x):
-    """Ric and dric[k][i][j] unpacked from a lifted Ricci evaluation entry
-    by entry."""
-    n = g.domain.dim
-    rl = curvature.ricci_generic(g, ad.vlift(x))
-    ric = [[0.0] * n for _ in range(n)]
-    dric = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            v = rl[i][j]
-            if isinstance(v, ad.VDual):
-                ric[i][j] = v.a
-                for k in range(n):
-                    dric[k][i][j] = v.b[k]
-            else:
-                ric[i][j] = v
-    return ric, dric
-
-
 def _bits(nested):
     return np.asarray(nested, dtype=float).tobytes()
 
 
+def _leaves(nested):
+    if isinstance(nested, list):
+        for v in nested:
+            yield from _leaves(v)
+    else:
+        yield nested
+
+
+def _unpack(nested, n):
+    """Values and direction-first first partials of a nested list of order-2
+    Taylor entries, read slot by slot."""
+    if isinstance(nested, list):
+        parts = [_unpack(v, n) for v in nested]
+        return [v for v, _ in parts], [[d[m] for _, d in parts] for m in range(n)]
+    if isinstance(nested, ad.Taylor):
+        return float(nested.c[0]), [float(nested.c[1 + m]) for m in range(n)]
+    return nested, [0.0] * n
+
+
+def _metric(name):
+    from ryslab import catalog
+
+    if name == "perturbed":
+        return catalog.make_perturbed_flat(1e-2, 11).metric
+    return catalog.get_entry(name).metric
+
+
 @pytest.mark.parametrize("name", ["unit-s3", "h3", "s2xr", "perturbed"])
 def test_with_partials_equal_the_entrywise_unpacking(name):
+    """``christoffel_with_partials`` and ``ricci_with_partials`` (read off
+    one order-4 lift) equal the slot-by-slot unpacking of Christoffel and
+    Ricci evaluated on an order-3 lift."""
+    from ryslab.geometry import sample_points
+    from ryslab.tensors import mat_inverse
+
+    g = _metric(name)
+    n = g.domain.dim
+    for p in sample_points(g.domain, 2, seed=3):
+        x = list(p.coords)
+        gm = g.matrix(ad.lift(x, 3))
+        gamma = curvature.christoffel_from(mat_inverse(gm), [ad.partial(gm, l) for l in range(n)])
+        ric = curvature.ricci_from(ad.truncate(gamma, 1), [ad.partial(gamma, m) for m in range(n)])
+        for got, ref in zip(curvature.christoffel_with_partials(g, x), _unpack(gamma, n)):
+            assert _bits(got) == _bits(ref)
+        for got, ref in zip(curvature.ricci_with_partials(g, x), _unpack(ric, n)):
+            assert _bits(got) == _bits(ref)
+
+
+@pytest.mark.parametrize("name", ["unit-s3", "h3", "s2xr", "perturbed"])
+def test_lifted_levels_keep_the_float_bits(name):
+    """g, g^-1 and Gamma read off the order-4 lift equal bit for bit the
+    float metric, its inverse and the Christoffel symbols from an order-1
+    lift, at a point and over a batch."""
+    from ryslab.geometry import PointBatch, sample_points
+    from ryslab.tensors import mat_inverse
+
+    g = _metric(name)
+    pts = sample_points(g.domain, 3, seed=4)
+    for p in (pts[0], PointBatch(pts)):
+        data = curvature.curvature_data(g, p)
+        x = data.x
+        pairs = [
+            (data.metric, g.matrix(x)),
+            (data.inverse, mat_inverse(g.matrix(x))),
+            (data.christoffel, curvature.christoffel_generic(g, x)),
+        ]
+        for got, ref in pairs:
+            got, ref = list(_leaves(got)), list(_leaves(ref))
+            assert len(got) == len(ref)
+            assert all(type(a) is type(b) and np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+# -- Taylor: the packed multivariate polynomial ----------------------------------
+
+def _taylor_read(t, index):
+    """The mixed partial ``index`` of a lifted result, by coordinate shifts."""
+    for i in index:
+        t = ad.partial(t, i)
+    return ad.value_of(t)
+
+
+def _series(name, a):
+    """Exact f^(k)(a) / k!, k = 0..4, from closed forms independent of the
+    towers in ``ad``."""
+    fact = [math.factorial(k) for k in range(5)]
+    if name in ("sin", "cos"):
+        shift = 0.0 if name == "sin" else 0.5 * math.pi
+        return [math.sin(a + shift + 0.5 * math.pi * k) / fact[k] for k in range(5)]
+    if name == "exp":
+        return [math.exp(a) / fact[k] for k in range(5)]
+    if name in ("sinh", "cosh"):
+        pair = (math.sinh(a), math.cosh(a))
+        first = 0 if name == "sinh" else 1
+        return [pair[(first + k) % 2] / fact[k] for k in range(5)]
+    if name == "log":
+        return [math.log(a)] + [(-1) ** (k + 1) / (k * a**k) for k in range(1, 5)]
+    if name == "sqrt":
+        binom = [1.0, 0.5, -0.125, 0.0625, -0.0390625]
+        return [b * a ** (0.5 - k) for k, b in enumerate(binom)]
+    if name == "atan":
+        # atan' = (1/(x - i) - 1/(x + i)) / (2i)
+        out = [math.atan(a)]
+        for k in range(1, 5):
+            d = ((a - 1j) ** -k - (a + 1j) ** -k) / 2j * (-1) ** (k - 1) * fact[k - 1]
+            out.append(d.real / fact[k])
+        return out
+    # tan, tanh: f^(k) = P_k(y), P_{k+1} = P_k' * (1 +- y^2)
+    sign = 1.0 if name == "tan" else -1.0
+    y = math.tan(a) if name == "tan" else math.tanh(a)
+    poly = np.polynomial.Polynomial([0.0, 1.0])
+    out = []
+    for k in range(5):
+        out.append(poly(y) / fact[k])
+        poly = poly.deriv() * np.polynomial.Polynomial([1.0, 0.0, sign])
+    return out
+
+
+ELEMENTARY = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "atan")
+
+
+@pytest.mark.parametrize("name", ELEMENTARY)
+def test_elementary_towers_match_exact_series(name):
+    """Univariate coefficients up to order 4 at three values, at a point and
+    on a column of the same values."""
+    values = (0.3, 0.7, 1.3)
+    fn = getattr(ad, name)
+    for a in values:
+        got = fn(ad.lift([a], 4)[0]).c
+        assert np.allclose(got, _series(name, a), rtol=1e-13, atol=1e-15), a
+    column = fn(ad.lift([np.array(values)], 4)[0]).c
+    for k, a in enumerate(values):
+        assert np.allclose(column[:, k], _series(name, a), rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, -1, -2, 0.5, 2.5])
+def test_power_towers_match_binomial_series(p):
+    a = 0.8
+    got = (ad.lift([a], 4)[0] ** p).c
+    coef = [math.prod(p - i for i in range(k)) / math.factorial(k) for k in range(5)]
+    assert np.allclose(got, [c * a ** (p - k) for k, c in enumerate(coef)], rtol=1e-14, atol=0.0)
+
+
+def _mixed_indices(n, order):
+    return [idx for k in range(1, order + 1) for idx in itertools.product(range(n), repeat=k)]
+
+
+def test_mixed_partials_match_finite_differences():
+    """Every mixed partial up to order 3 of the perturbed-flat metric and of a
+    random polynomial field, read off one order-4 lift, agrees with nested
+    Richardson differences to 1e-6 relative."""
     from ryslab import catalog
     from ryslab.geometry import sample_points
 
-    if name == "perturbed":
-        g = catalog.make_perturbed_flat(1e-2, 11).metric
-    else:
-        g = catalog.get_entry(name).metric
-    for p in sample_points(g.domain, 2, seed=3):
+    g = catalog.make_perturbed_flat(1e-1, 5).metric
+    f = catalog.random_polynomial_field(g.domain, seed=6)
+    steps = g.domain.fd_steps()
+    components = [lambda x, i=i, j=j: g.matrix(x)[i][j] for i in range(3) for j in range(i, 3)]
+    for p in sample_points(g.domain, 2, seed=7):
         x = list(p.coords)
-        for got, ref in zip(curvature.christoffel_with_partials(g, x), _christoffel_by_loops(g, x)):
-            assert _bits(got) == _bits(ref)
-        for got, ref in zip(curvature.ricci_with_partials(g, x), _ricci_by_loops(g, x)):
-            assert _bits(got) == _bits(ref)
+        lifted = ad.lift(x, ad.MAX_ORDER)
+        for fn in components + [f.fn]:
+            t = fn(lifted)
+            for index in _mixed_indices(3, 3):
+                got = _taylor_read(t, index)
+                ref = ad.fd_derive(fn, x, index, steps)
+                assert abs(got - ref) <= 1e-6 * (1.0 + abs(ref)), index
+
+
+def test_hyper_dual_derive_matches_the_coordinate_lift_to_order_four():
+    """On every catalog metric, each component's partials up to order 4 from
+    the hyper-dual ``derive`` equal the coordinate-lift read."""
+    from ryslab import catalog
+    from ryslab.geometry import sample_points
+
+    for entry in catalog.catalog_entries():
+        g = entry.metric
+        n = g.domain.dim
+        x = list(sample_points(g.domain, 1, seed=8)[0].coords)
+        lifted = g.matrix(ad.lift(x, ad.MAX_ORDER))
+        for i in range(n):
+            for j in range(i, n):
+                entry_fn = lambda q, i=i, j=j: g.matrix(q)[i][j]
+                for index in _mixed_indices(n, 4):
+                    ref = ad.derive(entry_fn, x, index)
+                    got = _taylor_read(lifted[i][j], index)
+                    assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref)), (entry.name, i, j, index)
+
+
+def test_partial_lowers_the_order_and_mixed_orders_truncate():
+    """d_i shifts the coefficients of x0^3 x1 + x1^2 exactly, one order lower;
+    a sum or product of orders 4 and 2 is the order-2 result."""
+    x = ad.lift([0.5, -2.0], 4)
+    t = x[0] ** 3 * x[1] + x[1] * x[1]
+    d0, d1 = ad.partial(t, 0), ad.partial(t, 1)
+    assert (t.order, d0.order, ad.partial(d0, 1).order) == (4, 3, 2)
+    # d0 = 3 x0^2 x1, d1 = x0^3 + 2 x1, expanded at (0.5, -2) in (h0, h1);
+    # slots 1, h0, h1, h0^2, h0 h1, h1^2, h0^3, h0^2 h1, h0 h1^2, h1^3
+    a, b = 0.5, -2.0
+    assert d0.c.tolist() == [3 * a * a * b, 6 * a * b, 3 * a * a, 3 * b, 6 * a, 0.0, 0.0, 3.0, 0.0, 0.0]
+    assert d1.c.tolist() == [a**3 + 2 * b, 3 * a * a, 2.0, 3 * a, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    low = ad.lift([0.5, -2.0], 2)
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v, lambda u, v: u / v):
+        mixed = op(x[0] * x[1] + 1.0, low[0] - low[1])
+        same = op(low[0] * low[1] + 1.0, low[0] - low[1])
+        assert mixed.order == 2 and np.array_equal(mixed.c, same.c)
+    # (x0 + x1)(x0 - x1) = x0^2 - x1^2 and 1 / (1 + x0) to order 4, exactly
+    prod = (x[0] + x[1]) * (x[0] - x[1])
+    assert np.allclose(prod.c, [a * a - b * b, 2 * a, -2 * b, 1.0, 0.0, -1.0] + [0.0] * 9, rtol=0, atol=1e-15)
+    inv = 1.0 / (1.0 + x[0])
+    assert np.allclose(inv.c[[0, 1, 3, 6, 10]], [(-1) ** k / 1.5 ** (k + 1) for k in range(5)], rtol=1e-15)

@@ -405,28 +405,58 @@ def test_case_points_never_exceed_the_count():
 
 
 def test_verify_builds_shared_quantities_once_per_batch(tmp_path, capsys, monkeypatch):
-    """One case evaluates the defining residual and the jet of R once for
-    its whole point batch, not once (or five times) per point."""
-    from ryslab import curvature, soliton
+    """One case evaluates the defining residual and the lifted metric (from
+    which R and its derivatives are read) once for its whole point batch,
+    not once (or five times) per point."""
+    from ryslab import ad, geometry, soliton
 
-    calls = {"defining_residual": 0, "scalar_curvature_jet": 0}
-    residual, jet2 = soliton.defining_residual, curvature.jet2
+    calls = {"defining_residual": 0, "lifted_metric": 0}
+    residual, matrix = soliton.defining_residual, geometry.MetricField.matrix
 
     def counting_residual(inst, p):
         calls["defining_residual"] += 1
         return residual(inst, p)
 
-    def counting_jet2(fn, x):
-        if getattr(fn, "__qualname__", "").startswith("scalar_curvature_field."):
-            calls["scalar_curvature_jet"] += 1
-        return jet2(fn, x)
+    def counting_matrix(self, coords):
+        coords = list(coords)
+        calls["lifted_metric"] += any(isinstance(c, ad.Taylor) for c in coords)
+        return matrix(self, coords)
 
     monkeypatch.setattr(soliton, "defining_residual", counting_residual)
-    monkeypatch.setattr(curvature, "jet2", counting_jet2)
+    monkeypatch.setattr(geometry.MetricField, "matrix", counting_matrix)
     out = tmp_path / "report.json"
     argv = ["verify", "--case", "einstein-s3", "--points", "12", "--out", str(out)]
     assert run(argv) == 0
-    assert calls == {"defining_residual": 1, "scalar_curvature_jet": 1}
+    assert calls == {"defining_residual": 1, "lifted_metric": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, evaluations",
+    [
+        ([], {"lifted": 11, "float": 16}),
+        (["--case", "perturbed-flat", "--points", "16"], {"lifted": 5, "float": 10}),
+    ],
+    ids=["default", "universal"],
+)
+def test_one_lifted_metric_evaluation_per_batch(argv, evaluations, tmp_path, monkeypatch):
+    """`verify` evaluates each batch's metric once on lifted coordinates (6
+    soliton cases and 5 perturbed-flat metrics by default); every R, Ric
+    and connection derivative is read off that one evaluation.  The float
+    evaluations are the positive-definiteness checks: one per batch and one
+    per perturbed-flat metric built."""
+    from ryslab import ad, geometry
+
+    counts = {"lifted": 0, "float": 0}
+    matrix = geometry.MetricField.matrix
+
+    def counting_matrix(self, coords):
+        coords = list(coords)
+        counts["lifted" if any(isinstance(c, ad.Taylor) for c in coords) else "float"] += 1
+        return matrix(self, coords)
+
+    monkeypatch.setattr(geometry.MetricField, "matrix", counting_matrix)
+    assert run(["verify", *argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert counts == evaluations
 
 
 # The verify check table's contract: record order per case, the rows a

@@ -8,6 +8,7 @@ import pytest
 from ryslab import ad, catalog
 from ryslab import curvature as cv
 from ryslab.errors import MetricSingular
+from ryslab.tensors import mat_inverse
 from ryslab.geometry import (
     ChartDomain,
     MetricField,
@@ -204,21 +205,25 @@ class TestLieDerivative:
         assert np.allclose(lie, 2.0 * np.eye(3), atol=1e-12)
 
     def test_gradient_field_gives_twice_hessian(self):
+        """L_{grad f} g = 2 Hess f on a perturbed-flat metric, with grad f
+        = g^{-1} df written out for f = x0 x1 + x2^2 - x0^3."""
         entry = catalog.make_perturbed_flat(1e-2, 21)
         g = entry.metric
-        f = catalog.random_polynomial_field(g.domain, seed=22)
-        n = g.domain.dim
+        f = ScalarField(lambda x: x[0] * x[1] + x[2] * x[2] - x[0] ** 3, g.domain, "cubic")
 
         def grad_up(x):
-            up, _, _ = cv.gradient_generic(g, f, x)
-            return up
+            df = [x[1] - 3.0 * x[0] * x[0], x[0], 2.0 * x[2]]
+            ginv = mat_inverse(g.matrix(x))
+            return [sum(ginv[i][j] * df[j] for j in range(3)) for i in range(3)]
 
         X = VectorField(grad_up, g.domain, "grad-f")
         for p in sample_points(g.domain, 4, seed=23):
             lie = lie_derivative(g, X, p.coords)
-            hess = np.array(cv.curvature_data(g, p).hessian(f))
+            data = cv.curvature_data(g, p)
+            hess = np.array(data.hessian(f))
             scale = 1.0 + np.max(np.abs(hess))
             assert np.max(np.abs(lie - 2.0 * hess)) <= 1e-9 * scale
+            assert np.max(np.abs(np.array(data.lie(X)) - lie)) <= 1e-15 * scale
 
 
 class TestScalarCurvatureDerivatives:
@@ -239,7 +244,8 @@ class TestScalarCurvatureDerivatives:
         steps = [0.5 * h for h in g.domain.fd_steps()]
         for p in sample_points(g.domain, 3, seed=32):
             x = list(p.coords)
-            _, grad = ad.value_and_gradient(rf.fn, x)
+            data = cv.curvature_data(g, p)
+            grad = data.jet(data.scalar_field)[1]
             for i in range(3):
                 fd = ad.fd_derive(rf.fn, x, (i,), steps)
                 assert abs(grad[i] - fd) <= 1e-6 * (1 + abs(grad[i]))
@@ -268,3 +274,35 @@ def test_four_dimensional_batch_equals_each_point():
     for k, p in enumerate(pts):
         assert np.array_equal(ric[..., k], cv.ricci(g, p).components)
         assert scal[k] == cv.scalar_curvature(g, p)
+
+
+def test_chunked_batch_equals_one_pass(monkeypatch):
+    """A batch lifted in chunks gives every read of one whole-batch pass
+    bit for bit (the lifted arithmetic is per point), constants included."""
+    entry = catalog.make_perturbed_flat(1e-2, 5)
+    g = entry.metric
+    f = catalog.random_polynomial_field(g.domain, seed=6)
+    X = VectorField(lambda x: [x[1] * x[2], x[0] - x[2], x[0] * x[0]], g.domain, "quadratic")
+    pts = sample_points(g.domain, 11, seed=7)
+
+    def reads(data):
+        return [
+            data.metric, data.inverse, data.connection, data.ricci, data.ricci_partials, data.scalar,
+            data.jet(f), data.hessian(f), data.hessian_partials(f), data.laplacian_partials(f),
+            data.grad_norm_sq_laplacian(f), data.jet(data.scalar_field), data.lie(X),
+        ]
+
+    def leaves(v):
+        if isinstance(v, (list, tuple)):
+            for x in v:
+                yield from leaves(x)
+        else:
+            yield v
+
+    whole = list(leaves(reads(cv.curvature_data(g, PointBatch(pts)))))
+    monkeypatch.setattr(cv, "CHUNK", 4)
+    chunked_data = cv.curvature_data(g, PointBatch(pts))
+    assert len(chunked_data._chunks) == 3
+    chunked = list(leaves(reads(chunked_data)))
+    assert len(whole) == len(chunked)
+    assert all(type(a) is type(b) and np.array_equal(a, b) for a, b in zip(whole, chunked))

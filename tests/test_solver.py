@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ryslab import solver
-from ryslab.errors import GridTooCoarse, NoConvergence
+from ryslab.errors import BeyondAntipode, GridTooCoarse, NoConvergence
 from ryslab.soliton import SolitonParams
 
 FLAT = solver.Background.flat()
@@ -317,3 +317,15 @@ def test_radial_residual_matches_dense_operators(background):
         got = solver.radial_residual(solver.RadialProfile(grid, values, params, bg))
         scale = np.max(np.abs(d2)) * np.max(np.abs(values)) + np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_sphere_grid_across_the_antipode_is_rejected():
+    """On the unit sphere the warp sin(r) vanishes at r = pi: a grid that
+    reaches it is a typed error, not a profile."""
+    params, sphere = SolitonParams(1, 0, -2, 0), solver.Background.sphere(1.0)
+    with pytest.raises(BeyondAntipode):
+        solver.solve_radial(params, sphere, solver.make_grid(128, r_max=10.0))
+    with pytest.raises(BeyondAntipode):
+        solver.solve_radial(params, sphere, solver.make_grid(128, r_max=np.pi))
+    profile = solver.solve_radial(params, sphere, solver.make_grid(128, r_max=3.0))
+    assert np.max(np.abs(solver.radial_residual(profile))) <= solver.RESIDUAL_TOL

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ryslab.ad import VDual, value_of
+from ryslab.ad import lift, value_of
 from ryslab.errors import MetricSingular
 from ryslab.tensors import mat_det, mat_inverse, sym2_norm_sq, trace_pair
 
@@ -28,12 +28,17 @@ def test_det_matches_numpy(n):
 
 
 def test_inverse_propagates_duals():
-    """d/dt of the inverse of [[1+t, 0], [0, 2]] at t=0 is [[-1, 0], [0, 0]]."""
-    t = VDual(0.0, [1.0])
+    """The Taylor series of the inverse of [[1+t, 0], [0, 2]] at t=0 is
+    [[1 - t + t^2 - ..., 0], [0, 1/2]]: to first order (a dual number) and
+    to third."""
+    t = lift([0.0], 1)[0]
+    inv = mat_inverse([[1.0 + t, 0.0], [0.0, 2.0]])
+    assert inv[0][0].c.tolist() == [1.0, -1.0]
+    t = lift([0.0], 3)[0]
     m = [[1.0 + t, 0.0], [0.0, 2.0]]
     inv = mat_inverse(m)
     assert value_of(inv[0][0]) == 1.0
-    assert inv[0][0].b == [-1.0]
+    assert inv[0][0].c.tolist() == [1.0, -1.0, 1.0, -1.0]
     assert value_of(inv[1][1]) == 0.5
 
 
