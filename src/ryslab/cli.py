@@ -19,10 +19,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import catalog, identities, quadrature, solver
+from . import ad, catalog, identities, quadrature, solver
 from .curvature import ricci, ricci_operator, scalar_curvature
 from .errors import AlphaZero, BeyondAntipode, DegenerateBeta, NoConvergence, NotCompact, RysLabError
-from .geometry import PointBatch, sample_points
+from .geometry import MetricField, PointBatch, ScalarField, sample_points
 from .report import VERSION, CheckRecord, CheckReport, RunConfig, write_atomic, write_report
 from .soliton import (
     SolitonKind,
@@ -99,8 +99,10 @@ def _vanishing(batch, value):
 
 
 def _shared(batch, fn, *args):
-    """``fn(*args)``, computed once per batch however many rows read it."""
-    return batch.memo((fn, *args), lambda: fn(*args))
+    """``fn(*args)``, computed once per batch however many rows read it.
+    The key leaves the batch out: it owns the memo, and a key holding it
+    would keep the batch alive in a reference cycle."""
+    return batch.memo((fn, *(a for a in args if a is not batch)), lambda: fn(*args))
 
 
 # Applicability predicates on (instance, CaseSpec).
@@ -329,17 +331,37 @@ def _run_soliton_case(name, spec, inst, points, seed, tols, report) -> None:
 
 
 def _run_universal_case(name, points, seed, tols, report) -> None:
-    worst = {}
+    """The universal identities on ``PERTURBED_METRICS`` random metrics,
+    each with its own field and points, reported at the worst point over
+    all of them (the first metric's on ties).  Consecutive metrics run as
+    one stacked metric, field and batch of at most ``ad.CHUNK`` points (a
+    larger one alone), so that curvature never splits a stacked batch."""
+    members = []
     for k in range(PERTURBED_METRICS):
         entry = catalog.make_perturbed_flat(1e-2, seed + k)
         f = catalog.random_polynomial_field(entry.metric.domain, seed + 1000 + k)
         batch = PointBatch(sample_points(entry.metric.domain, points, seed + 2000 + k))
         entry.metric.require_spd(batch)
-        for res in identities.universal_residuals(entry.metric, f, batch):
-            res = res.worst()
-            prev = worst.get(res.name)
-            if prev is None or res.rel_gap > prev.rel_gap:
-                worst[res.name] = res
+        members.append((entry.metric, f, batch))
+    worst = {}
+    per_group = max(1, ad.CHUNK // points)
+    for start in range(0, PERTURBED_METRICS, per_group):
+        metrics, fields, batches = zip(*members[start : start + per_group])
+        sizes = [len(b) for b in batches]
+        metric = MetricField(ad.stacked([g.fn for g in metrics], sizes), metrics[0].domain, metrics[0].name)
+        field = ScalarField(ad.stacked([f.fn for f in fields], sizes), fields[0].domain, fields[0].name)
+        group = PointBatch([p for b in batches for p in b.points])
+        for res in identities.universal_residuals(metric, field, group):
+            offset = 0
+            for batch in batches:
+                part = slice(offset, offset + len(batch))
+                offset = part.stop
+                res_k = identities.IdentityResidual(
+                    res.name, res.lhs[part], res.rhs[part], res.abs_gap[part], res.rel_gap[part], batch
+                ).worst()
+                prev = worst.get(res.name)
+                if prev is None or res_k.rel_gap > prev.rel_gap:
+                    worst[res.name] = res_k
     for check, res in worst.items():
         report.add(_record(name, check, tols, res.point, res.lhs, res.rhs, res.rel_gap))
 

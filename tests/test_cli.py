@@ -433,17 +433,18 @@ def test_verify_builds_shared_quantities_once_per_batch(tmp_path, capsys, monkey
 @pytest.mark.parametrize(
     "argv, evaluations",
     [
-        ([], {"lifted": 11, "float": 16}),
-        (["--case", "perturbed-flat", "--points", "16"], {"lifted": 5, "float": 10}),
+        ([], {"lifted": 7, "float": 16}),
+        (["--case", "perturbed-flat", "--points", "16"], {"lifted": 1, "float": 10}),
     ],
     ids=["default", "universal"],
 )
 def test_one_lifted_metric_evaluation_per_batch(argv, evaluations, tmp_path, monkeypatch):
     """`verify` evaluates each batch's metric once on lifted coordinates (6
-    soliton cases and 5 perturbed-flat metrics by default); every R, Ric
-    and connection derivative is read off that one evaluation.  The float
-    evaluations are the positive-definiteness checks: one per batch and one
-    per perturbed-flat metric built."""
+    soliton cases, and the 5 perturbed-flat metrics stacked into one batch
+    by default); every R, Ric and connection derivative is read off that one
+    evaluation.  The float evaluations are the positive-definiteness checks:
+    one per soliton batch, one per perturbed-flat metric built and one per
+    perturbed-flat metric's own points."""
     from ryslab import ad, geometry
 
     counts = {"lifted": 0, "float": 0}
@@ -457,6 +458,71 @@ def test_one_lifted_metric_evaluation_per_batch(argv, evaluations, tmp_path, mon
     monkeypatch.setattr(geometry.MetricField, "matrix", counting_matrix)
     assert run(["verify", *argv, "--out", str(tmp_path / "report.json")]) == 0
     assert counts == evaluations
+
+
+def _universal_reference(points, seed, tols):
+    """The perturbed-flat records as one batch per metric gives them: each
+    metric's worst point, and across metrics the first strict maximum."""
+    from ryslab import catalog, identities
+    from ryslab.geometry import PointBatch, sample_points
+
+    worst = {}
+    for k in range(cli.PERTURBED_METRICS):
+        entry = catalog.make_perturbed_flat(1e-2, seed + k)
+        f = catalog.random_polynomial_field(entry.metric.domain, seed + 1000 + k)
+        batch = PointBatch(sample_points(entry.metric.domain, points, seed + 2000 + k))
+        for res in identities.universal_residuals(entry.metric, f, batch):
+            res = res.worst()
+            prev = worst.get(res.name)
+            if prev is None or res.rel_gap > prev.rel_gap:
+                worst[res.name] = res
+    return [cli._record("perturbed-flat", name, tols, r.point, r.lhs, r.rhs, r.rel_gap) for name, r in worst.items()]
+
+
+@pytest.mark.parametrize("points", [1, 16, 204, 205, 300, 1100])
+def test_stacked_perturbed_flat_matches_one_batch_per_metric(points):
+    """Stacking the perturbed-flat metrics keeps every record (point, lhs,
+    rhs, gap, verdict) of one batch per metric: one group (1, 16, 204),
+    the first split (205), uneven groups (300) and metrics above ad.CHUNK
+    points, each alone and lifted in chunks (1100)."""
+    from ryslab.report import CheckReport
+
+    tols = cli._tols(None)
+    report = CheckReport(command="verify", config={})
+    cli._run_universal_case("perturbed-flat", points, 7, tols, report)
+    assert report.records == _universal_reference(points, 7, tols)
+
+
+def test_finished_soliton_case_frees_its_batch(monkeypatch):
+    """A soliton case's batch is freed when the case returns, without the
+    cyclic collector: its memo holds no key that refers back to it."""
+    import gc
+    import weakref
+
+    from ryslab import catalog
+    from ryslab.report import CheckReport
+    from ryslab.soliton import SolitonParams
+
+    batches, point_batch = [], cli.PointBatch
+
+    def tracked(points):
+        batch = point_batch(points)
+        batches.append(weakref.ref(batch))
+        return batch
+
+    monkeypatch.setattr(cli, "PointBatch", tracked)
+    spec = catalog.verify_cases()["einstein-s3"]
+    inst = spec.build(spec.defaults)
+    report = CheckReport(command="verify", config={})
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cli._run_soliton_case("einstein-s3", spec, inst, 12, 7, cli._tols(None), report)
+        assert len(batches) == 1 and batches[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert report.all_passed and len(report.records) == 7
 
 
 # The verify check table's contract: record order per case, the rows a
