@@ -8,8 +8,7 @@ partial up to that order; ``partial`` (a coefficient shift), ``split`` and
 oracle that lifts one fresh variable per differentiation.  :class:`Jet2`
 (``lift2``/``read2``/``jet2``) is a closed-form second-order jet in separate
 arrays, faster and leaner on large node sets; the two do not mix.
-``fd_derive`` (Richardson differences) checks orders up to 3.  ``stacked``
-runs several functions as one over their points laid end to end.  Component
+``fd_derive`` (Richardson differences) checks orders up to 3.  Component
 functions use the math wrappers here (``sin``, ``exp``, ...), which take
 floats, columns and lifts alike.
 """
@@ -239,74 +238,6 @@ def lift(coords, order):
 def vlift(coords):
     """The order-1 lift: one evaluation gives all n first partials."""
     return lift(coords, 1)
-
-
-def stacked(fns, sizes):
-    """One function of ``sum(sizes)`` points from several: member k runs
-    ``fns[k]`` on its own slice of ``sizes[k]`` points, the slices in order.
-    Each coordinate is a float (given to every member), a column or a
-    Taylor lift; the results join entry by entry along the point axis, a
-    constant spread over its member's points (as a lifted constant where
-    another member's entry is lifted).  Coordinates of any other length,
-    such as one chunk of the points, raise ValueError.  A single function is
-    returned as it is."""
-    fns, sizes = list(fns), list(sizes)
-    if len(fns) != len(sizes):
-        raise ValueError("stacked needs one size per function")
-    if len(fns) == 1:
-        return fns[0]
-    total = sum(sizes)
-    ends = np.cumsum(sizes).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
-
-    def cut(x, start, stop):
-        if isinstance(x, Taylor):
-            return Taylor(x.c[:, start:stop], x.n, x.order)
-        return x if np.ndim(x) == 0 else x[start:stop]
-
-    def fn(coords):
-        coords = list(coords)
-        lengths = {np.shape(value_of(x)) for x in coords} - {()}
-        if lengths != {(total,)}:
-            raise ValueError(f"a stacked function takes columns of {total} points, got shapes {sorted(lengths)}")
-        return _joined([f([cut(x, a, b) for x in coords]) for f, (a, b) in zip(fns, spans)], sizes)
-
-    return fn
-
-
-def _joined(parts, sizes):
-    """The members' results of ``stacked`` joined entry by entry (an entry
-    the members share is joined once)."""
-    seen = {}
-
-    def join(entries):
-        if isinstance(entries[0], list):
-            return [join(list(e)) for e in zip(*entries)]
-        key = tuple(map(id, entries))
-        if key not in seen:
-            seen[key] = _joined_entry(entries, sizes)
-        return seen[key]
-
-    return join(parts)
-
-
-def _joined_entry(entries, sizes):
-    lifted = [e for e in entries if isinstance(e, Taylor)]
-    if lifted:
-        n, order = lifted[0].n, min(t.order for t in lifted)
-        k = _size(n, order)
-        parts = []
-        for e, m in zip(entries, sizes):
-            if isinstance(e, Taylor):
-                parts.append(np.broadcast_to(e.c[:k], (k, m)))
-            else:
-                c = np.zeros((k, m))
-                c[0] = e
-                parts.append(c)
-        return Taylor(np.concatenate(parts, axis=1), n, order)
-    if all(np.ndim(e) == 0 for e in entries) and len({float(e).hex() for e in entries}) == 1:
-        return entries[0]  # the same constant (to the bit) in every member
-    return np.concatenate([np.broadcast_to(np.asarray(e, dtype=float), (m,)) for e, m in zip(entries, sizes)])
 
 
 def _entrywise(v, fn, const):

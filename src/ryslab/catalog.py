@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import ad
 from .geometry import (
     ChartDomain,
     MetricField,
@@ -155,32 +156,65 @@ def coordinate_potential(domain: ChartDomain, axis: int) -> ScalarField:
     return ScalarField(lambda x, a=axis: x[a], domain, name=f"coord-{axis}")
 
 
-def random_polynomial_field(
-    domain: ChartDomain, seed: int, degree: int = 3, scale: float = 1.0
-) -> ScalarField:
-    """Seeded random polynomial, smooth everywhere, for property tests."""
-    rng = np.random.default_rng(seed)
+def random_polynomial_field(domain: ChartDomain, seed: int) -> ScalarField:
+    """Seeded random cubic polynomial, smooth everywhere, for property tests."""
+    return random_polynomial_group(domain, [seed], None)
+
+
+def random_polynomial_group(domain: ChartDomain, seeds, sizes) -> ScalarField:
+    """Seeded random cubic polynomials, one per seed, as one field on their
+    points laid end to end (see ``_grouped``)."""
     n = domain.dim
     monos = [()]
     for a in range(n):
         monos.append((a,))
         for b in range(a, n):
             monos.append((a, b))
-            if degree >= 3:
-                for c in range(b, n):
-                    monos.append((a, b, c))
-    coefs = [float(v) for v in rng.uniform(-scale, scale, size=len(monos))]
+            for c in range(b, n):
+                monos.append((a, b, c))
+    tables = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        tables.append([float(v) for v in rng.uniform(-1.0, 1.0, size=len(monos))])
 
-    def f(x):
-        total = 0.0
-        for coef, mono in zip(coefs, monos):
-            term = coef
-            for a in mono:
-                term = term * x[a]
-            total = total + term
-        return total
+    def polynomial(coefs):
+        def f(x):
+            total = 0.0
+            for coef, mono in zip(coefs, monos):
+                term = coef
+                for a in mono:
+                    term = term * x[a]
+                total = total + term
+            return total
 
-    return ScalarField(f, domain, name=f"poly(seed={seed})")
+        return f
+
+    label = ",".join(str(seed) for seed in seeds)
+    return ScalarField(_grouped(polynomial, tables, sizes), domain, name=f"poly(seed={label})")
+
+
+def _grouped(build: Callable, tables, sizes) -> Callable:
+    """``build(coefficients)`` for members laid end to end over their points:
+    member k with coefficient table ``tables[k]`` on ``sizes[k]`` points.  A
+    lone member's coefficients stay floats and its function takes any
+    points (``sizes`` is not read).  For several, each coefficient is a
+    per-point column, member k's value repeated over its points, so one
+    evaluation gives every member's values.  Coordinates whose length is not
+    the points' total then raise ValueError: numpy alone would broadcast a
+    1-point chunk over the columns."""
+    if len(tables) == 1:
+        return build(tables[0])
+    fn = build(np.repeat(np.stack(tables, axis=-1), sizes, axis=-1))
+    total = sum(sizes)
+
+    def on_group(x):
+        x = list(x)
+        lengths = {np.shape(ad.value_of(c)) for c in x} - {()}
+        if lengths != {(total,)}:
+            raise ValueError(f"a group takes columns of {total} points, got shapes {sorted(lengths)}")
+        return fn(x)
+
+    return on_group
 
 
 # -- entry builders ------------------------------------------------------------
@@ -265,46 +299,54 @@ def make_perturbed_flat(epsilon: float, seed: int, dim: int = 3) -> CatalogEntry
     Positive definiteness is verified on the full sample set; failure is
     a hard NotSPD error (regenerate with smaller epsilon).
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    name = f"perturbed-flat(eps={epsilon:g},seed={seed})"
-    dom = ChartDomain(dim, ((-1.0, 1.0),) * dim, name)
-    rng = np.random.default_rng(seed)
-    # Monomial basis 1, x_a, x_a x_b (a <= b), shared by all components.
-    quad_pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
-    n_mono = 1 + dim + len(quad_pairs)
-    coefs = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            coefs[(i, j)] = [
-                epsilon * float(v) for v in rng.uniform(-1, 1, size=n_mono)
-            ]
-
-    def g(x):
-        monos = [1.0]
-        monos.extend(x)
-        for a, b in quad_pairs:
-            monos.append(x[a] * x[b])
-        base = [[0.0] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i, dim):
-                c = coefs[(i, j)]
-                v = sum(c[m] * monos[m] for m in range(n_mono))
-                base[i][j] = v
-                base[j][i] = v
-            base[i][i] = base[i][i] + 1.0
-        return base
-
-    metric = MetricField(g, dom, name=name)
+    metric = perturbed_flat_group(epsilon, [seed], None, dim)
     entry = CatalogEntry(
         name="perturbed-flat",
         metric=metric,
-        charts=(dom,),
+        charts=(metric.domain,),
         compact=False,
-        notes=name,
+        notes=metric.name,
     )
-    metric.require_spd(sample_points(dom, 200, seed=seed + 1))
+    metric.require_spd(sample_points(metric.domain, 200, seed=seed + 1))
     return entry
+
+
+def perturbed_flat_group(epsilon: float, seeds, sizes, dim: int = 3) -> MetricField:
+    """The metrics of ``make_perturbed_flat(epsilon, seed, dim)``, one per
+    seed, as one metric on their points laid end to end (see ``_grouped``).
+    Positive definiteness is checked where each member is made."""
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be nonnegative")
+    label = ",".join(str(seed) for seed in seeds)
+    name = f"perturbed-flat(eps={epsilon:g},seed={label})"
+    dom = ChartDomain(dim, ((-1.0, 1.0),) * dim, name)
+    # Monomial basis 1, x_a, x_a x_b (a <= b), shared by all components;
+    # a table holds one row per component i <= j, in the same order.
+    quad_pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
+    n_mono = 1 + dim + len(quad_pairs)
+    tables = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        tables.append([[epsilon * float(v) for v in rng.uniform(-1, 1, size=n_mono)] for _ in quad_pairs])
+
+    def metric(coefs):
+        def g(x):
+            monos = [1.0]
+            monos.extend(x)
+            for a, b in quad_pairs:
+                monos.append(x[a] * x[b])
+            base = [[0.0] * dim for _ in range(dim)]
+            for (i, j), c in zip(quad_pairs, coefs):
+                v = sum(c[m] * monos[m] for m in range(n_mono))
+                base[i][j] = v
+                base[j][i] = v
+            for i in range(dim):
+                base[i][i] = base[i][i] + 1.0
+            return base
+
+        return g
+
+    return MetricField(_grouped(metric, tables, sizes), dom, name=name)
 
 
 # -- soliton instance builders --------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from . import ad, catalog, identities, quadrature, solver
 from .curvature import ricci, ricci_operator, scalar_curvature
 from .errors import AlphaZero, BeyondAntipode, DegenerateBeta, NoConvergence, NotCompact, RysLabError
-from .geometry import MetricField, PointBatch, ScalarField, sample_points
+from .geometry import PointBatch, sample_points
 from .report import VERSION, CheckRecord, CheckReport, RunConfig, write_atomic, write_report
 from .soliton import (
     SolitonKind,
@@ -334,34 +334,29 @@ def _run_universal_case(name, points, seed, tols, report) -> None:
     """The universal identities on ``PERTURBED_METRICS`` random metrics,
     each with its own field and points, reported at the worst point over
     all of them (the first metric's on ties).  Consecutive metrics run as
-    one stacked metric, field and batch of at most ``ad.CHUNK`` points (a
-    larger one alone), so that curvature never splits a stacked batch."""
-    members = []
+    one group of at most ``ad.CHUNK`` points (a larger one alone), so that
+    curvature never splits a group: ``catalog`` builds the group's metric
+    and field from the members' coefficients, and each residual's first
+    maximum over the group is the first among its members' maxima."""
+    batches = []
     for k in range(PERTURBED_METRICS):
-        entry = catalog.make_perturbed_flat(1e-2, seed + k)
-        f = catalog.random_polynomial_field(entry.metric.domain, seed + 1000 + k)
-        batch = PointBatch(sample_points(entry.metric.domain, points, seed + 2000 + k))
-        entry.metric.require_spd(batch)
-        members.append((entry.metric, f, batch))
+        metric = catalog.make_perturbed_flat(1e-2, seed + k).metric
+        batches.append(PointBatch(sample_points(metric.domain, points, seed + 2000 + k)))
+        metric.require_spd(batches[-1])
     worst = {}
     per_group = max(1, ad.CHUNK // points)
     for start in range(0, PERTURBED_METRICS, per_group):
-        metrics, fields, batches = zip(*members[start : start + per_group])
-        sizes = [len(b) for b in batches]
-        metric = MetricField(ad.stacked([g.fn for g in metrics], sizes), metrics[0].domain, metrics[0].name)
-        field = ScalarField(ad.stacked([f.fn for f in fields], sizes), fields[0].domain, fields[0].name)
-        group = PointBatch([p for b in batches for p in b.points])
+        members = batches[start : start + per_group]
+        seeds = range(seed + start, seed + start + len(members))
+        sizes = [len(b) for b in members]
+        metric = catalog.perturbed_flat_group(1e-2, seeds, sizes)
+        field = catalog.random_polynomial_group(metric.domain, [s + 1000 for s in seeds], sizes)
+        group = PointBatch([p for b in members for p in b.points])
         for res in identities.universal_residuals(metric, field, group):
-            offset = 0
-            for batch in batches:
-                part = slice(offset, offset + len(batch))
-                offset = part.stop
-                res_k = identities.IdentityResidual(
-                    res.name, res.lhs[part], res.rhs[part], res.abs_gap[part], res.rel_gap[part], batch
-                ).worst()
-                prev = worst.get(res.name)
-                if prev is None or res_k.rel_gap > prev.rel_gap:
-                    worst[res.name] = res_k
+            res = res.worst()
+            prev = worst.get(res.name)
+            if prev is None or res.rel_gap > prev.rel_gap:
+                worst[res.name] = res
     for check, res in worst.items():
         report.add(_record(name, check, tols, res.point, res.lhs, res.rhs, res.rel_gap))
 

@@ -256,25 +256,19 @@ class ManifoldScalarField:
         return cls(charts, name=name, ambient=fn)
 
 
-def integrate(
-    entry: CatalogEntry, field, resolution: int, swap_charts: bool = False
-) -> float:
+def integrate(entry: CatalogEntry, field, resolution: int) -> float:
     """Integral of a scalar field against the Riemannian volume form.
 
     ``field`` is a ManifoldScalarField, or a single callable applied in
     every chart (enough for chart-symmetric integrands).  Summation uses
-    math.fsum in a fixed node order, so results are reproducible;
-    ``swap_charts`` enumerates the atlas in the opposite order, which
-    exercises the partition-of-unity bookkeeping.
+    math.fsum, which is correctly rounded, so the result does not depend
+    on the order of the terms.
     """
     grid = build_grid(entry, resolution)
     if callable(field):
         field = ManifoldScalarField(tuple([field] * len(grid.charts)))
-    pairs = list(zip(grid.charts, field.per_chart))
-    if swap_charts:
-        pairs = pairs[::-1]
     total_terms = []
-    for chart, fn in pairs:
+    for chart, fn in zip(grid.charts, field.per_chart):
         vals = np.broadcast_to(
             np.asarray(value_of(fn(list(grid.columns))), dtype=float), chart.weight.shape
         )

@@ -471,88 +471,3 @@ def test_partial_lowers_the_order_and_mixed_orders_truncate():
     assert np.allclose(prod.c, [a * a - b * b, 2 * a, -2 * b, 1.0, 0.0, -1.0] + [0.0] * 9, rtol=0, atol=1e-15)
     inv = 1.0 / (1.0 + x[0])
     assert np.allclose(inv.c[[0, 1, 3, 6, 10]], [(-1) ** k / 1.5 ** (k + 1) for k in range(5)], rtol=1e-15)
-
-
-# -- stacked: several functions over their points laid end to end ---------------
-
-def _stack_members(sizes=(3, 1, 4)):
-    """(metric, field, coordinate columns) of perturbed-flat members."""
-    from ryslab import catalog
-    from ryslab.geometry import sample_points
-
-    members = []
-    for k, m in enumerate(sizes):
-        g = catalog.make_perturbed_flat(1e-2, 20 + k).metric
-        f = catalog.random_polynomial_field(g.domain, 30 + k)
-        pts = sample_points(g.domain, m, seed=40 + k)
-        members.append((g, f, [np.array([p.coords[i] for p in pts]) for i in range(g.domain.dim)]))
-    return members
-
-
-def _coefficients(v):
-    return v.c if isinstance(v, ad.Taylor) else v
-
-
-@pytest.mark.parametrize("order", [None, 4], ids=["columns", "lift-4"])
-def test_stacked_slices_equal_each_member_alone(order):
-    """Each member's slice of a stacked metric (symmetrised once) and field
-    equals that member evaluated alone, coefficient for coefficient."""
-    from ryslab.geometry import MetricField
-
-    members = _stack_members()
-    sizes = [len(x[0]) for _, _, x in members]
-    joined = [np.concatenate(cols) for cols in zip(*(x for _, _, x in members))]
-    on = (lambda x: x) if order is None else (lambda x: ad.lift(x, order))
-    metric = MetricField(ad.stacked([g.fn for g, _, _ in members], sizes), members[0][0].domain)
-    field = ad.stacked([f.fn for _, f, _ in members], sizes)
-    got = list(_leaves([metric.matrix(on(joined)), field(on(joined))]))
-    start = 0
-    for (g, f, x), m in zip(members, sizes):
-        ref = list(_leaves([g.matrix(on(x)), f.fn(on(x))]))
-        assert len(got) == len(ref) == 10
-        for a, b in zip(got, ref):
-            assert type(a) is type(b)
-            if isinstance(a, ad.Taylor):
-                assert (a.n, a.order) == (b.n, b.order)
-            assert np.array_equal(_coefficients(a)[..., start : start + m], _coefficients(b))
-        start += m
-
-
-def test_stacked_joins_a_constant_entry_next_to_a_lifted_one():
-    """A member's constant entry is spread over its own points: as a lifted
-    constant where another member's entry is lifted, as a column next to a
-    column; a constant every member shares stays a float, and a lone
-    function comes back as it is."""
-    fns = [lambda x: [x[0] * x[1], 2.0, 1.5], lambda x: [3.0, x[1] + 1.0, 1.5]]
-    cols = [np.array([0.1, 0.2, 0.3, 0.4, 0.5]), np.array([-1.0, 0.5, 2.0, 0.25, 3.0])]
-    fn = ad.stacked(fns, [2, 3])
-    lifted = fn(ad.lift(cols, 2))
-    alone = [fns[0](ad.lift([c[:2] for c in cols], 2)), fns[1](ad.lift([c[2:] for c in cols], 2))]
-    assert np.array_equal(lifted[0].c[:, :2], alone[0][0].c)
-    assert np.array_equal(lifted[0].c[:, 2:], [[3.0] * 3] + [[0.0] * 3] * 5)
-    assert np.array_equal(lifted[1].c[:, :2], [[2.0] * 2] + [[0.0] * 2] * 5)
-    assert np.array_equal(lifted[1].c[:, 2:], alone[1][1].c)
-    assert lifted[2] == 1.5 and type(lifted[2]) is float
-    columns = fn(cols)
-    assert np.array_equal(columns[0], np.concatenate([cols[0][:2] * cols[1][:2], [3.0] * 3]))
-    assert np.array_equal(columns[1], np.concatenate([[2.0] * 2, cols[1][2:] + 1.0]))
-    assert columns[2] == 1.5
-    assert ad.stacked(fns[:1], [5]) is fns[0]
-
-
-def test_stacked_rejects_points_it_cannot_assign():
-    """Columns of any length but the members' total, such as one chunk of a
-    batch that curvature splits, and a single point raise ValueError."""
-    from ryslab.geometry import MetricField
-
-    (g, _, _), = _stack_members((1,))
-    sizes = [600, 500]
-    fn = ad.stacked([g.fn, g.fn], sizes)
-    x = [np.linspace(-0.5, 0.5, sum(sizes))] * 3
-    assert len(fn(x)[0][0]) == sum(sizes)
-    chunk = [c[: ad.CHUNK] for c in x]
-    for bad in (chunk, ad.lift(chunk, 4), [0.1, 0.2, 0.3]):
-        with pytest.raises(ValueError):
-            fn(bad)
-    with pytest.raises(ValueError):
-        curvature.CurvatureData(MetricField(fn, g.domain), x).metric

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ryslab import catalog
+from ryslab import ad, catalog
 from ryslab import curvature as cv
 from ryslab.errors import NotSPD
 from ryslab.geometry import constant_scalar, sample_points
@@ -141,6 +141,27 @@ class TestPerturbedFlat:
         b = catalog.make_perturbed_flat(1e-2, 11)
         p = [0.2, -0.3, 0.1]
         assert np.array_equal(a.metric.matrix_np(p), b.metric.matrix_np(p))
+
+    def test_group_rejects_points_it_cannot_assign(self):
+        """A group metric or field takes columns of its members' point total
+        only: one chunk of a batch that curvature splits, that chunk lifted
+        to order 4 and a single point raise ValueError, and so does the
+        curvature of a group that would be lifted in chunks.  A lone member
+        takes any points."""
+        sizes = [600, 500]
+        metric = catalog.perturbed_flat_group(1e-2, [20, 21], sizes)
+        field = catalog.random_polynomial_group(metric.domain, [30, 31], sizes)
+        x = [np.linspace(-0.5, 0.5, sum(sizes))] * 3
+        assert len(metric.fn(x)[0][0]) == len(field.fn(x)) == sum(sizes)
+        chunk = [c[: ad.CHUNK] for c in x]
+        for fn in (metric.fn, field.fn):
+            for bad in (chunk, ad.lift(chunk, 4), [0.1, 0.2, 0.3]):
+                with pytest.raises(ValueError):
+                    fn(bad)
+        with pytest.raises(ValueError):
+            cv.CurvatureData(metric, x).metric
+        lone = catalog.perturbed_flat_group(1e-2, [20], None)
+        assert np.array_equal(lone.matrix_np(chunk), catalog.make_perturbed_flat(1e-2, 20).metric.matrix_np(chunk))
 
 
 def test_verify_case_defaults_are_solitons():

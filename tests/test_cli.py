@@ -440,9 +440,9 @@ def test_verify_builds_shared_quantities_once_per_batch(tmp_path, capsys, monkey
 )
 def test_one_lifted_metric_evaluation_per_batch(argv, evaluations, tmp_path, monkeypatch):
     """`verify` evaluates each batch's metric once on lifted coordinates (6
-    soliton cases, and the 5 perturbed-flat metrics stacked into one batch
-    by default); every R, Ric and connection derivative is read off that one
-    evaluation.  The float evaluations are the positive-definiteness checks:
+    soliton cases, and by default one group metric for the 5 perturbed-flat
+    metrics, whose coefficients are per-point columns); every R, Ric and
+    connection derivative is read off that one evaluation.  The float evaluations are the positive-definiteness checks:
     one per soliton batch, one per perturbed-flat metric built and one per
     perturbed-flat metric's own points."""
     from ryslab import ad, geometry
@@ -491,6 +491,29 @@ def test_stacked_perturbed_flat_matches_one_batch_per_metric(points):
     report = CheckReport(command="verify", config={})
     cli._run_universal_case("perturbed-flat", points, 7, tols, report)
     assert report.records == _universal_reference(points, 7, tols)
+
+
+@pytest.mark.parametrize(
+    "term, record",
+    [("_divergence_ricci", "contracted-bianchi"), ("_rough_laplacian_df", "commutation"), ("_ric_ff", "bochner")],
+)
+def test_universal_record_fails_on_a_wrong_term(term, record, tmp_path, monkeypatch):
+    """Negative controls: one term of an identity scaled by 1 + 1e-2 makes
+    exactly that identity's perturbed-flat record fail, and `verify` exit 1."""
+    from ryslab import identities
+
+    exact = getattr(identities, term)
+
+    def scaled(*args):
+        out = exact(*args)
+        return [v * (1.0 + 1e-2) for v in out] if isinstance(out, list) else out * (1.0 + 1e-2)
+
+    monkeypatch.setattr(identities, term, scaled)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--case", "perturbed-flat", "--points", "16", "--out", str(out)]) == 1
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 3
+    assert [r["name"] for r in records if r["verdict"] == "fail"] == [f"perturbed-flat:{record}"]
 
 
 def test_finished_soliton_case_frees_its_batch(monkeypatch):

@@ -86,13 +86,6 @@ class TestPartitionOfUnity:
         there = quad._partition_weight(partner, entry.atlas.radius)
         assert np.max(np.abs(chart.partition[overlap] + there - 1.0)) < 1e-14
 
-    def test_swapped_chart_roles(self):
-        entry = catalog.sphere_entry(1.0)
-        field = quad.ManifoldScalarField.from_ambient(entry, ambient_poly(0))
-        a = quad.integrate(entry, field, 12)
-        b = quad.integrate(entry, field, 12, swap_charts=True)
-        assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
-
 
 class TestDivergenceTheorem:
     def test_laplacian_integrates_to_zero(self):
