@@ -50,7 +50,13 @@ class ClosedForms:
 
 @dataclass(frozen=True)
 class SphereAtlas:
-    """Two antipodal stereographic charts joined by coordinate inversion."""
+    """Two antipodal stereographic charts joined by coordinate inversion.
+
+    Chart 1 is chart 0 reflected through the equator: its embedding is
+    chart 0's with each ambient coordinate multiplied by that chart's
+    ``signs``.  ``ambient`` applies them, and the quadrature reflects chart
+    0's Laplacian basis by the same signs, so the two cannot disagree.
+    """
 
     radius: float
 
@@ -60,14 +66,21 @@ class SphereAtlas:
         s = self.radius * self.radius / r2
         return [s * c for c in coords]
 
+    def signs(self, chart: int, n: int) -> tuple[float, ...]:
+        """The sign of each of the n + 1 ambient coordinates of ``chart``
+        relative to chart 0: chart 1 negates the last one."""
+        return (1.0,) * n + ((1.0, -1.0)[chart],)
+
     def ambient(self, chart: int, coords):
-        """Embedding coordinates in R^{n+1}; both charts agree on overlap."""
+        """Embedding coordinates in R^{n+1}; both charts agree on overlap.
+
+        Negation is exact, so chart 1's last coordinate is that of the same
+        formula with r^2 - q in place of q - r^2 (as -0.0 where it is 0)."""
         r = self.radius
         q = sum(c * c for c in coords)
         denom = r * r + q
-        head = [2.0 * r * r * c / denom for c in coords]
-        last = r * (q - r * r) / denom if chart == 0 else r * (r * r - q) / denom
-        return head + [last]
+        point = [2.0 * r * r * c / denom for c in coords] + [r * (q - r * r) / denom]
+        return [a if s > 0.0 else -a for s, a in zip(self.signs(chart, len(coords)), point)]
 
 
 @dataclass(frozen=True)

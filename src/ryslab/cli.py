@@ -455,10 +455,12 @@ def _solve_problem(args):
 
 
 def _unwritable(path: str) -> Optional[str]:
-    """Why ``path`` cannot be written, when the file system already shows it
-    before any work is done: it is a directory, or its nearest existing
+    """Why ``path`` cannot be written, when it already shows before any
+    work is done: it is empty, it is a directory, or its nearest existing
     ancestor is not one.  None otherwise; failures that show up only when
     writing are reported then."""
+    if not path:
+        return "the path is empty"
     if os.path.isdir(path):
         return str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path))
     parent = os.path.dirname(os.path.abspath(path))
@@ -600,7 +602,7 @@ def cmd_integrate(args) -> int:
     try:
         entry = catalog.get_entry(args.case)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     tols = _tols(args.tol)
     config = RunConfig(
@@ -766,7 +768,7 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     problem = None if out is None else _unwritable(out)
     if problem:
-        print(f"error: cannot write {out}: {problem}", file=sys.stderr)
+        print(f"error: cannot write {out or repr(out)}: {problem}", file=sys.stderr)
         return 2
     return args.func(args)
 

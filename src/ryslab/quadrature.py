@@ -301,8 +301,8 @@ def _gradient_pairings(grid: QuadratureGrid, grads) -> list:
     return [sum(grads[a][p] * raised[b][p] for p in range(n)) for a in range(k) for b in range(a, k)]
 
 
-def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, chart: int, lifted) -> np.ndarray:
-    """Delta of each ambient monomial on one chart, in the order of
+def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, lifted) -> np.ndarray:
+    """Delta of each ambient monomial on chart 0, in the order of
     ``AmbientQuadratic.basis_coefficients``: a_i a_j (i <= j), then a_i.
 
     Only the ambient coordinates' own Laplacians come from jets (their
@@ -310,12 +310,13 @@ def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, chart: int, lifted) 
     Gamma); the products follow by the product rule
     Delta(a_i a_j) = a_i Delta a_j + a_j Delta a_i + 2 <grad a_i, grad a_j>.
     Shape (k (k + 3) / 2, m) for k ambient coordinates; the embedding jets
-    are dropped on return.
+    are dropped on return.  Every other chart's basis is this one with each
+    row times its monomial's sign (see ``_monomial_signs``).
     """
     # g^{ij} and Gamma are built first, so that their temporaries and the
     # embedding's jets are not held at once.
     grid.inverse, grid.christoffel
-    ambient = entry.atlas.ambient(chart, lifted)
+    ambient = entry.atlas.ambient(0, lifted)
     n = len(grid.columns)
     values, grads, laps = [], [], []
     for c in range(len(ambient)):
@@ -332,11 +333,29 @@ def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, chart: int, lifted) 
     return basis
 
 
-def _chart_laplacian(entry, grid: QuadratureGrid, field, chart: int, lifted, bases) -> np.ndarray:
-    """Delta u on one chart: an ``AmbientQuadratic`` field combines the
-    chart's basis columns, any other field goes through its own jet."""
+def _monomial_signs(signs) -> np.ndarray:
+    """The sign of each basis row when ambient coordinate a_i is multiplied
+    by ``signs[i]``: s_i s_j for a_i a_j (i <= j), then s_i.
+
+    A chart whose embedding is chart 0's times ``SphereAtlas.signs`` shares
+    chart 0's nodes, g^{ij} and Gamma, and IEEE rounding is symmetric in
+    sign, so every jet, Laplacian and product-rule term of a_i a_j flips
+    with s_i s_j exactly: its basis is chart 0's times these signs, bit for
+    bit.
+    """
+    s = np.asarray(signs, dtype=float)
+    i, j = np.triu_indices(len(s))
+    return np.concatenate([s[i] * s[j], s])
+
+
+def _chart_laplacian(entry, grid: QuadratureGrid, field, chart: int, lifted, basis) -> np.ndarray:
+    """Delta u on one chart: an ``AmbientQuadratic`` field combines chart
+    0's basis columns with its coefficients times the chart's row signs
+    (the same products as the reflected basis, as the signs are +-1), any
+    other field goes through its own jet."""
     if isinstance(field.ambient, AmbientQuadratic):
-        return field.ambient.basis_coefficients @ bases[chart]
+        signs = _monomial_signs(entry.atlas.signs(chart, len(grid.columns)))
+        return (field.ambient.basis_coefficients * signs) @ basis
     if field.ambient is not None:
         return _grid_laplacian(grid, field.ambient(entry.atlas.ambient(chart, lifted)))
     return _grid_laplacian(grid, field.per_chart[chart](lifted))
@@ -355,21 +374,22 @@ def integrate_laplacians(
 ) -> list[dict]:
     """``integrate_laplacian`` of each field, in order.
 
-    The node columns are lifted once, and each chart's basis (see
-    ``_chart_basis``) is built once for all ``AmbientQuadratic`` fields.
-    Fields are then taken one at a time: a field's chart columns are
-    summed before the next field's are computed, so memory does not grow
-    with the number of fields.
+    The node columns are lifted once, and the Laplacian basis (see
+    ``_chart_basis``) is built once per grid, on chart 0, for all
+    ``AmbientQuadratic`` fields; the other chart reads it through its
+    reflection signs (``_monomial_signs``).  Fields are then taken one at a
+    time: a field's chart columns are summed before the next field's are
+    computed, so memory does not grow with the number of fields.
     """
     grid = build_grid(entry, resolution)
     charts = range(len(grid.charts))
     lifted = lift2(grid.columns)
-    bases = None
+    basis = None
     if any(isinstance(field.ambient, AmbientQuadratic) for field in fields):
-        bases = [_chart_basis(entry, grid, c, lifted) for c in charts]
+        basis = _chart_basis(entry, grid, lifted)
     results = []
     for field in fields:
-        laps = [_chart_laplacian(entry, grid, field, c, lifted, bases) for c in charts]
+        laps = [_chart_laplacian(entry, grid, field, c, lifted, basis) for c in charts]
         terms = np.concatenate([chart.weight * lap for chart, lap in zip(grid.charts, laps)])
         peak = max(float(np.max(np.abs(lap))) for lap in laps)
         # One volume() call per field, as integrate_laplacian always made

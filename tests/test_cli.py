@@ -151,9 +151,10 @@ class TestIntegrateCommand:
 
     def test_unknown_case(self, tmp_path, capsys):
         code = run([
-            "integrate", "--case", "nosuch", "--out", str(tmp_path / "r.json"),
+            "integrate", "--case", "nope", "--out", str(tmp_path / "r.json"),
         ])
         assert code == 2
+        assert capsys.readouterr().err == "error: unknown catalog entry 'nope'\n"
 
     def test_bad_resolution(self, tmp_path, capsys):
         code = run([
@@ -693,6 +694,32 @@ def test_unwritable_out_is_rejected_before_any_check(kind, tmp_path, capsys, mon
         assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--case", "gaussian", "--points", "1"],
+        ["integrate", "--case", "unit-s3", "--resolution", "12"],
+        ["solve", "--grid", "16"],
+    ],
+    ids=["verify", "integrate", "solve"],
+)
+def test_empty_out_is_rejected_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    """An empty --out names no file: it exits 2 with one plain error line
+    before any check runs, and no temp file is written anywhere."""
+    def forbidden(*_args):
+        raise AssertionError("work ran")
+
+    monkeypatch.setattr(cli, "_run_soliton_case", forbidden)
+    monkeypatch.setattr(cli.quadrature, "volume", forbidden)
+    monkeypatch.setattr(cli.solver, "solve_radial", forbidden)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run(argv + ["--out", ""]) == 2
+    assert capsys.readouterr().err == "error: cannot write '': the path is empty\n"
+    assert list(tmp_path.rglob("*")) == [work]
 
 
 def test_outputs_follow_the_umask(tmp_path, capsys):

@@ -290,15 +290,17 @@ def monomials(ambient):
 
 
 def test_chart_basis_matches_each_monomials_jet():
-    """Every product-rule column equals the Laplacian of that monomial's
-    own jet, at every node of both charts."""
+    """Every product-rule column, reflected into each chart by its row
+    signs, equals the Laplacian of that monomial's own jet, at every node
+    of both charts."""
     from ryslab.ad import lift2
 
     entry = catalog.sphere_entry(1.0)
     grid = quad.build_grid(entry, 10)
     lifted = lift2(grid.columns)
+    chart0 = quad._chart_basis(entry, grid, lifted)
     for chart in range(len(grid.charts)):
-        basis = quad._chart_basis(entry, grid, chart, lifted)
+        basis = chart0 * quad._monomial_signs(entry.atlas.signs(chart, 3))[:, None]
         expected = [
             quad._grid_laplacian(grid, u) for u in monomials(entry.atlas.ambient(chart, lifted))
         ]
@@ -336,8 +338,9 @@ def test_quadratic_field_matches_the_generic_path(seed):
 
 @pytest.mark.parametrize("divergence", [3, 20])
 def test_integrate_cost_is_flat_in_the_divergence_count(divergence, tmp_path, capsys, monkeypatch):
-    """However many divergence checks run, each chart is embedded once and
-    its 4 coordinate Laplacians are taken once."""
+    """However many divergence checks run, the grid is embedded once, on
+    chart 0, and its 4 coordinate Laplacians are taken once; chart 1
+    reflects that basis instead of embedding again."""
     from ryslab import cli
 
     events = []
@@ -358,7 +361,7 @@ def test_integrate_cost_is_flat_in_the_divergence_count(divergence, tmp_path, ca
         "--divergence", str(divergence), "--out", str(tmp_path / "report.json"),
     ]
     assert cli.main(argv) == 0
-    assert events == [("embed", 0)] + ["laplacian"] * 4 + [("embed", 1)] + ["laplacian"] * 4
+    assert events == [("embed", 0)] + ["laplacian"] * 4
 
 
 @pytest.mark.parametrize("mutation", ["gamma-scaled", "gamma-zeroed", "pairing-factor-dropped"])
@@ -392,3 +395,102 @@ def test_divergence_check_fails_when_the_laplacian_is_wrong(mutation, tmp_path, 
     verdicts = {r["name"]: r["verdict"] for r in json.loads(out.read_text())["records"]}
     assert verdicts.pop("unit-s3:volume") == "pass"
     assert verdicts == {f"unit-s3:divergence-theorem[{k}]": "fail" for k in range(3)}
+
+
+def _bits(x):
+    """The bytes of a float, a node column or a ``Jet2``'s value, gradient
+    and Hessian, so that equality also compares the signs of zeros."""
+    from ryslab.ad import Jet2
+
+    if isinstance(x, Jet2):
+        return (_bits(x.v), _bits(x.g), _bits(x.h))
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+def test_chart_one_is_chart_zero_reflected(radius):
+    """Chart 1's embedding is chart 0's with the last ambient coordinate
+    negated, bit for bit, on floats, node columns and lift2 jets; and it
+    equals the direct formula r (r^2 - q) / (r^2 + q) on the grid nodes."""
+    from ryslab.ad import lift2
+
+    entry = catalog.sphere_entry(radius)
+    atlas = entry.atlas
+    assert atlas.signs(0, 3) == (1.0, 1.0, 1.0, 1.0)
+    assert atlas.signs(1, 3) == (1.0, 1.0, 1.0, -1.0)
+    columns = list(quad.build_grid(entry, 10).columns)
+    points = np.random.default_rng(5).uniform(-2.0 * radius, 2.0 * radius, size=(20, 3)).tolist()
+    for x in points + [columns, lift2(columns)]:
+        a0, a1 = atlas.ambient(0, x), atlas.ambient(1, x)
+        assert [_bits(a) for a in a1] == [_bits(a) for a in a0[:3] + [-a0[3]]]
+    for x in (columns, lift2(columns)):
+        q = sum(c * c for c in x)
+        direct = radius * (radius * radius - q) / (radius * radius + q)
+        assert _bits(atlas.ambient(1, x)[3]) == _bits(direct)
+
+
+def chart_basis_from_own_jets(entry, grid, chart, lifted):
+    """Reference: a chart's basis from that chart's own embedding jets,
+    through the product rule, as every chart built it before the basis was
+    shared."""
+    from ryslab.ad import read2
+
+    ambient = entry.atlas.ambient(chart, lifted)
+    n = len(grid.columns)
+    values, grads, laps = [], [], []
+    for a in ambient:
+        v, da, _ = read2(a, n)
+        values.append(quad._nodes(grid, v))
+        grads.append([quad._nodes(grid, d) for d in da])
+        laps.append(quad._grid_laplacian(grid, a))
+    pairings = quad._gradient_pairings(grid, grads)
+    rows = [
+        values[a] * laps[b] + values[b] * laps[a] + 2.0 * pairings[row]
+        for row, (a, b) in enumerate(zip(*np.triu_indices(len(values))))
+    ]
+    return np.array(rows + laps)
+
+
+@pytest.mark.parametrize("resolution", [10, 12])
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+def test_reflected_basis_is_chart_ones_own_bit_for_bit(radius, resolution):
+    """Chart 0's basis times each row's monomial sign equals the basis
+    built from chart 1's own jets, bit for bit; the rows a_i a_4 (i < 4)
+    and a_4 flip and a_4^2 does not.  Each test field's chart-1 Laplacian,
+    read through its sign-flipped coefficients, is the reference basis
+    combination bit for bit."""
+    from ryslab.ad import lift2
+    from ryslab.cli import _ambient_quadratic
+
+    entry = catalog.sphere_entry(radius)
+    grid = quad.build_grid(entry, resolution)
+    lifted = lift2(grid.columns)
+    signs = quad._monomial_signs(entry.atlas.signs(1, 3))
+    assert [k for k in range(14) if signs[k] < 0] == [3, 6, 8, 13]
+    own = chart_basis_from_own_jets(entry, grid, 1, lifted)
+    basis = quad._chart_basis(entry, grid, lifted)
+    assert _bits(basis * signs[:, None]) == _bits(own)
+    for seed in (1, 7):
+        field = quad.ManifoldScalarField.from_ambient(entry, _ambient_quadratic(seed))
+        lap = quad._chart_laplacian(entry, grid, field, 1, lifted, basis)
+        assert _bits(lap) == _bits(field.ambient.basis_coefficients @ own)
+
+
+def test_divergence_checks_fail_without_the_reflection(tmp_path, capsys, monkeypatch):
+    """Negative control: with chart 1's sign vector all +1, chart 1 embeds
+    as chart 0 does, the two charts no longer cover the sphere with one
+    field, and every divergence record fails; the volume still passes."""
+    from ryslab import cli
+
+    monkeypatch.setattr(catalog.SphereAtlas, "signs", lambda self, chart, n: (1.0,) * (n + 1))
+    out = tmp_path / "report.json"
+    argv = [
+        "integrate", "--case", "unit-s3", "--resolution", "12",
+        "--divergence", "3", "--out", str(out),
+    ]
+    assert cli.main(argv) == 1
+    records = {r["name"]: r for r in json.loads(out.read_text())["records"]}
+    assert records.pop("unit-s3:volume")["verdict"] == "pass"
+    assert sorted(records) == [f"unit-s3:divergence-theorem[{k}]" for k in range(3)]
+    for record in records.values():
+        assert record["verdict"] == "fail" and record["gap"] > 1e3 * record["tol"]
