@@ -46,10 +46,10 @@ MAX_POINTS = 10000
 # rounding instead: the differences lose about |f| eps / h^2, which at 2048
 # is near the solver's absolute tolerance 1e-8.  `integrate` evaluates every
 # quadrature node at once, about 2 * resolution^3 of them per chart:
-# resolution 40 peaks near 56 MB for the volume alone, and near 156 MB with
-# divergence checks (163 MB at 1000 of them), which share one basis per
-# chart.  Each check sums its own terms, so time grows with the count: 1000
-# checks take about 26 s at resolution 40.
+# resolution 40 peaks near 56 MB for the volume alone, and near 146 MB with
+# divergence checks, at 20 of them as at 1000: they share one basis per grid.
+# Each check sums its own terms, so time grows with the count: 1000 checks
+# take about 1.5 s at resolution 24 and 5.7 s at resolution 40.
 MAX_INTERVALS = 2048
 MAX_RESOLUTION = 40
 # From 12 up every grid passes the volume record's default tolerance 1e-5 (gap

@@ -4,8 +4,9 @@ Compact entries carry a two-chart stereographic atlas joined by
 coordinate inversion.  A smooth partition of unity built from the
 standard exp(-1/(1-t^2)) mollifier splits the integral between the
 charts; each chart contributes a tensor-product Gauss-Legendre sum over
-the box enclosing its bump support.  Summation order is fixed and
-compensated, so results are bit-reproducible.
+the box enclosing its bump support.  Every sum is correctly rounded
+(``exact_sum``), so results do not depend on the order of the terms and
+are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -32,6 +33,68 @@ from .soliton import SolitonInstance, SolitonKind
 from .tensors import mat_det, mat_inverse, sym2_norm_sq, trace_pair
 
 MIN_RESOLUTION = 8
+
+# exact_sum bins each term by its frexp exponent, from -1073 (the smallest
+# subnormal, 2**-1074 = 0.5 * 2**-1073) to 1024.
+_FREXP_MIN = -1073
+_BINS = 1024 - _FREXP_MIN + 1
+# Adding and subtracting 1.5 * 2**79 rounds an integer below 2**53 in
+# magnitude to the nearest multiple of 2**27, the float spacing near 2**79.
+_SPLIT = 1.5 * 2.0**79
+# Terms per float accumulation: a bin of either mantissa part sums exactly
+# while it holds fewer than 2**27 terms.
+_EXACT_SLICE = 2**25
+# Terms per frexp pass: 64 KB arrays stay in cache and below malloc's mmap
+# threshold, where whole-array temporaries cost a page fault per 4 KB.
+_CHUNK = 8192
+
+
+def _exponent_bins(x: np.ndarray):
+    """Per-exponent sums of the high and low parts of the terms' integer
+    mantissas, both exact for fewer than 2**27 terms."""
+    high_sums, low_sums = np.zeros(_BINS), np.zeros(_BINS)
+    for start in range(0, len(x), _CHUNK):
+        mantissa, exponent = np.frexp(x[start:start + _CHUNK])
+        mantissa *= 2.0**53
+        high = mantissa + _SPLIT
+        high -= _SPLIT
+        mantissa -= high
+        exponent -= _FREXP_MIN
+        high_sums += np.bincount(exponent, weights=high, minlength=_BINS)
+        low_sums += np.bincount(exponent, weights=mantissa, minlength=_BINS)
+    return high_sums, low_sums
+
+
+def exact_sum(values) -> float:
+    """The correctly rounded sum of ``values``, equal to ``math.fsum``.
+
+    A long accumulator (Kulisch): each double is M * 2**(e - 53) with
+    ``np.frexp``'s exponent e and an integer mantissa |M| < 2**53, split
+    exactly into a high part, a multiple of 2**27 up to 2**53, and a low
+    part of at most 2**26.  Each part is summed per exponent by
+    ``np.bincount``, exactly, in slices of ``_EXACT_SLICE`` terms.  The
+    bins are joined in one Python int N, and N / 2**(53 - _FREXP_MIN) is
+    rounded once, half to even, by CPython's int division, as
+    ``math.fsum`` rounds.
+
+    Non-finite input, and input summing to exactly zero (whose sign of
+    zero differs between Python versions), is handed to ``math.fsum``.
+    Unlike ``math.fsum``, an overflowing partial sum is no error, since the
+    accumulator rounds nothing before the end: ``[1e308, 1e308, -1e308]``
+    sums to 1e308.  A sum beyond the largest double raises OverflowError.
+    """
+    x = np.ravel(np.asarray(values, dtype=float))
+    if not np.isfinite(x).all():
+        return math.fsum(x.tolist())
+    total = 0
+    for start in range(0, len(x), _EXACT_SLICE):
+        high_sums, low_sums = _exponent_bins(x[start:start + _EXACT_SLICE])
+        for b in np.flatnonzero((high_sums != 0.0) | (low_sums != 0.0)).tolist():
+            total += (int(high_sums[b]) + int(low_sums[b])) << b
+    if total == 0:
+        return math.fsum(x.tolist())
+    return total / (1 << (53 - _FREXP_MIN))
+
 
 # 64-point Gauss-Legendre rule for the mollifier cumulative; the profile
 # is smooth with flat endpoints, so this is accurate to rounding.
@@ -97,7 +160,7 @@ class QuadratureGrid:
     @cached_property
     def volume(self) -> float:
         """Sum of every chart's weights: the integral of 1, summed once per grid."""
-        return math.fsum(np.concatenate([c.weight for c in self.charts]).tolist())
+        return exact_sum(np.concatenate([c.weight for c in self.charts]))
 
     @cached_property
     def inverse(self):
@@ -260,20 +323,18 @@ def integrate(entry: CatalogEntry, field, resolution: int) -> float:
     """Integral of a scalar field against the Riemannian volume form.
 
     ``field`` is a ManifoldScalarField, or a single callable applied in
-    every chart (enough for chart-symmetric integrands).  Summation uses
-    math.fsum, which is correctly rounded, so the result does not depend
-    on the order of the terms.
+    every chart (enough for chart-symmetric integrands).  The terms are
+    summed by ``exact_sum``, which is correctly rounded, so the result does
+    not depend on their order.
     """
     grid = build_grid(entry, resolution)
     if callable(field):
         field = ManifoldScalarField(tuple([field] * len(grid.charts)))
-    total_terms = []
-    for chart, fn in zip(grid.charts, field.per_chart):
-        vals = np.broadcast_to(
-            np.asarray(value_of(fn(list(grid.columns))), dtype=float), chart.weight.shape
-        )
-        total_terms.extend((chart.weight * vals).tolist())
-    return math.fsum(total_terms)
+    terms = np.concatenate([
+        chart.weight * _nodes(grid, fn(list(grid.columns)))
+        for chart, fn in zip(grid.charts, field.per_chart)
+    ])
+    return exact_sum(terms)
 
 
 def volume(entry: CatalogEntry, resolution: int) -> float:
@@ -395,7 +456,7 @@ def integrate_laplacians(
         # One volume() call per field, as integrate_laplacian always made
         # (bench/selftest.py counts divergence + 1 calls per integrate run).
         vol = volume(entry, resolution)
-        results.append({"integral": math.fsum(terms.tolist()), "scale": vol * peak, "volume": vol})
+        results.append({"integral": exact_sum(terms), "scale": vol * peak, "volume": vol})
     return results
 
 

@@ -87,6 +87,98 @@ class TestPartitionOfUnity:
         assert np.max(np.abs(chart.partition[overlap] + there - 1.0)) < 1e-14
 
 
+def same_float(a, b):
+    """Bit-for-bit equality of two floats: the sign of zero counts, and nan
+    equals nan."""
+    return np.array(a).tobytes() == np.array(b).tobytes()
+
+
+def sum_cases(seed):
+    """Arrays to sum: random magnitudes over wide exponent ranges
+    (subnormals up to 1e300), each also joined with its negation (an exact
+    zero) and with half of it negated; rounding ties; single elements,
+    empty and all-zero arrays."""
+    rng = np.random.default_rng(seed)
+    tiny = 2.0**-1074
+    cases = [
+        np.array([]), np.zeros(1), np.zeros(6), np.array([-0.0]), np.array([-0.0, -0.0]),
+        np.array([0.0, -0.0]), np.array([2.5]), np.array([-tiny]), np.array([1e300]),
+        np.array([1.0, 2.0**-53]), np.array([1.0 + 2.0**-52, 2.0**-53]),
+        np.array([1.0, 2.0**-53, tiny]), np.array([-1.0, -(2.0**-53), -tiny]),
+        np.array([2.0**-1022, -tiny, 2.0**-1060]),
+    ]
+    for _ in range(60):
+        n = int(rng.integers(1, 3000))
+        low, high = np.sort(rng.uniform(-323.0, 300.0, size=2))
+        x = 10.0 ** rng.uniform(low, high, size=n) * rng.choice([-1.0, 1.0], size=n)
+        cases.append(x)
+        cases.append(rng.permutation(np.concatenate([x, -x])))
+        cases.append(rng.permutation(np.concatenate([x, -x[: n // 2]])))
+    return cases
+
+
+def fsum_mismatches(summer, cases):
+    """Indices of the cases where ``summer`` differs from math.fsum."""
+    return [k for k, x in enumerate(cases) if not same_float(summer(x), math.fsum(x.tolist()))]
+
+
+class TestExactSum:
+    def test_equals_fsum_bit_for_bit(self):
+        cases = sum_cases(2024)
+        assert fsum_mismatches(quad.exact_sum, cases) == []
+        # Negative control: the same comparison catches a plain float sum.
+        assert fsum_mismatches(lambda x: float(np.sum(x)), cases)
+
+    @pytest.mark.parametrize("chunk", [3, quad._CHUNK])
+    def test_joined_slices_and_chunks(self, monkeypatch, chunk):
+        """Slices of 7 terms, each summed in chunks, join to fsum's sum."""
+        monkeypatch.setattr(quad, "_EXACT_SLICE", 7)
+        monkeypatch.setattr(quad, "_CHUNK", chunk)
+        cases = [x for x in sum_cases(7) if len(x) <= 400]
+        assert any(len(x) > 7 for x in cases)
+        assert fsum_mismatches(quad.exact_sum, cases) == []
+
+    def test_grid_sized_input(self):
+        """Several chunks of one slice, at the size of a resolution-24 grid."""
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal(55296) * 10.0 ** rng.uniform(-12.0, 0.0, size=55296)
+        assert fsum_mismatches(quad.exact_sum, [x, np.concatenate([x, -x[::2]])]) == []
+
+    def test_non_finite_input_goes_to_fsum(self):
+        inf = math.inf
+        assert math.isnan(quad.exact_sum(np.array([math.nan])))
+        assert math.isnan(quad.exact_sum(np.array([1.0, math.nan, -inf])))
+        assert quad.exact_sum(np.array([inf, 1.0, -2.0])) == inf
+        assert quad.exact_sum(np.array([-inf, 1.0])) == -inf
+        with pytest.raises(ValueError):
+            quad.exact_sum(np.array([inf, -inf]))
+
+    def test_exact_zero_takes_fsums_sign(self):
+        for x in ([-0.0], [-0.0, -0.0], [0.0, -0.0], [1.5, -1.5], [-1.5, 1.5], [-0.0, 1e-300, -1e-300]):
+            assert same_float(quad.exact_sum(np.array(x)), math.fsum(x)), x
+
+    def test_intermediate_overflow_keeps_the_exact_sum(self):
+        """fsum raises once a partial sum overflows; the accumulator has
+        no partial sums to round, so it returns the representable result."""
+        x = [1e308, 1e308, -1e308]
+        with pytest.raises(OverflowError):
+            math.fsum(x)
+        assert quad.exact_sum(np.array(x)) == 1e308
+        big = np.full(5, 1e308)
+        assert quad.exact_sum(np.concatenate([big, -big, [-1e308]])) == -1e308
+
+    def test_final_overflow_raises_as_fsum_does(self):
+        """A sum beyond the largest double, or one rounding up to 2**1024
+        (the tie at max + half an ulp goes to even), raises OverflowError."""
+        top = np.finfo(float).max
+        for x in ([1e308, 1e308], [-1e308, -1e308], [top, 2.0**970], [-top, -1e292]):
+            for summer in (quad.exact_sum, math.fsum):
+                with pytest.raises(OverflowError):
+                    summer(np.array(x))
+        below_tie = [top, 2.0**970 * (1.0 - 2.0**-20)]
+        assert quad.exact_sum(np.array(below_tie)) == math.fsum(below_tie) == top
+
+
 class TestDivergenceTheorem:
     def test_laplacian_integrates_to_zero(self):
         entry = catalog.sphere_entry(1.0)
@@ -234,6 +326,37 @@ def laplacian_integral_per_field(entry, field, resolution):
         terms.extend((chart.weight * lap).tolist())
     vol = quad.volume(entry, resolution)
     return {"integral": math.fsum(terms), "scale": vol * max_abs, "volume": vol}
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_quadrature_sums_equal_fsum_of_the_same_terms(radius):
+    """Every quadrature sum is math.fsum of its terms, bit for bit: the
+    divergence integrals of 3 fields (through their per-chart expressions,
+    whose Laplacians match laplacian_integral_per_field's exactly), the
+    integral of an odd field (its terms cancel to rounding), and the
+    volume."""
+    from ryslab.ad import value_of
+    from ryslab.cli import _ambient_quadratic
+
+    entry = catalog.sphere_entry(radius)
+    fields = [
+        quad.ManifoldScalarField(quad.ManifoldScalarField.from_ambient(entry, _ambient_quadratic(s)).per_chart)
+        for s in (1, 2, 3)
+    ]
+    got = quad.integrate_laplacians(entry, fields, 12)
+    assert got == [laplacian_integral_per_field(entry, f, 12) for f in fields]
+
+    grid = quad.build_grid(entry, 12)
+    weights = np.concatenate([c.weight for c in grid.charts])
+    assert grid.volume == math.fsum(weights.tolist())
+
+    def fn(x):
+        return x[0] + x[1] * x[2]
+
+    terms = []
+    for chart in grid.charts:
+        terms.extend((chart.weight * np.asarray(value_of(fn(list(grid.columns))))).tolist())
+    assert quad.integrate(entry, fn, 12) == math.fsum(terms)
 
 
 def test_many_fields_match_one_field_at_a_time():
