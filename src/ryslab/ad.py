@@ -182,7 +182,10 @@ class Taylor:
         return exp(self * math.log(base))
 
     def partial(self, i):
-        """d_i, one order lower."""
+        """d_i, one order lower; ``OrderTooHigh`` on an order-0 polynomial,
+        which carries no derivative."""
+        if not self.order:
+            raise OrderTooHigh(f"d_{i} of a polynomial lifted to order 0")
         src, fac = _shift(self.n, self.order, i)
         return self._new(self.c[src] * fac.reshape((-1,) + (1,) * (self.c.ndim - 1)), self.order - 1)
 
@@ -273,11 +276,14 @@ def _rows(a):
 
 def split(v, n):
     """``(value, parts)`` of a lifted result, ``parts[k]`` its first partial
-    in x_k (0.0 for a constant), copied; nested lists map entry by entry."""
+    in x_k (0.0 for a constant), copied; nested lists map entry by entry.
+    Partials of an order-0 polynomial raise ``OrderTooHigh``."""
     if isinstance(v, list):
         pairs = [split(x, n) for x in v]
         return [a for a, _ in pairs], [[b[k] for _, b in pairs] for k in range(n)]
     if isinstance(v, Taylor):
+        if n and not v.order:
+            raise OrderTooHigh("first partials of a polynomial lifted to order 0")
         rows = _rows(v.c[: n + 1].copy())
         return rows[0], rows[1:]
     return v, [0.0] * n

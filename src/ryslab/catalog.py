@@ -307,10 +307,13 @@ def cylinder_entry() -> CatalogEntry:
 
 
 def make_perturbed_flat(epsilon: float, seed: int, dim: int = 3) -> CatalogEntry:
-    """g = delta + epsilon * h with h a seeded symmetric polynomial field.
+    """g = delta + epsilon * h with h a seeded symmetric polynomial field,
+    as a catalog entry.
 
-    Positive definiteness is verified on the full sample set; failure is
-    a hard NotSPD error (regenerate with smaller epsilon).
+    Positive definiteness is verified on 200 points sampled from seed + 1;
+    failure is a hard NotSPD error (regenerate with smaller epsilon).
+    `verify` builds its metrics with ``perturbed_flat_group`` instead and
+    checks each on the points it is verified on.
     """
     metric = perturbed_flat_group(epsilon, [seed], None, dim)
     entry = CatalogEntry(
@@ -327,7 +330,8 @@ def make_perturbed_flat(epsilon: float, seed: int, dim: int = 3) -> CatalogEntry
 def perturbed_flat_group(epsilon: float, seeds, sizes, dim: int = 3) -> MetricField:
     """The metrics of ``make_perturbed_flat(epsilon, seed, dim)``, one per
     seed, as one metric on their points laid end to end (see ``_grouped``).
-    Positive definiteness is checked where each member is made."""
+    Positive definiteness is left to the caller (``MetricField.require_spd``
+    on each member's points)."""
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     label = ",".join(str(seed) for seed in seeds)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ad, catalog, identities, quadrature, solver
-from .curvature import ricci, ricci_operator, scalar_curvature
+from .curvature import curvature_data, ricci, ricci_operator, scalar_curvature
 from .errors import AlphaZero, BeyondAntipode, DegenerateBeta, NoConvergence, NotCompact, RysLabError
 from .geometry import PointBatch, sample_points
 from .report import VERSION, CheckRecord, CheckReport, RunConfig, write_atomic, write_report
@@ -36,10 +36,12 @@ from .soliton import (
 
 
 PERTURBED_METRICS = 5
+# The rows of `identities.universal_residuals`, which perturbed-flat reports.
+UNIVERSAL_CHECKS = ("contracted-bianchi", "commutation", "bochner")
 # Every check holds all of a case's points in memory at once (curvature
-# lifts them to order 4 in chunks of ad.CHUNK points, but keeps every
-# read), so --points has a ceiling: at 10,000 points a full `verify` peaks
-# near 156 MB.
+# lifts them in chunks of ad.CHUNK points, to order 4 for the soliton cases
+# and 3 for perturbed-flat, but keeps every read), so --points has a
+# ceiling: at 10,000 points a full `verify` peaks near 118 MB.
 MAX_POINTS = 10000
 # `solve` holds O(m) arrays (m = --grid; 6-wide stencils and a band factor):
 # 2048 intervals take under 0.1 s and peak near 34 MB.  The ceiling is set by
@@ -238,17 +240,23 @@ def _class_consistency(inst, batch, tols):
 class Check:
     """One table row: a kind of report record and how `verify` measures it.
 
-    ``applies(inst, spec)`` says whether a soliton case reports the row, and
-    ``measure(inst, batch, tols)`` returns the record's (point, lhs, rhs,
-    gap).  A ``derived`` row runs only once the defining residual is within
-    its tolerance.  Rows without ``measure`` (volume, divergence and the
-    universal identities) are measured by their own commands and give them
-    only an anchor and a default tolerance.
+    ``order`` is the highest derivative of g the row reads: a case lifts
+    its batch's metric to the largest order among its rows, and a read
+    above it raises ``OrderTooHigh``.  Ric, R and Hess f read 2; dRic, grad
+    R and Delta |grad f|^2 read 3 (the lift carries g^{-1} one order below
+    g); Delta R reads 4.  ``applies(inst, spec)`` says whether a soliton
+    case reports the row, and ``measure(inst, batch, tols)`` returns the
+    record's (point, lhs, rhs, gap).  A ``derived`` row runs only once the
+    defining residual is within its tolerance.  Rows without ``measure``
+    (volume, divergence and the universal identities) are measured by their
+    own commands and give them only an anchor, a default tolerance and, for
+    the universal identities, the order of perturbed-flat's lift.
     """
 
     name: str
     anchor: str
     tol: float
+    order: int
     applies: Optional[Callable] = None
     measure: Optional[Callable] = None
     derived: bool = True
@@ -259,45 +267,45 @@ class Check:
 CHECKS = {
     check.name: check
     for check in (
-        Check("defining-residual", "defining soliton equation", 1e-8,
+        Check("defining-residual", "defining soliton equation", 1e-8, 2,
               _always, _defining("max_abs"), derived=False),
-        Check("defining-residual-gnorm", "defining soliton equation", 1e-8,
+        Check("defining-residual-gnorm", "defining soliton equation", 1e-8, 2,
               _always, _defining("g_norm"), derived=False),
-        Check("trace-identity", "trace of the defining equation", 1e-8,
+        Check("trace-identity", "trace of the defining equation", 1e-8, 2,
               _gradient, _identity("check_trace_identity")),
-        Check("gradient-identity", "soliton gradient identity", 1e-6,
+        Check("gradient-identity", "soliton gradient identity", 1e-6, 3,
               _gradient, _identity("check_gradient_identity")),
-        Check("laplacian-identity", "soliton Laplacian identity", 1e-4,
+        Check("laplacian-identity", "soliton Laplacian identity", 1e-4, 4,
               _gradient, _identity("check_laplacian_identity")),
-        Check("splitting-identity", "Bochner splitting identity", 1e-5,
+        Check("splitting-identity", "Bochner splitting identity", 1e-5, 3,
               _splitting, _identity("check_splitting_identity")),
-        Check("scalar-constancy", "compact scalar-curvature constancy", 1e-9,
+        Check("scalar-constancy", "compact scalar-curvature constancy", 1e-9, 2,
               _scalar_law, _scalar_constancy),
-        Check("scalar-sign-law", "scalar-curvature sign law", 0.5,
+        Check("scalar-sign-law", "scalar-curvature sign law", 0.5, 2,
               _sign_law, _scalar_sign_law),
-        Check("product-affine-hessian", "affine potential on a product geometry", 1e-9,
+        Check("product-affine-hessian", "affine potential on a product geometry", 1e-9, 2,
               _listed("product-affine-hessian"), _affine_flag("hessian_norm")),
-        Check("product-grad-constancy", "constant gradient norm on a product geometry", 1e-9,
+        Check("product-grad-constancy", "constant gradient norm on a product geometry", 1e-9, 2,
               _listed("product-grad-constancy"), _affine_flag("grad_norm_variation")),
-        Check("steady-ricci-flat", "steady split instances are Ricci-flat", 1e-10,
+        Check("steady-ricci-flat", "steady split instances are Ricci-flat", 1e-10, 2,
               _listed("steady-ricci-flat"), _ricci_flat),
-        Check("steady-lambda", "steady classification", 1e-12,
+        Check("steady-lambda", "steady classification", 1e-12, 0,
               _listed("steady-lambda"), _steady_lambda),
-        Check("concircular-defect", "concircular vector field defect", 1e-10,
+        Check("concircular-defect", "concircular vector field defect", 1e-10, 1,
               _concircular, _concircular_defect),
-        Check("einstein-defect", "Einstein reduction under a concircular field", 1e-10,
+        Check("einstein-defect", "Einstein reduction under a concircular field", 1e-10, 2,
               _concircular, _einstein_defect),
-        Check("scalar-prediction", "scalar curvature prediction", 1e-9,
+        Check("scalar-prediction", "scalar curvature prediction", 1e-9, 2,
               _concircular, _scalar_prediction),
-        Check("ricci-eigenvalue", "Ricci operator eigenvalue", 1e-10,
+        Check("ricci-eigenvalue", "Ricci operator eigenvalue", 1e-10, 2,
               _concircular, _ricci_eigenvalue),
-        Check("class-consistency", "classification threshold consistency", 0.5,
+        Check("class-consistency", "classification threshold consistency", 0.5, 2,
               _concircular, _class_consistency),
-        Check("contracted-bianchi", "contracted second Bianchi identity", 1e-6),
-        Check("commutation", "covariant derivative commutation rule", 1e-6),
-        Check("bochner", "Bochner formula", 1e-6),
-        Check("volume", "Riemannian volume form", 1e-5),
-        Check("divergence-theorem", "divergence theorem", 1e-5),
+        Check("contracted-bianchi", "contracted second Bianchi identity", 1e-6, 3),
+        Check("commutation", "covariant derivative commutation rule", 1e-6, 2),
+        Check("bochner", "Bochner formula", 1e-6, 3),
+        Check("volume", "Riemannian volume form", 1e-5, 0),
+        Check("divergence-theorem", "divergence theorem", 1e-5, 1),
     )
 }
 
@@ -318,10 +326,11 @@ def _record(case, check, tols, point, lhs, rhs, gap, suffix=""):
 def _run_soliton_case(name, spec, inst, points, seed, tols, report) -> None:
     batch = PointBatch(_case_points(spec.entry(), points, seed))
     inst.metric.require_spd(batch)
+    rows = [check for check in CHECKS.values() if check.measure is not None and check.applies(inst, spec)]
+    # The batch's metric is lifted only as far as its rows read.
+    curvature_data(inst.metric, batch, max(check.order for check in rows))
     on_soliton = False
-    for check in CHECKS.values():
-        if check.measure is None or not check.applies(inst, spec):
-            continue
+    for check in rows:
         if check.derived and not on_soliton:
             continue  # derived identities are meaningless off the soliton
         record = _record(name, check.name, tols, *check.measure(inst, batch, tols))
@@ -332,17 +341,20 @@ def _run_soliton_case(name, spec, inst, points, seed, tols, report) -> None:
 
 def _run_universal_case(name, points, seed, tols, report) -> None:
     """The universal identities on ``PERTURBED_METRICS`` random metrics,
-    each with its own field and points, reported at the worst point over
-    all of them (the first metric's on ties).  Consecutive metrics run as
-    one group of at most ``ad.CHUNK`` points (a larger one alone), so that
-    curvature never splits a group: ``catalog`` builds the group's metric
-    and field from the members' coefficients, and each residual's first
-    maximum over the group is the first among its members' maxima."""
+    each with its own field and points (positive definite on them), reported
+    at the worst point over all of them (the first metric's on ties).  The
+    lift reaches the largest order among the ``UNIVERSAL_CHECKS`` rows.
+    Consecutive metrics run as one group of at most ``ad.CHUNK`` points (a
+    larger one alone), so that curvature never splits a group: ``catalog``
+    builds the group's metric and field from the members' coefficients, and
+    each residual's first maximum over the group is the first among its
+    members' maxima."""
     batches = []
     for k in range(PERTURBED_METRICS):
-        metric = catalog.make_perturbed_flat(1e-2, seed + k).metric
+        metric = catalog.perturbed_flat_group(1e-2, [seed + k], None)
         batches.append(PointBatch(sample_points(metric.domain, points, seed + 2000 + k)))
         metric.require_spd(batches[-1])
+    order = max(CHECKS[check].order for check in UNIVERSAL_CHECKS)
     worst = {}
     per_group = max(1, ad.CHUNK // points)
     for start in range(0, PERTURBED_METRICS, per_group):
@@ -352,6 +364,7 @@ def _run_universal_case(name, points, seed, tols, report) -> None:
         metric = catalog.perturbed_flat_group(1e-2, seeds, sizes)
         field = catalog.random_polynomial_group(metric.domain, [s + 1000 for s in seeds], sizes)
         group = PointBatch([p for b in members for p in b.points])
+        curvature_data(metric, group, order)
         for res in identities.universal_residuals(metric, field, group):
             res = res.worst()
             prev = worst.get(res.name)

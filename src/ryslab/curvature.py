@@ -4,10 +4,12 @@ derivatives of R (round unit sphere: Ric = (n-1) g, R = n(n-1)).
 
 The formulas take floats, coordinate columns (shape (m,): a batch in one
 pass) and ``ad.Taylor`` entries alike.  ``curvature_data(g, p)`` is the one
-way in: its ``CurvatureData`` evaluates the metric once per batch, lifted to
-``ad.MAX_ORDER``, builds g^{-1}, Gamma, Ric and R from it by the same
-formulas (each one order below its input) and reads every level a check
-needs off their coefficients.  ``*_generic`` read one at given coordinates.
+way in: its ``CurvatureData`` evaluates the metric once per batch, lifted
+only to the order its reads need (``ad.MAX_ORDER`` unless the caller asks
+for less; 4 only for Delta R), builds g^{-1}, Gamma, Ric and R from it by
+the same formulas (each one order below its input) and reads every level a
+check needs off their coefficients.  ``*_generic`` read one at given
+coordinates.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .geometry import MetricField, PointBatch, ScalarField, VectorField, stack
 from .tensors import mat_inverse, mat_vec, sym2_norm_sq, trace_pair, vec_dot
 
 SYMMETRY_TOL = 1e-12
+# A scalar field's own lift, whatever g's: the commutation rule reads
+# d Hess f, a third derivative of f.
+FIELD_ORDER = 3
 
 
 @dataclass(frozen=True)
@@ -183,68 +188,82 @@ def _shared(build):
     return read
 
 
-def _level(name):
-    """A metric level of the batch, read off ``_lifted``."""
+def _partials(t, n):
+    """First partials of a lifted result, entry by entry."""
+    return split(t, n)[1]
 
-    def read(self):
-        return self._lifted[0][name]
 
-    read.__name__ = name
-    return property(_shared(read))
+def _level(name, poly, read=lambda t, n: _value(t)):
+    """A metric level of the batch: ``read`` of the polynomial that
+    ``_lifted`` keeps under ``poly`` (its value by default)."""
+
+    def level(self):
+        return read(self._lifted[poly], self.n)
+
+    level.__name__ = name
+    return property(_shared(level))
 
 
 class CurvatureData:
     """Curvature of one metric on one batch of points, each quantity built
     on first use and shared by every check.
 
-    g is evaluated once, lifted to ``MAX_ORDER``; g^{-1} (order 3), Gamma
-    (3), Ric (2) and R (2) follow, and each field is evaluated once on the
-    lift (to order 3).  Gamma, dGamma, Ric, dRic, R, grad R, Delta R, Hess f
-    and its partials, grad Delta f and Delta |grad f|^2 are coefficient
-    reads; g, g^{-1} and Gamma equal the float pass bit for bit.  Batches of
-    more than ``CHUNK`` points are lifted chunk by chunk and the reads
-    joined.  Entries are floats at a single point, and (m,) columns (plain
-    floats where constant) over a batch.
+    g is evaluated once, lifted to ``order`` (``MAX_ORDER`` unless the
+    caller asks for less); g^{-1} and Gamma (order - 1), Ric and R
+    (order - 2) follow, and each field is evaluated once on its own lift
+    (to order 3: Hess f and its partials read third derivatives of f).
+    Gamma, dGamma, Ric, dRic, R, grad R, Delta R, Hess f and its partials,
+    grad Delta f and Delta |grad f|^2 are coefficient reads; g, g^{-1} and
+    Gamma equal the float pass bit for bit.  A read needs the lift to reach
+    its order: 2 for Ric, R and Hess f, 3 for dRic, grad R and
+    Delta |grad f|^2 (g^{-1} is carried one order below g), 4 for Delta R.
+    A read above it raises ``OrderTooHigh``; no read is truncated.  Batches
+    of more than ``CHUNK`` points are lifted chunk by chunk, at the same
+    order, and the reads joined.  Entries are floats at a single point, and
+    (m,) columns (plain floats where constant) over a batch.
     """
 
-    def __init__(self, g: MetricField, x):
+    def __init__(self, g: MetricField, x, order: int = MAX_ORDER):
+        if not 2 <= order <= MAX_ORDER:
+            raise ValueError(f"curvature lifts g to an order from 2 (Ric) to {MAX_ORDER}, not {order}")
         self.g = g
         self.x = list(x)
         self.n = g.domain.dim
+        self.order = order
         self.scalar_field = scalar_curvature_field(g)
         self._memo = {}
         m = np.shape(self.x[0])[0] if np.ndim(self.x[0]) else 0
         self._chunks = None
         if m > CHUNK:
-            self._chunks = [CurvatureData(g, [c[s : s + CHUNK] for c in self.x]) for s in range(0, m, CHUNK)]
+            self._chunks = [
+                CurvatureData(g, [c[s : s + CHUNK] for c in self.x], order) for s in range(0, m, CHUNK)
+            ]
             for chunk in self._chunks:
                 chunk.scalar_field = self.scalar_field  # R is read off, not evaluated
 
     @cached_property
     def _lifted(self):
-        """The metric's evaluation and the metric levels read off it.  Of the
-        polynomials only what the fields need is kept: g to order 1, g^{-1}
-        and Gamma to order 2, and R."""
-        gm = self.g.matrix(lift(self.x, MAX_ORDER))
-        ginv = mat_inverse(truncate(gm, MAX_ORDER - 1))
+        """The metric's evaluation and, of the polynomials that follow, what
+        the reads need: g to order 1, g^{-1} and Gamma to order 2, Ric and R."""
+        k = self.order
+        gm = self.g.matrix(lift(self.x, k))
+        ginv = mat_inverse(truncate(gm, k - 1))
         gamma = christoffel_from(ginv, [partial(gm, l) for l in range(self.n)])
         dgamma = [partial(gamma, m) for m in range(self.n)]
-        ric = ricci_from(truncate(gamma, MAX_ORDER - 2), dgamma)
-        scalar = trace_pair(ginv, ric)
-        connection, (ricci, ricci_partials) = split(gamma, self.n), split(ric, self.n)
-        reads = dict(
-            metric=_value(gm), inverse=_value(ginv), connection=connection, christoffel=connection[0],
-            ricci=ricci, ricci_partials=ricci_partials, scalar=_value(scalar),
+        ric = ricci_from(truncate(gamma, k - 2), dgamma)
+        return dict(
+            metric=truncate(gm, 1), inverse=truncate(ginv, 2), christoffel=truncate(gamma, 2),
+            ricci=ric, scalar=trace_pair(ginv, ric),
         )
-        return reads, (truncate(gm, 1), truncate(ginv, 2), truncate(gamma, 2), scalar)
 
-    metric = _level("metric")
-    inverse = _level("inverse")
-    connection = _level("connection")  # (Gamma, dGamma[m][k][i][j] = d_m Gamma^k_ij)
-    christoffel = _level("christoffel")
-    ricci = _level("ricci")
-    ricci_partials = _level("ricci_partials")  # dric[k][i][j] = d_k R_ij
-    scalar = _level("scalar")
+    metric = _level("metric", "metric")
+    inverse = _level("inverse", "inverse")
+    connection = _level("connection", "christoffel", split)  # (Gamma, dGamma[m][k][i][j] = d_m Gamma^k_ij)
+    christoffel = _level("christoffel", "christoffel")
+    ricci = _level("ricci", "ricci")
+    ricci_partials = _level("ricci_partials", "ricci", _partials)  # dric[k][i][j] = d_k R_ij
+    scalar = _level("scalar", "scalar")
+    scalar_partials = _level("scalar_partials", "scalar", _partials)  # d_i R, i.e. grad R lowered
 
     @cached_property
     def ricci_norm_sq(self):
@@ -254,12 +273,12 @@ class CurvatureData:
         """Partials, second partials and covariant Hessian of a lifted scalar."""
         dt = [partial(t, i) for i in range(self.n)]
         ddt = [partial(dt, j) for j in range(self.n)]
-        return dt, ddt, covariant_hessian(self._lifted[1][2], dt, ddt)
+        return dt, ddt, covariant_hessian(self._lifted["christoffel"], dt, ddt)
 
     def _field(self, f: ScalarField):
-        """f on the lift (R read off g's) and ``_second`` of it, per chunk."""
+        """f on its lift (R read off g's) and ``_second`` of it, per chunk."""
         if ("lifted", f) not in self._memo:
-            t = self._lifted[1][3] if f is self.scalar_field else f.fn(lift(self.x, MAX_ORDER - 1))
+            t = self._lifted["scalar"] if f is self.scalar_field else f.fn(lift(self.x, FIELD_ORDER))
             self._memo["lifted", f] = (t,) + self._second(t)
         return self._memo["lifted", f]
 
@@ -275,25 +294,25 @@ class CurvatureData:
     @_shared
     def hessian_partials(self, f: ScalarField):
         """dh[j][k][i] = d_j (Hess f)_{ki}."""
-        return split(self._field(f)[3], self.n)[1]
+        return _partials(self._field(f)[3], self.n)
 
     @_shared
     def laplacian_partials(self, f: ScalarField):
         """d_i Delta f."""
-        return split(trace_pair(self._lifted[1][1], self._field(f)[3]), self.n)[1]
+        return _partials(trace_pair(self._lifted["inverse"], self._field(f)[3]), self.n)
 
     @_shared
     def grad_norm_sq_laplacian(self, f: ScalarField):
         """Delta |grad f|^2, with |grad f|^2 = g^{ij} d_i f d_j f on the lift."""
         df = self._field(f)[1]
-        energy = vec_dot(mat_vec(self._lifted[1][1], df), df)
+        energy = vec_dot(mat_vec(self._lifted["inverse"], df), df)
         return trace_pair(self.inverse, _value(self._second(energy)[2]))
 
     @_shared
     def lie(self, X: VectorField):
         """(L_X g)_ij = d_i X_j + d_j X_i - 2 Gamma^k_ij X_k, X on the order-1
         lift lowered by the lifted g."""
-        gm, xv, gamma, n = self._lifted[1][0], X(lift(self.x, 1)), self.christoffel, self.n
+        gm, xv, gamma, n = self._lifted["metric"], X(lift(self.x, 1)), self.christoffel, self.n
         low, dlow = split([sum(gm[j][k] * xv[k] for k in range(n)) for j in range(n)], n)
         return [
             [dlow[i][j] + dlow[j][i] - 2.0 * sum(gamma[k][i][j] * low[k] for k in range(n)) for j in range(n)]
@@ -308,11 +327,17 @@ class CurvatureData:
         return mat_vec(self.inverse, self.jet(f)[1])
 
 
-def curvature_data(g: MetricField, p) -> CurvatureData:
+def curvature_data(g: MetricField, p, order=None) -> CurvatureData:
     """The shared curvature data of ``g`` on a batch (one per batch and
-    metric), or fresh data for a single point."""
+    metric), or fresh data for a single point.  The call that builds it
+    sets its lift, ``order`` or else ``MAX_ORDER``; a later call may not ask
+    for another."""
     batch = PointBatch.of(p)
-    return batch.memo(("curvature", g), lambda: CurvatureData(g, batch.columns))
+    lift_order = MAX_ORDER if order is None else order
+    data = batch.memo(("curvature", g), lambda: CurvatureData(g, batch.columns, lift_order))
+    if order not in (None, data.order):
+        raise ValueError(f"the curvature data of this batch is lifted to order {data.order}, not {order}")
+    return data
 
 
 # -- public API -------------------------------------------------------------

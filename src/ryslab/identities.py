@@ -143,7 +143,7 @@ def check_gradient_identity(
     n = inst.n
     pr = inst.params
     ric, scal = d.ricci, d.scalar
-    dR = d.jet(d.scalar_field)[1]
+    dR = d.scalar_partials
     df = d.jet(f)[1]
     grad_up = d.gradient_up(f)
     coef = 2.0 * pr.mu * (pr.alpha * scal + (pr.lam - 0.5 * pr.beta * scal) * (n - 1))
@@ -174,7 +174,7 @@ def check_laplacian_identity(
     pr = inst.params
     ginv, scal = d.inverse, d.scalar
     lap_R = d.laplacian(d.scalar_field)
-    dR = d.jet(d.scalar_field)[1]
+    dR = d.scalar_partials
     df = d.jet(f)[1]
     dR_df = sum(ginv[i][j] * dR[i] * df[j] for i in range(n) for j in range(n))
     cap = pr.lam - 0.5 * pr.beta * scal
@@ -305,7 +305,7 @@ def check_contracted_bianchi(g: MetricField, p) -> IdentityResidual:
     batch = PointBatch.of(p)
     d = curvature_data(g, batch)
     div = _divergence_ricci(d.inverse, d.christoffel, d.ricci, d.ricci_partials)
-    half_dR = [0.5 * v for v in d.jet(d.scalar_field)[1]]
+    half_dR = [0.5 * v for v in d.scalar_partials]
     return IdentityResidual.build(
         "contracted-bianchi",
         _sup(div),

@@ -39,6 +39,25 @@ def test_fourth_order_supported_fifth_rejected():
         ad.fd_derive(f, [2.0, 0.0], (0,) * 5, [0.01, 0.01])
 
 
+def test_reads_above_the_lift_order_raise():
+    """An order-0 polynomial carries no derivative: d_i and first partials
+    of it raise ``OrderTooHigh`` (not a ValueError or an empty partial
+    list)."""
+    x = ad.lift([0.3, -0.2], 1)
+    t = (x[0] * x[1] + 1.0).partial(1)
+    assert t.order == 0
+    assert ad.split(t, 0) == (0.3, [])
+    with pytest.raises(OrderTooHigh):
+        t.partial(0)
+    with pytest.raises(OrderTooHigh):
+        ad.partial([[t]], 1)
+    with pytest.raises(OrderTooHigh):
+        ad.split(t, 2)
+    with pytest.raises(OrderTooHigh):
+        ad.split([t, 2.0], 2)
+    assert ad.split(x[0] * x[1], 2) == (0.3 * -0.2, [-0.2, 0.3])
+
+
 def _random_field(seed):
     rng = np.random.default_rng(seed)
     a, b, c = rng.uniform(-1, 1, size=3)

@@ -434,26 +434,33 @@ def test_verify_builds_shared_quantities_once_per_batch(tmp_path, capsys, monkey
 @pytest.mark.parametrize(
     "argv, evaluations",
     [
-        ([], {"lifted": 7, "float": 16}),
-        (["--case", "perturbed-flat", "--points", "16"], {"lifted": 1, "float": 10}),
+        ([], {"lifted": [4, 4, 4, 4, 4, 2, 3], "float": 11}),
+        (["--case", "perturbed-flat", "--points", "16"], {"lifted": [3], "float": 5}),
     ],
     ids=["default", "universal"],
 )
 def test_one_lifted_metric_evaluation_per_batch(argv, evaluations, tmp_path, monkeypatch):
     """`verify` evaluates each batch's metric once on lifted coordinates (6
     soliton cases, and by default one group metric for the 5 perturbed-flat
-    metrics, whose coefficients are per-point columns); every R, Ric and
-    connection derivative is read off that one evaluation.  The float evaluations are the positive-definiteness checks:
-    one per soliton batch, one per perturbed-flat metric built and one per
-    perturbed-flat metric's own points."""
+    metrics, whose coefficients are per-point columns), lifted to the
+    largest order its rows read: 4 where the Laplacian identity reads
+    Delta R, 3 for the universal identities, 2 for concircular-flat's
+    rows.  Every R, Ric and connection derivative is read off that one
+    evaluation.  The float evaluations are the positive-definiteness
+    checks: one per soliton batch and one per perturbed-flat metric, on the
+    points it is verified on."""
     from ryslab import ad, geometry
 
-    counts = {"lifted": 0, "float": 0}
+    counts = {"lifted": [], "float": 0}
     matrix = geometry.MetricField.matrix
 
     def counting_matrix(self, coords):
         coords = list(coords)
-        counts["lifted" if any(isinstance(c, ad.Taylor) for c in coords) else "float"] += 1
+        orders = {c.order for c in coords if isinstance(c, ad.Taylor)}
+        if orders:
+            counts["lifted"].extend(orders)
+        else:
+            counts["float"] += 1
         return matrix(self, coords)
 
     monkeypatch.setattr(geometry.MetricField, "matrix", counting_matrix)
@@ -461,9 +468,43 @@ def test_one_lifted_metric_evaluation_per_batch(argv, evaluations, tmp_path, mon
     assert counts == evaluations
 
 
+def test_declared_order_below_a_read_is_a_failed_computation(tmp_path, capsys, monkeypatch):
+    """Negative control for the order declarations: with the Laplacian
+    identity declared at order 3, einstein-s3 lifts its curved metric to 3
+    and the Delta R read raises ``OrderTooHigh`` (exit 1, no traceback)
+    instead of reading a truncated polynomial."""
+    import dataclasses
+
+    row = cli.CHECKS["laplacian-identity"]
+    monkeypatch.setitem(cli.CHECKS, "laplacian-identity", dataclasses.replace(row, order=3))
+    out = tmp_path / "report.json"
+    assert run(["verify", "--case", "einstein-s3", "--points", "12", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: OrderTooHigh" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_perturbed_flat_member_not_spd_on_its_points(tmp_path, capsys, monkeypatch):
+    """Negative control for the one positive-definiteness check per
+    perturbed-flat metric: with the perturbation scaled to 10, a member is
+    indefinite at one of its own points and `verify` exits 1 with NotSPD."""
+    from ryslab import catalog
+
+    group = catalog.perturbed_flat_group
+    monkeypatch.setattr(catalog, "perturbed_flat_group", lambda epsilon, *args: group(10.0, *args))
+    out = tmp_path / "report.json"
+    assert run(["verify", "--case", "perturbed-flat", "--points", "16", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: NotSPD" in err
+    assert "Traceback" not in err
+
+
 def _universal_reference(points, seed, tols):
     """The perturbed-flat records as one batch per metric gives them: each
-    metric's worst point, and across metrics the first strict maximum."""
+    metric's worst point, and across metrics the first strict maximum.
+    The batches keep the library's default lift, ``ad.MAX_ORDER``, so the
+    comparison also holds `verify`'s order-3 lift to order 4 bit for bit."""
     from ryslab import catalog, identities
     from ryslab.geometry import PointBatch, sample_points
 

@@ -7,7 +7,7 @@ import pytest
 
 from ryslab import ad, catalog
 from ryslab import curvature as cv
-from ryslab.errors import MetricSingular
+from ryslab.errors import MetricSingular, OrderTooHigh
 from ryslab.tensors import mat_inverse
 from ryslab.geometry import (
     ChartDomain,
@@ -249,6 +249,52 @@ class TestScalarCurvatureDerivatives:
             for i in range(3):
                 fd = ad.fd_derive(rf.fn, x, (i,), steps)
                 assert abs(grad[i] - fd) <= 1e-6 * (1 + abs(grad[i]))
+
+
+def test_lift_order_bounds_the_reads():
+    """On a curved metric a lift of order 3 gives Ric's and R's partials
+    bit for bit as order 4, and no Delta R; order 2 gives Ric and R but
+    raises for their partials.  Nothing above the lift is truncated."""
+    g = catalog.make_perturbed_flat(1e-2, 13).metric
+    f = catalog.random_polynomial_field(g.domain, seed=14)
+    cols = PointBatch(sample_points(g.domain, 9, seed=15)).columns
+    full, three, two = (cv.CurvatureData(g, cols, k) for k in (4, 3, 2))
+    assert cv.CurvatureData(g, cols).order == ad.MAX_ORDER
+
+    def same(a, b):
+        return np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+    levels = ("metric", "inverse", "christoffel", "ricci", "scalar", "ricci_partials", "scalar_partials")
+    for name in levels:
+        assert same(getattr(three, name), getattr(full, name)), name
+    assert same(three.connection[1], full.connection[1])
+    for read in ("hessian", "hessian_partials", "laplacian_partials", "grad_norm_sq_laplacian"):
+        assert same(getattr(three, read)(f), getattr(full, read)(f)), read
+    assert same(two.ricci, full.ricci) and same(two.scalar, full.scalar)
+    assert same(two.hessian_partials(f), full.hessian_partials(f))
+    for data, reads in (
+        (three, [lambda d: d.laplacian(d.scalar_field)]),
+        (two, [lambda d: d.ricci_partials, lambda d: d.scalar_partials, lambda d: d.grad_norm_sq_laplacian(f)]),
+    ):
+        for read in reads:
+            with pytest.raises(OrderTooHigh):
+                read(data)
+
+
+def test_batch_keeps_the_order_it_was_built_at():
+    """``curvature_data`` shares one lift per batch: a call without an
+    order reuses it, and asking the built data for another order fails, as
+    does a lift below Ric's order 2 or above ``MAX_ORDER``."""
+    g = catalog.make_perturbed_flat(1e-2, 16).metric
+    batch = PointBatch(sample_points(g.domain, 3, seed=17))
+    data = cv.curvature_data(g, batch, 3)
+    assert cv.curvature_data(g, batch) is data and data.order == 3
+    assert cv.curvature_data(g, batch, 3) is data
+    with pytest.raises(ValueError):
+        cv.curvature_data(g, batch, 4)
+    for order in (1, ad.MAX_ORDER + 1):
+        with pytest.raises(ValueError):
+            cv.curvature_data(g, PointBatch(batch.points), order)
 
 
 def test_metric_singular_guard():
