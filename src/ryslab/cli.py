@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
@@ -707,6 +708,7 @@ def cmd_catalog(_args) -> int:
 
 # -- argument parsing --------------------------------------------------------------
 
+@functools.cache  # one parser per process: building it costs about ten parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ryslab",

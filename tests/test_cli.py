@@ -349,6 +349,37 @@ def test_size_ceilings_parse():
     assert args.divergence == cli.MAX_DIVERGENCE
 
 
+def test_one_parser_per_process_keeps_no_state(tmp_path, capsys):
+    """Commands share one parser; each still exits and writes as it does
+    on a freshly built parser."""
+    assert cli.build_parser() is cli.build_parser()
+    solve = [
+        "solve", "--background", "sphere", "--lambda", "0.5", "--r-max", "1.5",
+        "--grid", "64", "--out", str(tmp_path / "profile.csv"),
+    ]
+    sequence = [
+        solve,
+        ["solve", "--grid", "nope", "--out", str(tmp_path / "bad.csv")],
+        ["verify", "--case", "gaussian", "--points", "1", "--out", str(tmp_path / "r.json")],
+        solve,
+    ]
+
+    def outcomes(fresh):
+        codes, profiles = [], []
+        for argv in sequence:
+            if fresh:
+                cli.build_parser.cache_clear()
+            codes.append(run(argv))
+            if argv is solve:
+                profiles.append((tmp_path / "profile.csv").read_bytes())
+        return codes, profiles
+
+    shared_codes, shared_profiles = outcomes(fresh=False)
+    assert shared_codes == [1, 2, 0, 1]
+    assert shared_profiles[0] == shared_profiles[1]
+    assert outcomes(fresh=True) == (shared_codes, shared_profiles)
+
+
 def test_couplings_at_their_ceiling_keep_every_record_finite(tmp_path, capsys):
     """gaussian with lambda and mu at MAX_PARAMETER is the largest g-norm of
     the defining residual that `verify` accepts; it stays finite."""

@@ -1,11 +1,12 @@
 """Radial least-squares solver: residual blocks, recovery, and guards."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ryslab import solver
+from ryslab import cli, solver
 from ryslab.errors import BeyondAntipode, GridTooCoarse, NoConvergence
 from ryslab.soliton import SolitonParams
 
@@ -273,6 +274,164 @@ def _random_spd_band(n, rng, p=5):
     return [[dense[j, j + d] if j + d < n else 0.0 for j in range(n)] for d in range(p + 1)]
 
 
+def _dot(u, v):
+    """sum(map(operator.mul, u, v)) as Python 3.11 sums floats: from the
+    integer 0, left to right, uncompensated."""
+    total = 0
+    for a, b in zip(u, v):
+        total = total + a * b
+    return total
+
+
+def _loop_band_cholesky(band):
+    """Generic-bandwidth reference for solver.band_cholesky, one list
+    slice per element."""
+    p = len(band) - 1
+    factor = []
+    for i in range(len(band[0])):
+        row = [0.0] * (p + 1)
+        for a in range(max(0, p - i), p + 1):  # column j = i - p + a
+            j = i - p + a
+            prior = factor[j] if a < p else row
+            s = band[p - a][j] - _dot(row[:a], prior[p - a : p])
+            if a < p:
+                row[a] = s / prior[p]
+            elif s > 0.0 and math.isfinite(s):
+                row[p] = math.sqrt(s)
+            else:
+                return None
+        factor.append(row)
+    return factor
+
+
+def _loop_band_solve(factor, rhs):
+    """Generic-bandwidth reference for solver.band_solve: forward
+    substitution by rows, back substitution by columns."""
+    p = len(factor[0]) - 1
+    x = [0.0] * p + list(rhs)  # x[i + p] is unknown i; the pad meets row i's zeros
+    for i, row in enumerate(factor):
+        x[i + p] = (x[i + p] - _dot(row, x[i : i + p])) / row[p]
+    for i in range(len(factor) - 1, -1, -1):
+        row = factor[i]
+        xi = x[i + p] = x[i + p] / row[p]
+        x[i : i + p] = [v - c * xi for v, c in zip(x[i : i + p], row)]
+    return x[p:]
+
+
+def _bits(rows):
+    return None if rows is None else np.array(rows, dtype=float).tobytes()
+
+
+def _assert_kernels_match_loop(band, rhs):
+    """Factor and solve bit for bit as the loop reference, or None on both."""
+    factor = solver.band_cholesky(band)
+    want = _loop_band_cholesky(band)
+    assert _bits(factor) == _bits(want)
+    if factor is not None:
+        assert _bits(solver.band_solve(factor, rhs)) == _bits(_loop_band_solve(want, rhs))
+    return factor
+
+
+def _fuzzed_bands(n, rng):
+    """Width-6 bands of size n: diagonally dominant (so positive definite),
+    with exact zeros, with every off-diagonal negative (zeros become -0.0),
+    with one pivot negated, and unstructured."""
+    dominant = _random_spd_band(n, rng)
+    zeros = [dominant[0]] + [
+        [0.0 if rng.random() < 0.3 else v for v in diagonal] for diagonal in dominant[1:]
+    ]
+    negative = [zeros[0]] + [[-abs(v) for v in diagonal] for diagonal in zeros[1:]]
+    negated = [list(diagonal) for diagonal in dominant]
+    negated[0][int(rng.integers(n))] *= -1.0
+    unstructured = [rng.normal(size=n).tolist() for _ in range(6)]
+    unstructured[0] = np.abs(unstructured[0]).tolist()
+    return dominant, zeros, negative, negated, unstructured
+
+
+class TestBandKernelsBitwise:
+    def test_fuzzed_bands_match_loop_reference(self):
+        rng = np.random.default_rng(18)
+        verdicts = []
+        for n in range(1, 61):
+            for band in _fuzzed_bands(n, rng):
+                rhs = rng.normal(size=n)
+                rhs[rng.random(n) < 0.2] = 0.0
+                rhs[rng.random(n) < 0.2] = -0.0
+                verdicts.append(_assert_kernels_match_loop(band, rhs.tolist()) is None)
+        assert 0 < sum(verdicts) < len(verdicts)  # both verdicts are covered
+
+    def test_signed_zero_sums_match_loop_reference(self):
+        """A sum of -0.0 products starts from 0 in the reference, so it is
+        +0.0 and N[j, i] - sum keeps the sign of a -0.0 entry; a sum that
+        started from its first product would flip it."""
+        n = 12
+        band = [[4.0] * n, [0.5] * n] + [[-0.0] * n for _ in range(4)]
+        factor = _assert_kernels_match_loop(band, [-0.0] * n)
+        assert math.copysign(1.0, factor[6][1]) == -1.0
+
+    @pytest.mark.parametrize("intervals", [16, 17, 128, 1024, 2048])
+    @pytest.mark.parametrize(
+        "background, lam, r_max",
+        [("flat", 2.0, 1.0), ("sphere", -1.5, 1.5), ("hyperbolic", 3.0, 1.0)],
+    )
+    def test_solver_normal_bands_match_loop_reference(
+        self, monkeypatch, background, lam, r_max, intervals
+    ):
+        """The bands and right-hand sides solve_radial builds itself."""
+        systems = []
+        factor_band, solve_band = solver.band_cholesky, solver.band_solve
+
+        def recording_cholesky(band):
+            systems.append((band, []))
+            return factor_band(band)
+
+        def recording_solve(factor, rhs):
+            systems[-1][1].append(rhs)
+            return solve_band(factor, rhs)
+
+        monkeypatch.setattr(solver, "band_cholesky", recording_cholesky)
+        monkeypatch.setattr(solver, "band_solve", recording_solve)
+        bg = solver.named_background(background)
+        grid = solver.make_grid(intervals, r_max=r_max)
+        try:
+            solver.solve_radial(SolitonParams(1.0, 0.0, lam, 0.0), bg, grid)
+        except NoConvergence:
+            pass  # off balance on the sphere
+        monkeypatch.undo()
+        (band, rhs_list), = systems
+        assert len(band[0]) == intervals and rhs_list
+        for rhs in rhs_list:
+            assert _assert_kernels_match_loop(band, rhs) is not None
+
+
+@pytest.mark.parametrize("background", ["flat", "sphere", "hyperbolic"])
+def test_solve_csv_bytes_match_loop_reference(background, tmp_path, monkeypatch, capsys):
+    """`ryslab solve` writes the same CSV bytes and exit code on the loop
+    reference kernels as on the solver's own, converged (exit 0) or not
+    (exit 1: off balance, or at the rounding floor of large grids)."""
+
+    def sweep(tag):
+        runs = []
+        for lam in (-3.0, 0.5, 2.0, 7.0):
+            for r_max in (0.5, 1.0, 2.5):
+                for intervals in (16, 17, 333, 2048):
+                    out = tmp_path / f"{tag}-{lam}-{r_max}-{intervals}.csv"
+                    code = cli.main([
+                        "solve", "--background", background, "--lambda", repr(lam),
+                        "--r-max", repr(r_max), "--grid", str(intervals), "--out", str(out),
+                    ])
+                    runs.append((code, out.read_bytes()))
+        return runs
+
+    kernels = sweep("kernels")
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "band_cholesky", _loop_band_cholesky)
+        patch.setattr(solver, "band_solve", _loop_band_solve)
+        loop = sweep("loop")
+    assert kernels == loop
+    assert {code for code, _ in kernels} <= {0, 1}
+
+
 class TestBandCholesky:
     @pytest.mark.parametrize("n", [1, 6, 7, 100])
     def test_matches_dense_cholesky(self, n):
@@ -300,6 +459,18 @@ class TestBandCholesky:
         nan = _random_spd_band(20, np.random.default_rng(4))
         nan[0][7] = float("nan")
         assert solver.band_cholesky(nan) is None
+
+    @pytest.mark.parametrize("width", [1, 5, 7])
+    def test_other_band_widths_are_rejected(self, width):
+        band = _random_spd_band(20, np.random.default_rng(5), p=width - 1)
+        with pytest.raises(ValueError, match=f"width {width}"):
+            solver.band_cholesky(band)
+
+    def test_diagonals_of_unequal_length_are_rejected(self):
+        band = _random_spd_band(20, np.random.default_rng(6))
+        band[3] = band[3][:17]
+        with pytest.raises(ValueError, match="width 6"):
+            solver.band_cholesky(band)
 
 
 @pytest.mark.parametrize("background", ["flat", "sphere", "hyperbolic"])
