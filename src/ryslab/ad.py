@@ -351,12 +351,21 @@ class Jet2:
 
     def __truediv__(self, o):
         if isinstance(o, Jet2):
-            i, j = _triangle(len(self.g))[:2]
-            b, gb = o.v, o.g
-            q = self.v / b
-            dq = (self.g - q * gb) / b
-            return Jet2(q, dq, ((self.h - (q * o.h + dq[i] * gb[j])) - dq[j] * gb[i]) / b)
+            return self._over(o, o._slot_pairs())
         return Jet2(self.v / o, self.g / o, self.h / o)
+
+    def _slot_pairs(self):
+        """The gradient at each packed Hessian slot's row and column."""
+        i, j = _triangle(len(self.g))[:2]
+        return self.g[i], self.g[j]
+
+    def _over(self, o, pairs):
+        """self / o, given ``o._slot_pairs()``."""
+        i, j = _triangle(len(self.g))[:2]
+        b, (gb_i, gb_j) = o.v, pairs
+        q = self.v / b
+        dq = (self.g - q * o.g) / b
+        return Jet2(q, dq, ((self.h - (q * o.h + dq[i] * gb_j)) - dq[j] * gb_i) / b)
 
     def __rtruediv__(self, o):
         i, j = _triangle(len(self.g))[:2]
@@ -375,6 +384,16 @@ class Jet2:
 
     def __rpow__(self, base):
         return exp(self * math.log(base))
+
+
+def divide_by(denominator):
+    """The function a -> a / ``denominator``, each quotient with the bits of
+    its own ``/``; a Jet2 denominator's gradient is gathered into its
+    Hessian slots once, for every numerator."""
+    if not isinstance(denominator, Jet2):
+        return lambda a: a / denominator
+    pairs = denominator._slot_pairs()
+    return lambda a: a._over(denominator, pairs) if isinstance(a, Jet2) else a / denominator
 
 
 def _chain(x, f0, f1, f2):

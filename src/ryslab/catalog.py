@@ -78,8 +78,8 @@ class SphereAtlas:
         formula with r^2 - q in place of q - r^2 (as -0.0 where it is 0)."""
         r = self.radius
         q = sum(c * c for c in coords)
-        denom = r * r + q
-        point = [2.0 * r * r * c / denom for c in coords] + [r * (q - r * r) / denom]
+        over = ad.divide_by(r * r + q)
+        point = [over(2.0 * r * r * c) for c in coords] + [over(r * (q - r * r))]
         return [a if s > 0.0 else -a for s, a in zip(self.signs(chart, len(coords)), point)]
 
 

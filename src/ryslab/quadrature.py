@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .ad import lift2, read2, value_of
+from .ad import lift2, read2, split, value_of, vlift
 from .catalog import BUMP_INNER, BUMP_OUTER, CatalogEntry
 from .curvature import (
-    christoffel_generic,
+    christoffel_from,
     covariant_hessian,
     hessian_generic,
     ricci_generic,
@@ -169,8 +169,21 @@ class QuadratureGrid:
 
     @cached_property
     def christoffel(self):
-        """Gamma^k_ij at every node."""
-        return christoffel_generic(self.metric, list(self.columns))
+        """Gamma^k_ij at every node, from ``inverse`` and dg off one order-1
+        lift of g (``christoffel_generic``'s arithmetic, g inverted once)."""
+        dg = split(self.metric.matrix(vlift(list(self.columns))), len(self.columns))[1]
+        return christoffel_from(self.inverse, dg)
+
+    def blocks(self):
+        """The grid in runs of ``_CHUNK`` nodes, as (node slice, grid of
+        those nodes' columns and chart weights).  A block builds its own
+        g^{ij} and Gamma on first use, on arrays that stay in cache."""
+        m = len(self.charts[0].weight)
+        for start in range(0, m, _CHUNK):
+            s = slice(start, min(start + _CHUNK, m))
+            charts = tuple(ChartGrid(c.nodes[s], c.weight[s], c.partition[s]) for c in self.charts)
+            columns = tuple(x[s] for x in self.columns)
+            yield s, QuadratureGrid(self.entry_name, self.resolution, charts, columns, self.metric)
 
 
 _GRID_CACHE: dict = {}
@@ -284,11 +297,13 @@ class AmbientQuadratic:
             total = total + ambient[i] * (row + lin[i])
         return total
 
-    @property
+    @cached_property
     def basis_coefficients(self) -> np.ndarray:
         i, j = np.triu_indices(len(self.lin))
         pairs = np.where(i == j, self.c[i, j], self.c[i, j] + self.c[j, i])
-        return np.concatenate([pairs, self.lin])
+        out = np.concatenate([pairs, self.lin])
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -362,7 +377,7 @@ def _gradient_pairings(grid: QuadratureGrid, grads) -> list:
     return [sum(grads[a][p] * raised[b][p] for p in range(n)) for a in range(k) for b in range(a, k)]
 
 
-def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, lifted) -> np.ndarray:
+def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, lifted, out=None) -> np.ndarray:
     """Delta of each ambient monomial on chart 0, in the order of
     ``AmbientQuadratic.basis_coefficients``: a_i a_j (i <= j), then a_i.
 
@@ -370,9 +385,12 @@ def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, lifted) -> np.ndarra
     chart embedding on the ``lift2`` columns, with the grid's g^{ij} and
     Gamma); the products follow by the product rule
     Delta(a_i a_j) = a_i Delta a_j + a_j Delta a_i + 2 <grad a_i, grad a_j>.
-    Shape (k (k + 3) / 2, m) for k ambient coordinates; the embedding jets
-    are dropped on return.  Every other chart's basis is this one with each
-    row times its monomial's sign (see ``_monomial_signs``).
+    Shape (k (k + 3) / 2, m) for k ambient coordinates, written into
+    ``out`` if given; the embedding jets are dropped on return.  Every
+    value is per node, so ``_grid_basis``, which calls this on each node
+    block of the grid (``QuadratureGrid.blocks``), fills the same bits as
+    one call on the whole grid.  Every other chart's basis is this one with
+    each row times its monomial's sign (see ``_monomial_signs``).
     """
     # g^{ij} and Gamma are built first, so that their temporaries and the
     # embedding's jets are not held at once.
@@ -387,16 +405,27 @@ def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, lifted) -> np.ndarra
         laps.append(_grid_laplacian(grid, ambient[c]))
         ambient[c] = None  # its value and gradient are kept, its second partials dropped
     i, j = np.triu_indices(len(values))
-    basis = np.empty((len(i) + len(values), len(grid.charts[0].weight)))
+    basis = np.empty((len(i) + len(values), len(grid.charts[0].weight))) if out is None else out
     for row, (a, b, pairing) in enumerate(zip(i, j, _gradient_pairings(grid, grads))):
         basis[row] = values[a] * laps[b] + values[b] * laps[a] + 2.0 * pairing
     basis[len(i):] = laps
     return basis
 
 
+def _grid_basis(entry: CatalogEntry, grid: QuadratureGrid) -> np.ndarray:
+    """``_chart_basis`` of the whole grid, built and written node block by
+    node block (``QuadratureGrid.blocks``)."""
+    k = len(grid.columns) + 1
+    basis = np.empty((k * (k + 3) // 2, len(grid.charts[0].weight)))
+    for nodes, block in grid.blocks():
+        _chart_basis(entry, block, lift2(block.columns), out=basis[:, nodes])
+    return basis
+
+
+@lru_cache(maxsize=None)
 def _monomial_signs(signs) -> np.ndarray:
     """The sign of each basis row when ambient coordinate a_i is multiplied
-    by ``signs[i]``: s_i s_j for a_i a_j (i <= j), then s_i.
+    by ``signs[i]``: s_i s_j for a_i a_j (i <= j), then s_i (read-only).
 
     A chart whose embedding is chart 0's times ``SphereAtlas.signs`` shares
     chart 0's nodes, g^{ij} and Gamma, and IEEE rounding is symmetric in
@@ -406,20 +435,22 @@ def _monomial_signs(signs) -> np.ndarray:
     """
     s = np.asarray(signs, dtype=float)
     i, j = np.triu_indices(len(s))
-    return np.concatenate([s[i] * s[j], s])
+    out = np.concatenate([s[i] * s[j], s])
+    out.flags.writeable = False
+    return out
 
 
-def _chart_laplacian(entry, grid: QuadratureGrid, field, chart: int, lifted, basis) -> np.ndarray:
-    """Delta u on one chart: an ``AmbientQuadratic`` field combines chart
-    0's basis columns with its coefficients times the chart's row signs
-    (the same products as the reflected basis, as the signs are +-1), any
-    other field goes through its own jet."""
+def _chart_laplacian(entry, grid: QuadratureGrid, field, chart: int, basis) -> np.ndarray:
+    """Delta u on one chart over the nodes of ``grid`` (a node block): an
+    ``AmbientQuadratic`` field combines ``basis``, chart 0's basis columns
+    of those nodes, with its coefficients times the chart's row signs (the
+    same products as the reflected basis, as the signs are +-1); any other
+    field goes through its own jet, its chart expression on the ``lift2``
+    columns."""
     if isinstance(field.ambient, AmbientQuadratic):
         signs = _monomial_signs(entry.atlas.signs(chart, len(grid.columns)))
         return (field.ambient.basis_coefficients * signs) @ basis
-    if field.ambient is not None:
-        return _grid_laplacian(grid, field.ambient(entry.atlas.ambient(chart, lifted)))
-    return _grid_laplacian(grid, field.per_chart[chart](lifted))
+    return _grid_laplacian(grid, field.per_chart[chart](lift2(grid.columns)))
 
 
 def integrate_laplacian(
@@ -435,28 +466,41 @@ def integrate_laplacians(
 ) -> list[dict]:
     """``integrate_laplacian`` of each field, in order.
 
-    The node columns are lifted once, and the Laplacian basis (see
-    ``_chart_basis``) is built once per grid, on chart 0, for all
-    ``AmbientQuadratic`` fields; the other chart reads it through its
-    reflection signs (``_monomial_signs``).  Fields are then taken one at a
-    time: a field's chart columns are summed before the next field's are
-    computed, so memory does not grow with the number of fields.
+    The grid is taken in node blocks of ``_CHUNK`` nodes
+    (``QuadratureGrid.blocks``), so that no step holds a whole-grid
+    temporary.  If any field is an ``AmbientQuadratic``, one pass over
+    the blocks lifts each block's columns, builds its g^{ij} and Gamma and
+    writes its columns of the Laplacian basis (``_grid_basis``), chart 0's
+    only: the other chart reads it through its reflection signs
+    (``_monomial_signs``).  Fields are then taken one at a time, block by
+    block: each chart's weighted Laplacian goes into one term buffer,
+    reused by every field, which ``exact_sum`` sums once the field is
+    done.  Every term is computed per node as on the whole grid, and the
+    sum is correctly rounded, so the block size changes no result.  The
+    first field that is not an ``AmbientQuadratic`` builds each block's
+    g^{ij} and Gamma again for its own jet, and later ones reuse them.
     """
     grid = build_grid(entry, resolution)
-    charts = range(len(grid.charts))
-    lifted = lift2(grid.columns)
     basis = None
     if any(isinstance(field.ambient, AmbientQuadratic) for field in fields):
-        basis = _chart_basis(entry, grid, lifted)
+        basis = _grid_basis(entry, grid)
+    # The basis pass drops each block's g^{ij} and Gamma once its rows are
+    # written; these blocks keep theirs, built only for a field's own jet.
+    blocks = list(grid.blocks())
+    terms = np.empty((len(grid.charts), len(grid.charts[0].weight)))
     results = []
     for field in fields:
-        laps = [_chart_laplacian(entry, grid, field, c, lifted, basis) for c in charts]
-        terms = np.concatenate([chart.weight * lap for chart, lap in zip(grid.charts, laps)])
-        peak = max(float(np.max(np.abs(lap))) for lap in laps)
+        peaks = []
+        for nodes, block in blocks:
+            block_basis = None if basis is None else basis[:, nodes]
+            for c, chart in enumerate(block.charts):
+                lap = _chart_laplacian(entry, block, field, c, block_basis)
+                np.multiply(chart.weight, lap, out=terms[c, nodes])
+                peaks.append(np.max(np.abs(lap)))
         # One volume() call per field, as integrate_laplacian always made
         # (bench/selftest.py counts divergence + 1 calls per integrate run).
         vol = volume(entry, resolution)
-        results.append({"integral": exact_sum(terms), "scale": vol * peak, "volume": vol})
+        results.append({"integral": exact_sum(terms), "scale": vol * float(np.max(peaks)), "volume": vol})
     return results
 
 

@@ -281,31 +281,38 @@ def test_radial_partition_matches_per_node_weights(resolution):
     assert np.array_equal(chart.partition, per_node[live])
 
 
-def test_integrate_builds_grid_geometry_once(tmp_path, capsys, monkeypatch):
-    """One `integrate` builds Gamma once for all its divergence checks, and
-    still reads the volume once per record."""
+def node_blocks(resolution):
+    """Node blocks of the unit-sphere grid at ``resolution``."""
+    return len(list(quad.build_grid(catalog.sphere_entry(1.0), resolution).blocks()))
+
+
+@pytest.mark.parametrize("divergence", [3, 9])
+def test_integrate_builds_grid_geometry_once(divergence, tmp_path, capsys, monkeypatch):
+    """One `integrate` builds Gamma once per node block, however many
+    divergence checks it runs, and still reads the volume once per record."""
     from ryslab import cli
 
-    calls = {"christoffel_generic": 0, "volume": 0}
-    christoffel, volume = quad.christoffel_generic, quad.volume
+    calls = {"christoffel": 0, "volume": 0}
+    christoffel, volume = quad.christoffel_from, quad.volume
 
-    def counting_christoffel(g, x):
-        calls["christoffel_generic"] += 1
-        return christoffel(g, x)
+    def counting_christoffel(ginv, dg):
+        calls["christoffel"] += 1
+        return christoffel(ginv, dg)
 
     def counting_volume(entry, resolution):
         calls["volume"] += 1
         return volume(entry, resolution)
 
+    assert node_blocks(24) == 4
     monkeypatch.setattr(quad, "_GRID_CACHE", {})
-    monkeypatch.setattr(quad, "christoffel_generic", counting_christoffel)
+    monkeypatch.setattr(quad, "christoffel_from", counting_christoffel)
     monkeypatch.setattr(quad, "volume", counting_volume)
     argv = [
-        "integrate", "--case", "unit-s3", "--resolution", "12",
-        "--divergence", "3", "--out", str(tmp_path / "report.json"),
+        "integrate", "--case", "unit-s3", "--resolution", "24",
+        "--divergence", str(divergence), "--out", str(tmp_path / "report.json"),
     ]
     assert cli.main(argv) == 0
-    assert calls == {"christoffel_generic": 1, "volume": 4}
+    assert calls == {"christoffel": 4, "volume": divergence + 1}
 
 
 def laplacian_integral_per_field(entry, field, resolution):
@@ -459,11 +466,12 @@ def test_quadratic_field_matches_the_generic_path(seed):
         assert abs(basis[key] - generic[key]) <= 1e-13 * generic["scale"], key
 
 
+@pytest.mark.parametrize("resolution", [12, 24])
 @pytest.mark.parametrize("divergence", [3, 20])
-def test_integrate_cost_is_flat_in_the_divergence_count(divergence, tmp_path, capsys, monkeypatch):
-    """However many divergence checks run, the grid is embedded once, on
-    chart 0, and its 4 coordinate Laplacians are taken once; chart 1
-    reflects that basis instead of embedding again."""
+def test_integrate_cost_is_flat_in_the_divergence_count(divergence, resolution, tmp_path, capsys, monkeypatch):
+    """However many divergence checks run, each node block is embedded
+    once, on chart 0, and its 4 coordinate Laplacians are taken once;
+    chart 1 reflects that basis instead of embedding again."""
     from ryslab import cli
 
     events = []
@@ -480,41 +488,48 @@ def test_integrate_cost_is_flat_in_the_divergence_count(divergence, tmp_path, ca
     monkeypatch.setattr(catalog.SphereAtlas, "ambient", counting_ambient)
     monkeypatch.setattr(quad, "_grid_laplacian", counting_laplacian)
     argv = [
-        "integrate", "--case", "unit-s3", "--resolution", "12",
+        "integrate", "--case", "unit-s3", "--resolution", str(resolution),
         "--divergence", str(divergence), "--out", str(tmp_path / "report.json"),
     ]
     assert cli.main(argv) == 0
-    assert events == [("embed", 0)] + ["laplacian"] * 4
+    assert events == ([("embed", 0)] + ["laplacian"] * 4) * node_blocks(resolution)
 
 
+@pytest.mark.parametrize("resolution", [12, 24])
 @pytest.mark.parametrize("mutation", ["gamma-scaled", "gamma-zeroed", "pairing-factor-dropped"])
-def test_divergence_check_fails_when_the_laplacian_is_wrong(mutation, tmp_path, capsys, monkeypatch):
+def test_divergence_check_fails_when_the_laplacian_is_wrong(mutation, resolution, tmp_path, capsys, monkeypatch):
     """Negative controls: with Gamma scaled by 1.1 or zeroed, or without the
-    factor 2 on the product rule's pairing term, every divergence record
-    fails and `integrate` exits 1.  The volume, which needs no Laplacian,
-    still passes."""
+    factor 2 on the product rule's pairing term, in every node block,
+    every divergence record fails and `integrate` exits 1.  The volume,
+    which needs no Laplacian, still passes."""
     from ryslab import cli
 
-    christoffel, pairings = quad.christoffel_generic, quad._gradient_pairings
+    christoffel, pairings = quad.christoffel_from, quad._gradient_pairings
+    mutated_blocks = []
     if mutation == "pairing-factor-dropped":
         # 2 x (pairing / 2): the term enters once instead of twice.
-        monkeypatch.setattr(
-            quad, "_gradient_pairings", lambda grid, grads: [0.5 * p for p in pairings(grid, grads)]
-        )
+        def mutated(grid, grads):
+            mutated_blocks.append(len(grid.charts[0].weight))
+            return [0.5 * p for p in pairings(grid, grads)]
+
+        monkeypatch.setattr(quad, "_gradient_pairings", mutated)
     else:
         factor = 1.1 if mutation == "gamma-scaled" else 0.0
 
-        def mutated(g, x):
-            return [[[factor * e for e in row] for row in plane] for plane in christoffel(g, x)]
+        def mutated(ginv, dg):
+            mutated_blocks.append(len(ginv[0][0]))
+            return [[[factor * e for e in row] for row in plane] for plane in christoffel(ginv, dg)]
 
         monkeypatch.setattr(quad, "_GRID_CACHE", {})
-        monkeypatch.setattr(quad, "christoffel_generic", mutated)
+        monkeypatch.setattr(quad, "christoffel_from", mutated)
     out = tmp_path / "report.json"
     argv = [
-        "integrate", "--case", "unit-s3", "--resolution", "12",
+        "integrate", "--case", "unit-s3", "--resolution", str(resolution),
         "--divergence", "3", "--out", str(out),
     ]
     assert cli.main(argv) == 1
+    grid = quad.build_grid(catalog.sphere_entry(1.0), resolution)
+    assert mutated_blocks == [len(block.charts[0].weight) for _, block in grid.blocks()]
     verdicts = {r["name"]: r["verdict"] for r in json.loads(out.read_text())["records"]}
     assert verdicts.pop("unit-s3:volume") == "pass"
     assert verdicts == {f"unit-s3:divergence-theorem[{k}]": "fail" for k in range(3)}
@@ -595,7 +610,7 @@ def test_reflected_basis_is_chart_ones_own_bit_for_bit(radius, resolution):
     assert _bits(basis * signs[:, None]) == _bits(own)
     for seed in (1, 7):
         field = quad.ManifoldScalarField.from_ambient(entry, _ambient_quadratic(seed))
-        lap = quad._chart_laplacian(entry, grid, field, 1, lifted, basis)
+        lap = quad._chart_laplacian(entry, grid, field, 1, basis)
         assert _bits(lap) == _bits(field.ambient.basis_coefficients @ own)
 
 
@@ -617,3 +632,65 @@ def test_divergence_checks_fail_without_the_reflection(tmp_path, capsys, monkeyp
     assert sorted(records) == [f"unit-s3:divergence-theorem[{k}]" for k in range(3)]
     for record in records.values():
         assert record["verdict"] == "fail" and record["gap"] > 1e3 * record["tol"]
+
+
+@pytest.mark.parametrize("resolution", [12, 24])
+@pytest.mark.parametrize("radius", [1.0, 0.5, 2.0])
+def test_blocked_basis_is_the_whole_grid_basis_bit_for_bit(radius, resolution, monkeypatch):
+    """The basis written node block by node block equals ``_chart_basis``
+    on the whole grid, bit for bit (signs of zero included): one block at
+    resolution 12, three full blocks and a partial one at 24."""
+    from ryslab.ad import lift2
+
+    monkeypatch.setattr(quad, "_GRID_CACHE", {})
+    entry = catalog.sphere_entry(radius)
+    grid = quad.build_grid(entry, resolution)
+    sizes = [nodes.stop - nodes.start for nodes, _ in grid.blocks()]
+    assert sizes == ([quad._CHUNK] * 3 + [27648 - 3 * quad._CHUNK] if resolution == 24 else [3456])
+    assert _bits(quad._grid_basis(entry, grid)) == _bits(quad._chart_basis(entry, grid, lift2(grid.columns)))
+
+
+def whole_grid_laplacian_integrals(entry, fields, resolution):
+    """Reference: ``integrate_laplacians`` on the whole grid at once, each
+    chart's Laplacian one array over every node."""
+    from ryslab.ad import lift2
+
+    grid = quad.build_grid(entry, resolution)
+    lifted = lift2(grid.columns)
+    basis = quad._chart_basis(entry, grid, lifted)
+    results = []
+    for field in fields:
+        laps = []
+        for c in range(len(grid.charts)):
+            if isinstance(field.ambient, quad.AmbientQuadratic):
+                signs = quad._monomial_signs(entry.atlas.signs(c, 3))
+                laps.append((field.ambient.basis_coefficients * signs) @ basis)
+            else:
+                laps.append(quad._grid_laplacian(grid, field.per_chart[c](lifted)))
+        terms = np.concatenate([chart.weight * lap for chart, lap in zip(grid.charts, laps)])
+        peak = max(float(np.max(np.abs(lap))) for lap in laps)
+        results.append({"integral": quad.exact_sum(terms), "scale": grid.volume * peak, "volume": grid.volume})
+    return results
+
+
+def test_blocked_integrals_equal_the_whole_grid_arithmetic(monkeypatch):
+    """At resolution 24 (four node blocks), ambient-quadratic fields,
+    per-chart callables and a constant field integrate to the whole-grid
+    arithmetic's integral, scale and volume exactly, in one call.  Gamma
+    is built once per block for the basis and once per block for both
+    fields read through their own jets."""
+    from ryslab.cli import _ambient_quadratic
+
+    monkeypatch.setattr(quad, "_GRID_CACHE", {})
+    entry = catalog.sphere_entry(1.0)
+    quadratic = [quad.ManifoldScalarField.from_ambient(entry, _ambient_quadratic(s)) for s in (1, 2)]
+    fields = quadratic + [
+        quad.ManifoldScalarField(quadratic[0].per_chart),
+        quad.ManifoldScalarField.constant(3.0),
+    ]
+    christoffel, builds = quad.christoffel_from, []
+    monkeypatch.setattr(quad, "christoffel_from", lambda ginv, dg: builds.append(1) or christoffel(ginv, dg))
+    got = quad.integrate_laplacians(entry, fields, 24)
+    assert len(builds) == 2 * node_blocks(24)
+    assert got == whole_grid_laplacian_integrals(entry, fields, 24)
+    assert got[3]["integral"] == 0.0 and got[0]["volume"] == quad.build_grid(entry, 24).volume
