@@ -6,8 +6,9 @@ half-space, a product cylinder and seeded perturbed-flat random
 metrics.  Entries are immutable after construction and their
 ``closed_forms`` must agree with the curvature pipeline; that agreement
 is the module's defining contract.  Soliton instances come from one
-registry, ``verify_cases``: each case builds its instance on its entry's
-metric from a parameter set (``*_instance(params)``).
+registry, ``verify_cases``: each row names its entry, default parameters
+and soliton field, and ``CaseSpec.build`` turns a row and a parameter set
+into an instance on the entry's metric.
 """
 
 from __future__ import annotations
@@ -240,7 +241,6 @@ def flat_entry(dim: int = 3) -> CatalogEntry:
         name=name,
         metric=metric,
         charts=(metric.domain,),
-        compact=False,
         closed_forms=ClosedForms(einstein_factor=0.0, scalar=0.0),
         notes="Euclidean space, single Cartesian chart",
     )
@@ -253,7 +253,6 @@ def gaussian_entry() -> CatalogEntry:
         name="gaussian",
         metric=metric,
         charts=(metric.domain,),
-        compact=False,
         closed_forms=ClosedForms(einstein_factor=0.0, scalar=0.0),
         notes="flat space with quadratic potential; a soliton for every lam",
     )
@@ -287,7 +286,6 @@ def hyperbolic_entry() -> CatalogEntry:
         name="h3",
         metric=metric,
         charts=(metric.domain,),
-        compact=False,
         closed_forms=ClosedForms(einstein_factor=-2.0, scalar=-6.0),
         notes="hyperbolic space, upper half-space model",
     )
@@ -300,7 +298,6 @@ def cylinder_entry() -> CatalogEntry:
         name="s2xr",
         metric=metric,
         charts=(metric.domain,),
-        compact=False,
         closed_forms=ClosedForms(scalar=2.0, ricci_fn=_cylinder_ricci),
         notes="unit 2-sphere times a line; potential is the line coordinate",
     )
@@ -320,7 +317,6 @@ def make_perturbed_flat(epsilon: float, seed: int, dim: int = 3) -> CatalogEntry
         name="perturbed-flat",
         metric=metric,
         charts=(metric.domain,),
-        compact=False,
         notes=metric.name,
     )
     metric.require_spd(sample_points(metric.domain, 200, seed=seed + 1))
@@ -366,165 +362,94 @@ def perturbed_flat_group(epsilon: float, seeds, sizes, dim: int = 3) -> MetricFi
     return MetricField(_grouped(metric, tables, sizes), dom, name=name)
 
 
-# -- soliton instance builders --------------------------------------------------
-
-def _gradient_kind(params: SolitonParams) -> SolitonKind:
-    return SolitonKind.GEN_GRYS if params.mu != 0.0 else SolitonKind.GRYS
-
-
-def gaussian_instance(params: SolitonParams) -> SolitonInstance:
-    entry = gaussian_entry()
-    return SolitonInstance(
-        params=params,
-        metric=entry.metric,
-        kind=_gradient_kind(params),
-        potential=gaussian_potential(entry.metric.domain, params.lam),
-        compact=False,
-        note="flat Gaussian family: Hess f = -lam g, soliton for every lam",
-        entry=entry,
-    )
-
-
-def einstein_sphere_instance(params: SolitonParams) -> SolitonInstance:
-    entry = sphere_entry(1.0)
-    return SolitonInstance(
-        params=params,
-        metric=entry.metric,
-        kind=_gradient_kind(params),
-        potential=constant_scalar(entry.metric.domain, 0.0),
-        compact=True,
-        note="unit round 3-sphere, constant potential; balanced at lam = 3*beta - 2*alpha",
-        entry=entry,
-    )
-
-
-def einstein_hyperbolic_instance(params: SolitonParams) -> SolitonInstance:
-    entry = hyperbolic_entry()
-    return SolitonInstance(
-        params=params,
-        metric=entry.metric,
-        kind=_gradient_kind(params),
-        potential=constant_scalar(entry.metric.domain, 0.0),
-        compact=False,
-        note="hyperbolic space, constant potential; balanced at lam = 2*alpha - 3*beta",
-        entry=entry,
-    )
-
-
-def cylinder_instance(params: SolitonParams) -> SolitonInstance:
-    entry = cylinder_entry()
-    return SolitonInstance(
-        params=params,
-        metric=entry.metric,
-        kind=_gradient_kind(params),
-        potential=coordinate_potential(entry.metric.domain, 2),
-        compact=False,
-        note="product cylinder with line-coordinate potential; needs alpha = 0, lam = beta",
-        entry=entry,
-    )
-
-
-def flat_product_instance(params: SolitonParams) -> SolitonInstance:
-    entry = flat_entry(3)
-    return SolitonInstance(
-        params=params,
-        metric=entry.metric,
-        kind=_gradient_kind(params),
-        potential=coordinate_potential(entry.metric.domain, 2),
-        compact=False,
-        note="flat space split as plane times line; steady Ricci-flat at lam = 0",
-        entry=entry,
-    )
-
-
-def concircular_flat_instance(params: SolitonParams) -> SolitonInstance:
-    entry = flat_entry(3)
-    return SolitonInstance(
-        params=params,
-        metric=entry.metric,
-        kind=SolitonKind.RYS,
-        vector_field=position_field(entry.metric.domain),
-        phi=1.0,
-        compact=False,
-        note="position vector field is concircular with factor 1; soliton at lam = -1",
-        entry=entry,
-    )
-
-
-# -- registries -------------------------------------------------------------------
+# -- verify cases -----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """A named verification case: an entry plus an instance constructor."""
+    """A named verification case: one row builds its soliton instance.
+
+    ``field(domain, params)`` gives the potential of a gradient case, or
+    the vector field and its concircular factor ``phi`` of a concircular
+    one.  The universal case has no field, and so no instance builder.
+    """
 
     name: str
     entry: Callable[[], CatalogEntry]
-    build: Optional[Callable[[SolitonParams], SolitonInstance]]
     defaults: SolitonParams
-    description: str
-    universal_only: bool = False
+    field: Optional[Callable] = None
     # Names of the case-specific rows of the `verify` check table it reports.
     checks: tuple[str, ...] = ()
+
+    @property
+    def universal_only(self) -> bool:
+        return self.field is None
+
+    @property
+    def build(self) -> Optional[Callable[[SolitonParams], SolitonInstance]]:
+        return None if self.universal_only else self._instance
+
+    def _instance(self, params: SolitonParams) -> SolitonInstance:
+        """The instance on the entry's metric: a gradient case is GRYS, or
+        GEN_GRYS when mu != 0, and a concircular case is RYS."""
+        entry = self.entry()
+        field = self.field(entry.metric.domain, params)
+        if isinstance(field, ScalarField):
+            kind = SolitonKind.GEN_GRYS if params.mu != 0.0 else SolitonKind.GRYS
+            data = {"potential": field}
+        else:
+            kind = SolitonKind.RYS
+            data = {"vector_field": field[0], "phi": field[1]}
+        return SolitonInstance(params, entry.metric, kind, compact=entry.compact, entry=entry, **data)
+
+
+def _constant_potential(domain: ChartDomain, params: SolitonParams) -> ScalarField:
+    return constant_scalar(domain, 0.0)
+
+
+def _line_potential(domain: ChartDomain, params: SolitonParams) -> ScalarField:
+    return coordinate_potential(domain, 2)
 
 
 _PRODUCT_CHECKS = ("product-affine-hessian", "product-grad-constancy")
 
+_CASES = {
+    spec.name: spec
+    for spec in (
+        # Hess f = -lam g on flat space: a soliton for every lam.
+        CaseSpec("gaussian", gaussian_entry, SolitonParams(1.0, 0.0, 2.0, 0.0),
+                 lambda domain, params: gaussian_potential(domain, params.lam)),
+        # Unit round 3-sphere: balanced at lam = 3 beta - 2 alpha.
+        CaseSpec("einstein-s3", lambda: sphere_entry(1.0), SolitonParams(1.0, 0.0, -2.0, 0.0),
+                 _constant_potential),
+        # Hyperbolic upper half-space: balanced at lam = 2 alpha - 3 beta.
+        CaseSpec("einstein-h3", hyperbolic_entry, SolitonParams(1.0, 0.0, 2.0, 0.0),
+                 _constant_potential),
+        # Sphere-line product with the line coordinate: needs alpha = 0, lam = beta.
+        CaseSpec("s2xr", cylinder_entry, SolitonParams(0.0, 1.0, 1.0, 0.0),
+                 _line_potential, checks=_PRODUCT_CHECKS),
+        # Flat space as plane times line: steady and Ricci-flat at lam = 0.
+        CaseSpec("flat-product", lambda: flat_entry(3), SolitonParams(1.0, 0.0, 0.0, 0.0),
+                 _line_potential, checks=_PRODUCT_CHECKS + ("steady-ricci-flat", "steady-lambda")),
+        # The position field is concircular with factor 1: a soliton at lam = -1.
+        CaseSpec("concircular-flat", lambda: flat_entry(3), SolitonParams(1.0, 0.0, -1.0, 0.0),
+                 lambda domain, params: (position_field(domain), 1.0)),
+        # Seeded random near-flat metrics for the universal identity suite.
+        CaseSpec("perturbed-flat", lambda: make_perturbed_flat(1e-2, 42),
+                 SolitonParams(1.0, 0.0, 0.0, 0.0)),
+    )
+}
+
+gaussian_instance = _CASES["gaussian"].build
+einstein_sphere_instance = _CASES["einstein-s3"].build
+einstein_hyperbolic_instance = _CASES["einstein-h3"].build
+cylinder_instance = _CASES["s2xr"].build
+flat_product_instance = _CASES["flat-product"].build
+concircular_flat_instance = _CASES["concircular-flat"].build
+
 
 def verify_cases() -> dict[str, CaseSpec]:
-    return {
-        "gaussian": CaseSpec(
-            "gaussian",
-            gaussian_entry,
-            gaussian_instance,
-            SolitonParams(1.0, 0.0, 2.0, 0.0),
-            "Gaussian potential on flat space",
-        ),
-        "einstein-s3": CaseSpec(
-            "einstein-s3",
-            lambda: sphere_entry(1.0),
-            einstein_sphere_instance,
-            SolitonParams(1.0, 0.0, -2.0, 0.0),
-            "constant potential on the unit round 3-sphere",
-        ),
-        "einstein-h3": CaseSpec(
-            "einstein-h3",
-            hyperbolic_entry,
-            einstein_hyperbolic_instance,
-            SolitonParams(1.0, 0.0, 2.0, 0.0),
-            "constant potential on hyperbolic upper half-space",
-        ),
-        "s2xr": CaseSpec(
-            "s2xr",
-            cylinder_entry,
-            cylinder_instance,
-            SolitonParams(0.0, 1.0, 1.0, 0.0),
-            "sphere-line product with affine potential",
-            checks=_PRODUCT_CHECKS,
-        ),
-        "flat-product": CaseSpec(
-            "flat-product",
-            lambda: flat_entry(3),
-            flat_product_instance,
-            SolitonParams(1.0, 0.0, 0.0, 0.0),
-            "flat plane-times-line split, steady Ricci-flat",
-            checks=_PRODUCT_CHECKS + ("steady-ricci-flat", "steady-lambda"),
-        ),
-        "concircular-flat": CaseSpec(
-            "concircular-flat",
-            lambda: flat_entry(3),
-            concircular_flat_instance,
-            SolitonParams(1.0, 0.0, -1.0, 0.0),
-            "position field on flat space, concircular factor 1",
-        ),
-        "perturbed-flat": CaseSpec(
-            "perturbed-flat",
-            lambda: make_perturbed_flat(1e-2, 42),
-            None,
-            SolitonParams(1.0, 0.0, 0.0, 0.0),
-            "seeded random near-flat metrics for the universal identity suite",
-            universal_only=True,
-        ),
-    }
+    """The verify cases by name, in report order."""
+    return dict(_CASES)
 
 
 @lru_cache(maxsize=1)

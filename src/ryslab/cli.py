@@ -24,7 +24,7 @@ from . import ad, catalog, identities, quadrature, solver
 from .curvature import curvature_data, ricci, ricci_operator, scalar_curvature
 from .errors import AlphaZero, BeyondAntipode, DegenerateBeta, NoConvergence, NotCompact, RysLabError
 from .geometry import PointBatch, sample_points
-from .report import VERSION, CheckRecord, CheckReport, RunConfig, write_atomic, write_report
+from .report import VERSION, CheckRecord, CheckReport, write_atomic, write_report
 from .soliton import (
     SolitonKind,
     SolitonParams,
@@ -543,19 +543,9 @@ def cmd_verify(args) -> int:
         return 2
     tols = _tols(args.tol)
 
-    config = RunConfig(
-        command="verify",
-        cases=tuple(requested),
-        alpha=args.alpha,
-        beta=args.beta,
-        lam=args.lam,
-        mu=args.mu,
-        points=args.points,
-        seed=args.seed,
-        tolerances=tols,
-        out=args.out,
-    )
-    report = CheckReport(command="verify", config=config.to_echo())
+    config = {"cases": requested, "alpha": args.alpha, "beta": args.beta, "lambda": args.lam, "mu": args.mu,
+              "points": args.points, "seed": args.seed, "tolerances": tols, "out": args.out}
+    report = CheckReport(command="verify", config=config)
     start = time.perf_counter()
     try:
         runs = []
@@ -619,17 +609,11 @@ def cmd_integrate(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     tols = _tols(args.tol)
-    config = RunConfig(
-        command="integrate",
-        cases=(args.case,),
-        points=0,
-        seed=args.seed,
-        tolerances=tols,
-        resolution=args.resolution,
-        divergence_checks=args.divergence,
-        out=args.out,
-    )
-    report = CheckReport(command="integrate", config=config.to_echo())
+    # integrate takes no couplings and samples no points.
+    config = {"cases": [args.case], "alpha": None, "beta": None, "lambda": None, "mu": None, "points": 0,
+              "seed": args.seed, "tolerances": tols, "resolution": args.resolution,
+              "divergence_checks": args.divergence, "out": args.out}
+    report = CheckReport(command="integrate", config=config)
     start = time.perf_counter()
     try:
         measured = quadrature.volume(entry, args.resolution)
@@ -683,8 +667,8 @@ def cmd_solve(args) -> int:
     m = len(grid)
     per_node = np.maximum(np.abs(residual[:m]), np.abs(residual[m:]))
     rows = [
-        f"{float(r)!r},{float(f)!r},{float(res)!r}\n"
-        for r, f, res in zip(profile.grid, profile.values, per_node)
+        f"{r!r},{f!r},{res!r}\n"
+        for r, f, res in zip(profile.grid.tolist(), profile.values.tolist(), per_node.tolist())
     ]
     try:
         write_atomic(args.out, "r,f,residual\n" + "".join(rows))

@@ -251,12 +251,12 @@ class MetricField:
     def matrix_np(self, coords) -> np.ndarray:
         return np.array(self.matrix(coords), dtype=float)
 
-    def require_spd(self, points, tol: float = 0.0) -> None:
+    def require_spd(self, points) -> None:
         """Hard error unless g is positive definite at every given point
         (a list of points or a PointBatch, evaluated in one pass)."""
         batch = PointBatch.of_points(points)
         w = np.linalg.eigvalsh(np.moveaxis(batch.matrix(self.matrix(batch.columns)), -1, 0))
-        bad = np.flatnonzero(w.min(axis=1) <= tol)
+        bad = np.flatnonzero(w.min(axis=1) <= 0.0)
         if bad.size:
             k = int(bad[0])
             raise NotSPD(

@@ -27,7 +27,7 @@ from .curvature import (
     ricci_generic,
 )
 from .errors import DegenerateDenominator, NotCompact, NotSteady
-from .geometry import MetricField, ScalarField, sample_points
+from .geometry import MetricField, PointBatch, ScalarField, sample_points
 from .identities import IdentityResidual, require_soliton
 from .soliton import SolitonInstance, SolitonKind
 from .tensors import mat_det, mat_inverse, sym2_norm_sq, trace_pair
@@ -320,8 +320,9 @@ class ManifoldScalarField:
     ambient: Optional[Callable] = None
 
     @classmethod
-    def constant(cls, value: float, charts: int = 2) -> "ManifoldScalarField":
-        return cls(tuple([lambda x, v=value: v] * charts), name=f"const({value:g})")
+    def constant(cls, value: float) -> "ManifoldScalarField":
+        """``value`` on both charts of a sphere."""
+        return cls((lambda x, v=value: v,) * 2, name=f"const({value:g})")
 
     @classmethod
     def from_ambient(cls, entry: CatalogEntry, fn: Callable, name: str = "ambient") -> "ManifoldScalarField":
@@ -511,9 +512,9 @@ def _require_compact_instance(inst: SolitonInstance) -> CatalogEntry:
     return entry
 
 
-def _spot_check_soliton(inst: SolitonInstance, entry: CatalogEntry, tol: float = 1e-8):
-    for p in sample_points(entry.metric.domain, 12, seed=20):
-        require_soliton(inst, p, tol)
+def _spot_check_soliton(inst: SolitonInstance, entry: CatalogEntry):
+    """NotASoliton unless the defining residual vanishes at 12 sampled points."""
+    require_soliton(inst, PointBatch(sample_points(entry.metric.domain, 12, seed=20)))
 
 
 def check_steady_integral_inequality(inst: SolitonInstance, resolution: int) -> dict:

@@ -19,43 +19,6 @@ from typing import Optional
 VERSION = "0.1.0"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of one run's inputs; serialized verbatim into the report."""
-
-    command: str
-    cases: tuple[str, ...] = ()
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    lam: Optional[float] = None
-    mu: Optional[float] = None
-    points: int = 0
-    seed: int = 0
-    tolerances: Optional[dict] = None
-    resolution: Optional[int] = None
-    divergence_checks: Optional[int] = None
-    out: str = ""
-
-    def to_echo(self) -> dict:
-        echo = {
-            "cases": list(self.cases),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "lambda": self.lam,
-            "mu": self.mu,
-            "points": self.points,
-            "seed": self.seed,
-            "out": self.out,
-        }
-        if self.tolerances is not None:
-            echo["tolerances"] = {k: self.tolerances[k] for k in sorted(self.tolerances)}
-        if self.resolution is not None:
-            echo["resolution"] = self.resolution
-        if self.divergence_checks is not None:
-            echo["divergence_checks"] = self.divergence_checks
-        return echo
-
-
 @dataclass
 class CheckRecord:
     name: str

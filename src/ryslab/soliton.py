@@ -51,11 +51,11 @@ class SolitonParams:
                 raise ValueError(f"parameter {name} must be finite")
 
 
-def classify(params: SolitonParams, tol: float = STEADY_TOL) -> SolitonClass:
-    """Expanding for lam > 0, steady for |lam| <= tol, else shrinking."""
-    if params.lam > tol:
+def classify(params: SolitonParams) -> SolitonClass:
+    """Expanding for lam > 0, steady for |lam| <= STEADY_TOL, else shrinking."""
+    if params.lam > STEADY_TOL:
         return SolitonClass.EXPANDING
-    if params.lam < -tol:
+    if params.lam < -STEADY_TOL:
         return SolitonClass.SHRINKING
     return SolitonClass.STEADY
 
@@ -83,7 +83,6 @@ class SolitonInstance:
     eta: Optional[OneFormField] = None
     phi: Optional[float] = None      # concircular factor, when known
     compact: bool = False
-    note: str = ""
     entry: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):

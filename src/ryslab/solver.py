@@ -52,33 +52,24 @@ STENCIL_WIDTH = 6
 
 @dataclass(frozen=True)
 class Background:
-    """Closed-form curvature data of a rotationally symmetric space."""
+    """Closed-form curvature data of a rotationally symmetric 3-space."""
 
     name: str
     ric_factor: float      # Ric = ric_factor * g
     scalar: float
     radius: float = 1.0
-    dim: int = 3
 
     @classmethod
-    def flat(cls, dim: int = 3) -> "Background":
-        return cls("flat", 0.0, 0.0, dim=dim)
+    def flat(cls) -> "Background":
+        return cls("flat", 0.0, 0.0)
 
     @classmethod
-    def sphere(cls, radius: float = 1.0, dim: int = 3) -> "Background":
-        n = dim
-        return cls(
-            "sphere",
-            (n - 1) / (radius * radius),
-            n * (n - 1) / (radius * radius),
-            radius=radius,
-            dim=dim,
-        )
+    def sphere(cls, radius: float = 1.0) -> "Background":
+        return cls("sphere", 2.0 / (radius * radius), 6.0 / (radius * radius), radius=radius)
 
     @classmethod
-    def hyperbolic(cls, dim: int = 3) -> "Background":
-        n = dim
-        return cls("hyperbolic", -(n - 1.0), -n * (n - 1.0), dim=dim)
+    def hyperbolic(cls) -> "Background":
+        return cls("hyperbolic", -2.0, -6.0)
 
     def log_warp_deriv(self, r: np.ndarray) -> np.ndarray:
         """w'(r)/w(r) for the warp w: r, a sin(r/a), or sinh(r)."""
@@ -115,8 +106,8 @@ class RadialProfile:
             raise ValueError("grid and values length mismatch")
 
 
-def make_grid(intervals: int, r_max: float = 1.0, margin: float = ORIGIN_MARGIN) -> np.ndarray:
-    return np.linspace(margin, r_max, intervals + 1)
+def make_grid(intervals: int, r_max: float = 1.0) -> np.ndarray:
+    return np.linspace(ORIGIN_MARGIN, r_max, intervals + 1)
 
 
 def _require_grid(grid: np.ndarray) -> None:

@@ -18,7 +18,7 @@ from .errors import MetricSingular
 CONDITION_LIMIT = 1e10
 
 
-def mat_inverse(m, cond_limit: float = CONDITION_LIMIT):
+def mat_inverse(m):
     """Inverse of a small dense matrix with generic entries.
 
     Dimensions 2 and 3 (the hot path) use the closed-form adjugate;
@@ -31,7 +31,7 @@ def mat_inverse(m, cond_limit: float = CONDITION_LIMIT):
         a, b = m[0]
         c, d = m[1]
         det = a * d - b * c
-        _guard_det(det, m, n, cond_limit)
+        _guard_det(det, m, n)
         inv = 1.0 / det
         return [[d * inv, -b * inv], [-c * inv, a * inv]]
     if n == 3:
@@ -46,31 +46,31 @@ def mat_inverse(m, cond_limit: float = CONDITION_LIMIT):
         co21 = b * g - a * h
         co22 = a * e - b * d
         det = a * co00 + b * co10 + c * co20
-        _guard_det(det, m, n, cond_limit)
+        _guard_det(det, m, n)
         inv = 1.0 / det
         return [
             [co00 * inv, co01 * inv, co02 * inv],
             [co10 * inv, co11 * inv, co12 * inv],
             [co20 * inv, co21 * inv, co22 * inv],
         ]
-    return _gauss_jordan_inverse(m, cond_limit)
+    return _gauss_jordan_inverse(m)
 
 
-def _guard_det(det, m, n, cond_limit):
+def _guard_det(det, m, n):
     dv = np.abs(value_of(det))
     scale = value_of(m[0][0])
     scale = np.abs(scale)
     for i in range(n):
         for j in range(n):
             scale = np.maximum(scale, np.abs(value_of(m[i][j])))
-    if np.any(dv * cond_limit <= scale**n):
+    if np.any(dv * CONDITION_LIMIT <= scale**n):
         bad = float(np.min(dv)) if np.ndim(dv) else float(dv)
         raise MetricSingular(
-            f"determinant {bad:.3e} below conditioning floor (threshold {cond_limit:.1e})"
+            f"determinant {bad:.3e} below conditioning floor (threshold {CONDITION_LIMIT:.1e})"
         )
 
 
-def _gauss_jordan_inverse(m, cond_limit: float = CONDITION_LIMIT):
+def _gauss_jordan_inverse(m):
     """Gauss-Jordan without row exchanges: a metric is positive definite, so
     every diagonal pivot is positive, and the same steps serve floats and
     columns."""
@@ -78,7 +78,7 @@ def _gauss_jordan_inverse(m, cond_limit: float = CONDITION_LIMIT):
     a = [row[:] for row in m]
     inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     scale = reduce(np.maximum, [np.abs(value_of(v)) for row in m for v in row])
-    floor = scale / cond_limit
+    floor = scale / CONDITION_LIMIT
     for col in range(n):
         d = a[col][col]
         dv = np.abs(value_of(d))

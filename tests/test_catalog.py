@@ -186,6 +186,56 @@ def test_verify_case_defaults_are_solitons():
                 assert defining_residual(inst, q).max_abs() < 1e-9, name
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_each_row_builds_its_instance_on_its_entry(mu):
+    """Every soliton row builds on its own entry: the entry's metric and
+    compactness, GRYS at mu = 0 and GEN_GRYS otherwise, and for the
+    concircular row RYS with the position field and phi = 1."""
+    compact = []
+    for name, spec in catalog.verify_cases().items():
+        if spec.universal_only:
+            assert spec.build is None
+            continue
+        params = SolitonParams(spec.defaults.alpha, spec.defaults.beta, spec.defaults.lam, mu)
+        inst = spec.build(params)
+        assert inst.params == params
+        assert inst.entry is spec.entry(), name
+        assert inst.metric is inst.entry.metric, name
+        assert inst.compact == inst.entry.compact, name
+        if inst.compact:
+            compact.append(name)
+        if name == "concircular-flat":
+            assert inst.kind is SolitonKind.RYS and inst.phi == 1.0 and inst.potential is None
+            assert inst.vector_field([0.1, -0.2, 0.3]) == [0.1, -0.2, 0.3]
+        else:
+            assert inst.kind is (SolitonKind.GRYS if mu == 0.0 else SolitonKind.GEN_GRYS), name
+            assert inst.vector_field is None and inst.phi is None
+    assert compact == ["einstein-s3"]
+
+
+def test_instance_names_build_their_rows():
+    """Each ``*_instance`` name builds what its row builds: the same kind
+    and entry, and a field with the same value at a sampled point."""
+    cases = catalog.verify_cases()
+    named = {
+        "gaussian": catalog.gaussian_instance,
+        "einstein-s3": catalog.einstein_sphere_instance,
+        "einstein-h3": catalog.einstein_hyperbolic_instance,
+        "s2xr": catalog.cylinder_instance,
+        "flat-product": catalog.flat_product_instance,
+        "concircular-flat": catalog.concircular_flat_instance,
+    }
+    assert set(named) == {name for name, spec in cases.items() if not spec.universal_only}
+    for name, build in named.items():
+        spec = cases[name]
+        params = SolitonParams(0.5, 0.25, -1.5, 0.5)
+        ours, theirs = build(params), spec.build(params)
+        assert (ours.kind, ours.entry, ours.params) == (theirs.kind, theirs.entry, params)
+        x = list(sample_points(ours.metric.domain, 1, seed=11)[0].coords)
+        field = "vector_field" if ours.kind is SolitonKind.RYS else "potential"
+        assert getattr(ours, field)(x) == getattr(theirs, field)(x), name
+
+
 def test_metrics_round_alike_at_a_point_and_over_a_batch():
     """Every catalog metric gives bit-identical components at a point and
     over a batch of coordinate columns, so batched checks reproduce the

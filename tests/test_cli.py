@@ -711,6 +711,25 @@ class TestCheckTable:
         assert echo == {**DEFAULT_TOLERANCES, "volume": 0.5}
 
 
+def test_config_echo_keys_and_null_couplings(tmp_path, capsys):
+    """The config echo of each report, as the README report schema states:
+    verify echoes its couplings (null where a case default applies), and
+    integrate adds its grid options, with null couplings and no points."""
+    out = tmp_path / "report.json"
+    shared = {"cases", "alpha", "beta", "lambda", "mu", "points", "seed", "tolerances", "out"}
+    assert run(["verify", "--case", "gaussian", "--mu", "0.5", "--points", "3", "--out", str(out)]) in (0, 1)
+    echo = json.loads(out.read_text())["config"]
+    assert set(echo) == shared
+    assert echo["cases"] == ["gaussian"] and echo["points"] == 3 and echo["out"] == str(out)
+    assert (echo["alpha"], echo["beta"], echo["lambda"], echo["mu"]) == (None, None, None, 0.5)
+    argv = ["integrate", "--case", "unit-s3", "--resolution", "12", "--divergence", "1"]
+    assert run(argv + ["--out", str(out)]) == 0
+    echo = json.loads(out.read_text())["config"]
+    assert set(echo) == shared | {"resolution", "divergence_checks"}
+    assert [echo[k] for k in ("alpha", "beta", "lambda", "mu", "points")] == [None, None, None, None, 0]
+    assert (echo["cases"], echo["resolution"], echo["divergence_checks"]) == (["unit-s3"], 12, 1)
+
+
 def test_solve_hyperbolic_far_from_the_origin(tmp_path, capsys):
     """coth(r) stays finite past r = 710, where cosh and sinh overflow."""
     out = tmp_path / "profile.csv"
