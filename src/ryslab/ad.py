@@ -11,6 +11,14 @@ arrays, faster and leaner on large node sets; the two do not mix.
 ``fd_derive`` (Richardson differences) checks orders up to 3.  Component
 functions use the math wrappers here (``sin``, ``exp``, ...), which take
 floats, columns and lifts alike.
+
+A structural zero stays the float 0.0, so no product is spent on it
+(Griewank & Walther's sparsity rule): a Taylor times the float 0.0 is 0.0
+if its coefficients sum to a finite number, so that none is a NaN or inf
+(else the product runs, and they propagate), a sum or difference with 0.0
+is the Taylor itself, and ``partial`` is 0.0 where every shifted
+coefficient is zero.  Lifted results therefore hold plain floats where an
+entry is constant.
 """
 
 from __future__ import annotations
@@ -50,22 +58,27 @@ def _pairs(n, order, lo, hi):
     degree if lo > 0) for ``_convolve``: gather indices of each gamma's first
     pair, then of each second pair, ... (most pairs first, so a rank is a
     prefix), the spans of ranks 1, 2, ..., and the order restoring the
-    packing.  a_0 b_l + a_l b_0 sums as a product rule does."""
-    idx, pos = _indices(n, order)
+    packing.  A gamma's pairs run in alpha's packing order, so a_0 b_l +
+    a_l b_0 sums as a product rule does."""
+    idx = np.array(_indices(n, order)[0]).reshape(-1, n)
     factors = idx[:lo] if lo else idx
-    groups = [
-        [(pos[a], pos[r]) for a in factors if min(r := tuple(g - x for g, x in zip(gamma, a))) >= 0]
-        for gamma in idx[lo:hi]
-    ]
-    ranked = sorted(range(len(groups)), key=lambda k: -len(groups[k]))
-    ia, ib, spans = [], [], []
-    for rank in range(len(groups[ranked[0]])):
-        members = [groups[k][rank] for k in ranked if len(groups[k]) > rank]
-        if rank:
-            spans.append((len(ia), len(members)))
-        ia += [a for a, _ in members]
-        ib += [b for _, b in members]
-    return np.array(ia), np.array(ib), spans, np.argsort(ranked)
+    beta = idx[lo:hi, None] - factors  # gamma - alpha per (gamma, alpha)
+    fits = (beta >= 0).sum(axis=2) == n
+    counts = fits.sum(axis=1).tolist()
+    ranked = sorted(range(len(counts)), key=lambda k: -counts[k])
+    fits, beta = fits[ranked], beta[ranked]
+    gamma, alpha = np.nonzero(fits)  # gammas by rank, each one's alphas in packing order
+    rank = np.cumsum(fits, axis=1)[gamma, alpha] - 1
+    digits = np.array([(order + 1) ** k for k in range(n)])  # a multi-index as a number in base order + 1
+    slot = np.zeros((order + 1) ** n, dtype=int)
+    slot[idx @ digits] = np.arange(len(idx))
+    ia, ib = np.full((2, counts[ranked[0]], len(ranked)), -1)  # (rank, gamma)
+    ia[rank, gamma] = alpha
+    ib[rank, gamma] = slot[beta[gamma, alpha] @ digits]
+    live = ia >= 0
+    sizes = live.sum(axis=1)
+    spans = list(zip((np.cumsum(sizes) - sizes)[1:].tolist(), sizes[1:].tolist()))
+    return ia[live], ib[live], spans, np.argsort(ranked)
 
 
 def _convolve(a, b, table):
@@ -94,6 +107,11 @@ def _shift(n, order, i):
     low = idx[: _size(n, order - 1)]
     src = [pos[tuple(a + (k == i) for k, a in enumerate(alpha))] for alpha in low]
     return np.array(src), np.array([alpha[i] + 1.0 for alpha in low])
+
+
+def _zero(o):
+    """Whether ``o`` is the float 0.0, a structural zero."""
+    return isinstance(o, float) and o == 0.0
 
 
 class Taylor:
@@ -130,6 +148,8 @@ class Taylor:
         if isinstance(o, Taylor):
             a, b, p = self._pair(o)
             return self._new(a + b, p)
+        if _zero(o):
+            return self
         return self._with_value(self.c.copy(), self.c[0] + o)
 
     __radd__ = __add__
@@ -138,6 +158,8 @@ class Taylor:
         if isinstance(o, Taylor):
             a, b, p = self._pair(o)
             return self._new(a - b, p)
+        if _zero(o):
+            return self
         return self._with_value(self.c.copy(), self.c[0] - o)
 
     def __rsub__(self, o):
@@ -148,6 +170,8 @@ class Taylor:
 
     def __mul__(self, o):
         if not isinstance(o, Taylor):
+            if _zero(o) and math.isfinite(self.c.sum()):  # a NaN or inf still propagates
+                return 0.0
             return self._new(self.c * o)
         a, b, p = self._pair(o)
         if p == 1:  # the product rule itself: no tables, no work arrays
@@ -187,7 +211,10 @@ class Taylor:
         if not self.order:
             raise OrderTooHigh(f"d_{i} of a polynomial lifted to order 0")
         src, fac = _shift(self.n, self.order, i)
-        return self._new(self.c[src] * fac.reshape((-1,) + (1,) * (self.c.ndim - 1)), self.order - 1)
+        c = self.c[src]
+        if not c.any():  # d_i vanishes to this order
+            return 0.0
+        return self._new(c * fac.reshape((-1,) + (1,) * (self.c.ndim - 1)), self.order - 1)
 
     def _compose(self, f):
         """f(self) from f[k] = f^(k)(a) / k! at the value a: Horner in h =
@@ -198,6 +225,8 @@ class Taylor:
             for fk in f[self.order - 1 : 0 : -1]:
                 acc = h * acc + fk
             out = h * acc
+            if not isinstance(out, Taylor):  # h * 0.0: no slot of order 2 or up
+                out = self._new(np.zeros_like(self.c))
             out.c[1 : self.n + 1] = f[1] * self.c[1 : self.n + 1]
         out.c[0] = f[0]
         return out
@@ -213,7 +242,10 @@ def _quotient(a, b):
     q[0] = q0
     for d in range(1, p + 1):
         lo, hi = _size(n, d - 1), _size(n, d)
-        s = _convolve(q, b.c, _pairs(n, p, lo, hi))
+        if d == 1:  # one product per slot, q_0 b_i: no table
+            s = q[0] * b.c[lo:hi]
+        else:
+            s = _convolve(q, b.c, _pairs(n, p, lo, hi))
         q[lo:hi] = ((a.c[lo:hi] - s) if lifted else -s) / b.c[0]
     return Taylor(q, n, p)
 

@@ -559,14 +559,21 @@ def cmd_verify(args) -> int:
             )
             inst = None if spec.universal_only else spec.build(params)
             if inst is not None and _concircular(inst, spec):
-                # Parameters that leave a row undefined are a usage error,
-                # found before any case runs.
+                # Parameters that leave a row undefined, or that the case
+                # would not apply, are a usage error, found before any case runs.
                 try:
                     require_concircular_params(params)
                 except (AlphaZero, DegenerateBeta) as exc:
                     print(
                         f"error: case '{name}' with alpha = {params.alpha!r}, "
                         f"beta = {params.beta!r}: {exc}",
+                        file=sys.stderr,
+                    )
+                    return 2
+                if params.mu != 0.0:
+                    print(
+                        f"error: case '{name}' is an RYS instance, which has no mu-term: "
+                        f"mu = {params.mu!r} would not be applied",
                         file=sys.stderr,
                     )
                     return 2

@@ -164,13 +164,16 @@ def _value(t):
     return split(t, 0)[0]
 
 
-def _stitch(parts):
-    """Per-chunk reads joined entry by entry, columns end to end; a constant
-    (a float, the same in every chunk) stays a float."""
+def _stitch(parts, sizes):
+    """Per-chunk reads joined entry by entry, columns end to end, a float
+    spread over its chunk's ``sizes`` points; a constant (the same float in
+    every chunk) stays a float."""
     first = parts[0]
     if isinstance(first, (list, tuple)):
-        return type(first)(_stitch(list(p)) for p in zip(*parts))
-    return first if all(isinstance(p, float) for p in parts) else np.concatenate(parts)
+        return type(first)(_stitch(list(p), sizes) for p in zip(*parts))
+    if all(isinstance(p, float) and p == first for p in parts):
+        return first
+    return np.concatenate([np.broadcast_to(p, (k,)) for p, k in zip(parts, sizes)])
 
 
 def _shared(build):
@@ -181,8 +184,9 @@ def _shared(build):
     def read(self, *field):
         key = (build.__name__,) + field
         if key not in self._memo:
-            parts = [read(c, *field) for c in self._chunks or ()]
-            self._memo[key] = _stitch(parts) if parts else build(self, *field)
+            chunks = self._chunks or ()
+            parts = [read(c, *field) for c in chunks]
+            self._memo[key] = _stitch(parts, [len(c.x[0]) for c in chunks]) if parts else build(self, *field)
         return self._memo[key]
 
     return read

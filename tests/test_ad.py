@@ -332,7 +332,8 @@ def test_with_partials_equal_the_entrywise_unpacking(name):
 def test_lifted_levels_keep_the_float_bits(name):
     """g, g^-1 and Gamma read off the order-4 lift equal bit for bit the
     float metric, its inverse and the Christoffel symbols from an order-1
-    lift, at a point and over a batch."""
+    lift, at a point and over a batch; over a batch, a structural zero of
+    the lift is the float 0.0 where the float pass holds a zero column."""
     from ryslab.geometry import PointBatch, sample_points
     from ryslab.tensors import mat_inverse
 
@@ -349,7 +350,11 @@ def test_lifted_levels_keep_the_float_bits(name):
         for got, ref in pairs:
             got, ref = list(_leaves(got)), list(_leaves(ref))
             assert len(got) == len(ref)
-            assert all(type(a) is type(b) and np.array_equal(a, b) for a, b in zip(got, ref))
+            for a, b in zip(got, ref):
+                if isinstance(a, float) and isinstance(b, np.ndarray):
+                    assert a == 0.0 and not b.any()
+                else:
+                    assert type(a) is type(b) and np.array_equal(a, b)
 
 
 # -- Taylor: the packed multivariate polynomial ----------------------------------
@@ -490,3 +495,159 @@ def test_partial_lowers_the_order_and_mixed_orders_truncate():
     assert np.allclose(prod.c, [a * a - b * b, 2 * a, -2 * b, 1.0, 0.0, -1.0] + [0.0] * 9, rtol=0, atol=1e-15)
     inv = 1.0 / (1.0 + x[0])
     assert np.allclose(inv.c[[0, 1, 3, 6, 10]], [(-1) ** k / 1.5 ** (k + 1) for k in range(5)], rtol=1e-15)
+
+
+# -- structural zeros: the float 0.0 costs no product -----------------------------
+
+def _random_taylor(rng, n=3, order=4, points=5):
+    """Random finite coefficients of both signs over a column of points."""
+    return ad.Taylor(rng.standard_normal((ad._size(n, order), points)), n, order)
+
+
+def _full(t, c):
+    """A Taylor with coefficients ``c``: the result the full path builds."""
+    return ad.Taylor(c, t.n, t.order)
+
+
+def test_zero_rule_reads_match_the_full_path_bitwise():
+    """x * 0.0 is 0.0, x + 0.0 and x - 0.0 are x itself; every read after
+    them equals, bit for bit, the read after the full-path polynomial."""
+    rng = np.random.default_rng(11)
+    x, y, u = (_random_taylor(rng) for _ in range(3))
+    assert x * 0.0 == 0.0 and 0.0 * x == 0.0 and isinstance(x * 0.0, float)
+    assert x + 0.0 is x and 0.0 + x is x and x - 0.0 is x
+    zero = _full(x, x.c * 0.0)
+    plus = x.c.copy()
+    plus[0] = x.c[0] + 0.0
+    minus = x.c.copy()
+    minus[0] = x.c[0] - 0.0
+    pairs = [
+        ((x * 0.0 + y) * u, (zero + y) * u),
+        (y - 0.0 * x, y - zero),
+        ((x * 0.0) * u + y, zero * u + y),
+        (ad.exp(y + x * 0.0) / u, ad.exp(y + zero) / u),
+        ((x + 0.0) * u, _full(x, plus) * u),
+        ((x - 0.0) / u, _full(x, minus) / u),
+        (u * (0.0 + x) - y, u * _full(x, plus) - y),
+    ]
+    for fast, full in pairs:
+        assert fast.c.tobytes() == full.c.tobytes()
+        for i in range(3):
+            assert ad.partial(fast, i).c.tobytes() == ad.partial(full, i).c.tobytes()
+        (v, parts), (w, ref) = ad.split(fast, 3), ad.split(full, 3)
+        assert _bits([v] + parts) == _bits([w] + ref)
+
+
+def test_partial_of_a_constant_direction_is_zero():
+    """d_1 of a polynomial in x0 alone is 0.0; reads after it equal the
+    full path's zero polynomial bit for bit."""
+    rng = np.random.default_rng(12)
+    x = ad.lift([rng.standard_normal(4) for _ in range(3)], 4)
+    u = _random_taylor(rng, points=4)
+    t = ad.sin(x[0]) * x[0] - 2.5
+    assert ad.partial(t, 1) == 0.0 and ad.partial(t, 2) == 0.0
+    assert isinstance(ad.partial(t, 0), ad.Taylor)
+    full = _full(ad.partial(t, 0), np.zeros_like(ad.partial(t, 0).c))
+    fast = ad.partial(t, 1) * u + ad.partial(t, 0)
+    assert fast.c.tobytes() == (full * u.truncate(3) + ad.partial(t, 0)).c.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 7, 34])
+def test_a_non_finite_coefficient_times_zero_stays_non_finite(bad, slot):
+    """The zero rule needs finite coefficients: NaN or inf times 0.0 runs
+    the full product, so the non-finite value propagates."""
+    x = _random_taylor(np.random.default_rng(13), points=1)
+    x.c[slot] = bad
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        for r in (x * 0.0, 0.0 * x, x * -0.0):
+            assert isinstance(r, ad.Taylor)
+            assert np.isnan(r.c[slot]).all()
+            if slot:
+                parts = [ad.partial(r, i) for i in range(3)]
+                assert any(isinstance(d, ad.Taylor) and np.isnan(d.c).any() for d in parts)
+            else:
+                assert np.isnan(ad.value_of(r + 1.0)).all()
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_compose_with_a_zero_tower_entry_returns_a_taylor(order):
+    """x ** 2 above its degree, or at 0 where its slope is 0.0, and cos at 0
+    (slope -0.0) compose through zero tower entries and still give a
+    Taylor, equal to the product x * x."""
+    for a in (0.0, 1.5, np.array([0.0, -0.5])):
+        x = ad.lift([a, 0.25], order)[0]
+        sq = x ** 2
+        assert isinstance(sq, ad.Taylor) and sq.order == order
+        assert np.array_equal(sq.c, (x * x).c)
+        assert isinstance(x ** 3, ad.Taylor)
+    c = ad.cos(ad.lift([0.0, 0.25], order)[0])
+    assert isinstance(c, ad.Taylor) and c.order == order
+    assert ad.value_of(c) == 1.0 and not c.c[1:3].any()
+    assert order < 2 or c.c[3] == -0.5  # the x0^2 slot
+
+
+# -- index tables: the numpy builder against the loop it replaced -----------------
+
+def _loop_pairs(n, order, lo, hi):
+    """The loop builder of ``ad._pairs``, kept as its reference."""
+    idx, pos = ad._indices(n, order)
+    factors = idx[:lo] if lo else idx
+    groups = [
+        [(pos[a], pos[r]) for a in factors if min(r := tuple(g - x for g, x in zip(gamma, a))) >= 0]
+        for gamma in idx[lo:hi]
+    ]
+    ranked = sorted(range(len(groups)), key=lambda k: -len(groups[k]))
+    ia, ib, spans = [], [], []
+    for rank in range(len(groups[ranked[0]])):
+        members = [groups[k][rank] for k in ranked if len(groups[k]) > rank]
+        if rank:
+            spans.append((len(ia), len(members)))
+        ia += [a for a, _ in members]
+        ib += [b for _, b in members]
+    return np.array(ia), np.array(ib), spans, np.argsort(ranked)
+
+
+def _requested_tables(n, order):
+    """The (lo, hi) that ``Taylor.__mul__`` (every slot) and ``_quotient``
+    (one degree at a time) ask for at ``order``."""
+    size = [ad._size(n, d) for d in range(order + 1)]
+    return [(0, size[order])] + [(size[d - 1], size[d]) for d in range(1, order + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_pair_tables_equal_the_loop_builder(n, order):
+    """The same arrays, dtypes, spans and order, so every coefficient sums
+    its products in the same order."""
+    for lo, hi in _requested_tables(n, order):
+        got, ref = ad._pairs(n, order, lo, hi), _loop_pairs(n, order, lo, hi)
+        for a, b in zip(got[:2] + got[3:], ref[:2] + ref[3:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (lo, hi)
+        assert got[2] == ref[2] and all(type(v) is int for span in got[2] for v in span)
+
+
+def test_pair_tables_are_built_on_first_use():
+    """Importing ``ad`` builds no table; a product builds its own."""
+    import subprocess
+    import sys
+
+    code = (
+        "from ryslab import ad; assert ad._pairs.cache_info().currsize == 0; "
+        "x = ad.lift([0.5, 1.0], 2); x[0] * x[1]; print(ad._pairs.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1"]
+
+
+def test_quotient_first_degree_equals_the_table_path():
+    """The degree-1 slots of a quotient, one product q_0 b_i each, keep the
+    bits of the convolution over their pair table."""
+    rng = np.random.default_rng(14)
+    a, b = _random_taylor(rng), _random_taylor(rng)
+    b.c[0] += 4.0
+    q = a / b
+    s = ad._convolve(q.c, b.c, ad._pairs(3, 4, 1, 4))
+    assert ((a.c[1:4] - s) / b.c[0]).tobytes() == q.c[1:4].tobytes()
+    r = 2.0 / b
+    assert (-ad._convolve(r.c, b.c, ad._pairs(3, 4, 1, 4)) / b.c[0]).tobytes() == r.c[1:4].tobytes()

@@ -221,6 +221,28 @@ def test_degenerate_mu_alpha_warning(tmp_path, capsys):
     assert any("mu*alpha" in w for w in payload["warnings"])
 
 
+@pytest.mark.parametrize("mu", ["0.5", "-1e-300"])
+def test_mu_on_concircular_flat_exits_2_before_any_case(mu, tmp_path, capsys):
+    """concircular-flat is an RYS instance with no mu-term: a nonzero mu
+    would be echoed and never applied, so it is a usage error, raised
+    before the cases listed ahead of it run."""
+    out = tmp_path / "report.json"
+    code = run([
+        "verify", "--case", "gaussian", "--case", "concircular-flat",
+        f"--mu={mu}", "--points", "3", "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "mu" in captured.err
+
+
+def test_mu_zero_on_concircular_flat_runs(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--case", "concircular-flat", "--mu", "0", "--points", "3", "--out", str(out)]) == 0
+
+
 class TestReportInvariants:
     def test_verdict_matches_gap_tolerance(self, tmp_path, capsys):
         out = tmp_path / "report.json"

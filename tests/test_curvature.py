@@ -322,14 +322,21 @@ def test_four_dimensional_batch_equals_each_point():
         assert scal[k] == cv.scalar_curvature(g, p)
 
 
-def test_chunked_batch_equals_one_pass(monkeypatch):
+@pytest.mark.parametrize("case, points, chunk", [("perturbed-flat", 11, 4), ("einstein-s3", ad.CHUNK + 6, ad.CHUNK)])
+def test_chunked_batch_equals_one_pass(case, points, chunk, monkeypatch):
     """A batch lifted in chunks gives every read of one whole-batch pass
-    bit for bit (the lifted arithmetic is per point), constants included."""
-    entry = catalog.make_perturbed_flat(1e-2, 5)
-    g = entry.metric
+    bit for bit (the lifted arithmetic is per point), constants and
+    structural zeros (the float 0.0 in every chunk) included; einstein-s3
+    is chunked at ad.CHUNK, as verify chunks it."""
+    from ryslab.soliton import SolitonParams
+
+    if case == "perturbed-flat":
+        g = catalog.make_perturbed_flat(1e-2, 5).metric
+    else:
+        g = catalog.einstein_sphere_instance(SolitonParams(1.0, 0.0, -2.0)).metric
     f = catalog.random_polynomial_field(g.domain, seed=6)
     X = VectorField(lambda x: [x[1] * x[2], x[0] - x[2], x[0] * x[0]], g.domain, "quadratic")
-    pts = sample_points(g.domain, 11, seed=7)
+    pts = sample_points(g.domain, points, seed=7)
 
     def reads(data):
         return [
@@ -345,10 +352,23 @@ def test_chunked_batch_equals_one_pass(monkeypatch):
         else:
             yield v
 
+    monkeypatch.setattr(cv, "CHUNK", points)
     whole = list(leaves(reads(cv.curvature_data(g, PointBatch(pts)))))
-    monkeypatch.setattr(cv, "CHUNK", 4)
+    monkeypatch.setattr(cv, "CHUNK", chunk)
     chunked_data = cv.curvature_data(g, PointBatch(pts))
-    assert len(chunked_data._chunks) == 3
+    assert [len(c.x[0]) for c in chunked_data._chunks] == [chunk] * (points // chunk) + [points % chunk]
     chunked = list(leaves(reads(chunked_data)))
     assert len(whole) == len(chunked)
+    assert case != "einstein-s3" or any(isinstance(a, float) for a in chunked)  # its zeros
     assert all(type(a) is type(b) and np.array_equal(a, b) for a, b in zip(whole, chunked))
+
+
+def test_stitch_spreads_a_float_over_its_chunk():
+    """A read that is a float in one chunk and a column in another joins
+    into one column; the same float in every chunk stays a float."""
+    three, two = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])
+    got = cv._stitch([[0.0, 5.0, (3.0, three)], [two, 5.0, (3.0, 0.0)]], [3, 2])
+    assert got[0].tolist() == [0.0, 0.0, 0.0, 4.0, 5.0]
+    assert got[1] == 5.0 and isinstance(got[1], float)
+    assert isinstance(got[2], tuple) and got[2][0] == 3.0
+    assert got[2][1].tolist() == [1.0, 2.0, 3.0, 0.0, 0.0]

@@ -219,6 +219,24 @@ class TestSteadyIntegralInequality:
             quad.check_steady_integral_inequality(inst, 8)
 
 
+def test_spot_check_lifts_its_batch_to_order_2(monkeypatch):
+    """The spot check's defining residual reads order 2 of g, so its one
+    lifted metric evaluation is at order 2."""
+    from ryslab import ad, geometry
+
+    orders, matrix = [], geometry.MetricField.matrix
+
+    def recording(self, coords):
+        coords = list(coords)
+        orders.extend({c.order for c in coords if isinstance(c, ad.Taylor)})
+        return matrix(self, coords)
+
+    monkeypatch.setattr(geometry.MetricField, "matrix", recording)
+    inst = catalog.einstein_sphere_instance(SolitonParams(1.0, 0.0, -2.0))
+    quad._spot_check_soliton(inst, quad._require_compact_instance(inst))
+    assert orders == [2]
+
+
 class TestHessianEnergy:
     def test_constant_potential_balance(self):
         inst = catalog.einstein_sphere_instance(SolitonParams(1.0, 0.0, -2.0))
