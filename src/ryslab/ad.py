@@ -18,7 +18,16 @@ if its coefficients sum to a finite number, so that none is a NaN or inf
 (else the product runs, and they propagate), a sum or difference with 0.0
 is the Taylor itself, and ``partial`` is 0.0 where every shifted
 coefficient is zero.  Lifted results therefore hold plain floats where an
-entry is constant.
+entry is constant.  The same rule runs on columns: ``lift2`` gives each
+coordinate its constant unit gradient, with a length-1 point axis that
+numpy broadcasts, and the Hessian 0.0; Jet2 products, sums and chain rules
+skip a 0.0 Hessian term, and ``read2`` reads a 0.0 Hessian as 0.0 second
+partials.  ``times``, ``plus`` and ``minus`` apply the rule to any two
+operands and leave a product with a Taylor to the Taylor; ``tensors``,
+``curvature`` and ``quadrature`` build their sums of products from them,
+so a conformally flat metric's g^{ij} is 0.0 off the diagonal.  Beside a
+column, a skipped product also drops a NaN or inf of the other factor;
+a non-finite metric entry still reaches g^{ij} through the determinant.
 """
 
 from __future__ import annotations
@@ -112,6 +121,24 @@ def _shift(n, order, i):
 def _zero(o):
     """Whether ``o`` is the float 0.0, a structural zero."""
     return isinstance(o, float) and o == 0.0
+
+
+def plus(a, b):
+    """a + b, or the other term where one is a structural zero."""
+    return b if _zero(a) else a if _zero(b) else a + b
+
+
+def minus(a, b):
+    """a - b, or ``a`` where ``b`` is a structural zero."""
+    return a if _zero(b) else a - b
+
+
+def times(a, b):
+    """a * b, or the float 0.0 where a factor is a structural zero and the
+    other is no Taylor (a Taylor's own product decides)."""
+    if (_zero(a) and not isinstance(b, Taylor)) or (_zero(b) and not isinstance(a, Taylor)):
+        return 0.0
+    return a * b
 
 
 class Taylor:
@@ -341,9 +368,11 @@ def _triangle(n):
 class Jet2:
     """Second-order jet with closed-form rules, kept as separate arrays: value
     ``v`` (a float or an array of shape S), gradient ``g`` (n, *S) and the
-    Hessian's packed upper triangle ``h`` (n(n+1)/2, *S), unnormalised.  On
-    tens of thousands of nodes it is faster and leaner than :class:`Taylor`
-    (an addend shares the parts it leaves unchanged)."""
+    Hessian's packed upper triangle ``h`` (n(n+1)/2, *S), unnormalised; a
+    part constant over the points may keep length-1 axes (numpy broadcasts
+    it), and a zero Hessian is the float 0.0.  On tens of thousands of nodes
+    it is faster and leaner than :class:`Taylor` (an addend shares the parts
+    it leaves unchanged)."""
 
     __slots__ = ("v", "g", "h")
     __array_ufunc__ = None
@@ -355,14 +384,14 @@ class Jet2:
 
     def __add__(self, o):
         if isinstance(o, Jet2):
-            return Jet2(self.v + o.v, self.g + o.g, self.h + o.h)
+            return Jet2(self.v + o.v, self.g + o.g, plus(self.h, o.h))
         return Jet2(self.v + o, self.g, self.h)
 
     __radd__ = __add__
 
     def __sub__(self, o):
         if isinstance(o, Jet2):
-            return Jet2(self.v - o.v, self.g - o.g, self.h - o.h)
+            return Jet2(self.v - o.v, self.g - o.g, minus(self.h, o.h))
         return Jet2(self.v - o, self.g, self.h)
 
     def __rsub__(self, o):
@@ -375,16 +404,16 @@ class Jet2:
         if isinstance(o, Jet2):
             i, j = _triangle(len(self.g))[:2]
             a, b, ga, gb = self.v, o.v, self.g, o.g
-            h = (a * o.h + ga[i] * gb[j]) + (ga[j] * gb[i] + self.h * b)
+            h = plus(plus(times(a, o.h), ga[i] * gb[j]), plus(ga[j] * gb[i], times(self.h, b)))
             return Jet2(a * b, a * gb + ga * b, h)
-        return Jet2(self.v * o, self.g * o, self.h * o)
+        return Jet2(self.v * o, self.g * o, times(self.h, o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
         if isinstance(o, Jet2):
             return self._over(o, o._slot_pairs())
-        return Jet2(self.v / o, self.g / o, self.h / o)
+        return Jet2(self.v / o, self.g / o, self.h if _zero(self.h) else self.h / o)
 
     def _slot_pairs(self):
         """The gradient at each packed Hessian slot's row and column."""
@@ -397,20 +426,20 @@ class Jet2:
         b, (gb_i, gb_j) = o.v, pairs
         q = self.v / b
         dq = (self.g - q * o.g) / b
-        return Jet2(q, dq, ((self.h - (q * o.h + dq[i] * gb_j)) - dq[j] * gb_i) / b)
+        return Jet2(q, dq, ((self.h - plus(times(q, o.h), dq[i] * gb_j)) - dq[j] * gb_i) / b)
 
     def __rtruediv__(self, o):
         i, j = _triangle(len(self.g))[:2]
         a, g = self.v, self.g
         q = o / a
         dq = (-q) * g / a
-        return Jet2(q, dq, (((-q) * self.h - dq[i] * g[j]) - dq[j] * g[i]) / a)
+        return Jet2(q, dq, ((times(-q, self.h) - dq[i] * g[j]) - dq[j] * g[i]) / a)
 
     def __pow__(self, p):
         if isinstance(p, (Taylor, Jet2)):
             raise TypeError("lifted exponents are not supported")
         if p == 0:
-            return Jet2(self.v**0, np.zeros_like(self.g), np.zeros_like(self.h))
+            return Jet2(self.v**0, np.zeros_like(self.g), 0.0)
         a = self.v
         return self if p == 1 else _chain(self, a**p, p * a ** (p - 1), p * (p - 1) * a ** (p - 2))
 
@@ -431,7 +460,7 @@ def divide_by(denominator):
 def _chain(x, f0, f1, f2):
     """f(x) for a Jet2 ``x``, from f, f' and f'' at its value."""
     i, j = _triangle(len(x.g))[:2]
-    return Jet2(f0, f1 * x.g, f1 * x.h + (f2 * x.g[i]) * x.g[j])
+    return Jet2(f0, f1 * x.g, plus(times(f1, x.h), (f2 * x.g[i]) * x.g[j]))
 
 
 # -- elementary functions, float/column/lift polymorphic -------------------
@@ -506,24 +535,27 @@ def value_and_gradient(f, coords):
 
 
 def lift2(coords):
-    """Every coordinate (a float or a column) lifted into a Jet2; work on them
-    (a chart embedding) can serve several fields."""
+    """Every coordinate (a float or a column) lifted into a Jet2: its unit
+    gradient with a length-1 axis per axis of the points, and the Hessian
+    0.0.  Work on them (a chart embedding) can serve several fields."""
     coords = list(coords)
     if any(isinstance(c, (Taylor, Jet2)) for c in coords):
         raise TypeError("lift2 takes float coordinates or columns, not lifted ones")
     n = len(coords)
-    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-    unit = np.broadcast_to(np.eye(n).reshape((n, n) + (1,) * len(shape)), (n, n) + shape)
-    zero = np.zeros((n * (n + 1) // 2,) + shape)
-    return [Jet2(c, unit[k], zero) for k, c in enumerate(coords)]
+    ndim = len(np.broadcast_shapes(*(np.shape(c) for c in coords)))
+    unit = np.eye(n).reshape((n, n) + (1,) * ndim)
+    unit.flags.writeable = False
+    return [Jet2(c, unit[k], 0.0) for k, c in enumerate(coords)]
 
 
 def read2(r, n):
     """Value, gradient and (exactly symmetric) second-partial matrix of a
-    result computed on ``lift2`` coordinates (zeros for a constant)."""
+    result computed on ``lift2`` coordinates (0.0 for a constant, and for
+    every second partial of a zero Hessian)."""
     if not isinstance(r, Jet2):
-        zero = [0.0] * n
-        return r, list(zero), [list(zero) for _ in range(n)]
+        return r, [0.0] * n, [[0.0] * n for _ in range(n)]
+    if _zero(r.h):
+        return r.v, _rows(r.g), [[0.0] * n for _ in range(n)]
     h = _rows(r.h)
     return r.v, _rows(r.g), [[h[k] for k in row] for row in _triangle(n)[2]]
 

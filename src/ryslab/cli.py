@@ -13,6 +13,7 @@ import errno
 import functools
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -638,8 +639,11 @@ def cmd_integrate(args) -> int:
         ]
         outs = quadrature.integrate_laplacians(entry, fields, args.resolution)
         for k, out in enumerate(outs):
-            ratio = abs(out["integral"]) / out["scale"] if out["scale"] > 0 else 0.0
-            integral = out["integral"]
+            integral, scale = out["integral"], out["scale"]
+            if not (math.isfinite(integral) and math.isfinite(scale)):
+                ratio = math.inf  # a NaN scale is not > 0: it would read as gap 0
+            else:
+                ratio = abs(integral) / scale if scale > 0 else 0.0
             report.add(
                 _record(args.case, "divergence-theorem", tols, None, integral, 0.0, ratio, f"[{k}]")
             )
@@ -698,6 +702,12 @@ def cmd_catalog(_args) -> int:
 
 
 # -- argument parsing --------------------------------------------------------------
+
+# argparse reads a token that starts with "-" as an option unless it matches
+# its negative-number pattern, which has no exponent, so "--lambda -1e-3"
+# lacked its argument.  "-inf" and "-nan" still read as options.
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
 
 @functools.cache  # one parser per process: building it costs about ten parses
 def build_parser() -> argparse.ArgumentParser:
@@ -759,6 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("catalog", help="list catalog entries")
     c.set_defaults(func=cmd_catalog)
+    for p in (parser, v, q, s, c):
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

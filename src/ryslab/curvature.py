@@ -19,9 +19,9 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from .ad import CHUNK, MAX_ORDER, jet2, lift, partial, split, truncate, vlift
+from .ad import CHUNK, MAX_ORDER, jet2, lift, minus, partial, plus, split, truncate, vlift
 from .geometry import MetricField, PointBatch, ScalarField, VectorField, stack
-from .tensors import mat_inverse, mat_vec, sym2_norm_sq, trace_pair, vec_dot
+from .tensors import dot, mat_inverse, mat_vec, sym2_norm_sq, trace_pair
 
 SYMMETRY_TOL = 1e-12
 # A scalar field's own lift, whatever g's: the commutation rule reads
@@ -54,14 +54,15 @@ class Sym2Tensor:
 
 def christoffel_from(ginv, dg):
     """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), from g^{-1}
-    and dg[l][i][j] = d_l g_ij."""
+    and dg[l][i][j] = d_l g_ij, skipping structural zeros (``ad.times``,
+    ``plus`` and ``minus``)."""
     n = len(ginv)
     gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            bracket = [dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in range(n)]
+            bracket = [minus(plus(dg[i][j][l], dg[j][i][l]), dg[l][i][j]) for l in range(n)]
             for k in range(n):
-                v = 0.5 * sum(ginv[k][l] * bracket[l] for l in range(n))
+                v = 0.5 * dot(ginv[k], bracket)
                 gamma[k][i][j] = v
                 gamma[k][j][i] = v
     return gamma
@@ -89,12 +90,13 @@ def ricci_from(gamma, dgamma):
 
 
 def covariant_hessian(gamma, df, ddf):
-    """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f from the partials of f."""
+    """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f from the partials of f (the
+    entry d_i d_j f itself where no Gamma term is left)."""
     n = len(df)
     h = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = ddf[i][j] - sum(gamma[k][i][j] * df[k] for k in range(n))
+            v = minus(ddf[i][j], dot([gamma[k][i][j] for k in range(n)], df))
             h[i][j] = v
             h[j][i] = v
     return h
@@ -150,7 +152,7 @@ def gradient_generic(g: MetricField, f: ScalarField, x):
 
 
 def grad_norm_sq_generic(g: MetricField, f: ScalarField, x):
-    return vec_dot(*gradient_generic(g, f, x)[:2])
+    return dot(*gradient_generic(g, f, x)[:2])
 
 
 def lie_metric_generic(g: MetricField, X: VectorField, x):
@@ -309,7 +311,7 @@ class CurvatureData:
     def grad_norm_sq_laplacian(self, f: ScalarField):
         """Delta |grad f|^2, with |grad f|^2 = g^{ij} d_i f d_j f on the lift."""
         df = self._field(f)[1]
-        energy = vec_dot(mat_vec(self._lifted["inverse"], df), df)
+        energy = dot(mat_vec(self._lifted["inverse"], df), df)
         return trace_pair(self.inverse, _value(self._second(energy)[2]))
 
     @_shared

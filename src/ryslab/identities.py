@@ -35,7 +35,7 @@ from .soliton import (
     classify,
     residual_on,
 )
-from .tensors import sym2_norm_sq, vec_dot
+from .tensors import dot, sym2_norm_sq
 
 SOLITON_TOL = 1e-8
 
@@ -94,8 +94,8 @@ def require_soliton(inst: SolitonInstance, p, tol: float = SOLITON_TOL) -> None:
     batch = PointBatch.of(p)
     res = np.max(np.abs(residual_on(inst, batch).components), axis=(0, 1))
     res = np.atleast_1d(batch.values(res))
-    k = int(np.argmax(res))
-    if res[k] > tol:
+    k = int(np.argmax(res))  # the first NaN, if any
+    if not res[k] <= tol:
         raise NotASoliton(
             f"defining residual {res[k]:.3e} exceeds {tol:.1e} at "
             f"{batch.points[k].coords}"
@@ -128,7 +128,7 @@ def check_trace_identity(
     pr = inst.params
     scal = d.scalar
     lap = d.laplacian(f)
-    gn = vec_dot(d.gradient_up(f), d.jet(f)[1])
+    gn = dot(d.gradient_up(f), d.jet(f)[1])
     lhs = pr.alpha * scal + lap + (pr.lam - 0.5 * pr.beta * scal) * n + pr.mu * gn
     return IdentityResidual.build("trace-identity", lhs, 0.0, batch)
 
@@ -269,7 +269,7 @@ def check_affine_splitting_flags(inst: SolitonInstance, points) -> dict:
     batch = PointBatch.of_points(points)
     d = curvature_data(inst.metric, batch)
     hess = np.abs(batch.matrix(d.hessian(f)))
-    norm_sq = batch.values(vec_dot(d.gradient_up(f), d.jet(f)[1]))
+    norm_sq = batch.values(dot(d.gradient_up(f), d.jet(f)[1]))
     norms = np.sqrt(np.maximum(norm_sq, 0.0))
     return {
         "hessian_norm": float(np.max(hess)),

@@ -31,7 +31,7 @@ from .errors import DegenerateDenominator, NotCompact, NotSteady
 from .geometry import MetricField, PointBatch, ScalarField, sample_points
 from .identities import IdentityResidual, require_soliton
 from .soliton import SolitonInstance, SolitonKind
-from .tensors import mat_det, mat_inverse, sym2_norm_sq, trace_pair
+from .tensors import dot, mat_det, mat_inverse, sym2_norm_sq, trace_pair
 
 MIN_RESOLUTION = 8
 
@@ -164,16 +164,21 @@ class QuadratureGrid:
         return exact_sum(np.concatenate([c.weight for c in self.charts]))
 
     @cached_property
+    def _metric_lift(self):
+        """g and dg at every node, off one order-1 lift of g (its value slots
+        round as the float evaluation does)."""
+        return split(self.metric.matrix(vlift(list(self.columns))), len(self.columns))
+
+    @cached_property
     def inverse(self):
         """g^{ij} at every node."""
-        return mat_inverse(self.metric.matrix(list(self.columns)))
+        return mat_inverse(self._metric_lift[0])
 
     @cached_property
     def christoffel(self):
-        """Gamma^k_ij at every node, from ``inverse`` and dg off one order-1
-        lift of g (``christoffel_generic``'s arithmetic, g inverted once)."""
-        dg = split(self.metric.matrix(vlift(list(self.columns))), len(self.columns))[1]
-        return christoffel_from(self.inverse, dg)
+        """Gamma^k_ij at every node, from ``inverse`` and dg
+        (``christoffel_generic``'s arithmetic, g evaluated and inverted once)."""
+        return christoffel_from(self.inverse, self._metric_lift[1])
 
     def blocks(self):
         """The grid in runs of ``_CHUNK`` nodes, as (node slice, grid of
@@ -373,10 +378,11 @@ def _nodes(grid: QuadratureGrid, value) -> np.ndarray:
 
 def _gradient_pairings(grid: QuadratureGrid, grads) -> list:
     """<grad a_i, grad a_j> = g^{pq} d_p a_i d_q a_j for i <= j, row by row,
-    from each function's coordinate partials ``grads[i]``."""
-    ginv, n, k = grid.inverse, len(grid.columns), len(grads)
-    raised = [[sum(ginv[p][q] * du[q] for q in range(n)) for p in range(n)] for du in grads]
-    return [sum(grads[a][p] * raised[b][p] for p in range(n)) for a in range(k) for b in range(a, k)]
+    from each function's coordinate partials ``grads[i]``, without the pairs
+    that ``tensors.dot`` skips."""
+    ginv, k = grid.inverse, len(grads)
+    raised = [[dot(row, du) for row in ginv] for du in grads]
+    return [dot(grads[a], raised[b]) for a in range(k) for b in range(a, k)]
 
 
 def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, lifted, out=None) -> np.ndarray:

@@ -4,6 +4,12 @@ The curvature pipeline runs on Taylor-lifted coordinates (that is how
 derivatives of curvature are taken), so inversion and contractions are
 written for nested lists of floats, (m,) columns or :mod:`ryslab.ad`
 lifts.  Conditioning checks use the float value part only.
+
+A structural zero, the float 0.0, costs no product here either: products
+and sums go through ``ad.times``, ``plus`` and ``minus``, which skip one
+(beside a Taylor, whose own product decides, so a NaN or inf propagates).
+A cofactor both of whose products are skipped is 0.0, so a conformally
+flat metric's g^{ij} holds 0.0 off the diagonal.
 """
 
 from __future__ import annotations
@@ -12,10 +18,21 @@ from functools import reduce
 
 import numpy as np
 
-from .ad import value_of
+from .ad import minus, plus, times, value_of
 from .errors import MetricSingular
 
 CONDITION_LIMIT = 1e10
+
+
+def dot(us, vs):
+    """The sum of u * v over paired entries, in order, by the zero rule of
+    ``ad.times`` and ``ad.plus`` (0.0 if every product is skipped)."""
+    return reduce(plus, map(times, us, vs), 0.0)
+
+
+def _minor(a, b, c, d):
+    """a * b - c * d by the zero rule."""
+    return minus(times(a, b), times(c, d))
 
 
 def mat_inverse(m):
@@ -33,26 +50,18 @@ def mat_inverse(m):
         det = a * d - b * c
         _guard_det(det, m, n)
         inv = 1.0 / det
-        return [[d * inv, -b * inv], [-c * inv, a * inv]]
+        return [[times(d, inv), times(-b, inv)], [times(-c, inv), times(a, inv)]]
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = m
-        co00 = e * i - f * h
-        co01 = c * h - b * i
-        co02 = b * f - c * e
-        co10 = f * g - d * i
-        co11 = a * i - c * g
-        co12 = c * d - a * f
-        co20 = d * h - e * g
-        co21 = b * g - a * h
-        co22 = a * e - b * d
-        det = a * co00 + b * co10 + c * co20
+        co = [
+            [_minor(e, i, f, h), _minor(c, h, b, i), _minor(b, f, c, e)],
+            [_minor(f, g, d, i), _minor(a, i, c, g), _minor(c, d, a, f)],
+            [_minor(d, h, e, g), _minor(b, g, a, h), _minor(a, e, b, d)],
+        ]
+        det = dot((a, b, c), (co[0][0], co[1][0], co[2][0]))
         _guard_det(det, m, n)
         inv = 1.0 / det
-        return [
-            [co00 * inv, co01 * inv, co02 * inv],
-            [co10 * inv, co11 * inv, co12 * inv],
-            [co20 * inv, co21 * inv, co22 * inv],
-        ]
+        return [[times(x, inv) for x in row] for row in co]
     return _gauss_jordan_inverse(m)
 
 
@@ -129,18 +138,12 @@ def mat_det(m):
 
 
 def mat_vec(m, v):
-    n = len(m)
-    return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(n)]
-
-
-def vec_dot(u, v):
-    return sum(u[i] * v[i] for i in range(len(u)))
+    return [dot(row, v) for row in m]
 
 
 def trace_pair(ginv, t):
     """g^{ij} T_ij for matching square matrices."""
-    n = len(ginv)
-    return sum(ginv[i][j] * t[i][j] for i in range(n) for j in range(n))
+    return dot([x for row in ginv for x in row], [x for row in t for x in row])
 
 
 def sym2_norm_sq(ginv, t):

@@ -238,6 +238,38 @@ def test_mu_on_concircular_flat_exits_2_before_any_case(mu, tmp_path, capsys):
     assert "error:" in captured.err and "mu" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, dest, value",
+    [
+        (["verify", "--case", "gaussian", "--lambda", "-1e-3"], "lam", -1e-3),
+        (["verify", "--case", "gaussian", "--lambda", "-1e3"], "lam", -1e3),
+        (["verify", "--case", "gaussian", "--alpha", "-2.5E-1"], "alpha", -0.25),
+        (["verify", "--case", "gaussian", "--beta", "-.5e+1"], "beta", -5.0),
+        (["verify", "--case", "einstein-s3", "--mu", "-1e0"], "mu", -1.0),
+        (["solve", "--lambda", "-1e1"], "lam", -10.0),
+        (["solve", "--alpha", "-3.e-2"], "alpha", -0.03),
+    ],
+)
+def test_negative_couplings_with_an_exponent_parse(argv, dest, value):
+    """A negative coupling written with an exponent is a number, as with
+    ``--lambda=-1e-3``, not a missing argument."""
+    assert getattr(cli.build_parser().parse_args(argv), dest) == value
+
+
+@pytest.mark.parametrize("raw", ["-inf", "-nan", "nan", "inf", "-1e400", "-1e"])
+@pytest.mark.parametrize("command", [["verify", "--case", "gaussian"], ["solve"]])
+def test_non_finite_negative_couplings_still_exit_2(command, raw, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(command + ["--lambda", raw, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_negative_exponent_coupling_runs(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--case", "gaussian", "--lambda", "-1e-3", "--points", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["lambda"] == -1e-3
+
+
 def test_mu_zero_on_concircular_flat_runs(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["verify", "--case", "concircular-flat", "--mu", "0", "--points", "3", "--out", str(out)]) == 0

@@ -422,3 +422,24 @@ class TestMetricEvaluationsPerBatch:
 
         cli._run_soliton_case("einstein-s3", spec, inst, 16, 7, tols, Sink())
         assert len(calls) == 2  # the lifted evaluation and the SPD check
+
+
+def test_a_nan_residual_is_not_a_soliton(monkeypatch):
+    """A NaN defining residual at one point raises ``NotASoliton`` (NaN > tol
+    is False, so a plain comparison would accept it)."""
+    from ryslab import soliton
+
+    inst = einstein_s3()
+    batch = PointBatch(sample_points(inst.entry.charts[0], 4, seed=2))
+    identities.require_soliton(inst, batch)
+    residual = soliton.residual_on
+
+    def with_nan(inst, batch):
+        r = residual(inst, batch)
+        components = r.components.copy()
+        components[1, 2, 2] = components[2, 1, 2] = np.nan
+        return cv.Sym2Tensor(components)
+
+    monkeypatch.setattr(identities, "residual_on", with_nan)
+    with pytest.raises(NotASoliton, match="nan"):
+        identities.require_soliton(inst, batch)

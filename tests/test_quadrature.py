@@ -712,3 +712,78 @@ def test_blocked_integrals_equal_the_whole_grid_arithmetic(monkeypatch):
     assert len(builds) == 2 * node_blocks(24)
     assert got == whole_grid_laplacian_integrals(entry, fields, 24)
     assert got[3]["integral"] == 0.0 and got[0]["volume"] == quad.build_grid(entry, 24).volume
+
+
+# -- structural zeros on the node columns --------------------------------------
+
+@pytest.mark.parametrize("radius", [0.5, 1.0])
+def test_sphere_grid_geometry_keeps_structural_zeros(radius):
+    """The round metric is conformally flat: on a sphere grid g^{ij} holds
+    the float 0.0 off the diagonal, and Gamma^k_ij is 0.0 where i, j and k
+    differ; every other entry is a node column."""
+    grid = quad.build_grid(catalog.sphere_entry(radius), 12)
+    m = len(grid.charts[0].weight)
+    for i, j in itertools.product(range(3), repeat=2):
+        entry = grid.inverse[i][j]
+        if i == j:
+            assert isinstance(entry, np.ndarray) and entry.shape == (m,)
+        else:
+            assert isinstance(entry, float) and entry == 0.0, (i, j)
+    for k, i, j in itertools.product(range(3), repeat=3):
+        entry = grid.christoffel[k][i][j]
+        if len({k, i, j}) == 3:
+            assert isinstance(entry, float) and entry == 0.0, (k, i, j)
+        else:
+            assert isinstance(entry, np.ndarray) and entry.shape == (m,), (k, i, j)
+
+
+def poisoned_sphere(node, resolution):
+    """The unit 3-sphere with g_00 NaN at one grid node in its lifted
+    evaluations (the ones that build g^{ij}, Gamma and the basis); the
+    float evaluation that weights the nodes stays finite."""
+    import dataclasses
+
+    from ryslab import ad
+
+    entry = catalog.sphere_entry(1.0)
+    target = [c[node] for c in quad.build_grid(entry, resolution).columns]
+    fn = entry.metric.fn
+
+    def g(x):
+        m = fn(x)
+        if isinstance(x[0], ad.Taylor):
+            hit = np.logical_and.reduce([ad.value_of(c) == t for c, t in zip(x, target)])
+            c = m[0][0].c.copy()
+            c[:, hit] = np.nan
+            m = [row[:] for row in m]
+            m[0][0] = ad.Taylor(c, m[0][0].n, m[0][0].order)
+        return m
+
+    return dataclasses.replace(entry, metric=dataclasses.replace(entry.metric, fn=g))
+
+
+def test_a_nan_metric_component_reaches_its_basis_column_and_fails(tmp_path, capsys, monkeypatch):
+    """Negative control: with g_00 NaN at one node (in the second node
+    block), no skipped zero stops it: that node's basis column is NaN in
+    every row and every other column is finite; `integrate` reads each
+    divergence record's gap as unbounded, fails it and exits 1, while the
+    volume passes."""
+    from ryslab import cli
+
+    node = quad._CHUNK + 123
+    entry = poisoned_sphere(node, 24)
+    monkeypatch.setattr(quad, "_GRID_CACHE", {})  # a grid keeps the metric it was built with
+    basis = quad._grid_basis(entry, quad.build_grid(entry, 24))
+    assert np.isnan(basis[:, node]).all()
+    assert np.isfinite(np.delete(basis, node, axis=1)).all()
+
+    monkeypatch.setattr(quad, "_GRID_CACHE", {})
+    monkeypatch.setattr(catalog, "get_entry", lambda name: entry)
+    out = tmp_path / "report.json"
+    argv = ["integrate", "--case", "unit-s3", "--resolution", "24", "--divergence", "2", "--out", str(out)]
+    assert cli.main(argv) == 1
+    records = {r["name"]: r for r in json.loads(out.read_text())["records"]}
+    assert records.pop("unit-s3:volume")["verdict"] == "pass"
+    assert len(records) == 2
+    for record in records.values():
+        assert record["verdict"] == "fail" and record["gap"] == math.inf and math.isnan(record["lhs"])

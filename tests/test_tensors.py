@@ -5,7 +5,7 @@ import pytest
 
 from ryslab.ad import lift, value_of
 from ryslab.errors import MetricSingular
-from ryslab.tensors import mat_det, mat_inverse, sym2_norm_sq, trace_pair
+from ryslab.tensors import dot, mat_det, mat_inverse, sym2_norm_sq, trace_pair
 
 
 def random_spd(n, seed):
@@ -79,3 +79,45 @@ def test_elimination_on_columns_equals_each_point(n):
 def test_det_of_a_singular_metric_is_rejected():
     with pytest.raises(MetricSingular):
         mat_det([[1.0] * 4 for _ in range(4)])
+
+
+# -- structural zeros: the float 0.0 costs no product --------------------------
+
+def test_dot_skips_structural_zeros():
+    """A pair with a float 0.0 factor is skipped; the sum of the rest has
+    the bits of the full sum; nothing left is the float 0.0."""
+    u = np.array([0.5, -1.5, 2.0])
+    assert dot([0.0, u, 2.0], [u, u, 0.0]).tobytes() == (u * u).tobytes()
+    assert dot([0.0, 3.0], [u, 0.0]) == 0.0 and isinstance(dot([0.0], [u]), float)
+    assert dot([1.0, u], [u, 2.0 * u]).tobytes() == (1.0 * u + u * (2.0 * u)).tobytes()
+
+
+def test_conformal_inverse_keeps_structural_zeros():
+    """The inverse of a conformally flat matrix of columns holds the float
+    0.0 off the diagonal, and its diagonal has the bits of the dense
+    inverse (zero columns in place of the float zeros)."""
+    conf = np.random.default_rng(3).uniform(0.5, 2.0, size=7)
+    sparse = [[conf if i == j else 0.0 for j in range(3)] for i in range(3)]
+    dense = [[conf if i == j else np.zeros(7) for j in range(3)] for i in range(3)]
+    fast, full = mat_inverse(sparse), mat_inverse(dense)
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                assert fast[i][j].tobytes() == full[i][j].tobytes()
+            else:
+                assert isinstance(fast[i][j], float) and fast[i][j] == 0.0
+                assert not full[i][j].any()
+    t = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 3, 7))
+    assert trace_pair(fast, t).tobytes() == trace_pair(full, t).tobytes()
+
+
+def test_a_taylor_factor_decides_its_own_zero_product():
+    """Beside a Taylor, the float 0.0 is left to the Taylor's product: a
+    finite Taylor gives 0.0, a NaN coefficient still propagates into the
+    off-diagonal entries of the inverse."""
+    t = lift([1.5, 0.5, 2.0], 2)
+    diag = [[t[i] if i == j else 0.0 for j in range(3)] for i in range(3)]
+    assert mat_inverse(diag)[0][1] == 0.0
+    t[0].c[4] = np.nan
+    inv = mat_inverse(diag)
+    assert np.isnan(inv[0][1].c).any() and np.isnan(inv[2][1].c).any()
