@@ -4,13 +4,17 @@
 of a truncated multivariate Taylor polynomial, packed by total degree in one
 array.  One evaluation on ``lift(x, order)`` coordinates carries every mixed
 partial up to that order; ``partial`` (a coefficient shift), ``split`` and
-``value_of`` read them.  ``vlift`` is the order-1 lift; ``derive`` is an
-oracle that lifts one fresh variable per differentiation.  :class:`Jet2`
-(``lift2``/``read2``/``jet2``) is a closed-form second-order jet in separate
-arrays, faster and leaner on large node sets; the two do not mix.
-``fd_derive`` (Richardson differences) checks orders up to 3.  Component
-functions use the math wrappers here (``sin``, ``exp``, ...), which take
-floats, columns and lifts alike.
+``value_of`` read them.  ``vlift`` is the order-1 lift, ``jet2`` reads
+value, gradient and Hessian off one order-2 lift, and ``derive`` is an
+oracle that lifts one fresh variable per differentiation.  Taylor is the
+general jet: powers, quotients and the elementary functions are its
+rules alone.  :class:`Jet2` (``lift2``/``read2``) is integrate's chart
+embedding kernel: a closed-form second-order jet in separate arrays with
+only ``+``, ``-``, ``*`` and a quotient of two jets, faster and leaner than
+an order-2 Taylor on large node sets; the two do not mix.  ``fd_derive``
+(Richardson differences) checks orders up to 3.  Component functions use
+the math wrappers here (``sin``, ``exp``, ...), which take floats, columns
+and Taylor lifts alike.
 
 A structural zero stays the float 0.0, so no product is spent on it
 (Griewank & Walther's sparsity rule): a Taylor times the float 0.0 is 0.0
@@ -20,7 +24,7 @@ is the Taylor itself, and ``partial`` is 0.0 where every shifted
 coefficient is zero.  Lifted results therefore hold plain floats where an
 entry is constant.  The same rule runs on columns: ``lift2`` gives each
 coordinate its constant unit gradient, with a length-1 point axis that
-numpy broadcasts, and the Hessian 0.0; Jet2 products, sums and chain rules
+numpy broadcasts, and the Hessian 0.0; Jet2 products, sums and quotients
 skip a 0.0 Hessian term, and ``read2`` reads a 0.0 Hessian as 0.0 second
 partials.  ``times``, ``plus`` and ``minus`` apply the rule to any two
 operands and leave a product with a Taylor to the Taylor; ``tensors``,
@@ -349,10 +353,8 @@ def split(v, n):
 
 
 def value_of(v):
-    """The value of a lifted number (the number itself if not lifted)."""
-    if isinstance(v, Taylor):
-        return v.c[0]
-    return v.v if isinstance(v, Jet2) else v
+    """The value of a Taylor (the number itself if not lifted)."""
+    return v.c[0] if isinstance(v, Taylor) else v
 
 
 @lru_cache(maxsize=None)
@@ -372,7 +374,10 @@ class Jet2:
     part constant over the points may keep length-1 axes (numpy broadcasts
     it), and a zero Hessian is the float 0.0.  On tens of thousands of nodes
     it is faster and leaner than :class:`Taylor` (an addend shares the parts
-    it leaves unchanged)."""
+    it leaves unchanged).  It has the rules of a rational chart embedding
+    and no more: sums, differences and products with jets and constants,
+    and a quotient of two jets (``divide_by``); any other operation, a power,
+    a constant divisor or an elementary function, raises ``TypeError``."""
 
     __slots__ = ("v", "g", "h")
     __array_ufunc__ = None
@@ -413,7 +418,7 @@ class Jet2:
     def __truediv__(self, o):
         if isinstance(o, Jet2):
             return self._over(o, o._slot_pairs())
-        return Jet2(self.v / o, self.g / o, self.h if _zero(self.h) else self.h / o)
+        return NotImplemented
 
     def _slot_pairs(self):
         """The gradient at each packed Hessian slot's row and column."""
@@ -428,24 +433,6 @@ class Jet2:
         dq = (self.g - q * o.g) / b
         return Jet2(q, dq, ((self.h - plus(times(q, o.h), dq[i] * gb_j)) - dq[j] * gb_i) / b)
 
-    def __rtruediv__(self, o):
-        i, j = _triangle(len(self.g))[:2]
-        a, g = self.v, self.g
-        q = o / a
-        dq = (-q) * g / a
-        return Jet2(q, dq, ((times(-q, self.h) - dq[i] * g[j]) - dq[j] * g[i]) / a)
-
-    def __pow__(self, p):
-        if isinstance(p, (Taylor, Jet2)):
-            raise TypeError("lifted exponents are not supported")
-        if p == 0:
-            return Jet2(self.v**0, np.zeros_like(self.g), 0.0)
-        a = self.v
-        return self if p == 1 else _chain(self, a**p, p * a ** (p - 1), p * (p - 1) * a ** (p - 2))
-
-    def __rpow__(self, base):
-        return exp(self * math.log(base))
-
 
 def divide_by(denominator):
     """The function a -> a / ``denominator``, each quotient with the bits of
@@ -457,12 +444,6 @@ def divide_by(denominator):
     return lambda a: a._over(denominator, pairs) if isinstance(a, Jet2) else a / denominator
 
 
-def _chain(x, f0, f1, f2):
-    """f(x) for a Jet2 ``x``, from f, f' and f'' at its value."""
-    i, j = _triangle(len(x.g))[:2]
-    return Jet2(f0, f1 * x.g, plus(times(f1, x.h), (f2 * x.g[i]) * x.g[j]))
-
-
 # -- elementary functions, float/column/lift polymorphic -------------------
 
 def _elementary(name, on_float, on_array, tower):
@@ -472,9 +453,6 @@ def _elementary(name, on_float, on_array, tower):
     def fn(x):
         if isinstance(x, Taylor):
             return x._compose(tower(x.c[0], fn(x.c[0])))
-        if isinstance(x, Jet2):
-            f = tower(x.v, fn(x.v))
-            return _chain(x, f[0], f[1], 2.0 * f[2])
         return on_float(x) if isinstance(x, float) else on_array(x)
 
     fn.__name__ = fn.__qualname__ = name
@@ -561,8 +539,13 @@ def read2(r, n):
 
 
 def jet2(f, coords):
-    """Value, gradient and second-partial matrix from one Jet2 evaluation."""
-    return read2(f(lift2(coords)), len(coords))
+    """Value, gradient and (exactly symmetric) second-partial matrix of
+    ``f`` from one evaluation on an order-2 lift."""
+    n = len(coords)
+    r = f(lift(coords, 2))
+    value, grad = split(r, n)
+    rows = [split(partial(r, i), n)[1] for i in range(n)]
+    return value, grad, [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
 
 
 # -- finite-difference cross-check backend ---------------------------------

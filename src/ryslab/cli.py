@@ -48,12 +48,13 @@ MAX_POINTS = 10000
 # `solve` holds O(m) arrays (m = --grid; 6-wide stencils and a band factor):
 # 2048 intervals take under 0.1 s and peak near 34 MB.  The ceiling is set by
 # rounding instead: the differences lose about |f| eps / h^2, which at 2048
-# is near the solver's absolute tolerance 1e-8.  `integrate` evaluates every
-# quadrature node at once, about 2 * resolution^3 of them per chart:
-# resolution 40 peaks near 56 MB for the volume alone, and near 146 MB with
-# divergence checks, at 20 of them as at 1000: they share one basis per grid.
-# Each check sums its own terms, so time grows with the count: 1000 checks
-# take about 1.5 s at resolution 24 and 5.7 s at resolution 40.
+# is near the solver's absolute tolerance 1e-8.  `integrate` takes its
+# quadrature nodes, about 2 * resolution^3 per chart, in blocks of 8,192
+# (quadrature._CHUNK): at resolution 40 a fresh process peaks near 56 MB for
+# the volume alone and near 64 MB with divergence checks, 20 of them as 1000
+# (66 MB), which share one basis per grid.  Each check sums its own terms, so
+# time grows with the count: 20 checks take 0.7 s at resolution 40, and 1000
+# take 2.0 s at resolution 24 and 7.8 s at 40 (one core of an Intel Xeon).
 MAX_INTERVALS = 2048
 MAX_RESOLUTION = 40
 # From 12 up every grid passes the volume record's default tolerance 1e-5 (gap
@@ -350,22 +351,19 @@ def _run_universal_case(name, points, seed, tols, report) -> None:
     larger one alone), so that curvature never splits a group: ``catalog``
     builds the group's metric and field from the members' coefficients, and
     each residual's first maximum over the group is the first among its
-    members' maxima."""
-    batches = []
-    for k in range(PERTURBED_METRICS):
-        metric = catalog.perturbed_flat_group(1e-2, [seed + k], None)
-        batches.append(PointBatch(sample_points(metric.domain, points, seed + 2000 + k)))
-        metric.require_spd(batches[-1])
+    members' maxima.  Every member samples its points from the group's
+    domain, the box all of them share, and the group's metric is checked
+    positive definite once, on all of its members' points."""
     order = max(CHECKS[check].order for check in UNIVERSAL_CHECKS)
     worst = {}
     per_group = max(1, ad.CHUNK // points)
     for start in range(0, PERTURBED_METRICS, per_group):
-        members = batches[start : start + per_group]
-        seeds = range(seed + start, seed + start + len(members))
-        sizes = [len(b) for b in members]
+        seeds = range(seed + start, seed + min(start + per_group, PERTURBED_METRICS))
+        sizes = [points] * len(seeds)
         metric = catalog.perturbed_flat_group(1e-2, seeds, sizes)
         field = catalog.random_polynomial_group(metric.domain, [s + 1000 for s in seeds], sizes)
-        group = PointBatch([p for b in members for p in b.points])
+        group = PointBatch([p for s in seeds for p in sample_points(metric.domain, points, s + 2000)])
+        metric.require_spd(group)
         curvature_data(metric, group, order)
         for res in identities.universal_residuals(metric, field, group):
             res = res.worst()

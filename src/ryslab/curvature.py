@@ -135,8 +135,9 @@ def scalar_curvature_field(g: MetricField) -> ScalarField:
 
 
 def hessian_generic(g: MetricField, f: ScalarField, x):
-    """Hess f from one Jet2 pass of f and ``christoffel_generic``: the
-    arithmetic ``quadrature`` applies on its grids."""
+    """Hess f from ``jet2`` (one order-2 Taylor lift of f) and
+    ``christoffel_generic``: the arithmetic ``quadrature`` applies on its
+    grids to a field without an ambient quadratic."""
     _, df, ddf = jet2(f.fn, x)
     return covariant_hessian(christoffel_generic(g, x), df, ddf)
 

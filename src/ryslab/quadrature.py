@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ad import lift2, read2, split, value_of, vlift
+from .ad import jet2, lift2, read2, split, value_of, vlift
 from .catalog import BUMP_INNER, BUMP_OUTER, CatalogEntry
 from .curvature import (
     christoffel_from,
@@ -363,10 +363,10 @@ def volume(entry: CatalogEntry, resolution: int) -> float:
     return build_grid(entry, resolution).volume
 
 
-def _grid_laplacian(grid: QuadratureGrid, u) -> np.ndarray:
-    """Delta u at every node from u evaluated on the ``lift2`` node columns,
-    with laplacian_generic's arithmetic on the grid's g^{ij} and Gamma."""
-    _, du, ddu = read2(u, len(grid.columns))
+def _grid_laplacian(grid: QuadratureGrid, du, ddu) -> np.ndarray:
+    """Delta u at every node from u's first partials ``du`` and second
+    partials ``ddu`` on the node columns, with laplacian_generic's
+    arithmetic on the grid's g^{ij} and Gamma."""
     lap = trace_pair(grid.inverse, covariant_hessian(grid.christoffel, du, ddu))
     return _nodes(grid, lap)
 
@@ -407,10 +407,10 @@ def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, lifted, out=None) ->
     n = len(grid.columns)
     values, grads, laps = [], [], []
     for c in range(len(ambient)):
-        v, da, _ = read2(ambient[c], n)
+        v, da, dda = read2(ambient[c], n)
         values.append(_nodes(grid, v))
         grads.append([_nodes(grid, d) for d in da])
-        laps.append(_grid_laplacian(grid, ambient[c]))
+        laps.append(_grid_laplacian(grid, da, dda))
         ambient[c] = None  # its value and gradient are kept, its second partials dropped
     i, j = np.triu_indices(len(values))
     basis = np.empty((len(i) + len(values), len(grid.charts[0].weight))) if out is None else out
@@ -453,12 +453,13 @@ def _chart_laplacian(entry, grid: QuadratureGrid, field, chart: int, basis) -> n
     ``AmbientQuadratic`` field combines ``basis``, chart 0's basis columns
     of those nodes, with its coefficients times the chart's row signs (the
     same products as the reflected basis, as the signs are +-1); any other
-    field goes through its own jet, its chart expression on the ``lift2``
-    columns."""
+    field goes through its own jet, ``jet2`` of its chart expression on the
+    node columns."""
     if isinstance(field.ambient, AmbientQuadratic):
         signs = _monomial_signs(entry.atlas.signs(chart, len(grid.columns)))
         return (field.ambient.basis_coefficients * signs) @ basis
-    return _grid_laplacian(grid, field.per_chart[chart](lift2(grid.columns)))
+    _, du, ddu = jet2(field.per_chart[chart], grid.columns)
+    return _grid_laplacian(grid, du, ddu)
 
 
 def integrate_laplacian(

@@ -384,12 +384,22 @@ def test_quadrature_sums_equal_fsum_of_the_same_terms(radius):
     assert quad.integrate(entry, fn, 12) == math.fsum(terms)
 
 
+def smooth_field(a):
+    """u = exp(a_4 / 2) + a_1^2 cos a_2, a field that is no ambient quadratic
+    and not odd in a_1, a_2 or a_3 (the symmetric partition of unity would
+    integrate an odd one to rounding, whatever its Laplacian)."""
+    from ryslab import ad
+
+    return ad.exp(0.5 * a[3]) + a[0] * a[0] * ad.cos(a[1])
+
+
 def test_many_fields_match_one_field_at_a_time():
     """Fields integrated together, in any order, give each field's
-    one-at-a-time result bit for bit.  A field without an ambient
-    expression goes through its per-chart expressions, bit for bit as
-    laplacian_integral_per_field; the quadratic test fields go through the
-    chart basis and agree with it to rounding."""
+    one-at-a-time result bit for bit.  Fields without an ambient quadratic
+    (a quadratic's per-chart expressions, a constant and an elementary
+    function of the ambient coordinates) go through their own jets, bit for
+    bit as laplacian_integral_per_field; the quadratic test fields go
+    through the chart basis and agree with it to rounding."""
     from ryslab.cli import _ambient_quadratic
 
     entry = catalog.sphere_entry(1.0)
@@ -399,6 +409,7 @@ def test_many_fields_match_one_field_at_a_time():
     fields = ambient + [
         quad.ManifoldScalarField(ambient[0].per_chart),
         quad.ManifoldScalarField.constant(3.0),
+        quad.ManifoldScalarField.from_ambient(entry, smooth_field),
     ]
     expected = [laplacian_integral_per_field(entry, f, 10) for f in fields]
     own = [quad.integrate_laplacian(entry, f, 10) for f in fields]
@@ -441,7 +452,7 @@ def test_chart_basis_matches_each_monomials_jet():
     """Every product-rule column, reflected into each chart by its row
     signs, equals the Laplacian of that monomial's own jet, at every node
     of both charts."""
-    from ryslab.ad import lift2
+    from ryslab.ad import lift2, read2
 
     entry = catalog.sphere_entry(1.0)
     grid = quad.build_grid(entry, 10)
@@ -450,7 +461,7 @@ def test_chart_basis_matches_each_monomials_jet():
     for chart in range(len(grid.charts)):
         basis = chart0 * quad._monomial_signs(entry.atlas.signs(chart, 3))[:, None]
         expected = [
-            quad._grid_laplacian(grid, u) for u in monomials(entry.atlas.ambient(chart, lifted))
+            quad._grid_laplacian(grid, *read2(u, 3)[1:]) for u in monomials(entry.atlas.ambient(chart, lifted))
         ]
         assert basis.shape == (14, len(grid.charts[chart].weight))
         for row, (got, want) in enumerate(zip(basis, expected)):
@@ -484,6 +495,48 @@ def test_quadratic_field_matches_the_generic_path(seed):
         assert abs(basis[key] - generic[key]) <= 1e-13 * generic["scale"], key
 
 
+@pytest.mark.parametrize("radius", [1.0, 0.5, 2.0])
+@pytest.mark.parametrize("factor", [1.0, 1.1])
+def test_non_polynomial_field_passes_the_divergence_check(factor, radius, monkeypatch):
+    """``smooth_field``, through its own jet (elementary functions of an
+    order-2 Taylor lift), integrates its Laplacian to a gap of at most 1e-5
+    at resolution 24 on every catalog sphere (about 1e-9); negative
+    control: with Gamma scaled by 1.1 the gap exceeds 1e-5 on each."""
+    christoffel = quad.christoffel_from
+    monkeypatch.setattr(quad, "_GRID_CACHE", {})
+    monkeypatch.setattr(
+        quad, "christoffel_from",
+        lambda ginv, dg: [[[factor * e for e in row] for row in plane] for plane in christoffel(ginv, dg)],
+    )
+    entry = catalog.sphere_entry(radius)
+    out = quad.integrate_laplacian(entry, quad.ManifoldScalarField.from_ambient(entry, smooth_field), 24)
+    gap = abs(out["integral"]) / out["scale"]
+    assert gap <= 1e-5 if factor == 1.0 else gap > 1e-5, gap
+
+
+def test_integrate_lifts_each_node_block_once_to_order_one(tmp_path, capsys, monkeypatch):
+    """`integrate` on its command path lifts each node block's columns once,
+    to order 1 (g^{ij} and Gamma): the basis takes its second partials from
+    the lift2 embedding, never from an order-2 Taylor."""
+    from ryslab import ad, cli, curvature
+
+    orders, lift, blocks = [], ad.lift, node_blocks(24)
+
+    def recording_lift(coords, order):
+        orders.append(order)
+        return lift(coords, order)
+
+    monkeypatch.setattr(quad, "_GRID_CACHE", {})
+    monkeypatch.setattr(ad, "lift", recording_lift)
+    monkeypatch.setattr(curvature, "lift", recording_lift)
+    argv = [
+        "integrate", "--case", "unit-s3", "--resolution", "24",
+        "--divergence", "3", "--out", str(tmp_path / "report.json"),
+    ]
+    assert cli.main(argv) == 0
+    assert orders == [1] * blocks
+
+
 @pytest.mark.parametrize("resolution", [12, 24])
 @pytest.mark.parametrize("divergence", [3, 20])
 def test_integrate_cost_is_flat_in_the_divergence_count(divergence, resolution, tmp_path, capsys, monkeypatch):
@@ -499,9 +552,9 @@ def test_integrate_cost_is_flat_in_the_divergence_count(divergence, resolution, 
         events.append(("embed", chart))
         return ambient(self, chart, coords)
 
-    def counting_laplacian(grid, u):
+    def counting_laplacian(grid, du, ddu):
         events.append("laplacian")
-        return laplacian(grid, u)
+        return laplacian(grid, du, ddu)
 
     monkeypatch.setattr(catalog.SphereAtlas, "ambient", counting_ambient)
     monkeypatch.setattr(quad, "_grid_laplacian", counting_laplacian)
@@ -595,10 +648,10 @@ def chart_basis_from_own_jets(entry, grid, chart, lifted):
     n = len(grid.columns)
     values, grads, laps = [], [], []
     for a in ambient:
-        v, da, _ = read2(a, n)
+        v, da, dda = read2(a, n)
         values.append(quad._nodes(grid, v))
         grads.append([quad._nodes(grid, d) for d in da])
-        laps.append(quad._grid_laplacian(grid, a))
+        laps.append(quad._grid_laplacian(grid, da, dda))
     pairings = quad._gradient_pairings(grid, grads)
     rows = [
         values[a] * laps[b] + values[b] * laps[a] + 2.0 * pairings[row]
@@ -671,11 +724,10 @@ def test_blocked_basis_is_the_whole_grid_basis_bit_for_bit(radius, resolution, m
 def whole_grid_laplacian_integrals(entry, fields, resolution):
     """Reference: ``integrate_laplacians`` on the whole grid at once, each
     chart's Laplacian one array over every node."""
-    from ryslab.ad import lift2
+    from ryslab.ad import jet2, lift2
 
     grid = quad.build_grid(entry, resolution)
-    lifted = lift2(grid.columns)
-    basis = quad._chart_basis(entry, grid, lifted)
+    basis = quad._chart_basis(entry, grid, lift2(grid.columns))
     results = []
     for field in fields:
         laps = []
@@ -684,7 +736,7 @@ def whole_grid_laplacian_integrals(entry, fields, resolution):
                 signs = quad._monomial_signs(entry.atlas.signs(c, 3))
                 laps.append((field.ambient.basis_coefficients * signs) @ basis)
             else:
-                laps.append(quad._grid_laplacian(grid, field.per_chart[c](lifted)))
+                laps.append(quad._grid_laplacian(grid, *jet2(field.per_chart[c], grid.columns)[1:]))
         terms = np.concatenate([chart.weight * lap for chart, lap in zip(grid.charts, laps)])
         peak = max(float(np.max(np.abs(lap))) for lap in laps)
         results.append({"integral": quad.exact_sum(terms), "scale": grid.volume * peak, "volume": grid.volume})
