@@ -7,14 +7,10 @@ partial up to that order; ``partial`` (a coefficient shift), ``split`` and
 ``value_of`` read them.  ``vlift`` is the order-1 lift, ``jet2`` reads
 value, gradient and Hessian off one order-2 lift, and ``derive`` is an
 oracle that lifts one fresh variable per differentiation.  Taylor is the
-general jet: powers, quotients and the elementary functions are its
-rules alone.  :class:`Jet2` (``lift2``/``read2``) is integrate's chart
-embedding kernel: a closed-form second-order jet in separate arrays with
-only ``+``, ``-``, ``*`` and a quotient of two jets, faster and leaner than
-an order-2 Taylor on large node sets; the two do not mix.  ``fd_derive``
-(Richardson differences) checks orders up to 3.  Component functions use
-the math wrappers here (``sin``, ``exp``, ...), which take floats, columns
-and Taylor lifts alike.
+one jet: powers, quotients and the elementary functions are its rules.
+``fd_derive`` (Richardson differences) checks orders up to 3.  Component
+functions use the math wrappers here (``sin``, ``exp``, ...), which take
+floats, columns and Taylor lifts alike.
 
 A structural zero stays the float 0.0, so no product is spent on it
 (Griewank & Walther's sparsity rule): a Taylor times the float 0.0 is 0.0
@@ -22,12 +18,8 @@ if its coefficients sum to a finite number, so that none is a NaN or inf
 (else the product runs, and they propagate), a sum or difference with 0.0
 is the Taylor itself, and ``partial`` is 0.0 where every shifted
 coefficient is zero.  Lifted results therefore hold plain floats where an
-entry is constant.  The same rule runs on columns: ``lift2`` gives each
-coordinate its constant unit gradient, with a length-1 point axis that
-numpy broadcasts, and the Hessian 0.0; Jet2 products, sums and quotients
-skip a 0.0 Hessian term, and ``read2`` reads a 0.0 Hessian as 0.0 second
-partials.  ``times``, ``plus`` and ``minus`` apply the rule to any two
-operands and leave a product with a Taylor to the Taylor; ``tensors``,
+entry is constant.  ``times``, ``plus`` and ``minus`` apply the rule to any
+two operands and leave a product with a Taylor to the Taylor; ``tensors``,
 ``curvature`` and ``quadrature`` build their sums of products from them,
 so a conformally flat metric's g^{ij} is 0.0 off the diagonal.  Beside a
 column, a skipped product also drops a NaN or inf of the other factor;
@@ -220,7 +212,7 @@ class Taylor:
         return _quotient(o, self)
 
     def __pow__(self, p):
-        if isinstance(p, (Taylor, Jet2)):
+        if isinstance(p, Taylor):
             raise TypeError("lifted exponents are not supported")
         if p == 0:
             return self._with_value(np.zeros_like(self.c), self.c[0] ** 0)
@@ -284,7 +276,7 @@ def _quotient(a, b):
 def _lifted(coords, n, order, directions):
     """Coordinate j in n variables: value x_j, slots directions[j] set to 1."""
     coords = list(coords)
-    if any(isinstance(c, (Taylor, Jet2)) for c in coords):
+    if any(isinstance(c, Taylor) for c in coords):
         raise TypeError("lifts take float coordinates or columns, not lifted ones")
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
     out = []
@@ -357,93 +349,6 @@ def value_of(v):
     return v.c[0] if isinstance(v, Taylor) else v
 
 
-@lru_cache(maxsize=None)
-def _triangle(n):
-    """Row and column of each packed upper-triangle slot (row-major, i <= j),
-    and the slot of every (i, j) as nested lists."""
-    rows, cols = np.triu_indices(n)
-    slot = np.zeros((n, n), dtype=int)
-    slot[rows, cols] = slot[cols, rows] = np.arange(len(rows))
-    return rows, cols, slot.tolist()
-
-
-class Jet2:
-    """Second-order jet with closed-form rules, kept as separate arrays: value
-    ``v`` (a float or an array of shape S), gradient ``g`` (n, *S) and the
-    Hessian's packed upper triangle ``h`` (n(n+1)/2, *S), unnormalised; a
-    part constant over the points may keep length-1 axes (numpy broadcasts
-    it), and a zero Hessian is the float 0.0.  On tens of thousands of nodes
-    it is faster and leaner than :class:`Taylor` (an addend shares the parts
-    it leaves unchanged).  It has the rules of a rational chart embedding
-    and no more: sums, differences and products with jets and constants,
-    and a quotient of two jets (``divide_by``); any other operation, a power,
-    a constant divisor or an elementary function, raises ``TypeError``."""
-
-    __slots__ = ("v", "g", "h")
-    __array_ufunc__ = None
-
-    def __init__(self, v, g, h):
-        self.v = v
-        self.g = g
-        self.h = h
-
-    def __add__(self, o):
-        if isinstance(o, Jet2):
-            return Jet2(self.v + o.v, self.g + o.g, plus(self.h, o.h))
-        return Jet2(self.v + o, self.g, self.h)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, Jet2):
-            return Jet2(self.v - o.v, self.g - o.g, minus(self.h, o.h))
-        return Jet2(self.v - o, self.g, self.h)
-
-    def __rsub__(self, o):
-        return Jet2(o - self.v, -self.g, -self.h)
-
-    def __neg__(self):
-        return Jet2(-self.v, -self.g, -self.h)
-
-    def __mul__(self, o):
-        if isinstance(o, Jet2):
-            i, j = _triangle(len(self.g))[:2]
-            a, b, ga, gb = self.v, o.v, self.g, o.g
-            h = plus(plus(times(a, o.h), ga[i] * gb[j]), plus(ga[j] * gb[i], times(self.h, b)))
-            return Jet2(a * b, a * gb + ga * b, h)
-        return Jet2(self.v * o, self.g * o, times(self.h, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Jet2):
-            return self._over(o, o._slot_pairs())
-        return NotImplemented
-
-    def _slot_pairs(self):
-        """The gradient at each packed Hessian slot's row and column."""
-        i, j = _triangle(len(self.g))[:2]
-        return self.g[i], self.g[j]
-
-    def _over(self, o, pairs):
-        """self / o, given ``o._slot_pairs()``."""
-        i, j = _triangle(len(self.g))[:2]
-        b, (gb_i, gb_j) = o.v, pairs
-        q = self.v / b
-        dq = (self.g - q * o.g) / b
-        return Jet2(q, dq, ((self.h - plus(times(q, o.h), dq[i] * gb_j)) - dq[j] * gb_i) / b)
-
-
-def divide_by(denominator):
-    """The function a -> a / ``denominator``, each quotient with the bits of
-    its own ``/``; a Jet2 denominator's gradient is gathered into its
-    Hessian slots once, for every numerator."""
-    if not isinstance(denominator, Jet2):
-        return lambda a: a / denominator
-    pairs = denominator._slot_pairs()
-    return lambda a: a._over(denominator, pairs) if isinstance(a, Jet2) else a / denominator
-
-
 # -- elementary functions, float/column/lift polymorphic -------------------
 
 def _elementary(name, on_float, on_array, tower):
@@ -510,32 +415,6 @@ def derive(f, coords, index):
 def value_and_gradient(f, coords):
     """Value and all first partials of ``f`` at ``coords`` in one pass."""
     return split(f(vlift(coords)), len(coords))
-
-
-def lift2(coords):
-    """Every coordinate (a float or a column) lifted into a Jet2: its unit
-    gradient with a length-1 axis per axis of the points, and the Hessian
-    0.0.  Work on them (a chart embedding) can serve several fields."""
-    coords = list(coords)
-    if any(isinstance(c, (Taylor, Jet2)) for c in coords):
-        raise TypeError("lift2 takes float coordinates or columns, not lifted ones")
-    n = len(coords)
-    ndim = len(np.broadcast_shapes(*(np.shape(c) for c in coords)))
-    unit = np.eye(n).reshape((n, n) + (1,) * ndim)
-    unit.flags.writeable = False
-    return [Jet2(c, unit[k], 0.0) for k, c in enumerate(coords)]
-
-
-def read2(r, n):
-    """Value, gradient and (exactly symmetric) second-partial matrix of a
-    result computed on ``lift2`` coordinates (0.0 for a constant, and for
-    every second partial of a zero Hessian)."""
-    if not isinstance(r, Jet2):
-        return r, [0.0] * n, [[0.0] * n for _ in range(n)]
-    if _zero(r.h):
-        return r.v, _rows(r.g), [[0.0] * n for _ in range(n)]
-    h = _rows(r.h)
-    return r.v, _rows(r.g), [[h[k] for k in row] for row in _triangle(n)[2]]
 
 
 def jet2(f, coords):

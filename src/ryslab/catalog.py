@@ -56,7 +56,8 @@ class SphereAtlas:
     Chart 1 is chart 0 reflected through the equator: its embedding is
     chart 0's with each ambient coordinate multiplied by that chart's
     ``signs``.  ``ambient`` applies them, and the quadrature reflects chart
-    0's Laplacian basis by the same signs, so the two cannot disagree.
+    0's Laplacian basis, built from ``ambient_jets``, by the same signs, so
+    the two cannot disagree.
     """
 
     radius: float
@@ -79,9 +80,48 @@ class SphereAtlas:
         formula with r^2 - q in place of q - r^2 (as -0.0 where it is 0)."""
         r = self.radius
         q = sum(c * c for c in coords)
-        over = ad.divide_by(r * r + q)
-        point = [over(2.0 * r * r * c) for c in coords] + [over(r * (q - r * r))]
+        d = r * r + q
+        point = [2.0 * r * r * c / d for c in coords] + [r * (q - r * r) / d]
         return [a if s > 0.0 else -a for s, a in zip(self.signs(chart, len(coords)), point)]
+
+    def ambient_jets(self, coords):
+        """Chart 0's ambient coordinates with their first and second
+        partials in closed form, at a point or on node columns: one
+        (value, gradient, Hessian) per coordinate, as ``ad.jet2`` reads
+        them, each Hessian's (j, k) and (k, j) entries one object.  The
+        values are ``ambient(0, coords)``'s, bit for bit.
+
+        With d = r^2 + q and u = 1/d: d_j u = -2 x_j u^2 and
+        d_j d_k u = 8 x_j x_k u^3 - 2 delta_jk u^2.  a_i = 2 r^2 x_i u, so
+        d_j a_i = 2 r^2 (delta_ij u + x_i d_j u) and d_j d_k a_i =
+        2 r^2 (delta_ij d_k u + delta_ik d_j u + x_i d_j d_k u); the last
+        coordinate r (q - r^2) / d = r - 2 r^3 u has -2 r^3 times the
+        partials of u.  A Kronecker delta's zero is a structural zero."""
+        r, n = self.radius, len(coords)
+        u = 1.0 / (r * r + sum(c * c for c in coords))
+        u2 = u * u
+        du = [-2.0 * u2 * x for x in coords]
+        eight_u3 = 8.0 * u2 * u
+        cubic = [eight_u3 * x for x in coords]
+        ddu = _symmetric(n, lambda j, k: ad.minus(cubic[j] * coords[k], 2.0 * u2 if j == k else 0.0))
+        values, s, t = self.ambient(0, coords), 2.0 * r * r, -2.0 * r**3
+        jets = []
+        for i, x in enumerate(coords):
+            grad = [s * ad.plus(u if j == i else 0.0, x * du[j]) for j in range(n)]
+            hess = _symmetric(n, lambda j, k: s * ad.plus(
+                ad.plus(du[k] if j == i else 0.0, du[j] if k == i else 0.0), x * ddu[j][k]))
+            jets.append((values[i], grad, hess))
+        return jets + [(values[n], [t * d for d in du], _symmetric(n, lambda j, k: t * ddu[j][k]))]
+
+
+def _symmetric(n, entry):
+    """The n x n nested list of ``entry(j, k)``, computed for j <= k and
+    shared with (k, j)."""
+    out = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            out[j][k] = out[k][j] = entry(j, k)
+    return out
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,10 @@ MAX_POINTS = 10000
 # is near the solver's absolute tolerance 1e-8.  `integrate` takes its
 # quadrature nodes, about 2 * resolution^3 per chart, in blocks of 8,192
 # (quadrature._CHUNK): at resolution 40 a fresh process peaks near 56 MB for
-# the volume alone and near 64 MB with divergence checks, 20 of them as 1000
-# (66 MB), which share one basis per grid.  Each check sums its own terms, so
-# time grows with the count: 20 checks take 0.7 s at resolution 40, and 1000
-# take 2.0 s at resolution 24 and 7.8 s at 40 (one core of an Intel Xeon).
+# the volume alone and near 62 MB with divergence checks, 20 of them as 1000
+# (64 MB), which share one basis per grid.  Each check sums its own terms, so
+# time grows with the count: 20 checks take 0.5 s at resolution 40, and 1000
+# take 1.5 s at resolution 24 and 5.5 s at 40 (one core of an Intel Xeon).
 MAX_INTERVALS = 2048
 MAX_RESOLUTION = 40
 # From 12 up every grid passes the volume record's default tolerance 1e-5 (gap

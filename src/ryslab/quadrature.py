@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ad import jet2, lift2, read2, split, value_of, vlift
+from .ad import jet2, split, value_of, vlift
 from .catalog import BUMP_INNER, BUMP_OUTER, CatalogEntry
 from .curvature import (
     christoffel_from,
@@ -138,7 +138,6 @@ def bump_profile(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChartGrid:
-    nodes: np.ndarray        # (m, n) chart coordinates, a view shared by every chart
     weight: np.ndarray       # (m,) combined GL x jacobian x partition x sqrt(det g)
     partition: np.ndarray    # (m,) partition-of-unity weight alone
 
@@ -187,7 +186,7 @@ class QuadratureGrid:
         m = len(self.charts[0].weight)
         for start in range(0, m, _CHUNK):
             s = slice(start, min(start + _CHUNK, m))
-            charts = tuple(ChartGrid(c.nodes[s], c.weight[s], c.partition[s]) for c in self.charts)
+            charts = tuple(ChartGrid(c.weight[s], c.partition[s]) for c in self.charts)
             columns = tuple(x[s] for x in self.columns)
             yield s, QuadratureGrid(self.entry_name, self.resolution, charts, columns, self.metric)
 
@@ -273,7 +272,7 @@ def build_grid(entry: CatalogEntry, resolution: int) -> QuadratureGrid:
         value_of(mat_det(entry.metric.matrix(list(columns)))), dtype=float
     )
     sqrt_det = np.sqrt(np.maximum(np.broadcast_to(dets, glw.shape), 0.0))
-    chart = ChartGrid(nodes=coords.T, weight=glw * partition * sqrt_det, partition=partition)
+    chart = ChartGrid(weight=glw * partition * sqrt_det, partition=partition)
     charts = (chart,) * len(entry.charts)
     grid = QuadratureGrid(entry.name, resolution, charts, columns, entry.metric)
     _GRID_CACHE[key] = grid
@@ -385,33 +384,32 @@ def _gradient_pairings(grid: QuadratureGrid, grads) -> list:
     return [dot(grads[a], raised[b]) for a in range(k) for b in range(a, k)]
 
 
-def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, lifted, out=None) -> np.ndarray:
+def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, out=None) -> np.ndarray:
     """Delta of each ambient monomial on chart 0, in the order of
     ``AmbientQuadratic.basis_coefficients``: a_i a_j (i <= j), then a_i.
 
-    Only the ambient coordinates' own Laplacians come from jets (their
-    chart embedding on the ``lift2`` columns, with the grid's g^{ij} and
-    Gamma); the products follow by the product rule
+    Only the ambient coordinates' own Laplacians come from partials (their
+    closed-form ``SphereAtlas.ambient_jets`` on the node columns, with the
+    grid's g^{ij} and Gamma); the products follow by the product rule
     Delta(a_i a_j) = a_i Delta a_j + a_j Delta a_i + 2 <grad a_i, grad a_j>.
     Shape (k (k + 3) / 2, m) for k ambient coordinates, written into
-    ``out`` if given; the embedding jets are dropped on return.  Every
-    value is per node, so ``_grid_basis``, which calls this on each node
-    block of the grid (``QuadratureGrid.blocks``), fills the same bits as
-    one call on the whole grid.  Every other chart's basis is this one with
-    each row times its monomial's sign (see ``_monomial_signs``).
+    ``out`` if given; the embedding's second partials are dropped on
+    return.  Every value is per node, so ``_grid_basis``, which calls this
+    on each node block of the grid (``QuadratureGrid.blocks``), fills the
+    same bits as one call on the whole grid.  Every other chart's basis is
+    this one with each row times its monomial's sign (see
+    ``_monomial_signs``).
     """
     # g^{ij} and Gamma are built first, so that their temporaries and the
-    # embedding's jets are not held at once.
+    # embedding's partials are not held at once.
     grid.inverse, grid.christoffel
-    ambient = entry.atlas.ambient(0, lifted)
-    n = len(grid.columns)
+    jets = entry.atlas.ambient_jets(list(grid.columns))
     values, grads, laps = [], [], []
-    for c in range(len(ambient)):
-        v, da, dda = read2(ambient[c], n)
-        values.append(_nodes(grid, v))
-        grads.append([_nodes(grid, d) for d in da])
+    for c, (v, da, dda) in enumerate(jets):
+        values.append(v)
+        grads.append(da)
         laps.append(_grid_laplacian(grid, da, dda))
-        ambient[c] = None  # its value and gradient are kept, its second partials dropped
+        jets[c] = None  # its value and gradient are kept, its second partials dropped
     i, j = np.triu_indices(len(values))
     basis = np.empty((len(i) + len(values), len(grid.charts[0].weight))) if out is None else out
     for row, (a, b, pairing) in enumerate(zip(i, j, _gradient_pairings(grid, grads))):
@@ -422,11 +420,12 @@ def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, lifted, out=None) ->
 
 def _grid_basis(entry: CatalogEntry, grid: QuadratureGrid) -> np.ndarray:
     """``_chart_basis`` of the whole grid, built and written node block by
-    node block (``QuadratureGrid.blocks``)."""
+    node block (``QuadratureGrid.blocks``): each block's embedding partials
+    and g^{ij} and Gamma are dropped once its columns are written."""
     k = len(grid.columns) + 1
     basis = np.empty((k * (k + 3) // 2, len(grid.charts[0].weight)))
     for nodes, block in grid.blocks():
-        _chart_basis(entry, block, lift2(block.columns), out=basis[:, nodes])
+        _chart_basis(entry, block, out=basis[:, nodes])
     return basis
 
 
@@ -478,8 +477,9 @@ def integrate_laplacians(
     The grid is taken in node blocks of ``_CHUNK`` nodes
     (``QuadratureGrid.blocks``), so that no step holds a whole-grid
     temporary.  If any field is an ``AmbientQuadratic``, one pass over
-    the blocks lifts each block's columns, builds its g^{ij} and Gamma and
-    writes its columns of the Laplacian basis (``_grid_basis``), chart 0's
+    the blocks builds each block's g^{ij} and Gamma (off one order-1 lift
+    of its columns) and its embedding's closed-form partials, and writes
+    its columns of the Laplacian basis (``_grid_basis``), chart 0's
     only: the other chart reads it through its reflection signs
     (``_monomial_signs``).  Fields are then taken one at a time, block by
     block: each chart's weighted Laplacian goes into one term buffer,

@@ -228,7 +228,7 @@ def test_jet2_matches_dual_towers(name, where):
             assert _close(hess[i][j], ad.derive(f, x, (i, j))), (i, j)
 
 
-def test_read2_hessian_is_exactly_symmetric():
+def test_jet2_hessian_is_exactly_symmetric():
     x = list(np.random.default_rng(6).uniform(0.2, 0.9, size=(3, 9)))
     f = lambda q: ad.exp(q[0] * q[1]) / (1.0 + q[2] * q[0]) + ad.sin(q[1] * q[2])
     for coords in (x, [float(c[0]) for c in x]):
@@ -242,163 +242,6 @@ def test_jet2_rejects_lifted_coordinates():
     f = lambda q: q[0] * q[1]
     with pytest.raises(TypeError):
         ad.jet2(f, ad.vlift([0.1, 0.2]))
-    with pytest.raises(TypeError):
-        ad.lift2(ad.lift2([0.1, 0.2]))
-
-
-# -- Jet2 structural zeros: lift2's jets against the dense arrays they replaced --
-
-class DenseJet:
-    """The dense reference of ``ad.Jet2``: every part a full array over the
-    points, a zero Hessian included, and each Hessian slot built in a loop
-    with the grouping of Jet2's own rules."""
-
-    __array_ufunc__ = None
-
-    def __init__(self, v, g, h):
-        self.v, self.g, self.h = v, g, h
-
-    @classmethod
-    def lift(cls, coords):
-        n, m = len(coords), len(coords[0])
-        out = []
-        for k, c in enumerate(coords):
-            g = np.zeros((n, m))
-            g[k] = 1.0
-            out.append(cls(c, g, np.zeros((n * (n + 1) // 2, m))))
-        return out
-
-    def _slots(self):
-        n = len(self.g)
-        return [(i, j) for i in range(n) for j in range(i, n)]
-
-    def __add__(self, o):
-        if isinstance(o, DenseJet):
-            return DenseJet(self.v + o.v, self.g + o.g, self.h + o.h)
-        return DenseJet(self.v + o, self.g, self.h)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, DenseJet):
-            return DenseJet(self.v - o.v, self.g - o.g, self.h - o.h)
-        return DenseJet(self.v - o, self.g, self.h)
-
-    def __rsub__(self, o):
-        return DenseJet(o - self.v, -self.g, -self.h)
-
-    def __neg__(self):
-        return DenseJet(-self.v, -self.g, -self.h)
-
-    def __mul__(self, o):
-        if not isinstance(o, DenseJet):
-            return DenseJet(self.v * o, self.g * o, self.h * o)
-        a, b, ga, gb = self.v, o.v, self.g, o.g
-        h = np.array([
-            (a * o.h[s] + ga[i] * gb[j]) + (ga[j] * gb[i] + self.h[s] * b)
-            for s, (i, j) in enumerate(self._slots())
-        ])
-        return DenseJet(a * b, a * gb + ga * b, h)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        b, gb = o.v, o.g
-        q = self.v / b
-        dq = (self.g - q * gb) / b
-        h = np.array([
-            ((self.h[s] - (q * o.h[s] + dq[i] * gb[j])) - dq[j] * gb[i]) / b
-            for s, (i, j) in enumerate(self._slots())
-        ])
-        return DenseJet(q, dq, h)
-
-
-def _dense_bits(jet, like):
-    """The bytes of a jet's value, gradient and Hessian, each part broadcast
-    to the dense reference's shape (a 0.0 Hessian to zeros)."""
-    return tuple(
-        np.ascontiguousarray(np.broadcast_to(np.asarray(p, dtype=float), np.shape(ref))).tobytes()
-        for p, ref in zip((jet.v, jet.g, jet.h), (like.v, like.g, like.h))
-    )
-
-
-ZERO_RULE_CASES = {
-    "product": lambda x: x[0] * x[1],
-    "square": lambda x: x[2] * x[2],
-    "sum": lambda x: (x[0] + x[1]) + (2.0 + x[2]),
-    "difference": lambda x: (x[0] - x[1]) - (x[2] - 1.5) - (0.5 - x[0]),
-    "scaled": lambda x: 2.5 * (x[0] * x[1]) - x[2] * 0.5,
-    "mixed": lambda x: (x[0] * x[1] + x[2]) * (x[1] - x[2] * x[0]),
-    "quotient": lambda x: (x[0] - x[1]) / (3.0 + x[2] * x[2] + x[0]),
-    "quotient-of-lifts": lambda x: x[1] / x[0],
-}
-
-
-@pytest.mark.parametrize("name", sorted(ZERO_RULE_CASES))
-def test_jet2_on_lift2_matches_the_dense_arrays_bitwise(name):
-    """On lift2's jets (unit gradients with a length-1 point axis, Hessian
-    0.0) a product, sum, quotient and read2 equal, bit for bit, the dense
-    arrays' results (signs of zero included), at points of both signs."""
-    f = ZERO_RULE_CASES[name]
-    x = list(np.random.default_rng(21).uniform(-1.0, 1.0, size=(3, 9)))
-    x[1][0] = 0.0  # a coordinate that is exactly zero at one point
-    fast, dense = f(ad.lift2(x)), f(DenseJet.lift(x))
-    assert _dense_bits(fast, dense) == _dense_bits(dense, dense)
-    value, grad, hess = ad.read2(fast, 3)
-    slot = ad._triangle(3)[2]
-    assert np.asarray(value).tobytes() == dense.v.tobytes()
-    for i in range(3):
-        assert np.broadcast_to(grad[i], (9,)).tobytes() == dense.g[i].tobytes(), i
-        for j in range(3):
-            got = np.broadcast_to(np.asarray(hess[i][j], dtype=float), (9,))
-            assert got.tobytes() == dense.h[slot[i][j]].tobytes(), (i, j)
-
-
-REMOVED_JET2_RULES = {
-    "power": lambda x: x[0] ** 2,
-    "reciprocal": lambda x: 1.0 / x[0],
-    "scalar-quotient": lambda x: x[0] / 4.0,
-    "elementary": lambda x: ad.sin(x[0]),
-}
-
-
-@pytest.mark.parametrize("name", sorted(REMOVED_JET2_RULES))
-@pytest.mark.parametrize("where", ["point", "columns"])
-def test_jet2_keeps_only_the_embedding_rules(name, where):
-    """A power, a reciprocal, a constant divisor and an elementary function
-    of a lift2 jet raise TypeError: Taylor is the general jet, and Jet2 has
-    only the rules of a rational chart embedding."""
-    x = [0.35, 0.6, 0.8] if where == "point" else list(np.linspace(0.2, 0.9, 12).reshape(3, 4))
-    with pytest.raises(TypeError):
-        REMOVED_JET2_RULES[name](ad.lift2(x))
-
-
-def test_sphere_embedding_on_lift2_matches_the_dense_arrays_bitwise():
-    """The 3-sphere's chart embedding, the jets integrate reads, equals the
-    dense arrays' embedding bit for bit on both charts."""
-    from ryslab import catalog
-
-    atlas = catalog.sphere_entry(1.0).atlas
-    x = list(np.random.default_rng(22).uniform(-2.0, 2.0, size=(3, 11)))
-    for chart in (0, 1):
-        fast, dense = atlas.ambient(chart, ad.lift2(x)), atlas.ambient(chart, DenseJet.lift(x))
-        for a, b in zip(fast, dense):
-            assert _dense_bits(a, b) == _dense_bits(b, b), chart
-
-
-def test_lift2_keeps_constant_parts_small():
-    """A lifted coordinate's gradient keeps a length-1 point axis and its
-    Hessian is 0.0; a product of two coordinates has a constant Hessian,
-    and read2 reads a 0.0 Hessian as 0.0 entries."""
-    x = list(np.linspace(0.1, 0.9, 12).reshape(3, 4))
-    lifted = ad.lift2(x)
-    assert all(j.g.shape == (3, 1) and j.h == 0.0 for j in lifted)
-    assert (lifted[0] * lifted[1]).h.shape == (6, 1)
-    assert (2.0 * lifted[2] + 1.0).h == 0.0
-    _, grad, hess = ad.read2(lifted[0] - 3.0 * lifted[1], 3)
-    assert [g.tolist() for g in grad] == [[1.0], [-3.0], [0.0]]
-    assert hess == [[0.0] * 3 for _ in range(3)]
-    assert ad.lift2([0.5, 0.25])[1].g.tolist() == [0.0, 1.0]  # at a point, no point axis
 
 
 # -- split: the reader of first partials --------------------------------------

@@ -115,6 +115,75 @@ def test_sphere_ambient_consistent_across_charts():
             assert abs(np.linalg.norm(a) - radius) < 1e-12
 
 
+def ambient_jet_ulps(got, want):
+    """The largest gap between two lists of (value, gradient, Hessian)
+    jets' first and second partials, every (j, k) entry of each Hessian,
+    in units of eps times the reference coordinate's largest partial of
+    that order."""
+    worst = 0.0
+    for (_, grad, hess), (_, ref_grad, ref_hess) in zip(got, want):
+        for part, ref in ((grad, ref_grad), (hess, ref_hess)):
+            part, ref = np.asarray(part, dtype=float), np.asarray(ref, dtype=float)
+            gap = np.max(np.abs(part - ref)) / (np.finfo(float).eps * np.max(np.abs(ref)))
+            worst = max(worst, float(gap))
+    return worst
+
+
+def ambient_derive(atlas, x):
+    """Chart 0's ambient jets at a float point by ``ad.derive``, one fresh
+    lift per partial."""
+    n, jets = len(x), []
+    for i in range(n + 1):
+        f = lambda y, i=i: atlas.ambient(0, y)[i]
+        grad = [ad.derive(f, x, (j,)) for j in range(n)]
+        hess = [[ad.derive(f, x, (j, k)) for k in range(n)] for j in range(n)]
+        jets.append((f(x), grad, hess))
+    return jets
+
+
+def delta_mutated(atlas, jets):
+    """``jets`` with each a_i's (i < n) Hessian built from 2 delta_ij d_k u
+    in place of delta_ij d_k u + delta_ik d_j u: only its symmetric part's
+    trace is unchanged.  d_k u is read off the last coordinate's gradient,
+    -2 r^3 d_k u."""
+    n = len(jets) - 1
+    du = [g / (-2.0 * atlas.radius**3) for g in jets[n][1]]
+    s = 2.0 * atlas.radius**2
+    out = []
+    for i, (v, grad, hess) in enumerate(jets[:n]):
+        shift = lambda j, k: s * ((du[k] if j == i else 0.0) - (du[j] if k == i else 0.0))
+        out.append((v, grad, [[hess[j][k] + shift(j, k) for k in range(n)] for j in range(n)]))
+    return out + jets[n:]
+
+
+AMBIENT_JET_ULPS = 8.0
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+def test_ambient_jets_match_the_taylor_jets_of_ambient(radius):
+    """``SphereAtlas.ambient_jets`` keeps ``ambient(0, .)``'s values bit
+    for bit, and its first and second partials lie within a few ulps of
+    scale of ``ad.jet2`` (an order-2 Taylor lift of ``ambient``) on the
+    resolution-10 grid columns, and of ``ad.derive`` at float points.
+    Each Hessian is exactly symmetric.  Negative control: the Hessian
+    with 2 delta_ij d_k u in place of delta_ij d_k u + delta_ik d_j u,
+    which the divergence records cannot see (they read only the trace on
+    this conformally flat chart), is off by far more than the bound."""
+    from ryslab import quadrature
+
+    atlas = catalog.sphere_entry(radius).atlas
+    columns = list(quadrature.build_grid(catalog.sphere_entry(radius), 10).columns)
+    points = np.random.default_rng(23).uniform(-2.0 * radius, 2.0 * radius, size=(12, 3)).tolist()
+    cases = [(columns, [ad.jet2(lambda y, i=i: atlas.ambient(0, y)[i], columns) for i in range(4)])]
+    cases += [(x, ambient_derive(atlas, x)) for x in points]
+    for x, reference in cases:
+        jets = atlas.ambient_jets(x)
+        assert [np.asarray(v).tobytes() for v, _, _ in jets] == [np.asarray(a).tobytes() for a in atlas.ambient(0, x)]
+        assert all(hess[j][k] is hess[k][j] for _, _, hess in jets for j in range(3) for k in range(3))
+        assert ambient_jet_ulps(jets, reference) <= AMBIENT_JET_ULPS
+        assert ambient_jet_ulps(delta_mutated(atlas, jets), reference) > 1e6 * AMBIENT_JET_ULPS
+
+
 class TestPerturbedFlat:
     def test_epsilon_zero_is_flat(self):
         entry = catalog.make_perturbed_flat(0.0, 7)

@@ -79,7 +79,7 @@ class TestPartitionOfUnity:
         entry = catalog.sphere_entry(1.0)
         grid = quad.build_grid(entry, 8)
         chart = grid.charts[0]
-        radii = np.linalg.norm(chart.nodes, axis=1)
+        radii = np.linalg.norm(grid.columns, axis=0)
         overlap = (radii > catalog.BUMP_INNER) & (radii < catalog.BUMP_OUTER)
         assert overlap.any()
         partner = entry.atlas.radius**2 / radii[overlap]
@@ -279,7 +279,7 @@ def test_grid_caching_and_shape():
     g2 = quad.build_grid(entry, 8)
     assert g1 is g2
     assert len(g1.charts) == 2
-    assert g1.charts[0].nodes.shape[1] == 3
+    assert [c.shape for c in g1.columns] == [g1.charts[0].weight.shape] * 3
 
 
 @pytest.mark.parametrize("resolution", [8, 12, 24, 40])
@@ -294,8 +294,9 @@ def test_radial_partition_matches_per_node_weights(resolution):
     per_node_rho = np.meshgrid(rho, x, x, indexing="ij")[0].ravel()
     per_node = quad._partition_weight(per_node_rho, radius)
     live = per_node > 0.0
-    chart = quad.build_grid(entry, resolution).charts[0]
-    assert np.allclose(np.linalg.norm(chart.nodes, axis=1), per_node_rho[live], rtol=1e-14)
+    grid = quad.build_grid(entry, resolution)
+    chart = grid.charts[0]
+    assert np.allclose(np.linalg.norm(grid.columns, axis=0), per_node_rho[live], rtol=1e-14)
     assert np.array_equal(chart.partition, per_node[live])
 
 
@@ -450,18 +451,19 @@ def monomials(ambient):
 
 def test_chart_basis_matches_each_monomials_jet():
     """Every product-rule column, reflected into each chart by its row
-    signs, equals the Laplacian of that monomial's own jet, at every node
-    of both charts."""
-    from ryslab.ad import lift2, read2
+    signs, equals the Laplacian of that monomial's own order-2 Taylor jet
+    (``ad.jet2`` of the monomial of ``ambient``), at every node of both
+    charts."""
+    from ryslab.ad import jet2
 
     entry = catalog.sphere_entry(1.0)
     grid = quad.build_grid(entry, 10)
-    lifted = lift2(grid.columns)
-    chart0 = quad._chart_basis(entry, grid, lifted)
+    chart0 = quad._chart_basis(entry, grid)
     for chart in range(len(grid.charts)):
         basis = chart0 * quad._monomial_signs(entry.atlas.signs(chart, 3))[:, None]
         expected = [
-            quad._grid_laplacian(grid, *read2(u, 3)[1:]) for u in monomials(entry.atlas.ambient(chart, lifted))
+            quad._grid_laplacian(grid, *jet2(lambda x, k=k: monomials(entry.atlas.ambient(chart, x))[k], grid.columns)[1:])
+            for k in range(14)
         ]
         assert basis.shape == (14, len(grid.charts[chart].weight))
         for row, (got, want) in enumerate(zip(basis, expected)):
@@ -517,7 +519,7 @@ def test_non_polynomial_field_passes_the_divergence_check(factor, radius, monkey
 def test_integrate_lifts_each_node_block_once_to_order_one(tmp_path, capsys, monkeypatch):
     """`integrate` on its command path lifts each node block's columns once,
     to order 1 (g^{ij} and Gamma): the basis takes its second partials from
-    the lift2 embedding, never from an order-2 Taylor."""
+    the closed-form embedding jets, never from an order-2 Taylor."""
     from ryslab import ad, cli, curvature
 
     orders, lift, blocks = [], ad.lift, node_blocks(24)
@@ -540,44 +542,61 @@ def test_integrate_lifts_each_node_block_once_to_order_one(tmp_path, capsys, mon
 @pytest.mark.parametrize("resolution", [12, 24])
 @pytest.mark.parametrize("divergence", [3, 20])
 def test_integrate_cost_is_flat_in_the_divergence_count(divergence, resolution, tmp_path, capsys, monkeypatch):
-    """However many divergence checks run, each node block is embedded
-    once, on chart 0, and its 4 coordinate Laplacians are taken once;
-    chart 1 reflects that basis instead of embedding again."""
+    """However many divergence checks run, each node block's embedding
+    jets are built once, on chart 0, and its 4 coordinate Laplacians are
+    taken once; chart 1 reflects that basis instead of embedding again."""
     from ryslab import cli
 
     events = []
-    ambient, laplacian = catalog.SphereAtlas.ambient, quad._grid_laplacian
+    jets, laplacian = catalog.SphereAtlas.ambient_jets, quad._grid_laplacian
 
-    def counting_ambient(self, chart, coords):
-        events.append(("embed", chart))
-        return ambient(self, chart, coords)
+    def counting_jets(self, coords):
+        events.append("embed")
+        return jets(self, coords)
 
     def counting_laplacian(grid, du, ddu):
         events.append("laplacian")
         return laplacian(grid, du, ddu)
 
-    monkeypatch.setattr(catalog.SphereAtlas, "ambient", counting_ambient)
+    monkeypatch.setattr(catalog.SphereAtlas, "ambient_jets", counting_jets)
     monkeypatch.setattr(quad, "_grid_laplacian", counting_laplacian)
     argv = [
         "integrate", "--case", "unit-s3", "--resolution", str(resolution),
         "--divergence", str(divergence), "--out", str(tmp_path / "report.json"),
     ]
     assert cli.main(argv) == 0
-    assert events == ([("embed", 0)] + ["laplacian"] * 4) * node_blocks(resolution)
+    assert events == (["embed"] + ["laplacian"] * 4) * node_blocks(resolution)
 
 
 @pytest.mark.parametrize("resolution", [12, 24])
-@pytest.mark.parametrize("mutation", ["gamma-scaled", "gamma-zeroed", "pairing-factor-dropped"])
+@pytest.mark.parametrize("mutation", ["gamma-scaled", "gamma-zeroed", "pairing-factor-dropped", "ddu-cubic-scaled"])
 def test_divergence_check_fails_when_the_laplacian_is_wrong(mutation, resolution, tmp_path, capsys, monkeypatch):
-    """Negative controls: with Gamma scaled by 1.1 or zeroed, or without the
-    factor 2 on the product rule's pairing term, in every node block,
+    """Negative controls: with Gamma scaled by 1.1 or zeroed, without the
+    factor 2 on the product rule's pairing term, or with the 8 of
+    d_j d_k u = 8 x_j x_k u^3 - 2 delta_jk u^2 (u = 1 / (r^2 + q)) in the
+    embedding's second partials scaled by 1 + 1e-3, in every node block,
     every divergence record fails and `integrate` exits 1.  The volume,
     which needs no Laplacian, still passes."""
     from ryslab import cli
 
     christoffel, pairings = quad.christoffel_from, quad._gradient_pairings
+    jets = catalog.SphereAtlas.ambient_jets
     mutated_blocks = []
-    if mutation == "pairing-factor-dropped":
+    if mutation == "ddu-cubic-scaled":
+        # a_i = 2 r^2 x_i u (i < 3) and a_3 = r - 2 r^3 u carry d_j d_k u
+        # times 2 r^2 x_i and -2 r^3: each gains that times 8e-3 x_j x_k u^3.
+        def mutated(self, coords):
+            mutated_blocks.append(len(coords[0]))
+            r = self.radius
+            u = 1.0 / (r * r + sum(c * c for c in coords))
+            factors = [2.0 * r * r * x for x in coords] + [-2.0 * r**3]
+            return [
+                (v, grad, [[h[j][k] + f * 8e-3 * u**3 * coords[j] * coords[k] for k in range(3)] for j in range(3)])
+                for (v, grad, h), f in zip(jets(self, coords), factors)
+            ]
+
+        monkeypatch.setattr(catalog.SphereAtlas, "ambient_jets", mutated)
+    elif mutation == "pairing-factor-dropped":
         # 2 x (pairing / 2): the term enters once instead of twice.
         def mutated(grid, grads):
             mutated_blocks.append(len(grid.charts[0].weight))
@@ -607,21 +626,20 @@ def test_divergence_check_fails_when_the_laplacian_is_wrong(mutation, resolution
 
 
 def _bits(x):
-    """The bytes of a float, a node column or a ``Jet2``'s value, gradient
-    and Hessian, so that equality also compares the signs of zeros."""
-    from ryslab.ad import Jet2
+    """The bytes of a float, a node column or a ``Taylor``'s coefficients,
+    so that equality also compares the signs of zeros."""
+    from ryslab.ad import Taylor
 
-    if isinstance(x, Jet2):
-        return (_bits(x.v), _bits(x.g), _bits(x.h))
-    return np.asarray(x, dtype=float).tobytes()
+    return np.asarray(x.c if isinstance(x, Taylor) else x, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
 def test_chart_one_is_chart_zero_reflected(radius):
     """Chart 1's embedding is chart 0's with the last ambient coordinate
-    negated, bit for bit, on floats, node columns and lift2 jets; and it
-    equals the direct formula r (r^2 - q) / (r^2 + q) on the grid nodes."""
-    from ryslab.ad import lift2
+    negated, bit for bit, on floats, node columns and order-2 Taylor lifts;
+    and it equals the direct formula r (r^2 - q) / (r^2 + q) on the grid
+    nodes."""
+    from ryslab.ad import lift
 
     entry = catalog.sphere_entry(radius)
     atlas = entry.atlas
@@ -629,28 +647,27 @@ def test_chart_one_is_chart_zero_reflected(radius):
     assert atlas.signs(1, 3) == (1.0, 1.0, 1.0, -1.0)
     columns = list(quad.build_grid(entry, 10).columns)
     points = np.random.default_rng(5).uniform(-2.0 * radius, 2.0 * radius, size=(20, 3)).tolist()
-    for x in points + [columns, lift2(columns)]:
+    for x in points + [columns, lift(columns, 2)]:
         a0, a1 = atlas.ambient(0, x), atlas.ambient(1, x)
         assert [_bits(a) for a in a1] == [_bits(a) for a in a0[:3] + [-a0[3]]]
-    for x in (columns, lift2(columns)):
+    for x in (columns, lift(columns, 2)):
         q = sum(c * c for c in x)
         direct = radius * (radius * radius - q) / (radius * radius + q)
         assert _bits(atlas.ambient(1, x)[3]) == _bits(direct)
 
 
-def chart_basis_from_own_jets(entry, grid, chart, lifted):
-    """Reference: a chart's basis from that chart's own embedding jets,
-    through the product rule, as every chart built it before the basis was
-    shared."""
-    from ryslab.ad import read2
-
-    ambient = entry.atlas.ambient(chart, lifted)
-    n = len(grid.columns)
+def chart_basis_from_own_jets(entry, grid, chart):
+    """Reference: a chart's basis from that chart's own embedding jets
+    (chart 0's closed-form jets with each coordinate's value, gradient and
+    Hessian times the chart's sign), through the product rule, as every
+    chart built it before the basis was shared."""
+    jets = entry.atlas.ambient_jets(list(grid.columns))
     values, grads, laps = [], [], []
-    for a in ambient:
-        v, da, dda = read2(a, n)
-        values.append(quad._nodes(grid, v))
-        grads.append([quad._nodes(grid, d) for d in da])
+    for sign, (v, da, dda) in zip(entry.atlas.signs(chart, len(grid.columns)), jets):
+        if sign < 0.0:
+            v, da, dda = -v, [-d for d in da], [[-h for h in row] for row in dda]
+        values.append(v)
+        grads.append(da)
         laps.append(quad._grid_laplacian(grid, da, dda))
     pairings = quad._gradient_pairings(grid, grads)
     rows = [
@@ -668,16 +685,14 @@ def test_reflected_basis_is_chart_ones_own_bit_for_bit(radius, resolution):
     and a_4 flip and a_4^2 does not.  Each test field's chart-1 Laplacian,
     read through its sign-flipped coefficients, is the reference basis
     combination bit for bit."""
-    from ryslab.ad import lift2
     from ryslab.cli import _ambient_quadratic
 
     entry = catalog.sphere_entry(radius)
     grid = quad.build_grid(entry, resolution)
-    lifted = lift2(grid.columns)
     signs = quad._monomial_signs(entry.atlas.signs(1, 3))
     assert [k for k in range(14) if signs[k] < 0] == [3, 6, 8, 13]
-    own = chart_basis_from_own_jets(entry, grid, 1, lifted)
-    basis = quad._chart_basis(entry, grid, lifted)
+    own = chart_basis_from_own_jets(entry, grid, 1)
+    basis = quad._chart_basis(entry, grid)
     assert _bits(basis * signs[:, None]) == _bits(own)
     for seed in (1, 7):
         field = quad.ManifoldScalarField.from_ambient(entry, _ambient_quadratic(seed))
@@ -711,23 +726,21 @@ def test_blocked_basis_is_the_whole_grid_basis_bit_for_bit(radius, resolution, m
     """The basis written node block by node block equals ``_chart_basis``
     on the whole grid, bit for bit (signs of zero included): one block at
     resolution 12, three full blocks and a partial one at 24."""
-    from ryslab.ad import lift2
-
     monkeypatch.setattr(quad, "_GRID_CACHE", {})
     entry = catalog.sphere_entry(radius)
     grid = quad.build_grid(entry, resolution)
     sizes = [nodes.stop - nodes.start for nodes, _ in grid.blocks()]
     assert sizes == ([quad._CHUNK] * 3 + [27648 - 3 * quad._CHUNK] if resolution == 24 else [3456])
-    assert _bits(quad._grid_basis(entry, grid)) == _bits(quad._chart_basis(entry, grid, lift2(grid.columns)))
+    assert _bits(quad._grid_basis(entry, grid)) == _bits(quad._chart_basis(entry, grid))
 
 
 def whole_grid_laplacian_integrals(entry, fields, resolution):
     """Reference: ``integrate_laplacians`` on the whole grid at once, each
     chart's Laplacian one array over every node."""
-    from ryslab.ad import jet2, lift2
+    from ryslab.ad import jet2
 
     grid = quad.build_grid(entry, resolution)
-    basis = quad._chart_basis(entry, grid, lift2(grid.columns))
+    basis = quad._chart_basis(entry, grid)
     results = []
     for field in fields:
         laps = []
