@@ -184,6 +184,93 @@ def test_ambient_jets_match_the_taylor_jets_of_ambient(radius):
         assert ambient_jet_ulps(delta_mutated(atlas, jets), reference) > 1e6 * AMBIENT_JET_ULPS
 
 
+def jet_arrays(jets):
+    """Values, gradients and Hessians of ``ambient_jets`` as float arrays
+    (a structural 0.0 as 0.0), indexed [i], [i][j] and [i][j][k]."""
+    values = [np.asarray(v, dtype=float) for v, _, _ in jets]
+    grads = [[np.asarray(g, dtype=float) for g in grad] for _, grad, _ in jets]
+    hessians = [[[np.asarray(h, dtype=float) for h in row] for row in hess] for _, _, hess in jets]
+    return values, grads, hessians
+
+
+def identity_ulps(terms):
+    """The largest |sum of terms| in units of eps times sum |terms|: how far
+    an identity that sums to zero misses, against its own rounding."""
+    total = sum(terms)
+    scale = sum(np.abs(t) for t in terms)
+    return float(np.max(np.abs(total) / (np.finfo(float).eps * scale)))
+
+
+def cubic_scaled(atlas, x, jets, factor):
+    """``jets`` with the 8 x_j x_k u^3 term of d_j d_k u times ``factor``
+    in every coordinate's Hessian (2 r^2 x_i times it for a_i, -2 r^3
+    times it for the last coordinate)."""
+    r, n = atlas.radius, len(x)
+    u = 1.0 / (r * r + sum(c * c for c in x))
+    weights = [2.0 * r * r * c for c in x] + [-2.0 * r**3]
+    extra = lambda j, k: (factor - 1.0) * 8.0 * x[j] * x[k] * u**3
+    return [
+        (v, grad, [[hess[j][k] + w * extra(j, k) for k in range(n)] for j in range(n)])
+        for w, (v, grad, hess) in zip(weights, jets)
+    ]
+
+
+IDENTITY_ULPS = 32.0
+
+
+def ambient_jet_sites(radius, where):
+    """The resolution-10 grid columns, or 12 float points in [-2r, 2r]^3."""
+    from ryslab import quadrature
+
+    if where == "columns":
+        return [list(quadrature.build_grid(catalog.sphere_entry(radius), 10).columns)]
+    return np.random.default_rng(24).uniform(-2.0 * radius, 2.0 * radius, size=(12, 3)).tolist()
+
+
+@pytest.mark.parametrize("where", ["columns", "point"])
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+def test_ambient_jets_stay_on_the_sphere(radius, where):
+    """The jets differentiate |a|^2 = r^2 once and twice to zero:
+    sum_i a_i d_j a_i = 0 and sum_i (d_j a_i d_k a_i + a_i d_j d_k a_i) = 0,
+    each within a few ulps of its terms.  Negative control: the 8 in d^2 u
+    scaled by 1 + 1e-3 leaves 2 r^4 (1e-3) 8 x_j x_k u^3 in the second."""
+    atlas = catalog.sphere_entry(radius).atlas
+
+    def worst(jets):
+        values, grads, hess = jet_arrays(jets)
+        first = max(identity_ulps([values[i] * grads[i][j] for i in range(4)]) for j in range(3))
+        second = max(
+            identity_ulps([grads[i][j] * grads[i][k] for i in range(4)] + [values[i] * hess[i][j][k] for i in range(4)])
+            for j in range(3) for k in range(3)
+        )
+        return first, second
+
+    for x in ambient_jet_sites(radius, where):
+        jets = atlas.ambient_jets(x)
+        values = jet_arrays(jets)[0]
+        assert np.max(np.abs(np.sqrt(sum(v * v for v in values)) - radius)) <= 4 * np.finfo(float).eps * radius
+        first, second = worst(jets)
+        assert first <= IDENTITY_ULPS and second <= IDENTITY_ULPS
+        assert worst(cubic_scaled(atlas, x, jets, 1.0 + 1e-3))[1] > 1e6 * IDENTITY_ULPS
+
+
+@pytest.mark.parametrize("where", ["columns", "point"])
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+def test_ambient_jets_pull_back_the_round_metric(radius, where):
+    """The embedding's first partials pull the Euclidean metric of R^4
+    back to the catalog's own sphere metric: sum_i d_j a_i d_k a_i =
+    g_jk = (2 r^2 / (r^2 + q))^2 delta_jk, within a few ulps of the sum's
+    terms, off the diagonal included."""
+    entry = catalog.sphere_entry(radius)
+    for x in ambient_jet_sites(radius, where):
+        _, grads, _ = jet_arrays(entry.atlas.ambient_jets(x))
+        g = entry.metric(x)
+        for j in range(3):
+            for k in range(3):
+                terms = [grads[i][j] * grads[i][k] for i in range(4)]
+                assert identity_ulps(terms + [-np.asarray(g[j][k], dtype=float)]) <= IDENTITY_ULPS, (j, k)
+
+
 class TestPerturbedFlat:
     def test_epsilon_zero_is_flat(self):
         entry = catalog.make_perturbed_flat(0.0, 7)

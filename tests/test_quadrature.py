@@ -470,6 +470,25 @@ def test_chart_basis_matches_each_monomials_jet():
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (chart, row)
 
 
+@pytest.mark.parametrize("resolution", [10, 12])
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+def test_chart_basis_is_the_spherical_harmonic_spectrum(radius, resolution):
+    """On the round S^3 of radius r the ambient coordinates are degree-1
+    harmonics and a_i a_j - delta_ij r^2 / 4 degree-2 ones, so Delta a_i =
+    -3 a_i / r^2 and Delta (a_i a_j) = -8 a_i a_j / r^2 + 2 delta_ij.  Every
+    row of the chart-0 basis meets this closed form at every node within
+    a few ulps of its largest value, 10 (|a| = r)."""
+    entry = catalog.sphere_entry(radius)
+    grid = quad.build_grid(entry, resolution)
+    a = [np.asarray(v, dtype=float) for v in entry.atlas.ambient(0, list(grid.columns))]
+    i, j = np.triu_indices(4)
+    want = [-8.0 * a[p] * a[q] / radius**2 + (2.0 if p == q else 0.0) for p, q in zip(i, j)]
+    want += [-3.0 * b / radius**2 for b in a]
+    basis = quad._chart_basis(entry, grid)
+    for row, (got, spectrum) in enumerate(zip(basis, want)):
+        assert np.max(np.abs(got - spectrum)) <= 16 * np.finfo(float).eps * 10.0, row
+
+
 def test_basis_coefficients_expand_the_quadratic():
     """The 14 coefficients reproduce the field on the monomials."""
     from ryslab.cli import _ambient_quadratic
