@@ -30,6 +30,7 @@ from .geometry import (
     sample_points,
 )
 from .soliton import SolitonInstance, SolitonKind, SolitonParams
+from .tensors import Symmetric
 
 # Stereographic charts keep all sampled coordinates within radius ~2 of
 # the origin (the projection point sits at infinity); the quadrature
@@ -78,18 +79,23 @@ class SphereAtlas:
 
         Negation is exact, so chart 1's last coordinate is that of the same
         formula with r^2 - q in place of q - r^2 (as -0.0 where it is 0)."""
-        r = self.radius
         q = sum(c * c for c in coords)
-        d = r * r + q
-        point = [2.0 * r * r * c / d for c in coords] + [r * (q - r * r) / d]
+        point = self._embedding(coords, q, self.radius * self.radius + q)
         return [a if s > 0.0 else -a for s, a in zip(self.signs(chart, len(coords)), point)]
+
+    def _embedding(self, coords, q, d):
+        """Chart 0's ambient coordinates from q = |x|^2 and d = r^2 + q."""
+        r = self.radius
+        return [2.0 * r * r * c / d for c in coords] + [r * (q - r * r) / d]
 
     def ambient_jets(self, coords):
         """Chart 0's ambient coordinates with their first and second
         partials in closed form, at a point or on node columns: one
         (value, gradient, Hessian) per coordinate, as ``ad.jet2`` reads
-        them, each Hessian's (j, k) and (k, j) entries one object.  The
-        values are ``ambient(0, coords)``'s, bit for bit.
+        them.  The values are ``ambient(0, coords)``'s, bit for bit, from
+        the same q and d.  Each Hessian is a ``tensors.Symmetric``: an
+        entry is formed on its first read, its (j, k) and (k, j) one
+        object, so a trace that skips an entry never forms it.
 
         With d = r^2 + q and u = 1/d: d_j u = -2 x_j u^2 and
         d_j d_k u = 8 x_j x_k u^3 - 2 delta_jk u^2.  a_i = 2 r^2 x_i u, so
@@ -98,30 +104,26 @@ class SphereAtlas:
         coordinate r (q - r^2) / d = r - 2 r^3 u has -2 r^3 times the
         partials of u.  A Kronecker delta's zero is a structural zero."""
         r, n = self.radius, len(coords)
-        u = 1.0 / (r * r + sum(c * c for c in coords))
+        q = sum(c * c for c in coords)
+        d = r * r + q
+        values = self._embedding(coords, q, d)
+        u = 1.0 / d
         u2 = u * u
         du = [-2.0 * u2 * x for x in coords]
         eight_u3 = 8.0 * u2 * u
         cubic = [eight_u3 * x for x in coords]
-        ddu = _symmetric(n, lambda j, k: ad.minus(cubic[j] * coords[k], 2.0 * u2 if j == k else 0.0))
-        values, s, t = self.ambient(0, coords), 2.0 * r * r, -2.0 * r**3
-        jets = []
-        for i, x in enumerate(coords):
-            grad = [s * ad.plus(u if j == i else 0.0, x * du[j]) for j in range(n)]
-            hess = _symmetric(n, lambda j, k: s * ad.plus(
+        ddu = Symmetric(n, lambda j, k: ad.minus(cubic[j] * coords[k], 2.0 * u2 if j == k else 0.0))
+        s, t = 2.0 * r * r, -2.0 * r**3
+
+        def hessian(i, x):
+            return Symmetric(n, lambda j, k: s * ad.plus(
                 ad.plus(du[k] if j == i else 0.0, du[j] if k == i else 0.0), x * ddu[j][k]))
-            jets.append((values[i], grad, hess))
-        return jets + [(values[n], [t * d for d in du], _symmetric(n, lambda j, k: t * ddu[j][k]))]
 
-
-def _symmetric(n, entry):
-    """The n x n nested list of ``entry(j, k)``, computed for j <= k and
-    shared with (k, j)."""
-    out = [[0.0] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
-            out[j][k] = out[k][j] = entry(j, k)
-    return out
+        jets = [
+            (values[i], [s * ad.plus(u if j == i else 0.0, x * du[j]) for j in range(n)], hessian(i, x))
+            for i, x in enumerate(coords)
+        ]
+        return jets + [(values[n], [t * d for d in du], Symmetric(n, lambda j, k: t * ddu[j][k]))]
 
 
 @dataclass(frozen=True)

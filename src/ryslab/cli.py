@@ -49,12 +49,14 @@ MAX_POINTS = 10000
 # 2048 intervals take under 0.1 s and peak near 34 MB.  The ceiling is set by
 # rounding instead: the differences lose about |f| eps / h^2, which at 2048
 # is near the solver's absolute tolerance 1e-8.  `integrate` takes its
-# quadrature nodes, about 2 * resolution^3 per chart, in blocks of 8,192
-# (quadrature._CHUNK): at resolution 40 a fresh process peaks near 56 MB for
-# the volume alone and near 62 MB with divergence checks, 20 of them as 1000
-# (64 MB), which share one basis per grid.  Each check sums its own terms, so
-# time grows with the count: 20 checks take 0.5 s at resolution 40, and 1000
-# take 1.5 s at resolution 24 and 5.5 s at 40 (one core of an Intel Xeon).
+# quadrature nodes, about 2 * resolution^3 per chart, in one pass over blocks
+# of 8,192 (quadrature._CHUNK): each block's basis is built once into one
+# reused buffer and read by every divergence check, and each check keeps only
+# its exact accumulator.  At resolution 40 a fresh process peaks near 56 MB
+# with or without checks (20 or 1000 of them); at 24, near 42 MB for the
+# volume alone, 44.5 MB with 20 checks and 47.5 MB with 1000.  Time grows
+# with the count: 20 checks take 0.5-0.6 s at resolution 40, and 1000 take
+# 1.4-1.7 s at resolution 24 and 4.5-5.3 s at 40 (one core of an Intel Xeon).
 MAX_INTERVALS = 2048
 MAX_RESOLUTION = 40
 # From 12 up every grid passes the volume record's default tolerance 1e-5 (gap

@@ -14,11 +14,12 @@ flat metric's g^{ij} holds 0.0 off the diagonal.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import reduce
 
 import numpy as np
 
-from .ad import minus, plus, times, value_of
+from .ad import _zero, minus, plus, times, value_of
 from .errors import MetricSingular
 
 CONDITION_LIMIT = 1e10
@@ -144,6 +145,49 @@ def mat_vec(m, v):
 def trace_pair(ginv, t):
     """g^{ij} T_ij for matching square matrices."""
     return dot([x for row in ginv for x in row], [x for row in t for x in row])
+
+
+def trace_read(ginv, t):
+    """``trace_pair`` for a ``t`` with no Taylor entry, reading T_ij only
+    where g^{ij} is no structural zero (elsewhere ``ad.times`` skips the
+    product): a ``Symmetric`` ``t`` never forms the other entries."""
+    n = len(ginv)
+    pairs = [(i, j) for i in range(n) for j in range(n) if not _zero(ginv[i][j])]
+    return dot([ginv[i][j] for i, j in pairs], [t[i][j] for i, j in pairs])
+
+
+class Symmetric(Sequence):
+    """An n x n symmetric matrix whose entries are formed on first read:
+    ``m[j][k]`` calls ``entry(j, k)`` once for j <= k and keeps the result
+    as both (j, k) and (k, j), so the two are one object."""
+
+    def __init__(self, n, entry):
+        self._n, self._entry, self._formed = n, entry, {}
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, j):
+        return _SymmetricRow(self, range(self._n)[j])
+
+    def read(self, j, k):
+        key = (j, k) if j <= k else (k, j)
+        if key not in self._formed:
+            self._formed[key] = self._entry(*key)
+        return self._formed[key]
+
+
+class _SymmetricRow(Sequence):
+    """Row j of a ``Symmetric``: ``row[k]`` reads entry (j, k)."""
+
+    def __init__(self, matrix, j):
+        self._matrix, self._j = matrix, j
+
+    def __len__(self):
+        return len(self._matrix)
+
+    def __getitem__(self, k):
+        return self._matrix.read(self._j, range(len(self._matrix))[k])
 
 
 def sym2_norm_sq(ginv, t):

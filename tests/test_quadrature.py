@@ -688,7 +688,7 @@ def chart_basis_from_own_jets(entry, grid, chart):
         values.append(v)
         grads.append(da)
         laps.append(quad._grid_laplacian(grid, da, dda))
-    pairings = quad._gradient_pairings(grid, grads)
+    pairings = list(quad._gradient_pairings(grid, grads))
     rows = [
         values[a] * laps[b] + values[b] * laps[a] + 2.0 * pairings[row]
         for row, (a, b) in enumerate(zip(*np.triu_indices(len(values))))
@@ -742,15 +742,30 @@ def test_divergence_checks_fail_without_the_reflection(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("resolution", [12, 24])
 @pytest.mark.parametrize("radius", [1.0, 0.5, 2.0])
 def test_blocked_basis_is_the_whole_grid_basis_bit_for_bit(radius, resolution, monkeypatch):
-    """The basis written node block by node block equals ``_chart_basis``
-    on the whole grid, bit for bit (signs of zero included): one block at
-    resolution 12, three full blocks and a partial one at 24."""
+    """The basis that ``integrate_laplacians`` writes into its reused
+    buffer for each node block equals that block's columns of
+    ``_chart_basis`` on the whole grid, bit for bit (signs of zero
+    included): one block at resolution 12, three full blocks and a
+    partial one at 24."""
+    from ryslab.cli import _ambient_quadratic
+
     monkeypatch.setattr(quad, "_GRID_CACHE", {})
     entry = catalog.sphere_entry(radius)
     grid = quad.build_grid(entry, resolution)
-    sizes = [nodes.stop - nodes.start for nodes, _ in grid.blocks()]
+    blocks = [nodes for nodes, _ in grid.blocks()]
+    sizes = [nodes.stop - nodes.start for nodes in blocks]
     assert sizes == ([quad._CHUNK] * 3 + [27648 - 3 * quad._CHUNK] if resolution == 24 else [3456])
-    assert _bits(quad._grid_basis(entry, grid)) == _bits(quad._chart_basis(entry, grid))
+    laplacian, seen = quad._chart_laplacian, []
+
+    def keeping_basis(entry, block, field, chart, basis):
+        if chart == 0:
+            seen.append(np.array(basis))
+        return laplacian(entry, block, field, chart, basis)
+
+    monkeypatch.setattr(quad, "_chart_laplacian", keeping_basis)
+    quad.integrate_laplacian(entry, quad.ManifoldScalarField.from_ambient(entry, _ambient_quadratic(1)), resolution)
+    whole = quad._chart_basis(entry, grid)
+    assert [_bits(basis) for basis in seen] == [_bits(whole[:, nodes]) for nodes in blocks]
 
 
 def whole_grid_laplacian_integrals(entry, fields, resolution):
@@ -779,8 +794,8 @@ def test_blocked_integrals_equal_the_whole_grid_arithmetic(monkeypatch):
     """At resolution 24 (four node blocks), ambient-quadratic fields,
     per-chart callables and a constant field integrate to the whole-grid
     arithmetic's integral, scale and volume exactly, in one call.  Gamma
-    is built once per block for the basis and once per block for both
-    fields read through their own jets."""
+    is built once per block, for the basis and for both fields read
+    through their own jets."""
     from ryslab.cli import _ambient_quadratic
 
     monkeypatch.setattr(quad, "_GRID_CACHE", {})
@@ -793,9 +808,61 @@ def test_blocked_integrals_equal_the_whole_grid_arithmetic(monkeypatch):
     christoffel, builds = quad.christoffel_from, []
     monkeypatch.setattr(quad, "christoffel_from", lambda ginv, dg: builds.append(1) or christoffel(ginv, dg))
     got = quad.integrate_laplacians(entry, fields, 24)
-    assert len(builds) == 2 * node_blocks(24)
+    assert len(builds) == node_blocks(24)
     assert got == whole_grid_laplacian_integrals(entry, fields, 24)
     assert got[3]["integral"] == 0.0 and got[0]["volume"] == quad.build_grid(entry, 24).volume
+
+
+def test_integrate_forms_no_off_trace_second_partial(tmp_path, capsys, monkeypatch):
+    """On the round sphere g^{ij} is a structural zero off the diagonal, so
+    the divergence records read only the diagonal second partials: with
+    every off-diagonal entry of the 4 embedding Hessians NaN, every
+    `integrate` record keeps its bytes at resolution 12.  The on-demand
+    jets form only the diagonal entries, bit-equal to the fully formed
+    jets'.  Negative control: NaN on the diagonal instead fails every
+    divergence record."""
+    from ryslab import cli
+
+    out = tmp_path / "report.json"
+    argv = ["integrate", "--case", "unit-s3", "--resolution", "12", "--divergence", "6", "--out", str(out)]
+
+    def report():
+        code = cli.main(argv)
+        return code, out.read_bytes()
+
+    jets, kept = catalog.SphereAtlas.ambient_jets, []
+
+    def keeping(self, coords):
+        built = jets(self, coords)
+        kept.append((self, coords, list(built)))  # _chart_basis drops built's entries as it goes
+        return built
+
+    monkeypatch.setattr(catalog.SphereAtlas, "ambient_jets", keeping)
+    reference = report()
+    assert reference[0] == 0 and len(kept) == node_blocks(12) == 1
+    for atlas, coords, formed in kept:
+        for (_, _, hess), (_, _, full) in zip(formed, jets(atlas, coords)):
+            full = [[full[j][k] for k in range(3)] for j in range(3)]
+            assert sorted(hess._formed) == [(0, 0), (1, 1), (2, 2)]
+            assert [_bits(hess[j][j]) for j in range(3)] == [_bits(full[j][j]) for j in range(3)]
+
+    def nan_where(on_diagonal):
+        def mutated(self, coords):
+            nan = np.full(len(coords[0]), np.nan)
+            return [
+                (v, grad, [[nan if (j == k) == on_diagonal else hess[j][k] for k in range(3)] for j in range(3)])
+                for v, grad, hess in jets(self, coords)
+            ]
+
+        return mutated
+
+    monkeypatch.setattr(catalog.SphereAtlas, "ambient_jets", nan_where(False))
+    assert report() == reference
+    monkeypatch.setattr(catalog.SphereAtlas, "ambient_jets", nan_where(True))
+    assert report()[0] == 1
+    verdicts = {r["name"]: r["verdict"] for r in json.loads(out.read_text())["records"]}
+    assert verdicts.pop("unit-s3:volume") == "pass"
+    assert set(verdicts.values()) == {"fail"} and len(verdicts) == 6
 
 
 # -- structural zeros on the node columns --------------------------------------
@@ -857,7 +924,8 @@ def test_a_nan_metric_component_reaches_its_basis_column_and_fails(tmp_path, cap
     node = quad._CHUNK + 123
     entry = poisoned_sphere(node, 24)
     monkeypatch.setattr(quad, "_GRID_CACHE", {})  # a grid keeps the metric it was built with
-    basis = quad._grid_basis(entry, quad.build_grid(entry, 24))
+    blocks = quad.build_grid(entry, 24).blocks()
+    basis = np.concatenate([quad._chart_basis(entry, block) for _, block in blocks], axis=1)
     assert np.isnan(basis[:, node]).all()
     assert np.isfinite(np.delete(basis, node, axis=1)).all()
 
