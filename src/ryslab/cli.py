@@ -341,7 +341,7 @@ def _run_soliton_case(name, spec, inst, points, seed, tols, report) -> None:
         record = _record(name, check.name, tols, *check.measure(inst, batch, tols))
         report.add(record)
         if check.name == "defining-residual":
-            on_soliton = not record.gap > record.tol
+            on_soliton = record.passed  # a NaN residual fails, as it is no soliton
 
 
 def _run_universal_case(name, points, seed, tols, report) -> None:
@@ -563,7 +563,7 @@ def cmd_verify(args) -> int:
                 # Parameters that leave a row undefined, or that the case
                 # would not apply, are a usage error, found before any case runs.
                 try:
-                    require_concircular_params(params)
+                    require_concircular_params(params, inst.n)
                 except (AlphaZero, DegenerateBeta) as exc:
                     print(
                         f"error: case '{name}' with alpha = {params.alpha!r}, "

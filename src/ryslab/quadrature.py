@@ -4,7 +4,11 @@ Compact entries carry a two-chart stereographic atlas joined by
 coordinate inversion.  A smooth partition of unity built from the
 standard exp(-1/(1-t^2)) mollifier splits the integral between the
 charts; each chart contributes a tensor-product Gauss-Legendre sum over
-the box enclosing its bump support.  Every sum is correctly rounded
+the box enclosing its bump support; the charts share one weight array.
+Every integral is taken in one pass over the grid's node blocks
+(``_integrals``), and the integral theorem checks read R, Ric, g^{-1},
+grad f and Hess f off one order-2 ``CurvatureData`` per block.  Every
+sum is correctly rounded
 (``ExactSum``), so results do not depend on the order of the terms, nor
 on how they are split, and are bit-reproducible.
 """
@@ -12,7 +16,7 @@ on how they are split, and are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
@@ -20,10 +24,10 @@ import numpy as np
 
 from .ad import jet2, minus, split, value_of, vlift
 from .catalog import BUMP_INNER, BUMP_OUTER, CatalogEntry
-from .curvature import christoffel_from, curvature_data, hessian_generic, ricci_generic
+from .curvature import CurvatureData, christoffel_from, curvature_data
 from .errors import DegenerateDenominator, NotCompact, NotSteady
 from .geometry import MetricField, PointBatch, ScalarField, sample_points
-from .identities import IdentityResidual, require_soliton
+from .identities import IdentityResidual, _ric_ff, require_soliton
 from .soliton import SolitonInstance, SolitonKind
 from .tensors import Symmetric, dot, mat_det, mat_inverse, sym2_norm_sq, trace_read
 
@@ -184,30 +188,25 @@ def bump_profile(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChartGrid:
-    weight: np.ndarray       # (m,) combined GL x jacobian x partition x sqrt(det g)
-    partition: np.ndarray    # (m,) partition-of-unity weight alone
-
-
-@dataclass(frozen=True)
 class QuadratureGrid:
     """Every chart's nodes and weights.
 
-    Both stereographic charts share the metric's coordinate form, so the
-    node coordinates, g^{ij} and Gamma are held once for all charts; the
-    partition carries the overlap bookkeeping.
+    Both stereographic charts share the metric's coordinate form and the
+    symmetric partition, so the node coordinates, weights, g^{ij} and
+    Gamma are held once for all charts.
     """
 
-    entry_name: str
-    resolution: int
-    charts: tuple[ChartGrid, ...]
+    chart_count: int
+    weight: np.ndarray                # (m,) GL x jacobian x partition x sqrt(det g)
+    partition: np.ndarray             # (m,) partition-of-unity weight alone
     columns: tuple[np.ndarray, ...]   # node coordinate i of every node, shape (m,)
     metric: MetricField
 
     @cached_property
     def volume(self) -> float:
-        """Sum of every chart's weights: the integral of 1, summed once per grid."""
-        return exact_sum(np.concatenate([c.weight for c in self.charts]))
+        """The integral of 1: every chart's weights, summed once per grid
+        (the chart count times one chart's sum, exact for two charts)."""
+        return self.chart_count * exact_sum(self.weight)
 
     @cached_property
     def _geometry(self):
@@ -231,14 +230,13 @@ class QuadratureGrid:
 
     def blocks(self):
         """The grid in runs of ``_CHUNK`` nodes, as (node slice, grid of
-        those nodes' columns and chart weights).  A block builds its own
-        g^{ij} and Gamma on first use, on arrays that stay in cache."""
-        m = len(self.charts[0].weight)
+        those nodes' columns and weights).  A block builds its own g^{ij}
+        and Gamma on first use, on arrays that stay in cache."""
+        m = len(self.weight)
         for start in range(0, m, _CHUNK):
             s = slice(start, min(start + _CHUNK, m))
-            charts = tuple(ChartGrid(c.weight[s], c.partition[s]) for c in self.charts)
             columns = tuple(x[s] for x in self.columns)
-            yield s, QuadratureGrid(self.entry_name, self.resolution, charts, columns, self.metric)
+            yield s, replace(self, weight=self.weight[s], partition=self.partition[s], columns=columns)
 
 
 _GRID_CACHE: dict = {}
@@ -313,18 +311,12 @@ def build_grid(entry: CatalogEntry, resolution: int) -> QuadratureGrid:
     partition = np.repeat(_partition_weight(rho, radius), resolution * resolution)
 
     live = partition > 0.0
-    coords = coords[:, live]
-    glw = glw[live]
-    partition = partition[live]
-
-    columns = tuple(coords)
+    columns, glw, partition = tuple(coords[:, live]), glw[live], partition[live]
     dets = np.asarray(
         value_of(mat_det(entry.metric.matrix(list(columns)))), dtype=float
     )
     sqrt_det = np.sqrt(np.maximum(np.broadcast_to(dets, glw.shape), 0.0))
-    chart = ChartGrid(weight=glw * partition * sqrt_det, partition=partition)
-    charts = (chart,) * len(entry.charts)
-    grid = QuadratureGrid(entry.name, resolution, charts, columns, entry.metric)
+    grid = QuadratureGrid(len(entry.charts), glw * partition * sqrt_det, partition, columns, entry.metric)
     _GRID_CACHE[key] = grid
     return grid
 
@@ -390,22 +382,39 @@ class ManifoldScalarField:
         return cls(charts, name=name, ambient=fn)
 
 
+def _integrals(grid: QuadratureGrid, count: int, integrands) -> list[tuple[float, float]]:
+    """(integral, peak |value|) of each of ``count`` integrals over the
+    grid, in one pass over its node blocks (``QuadratureGrid.blocks``).
+
+    ``integrands(block)`` gives each integral's values on the block, in
+    order, chart by chart (a float or node column each).  Each is weighted
+    into its integral's ``ExactSum``, and its peak taken, before the next
+    is asked for, so lazy iterables stream every integral through the
+    block while it is in cache.  The sums are correctly rounded: neither
+    the block size nor the order of the terms changes a bit.
+    """
+    sums = [ExactSum() for _ in range(count)]
+    peaks = [0.0] * count
+    for _, block in grid.blocks():
+        for k, charts in enumerate(integrands(block)):
+            for values in charts:
+                values = _nodes(block, values)
+                sums[k].add(block.weight * values)
+                peaks[k] = np.maximum(peaks[k], np.max(np.abs(values)))  # a NaN stays
+    return [(total.value(), float(peak)) for total, peak in zip(sums, peaks)]
+
+
 def integrate(entry: CatalogEntry, field, resolution: int) -> float:
     """Integral of a scalar field against the Riemannian volume form.
 
     ``field`` is a ManifoldScalarField, or a single callable applied in
-    every chart (enough for chart-symmetric integrands).  The terms are
-    summed by ``exact_sum``, which is correctly rounded, so the result does
-    not depend on their order.
+    every chart (enough for chart-symmetric integrands), evaluated on each
+    node block's columns.  The terms are summed by ``ExactSum``, which is
+    correctly rounded, so the result does not depend on their order.
     """
     grid = build_grid(entry, resolution)
-    if callable(field):
-        field = ManifoldScalarField(tuple([field] * len(grid.charts)))
-    terms = np.concatenate([
-        chart.weight * _nodes(grid, fn(list(grid.columns)))
-        for chart, fn in zip(grid.charts, field.per_chart)
-    ])
-    return exact_sum(terms)
+    per_chart = (field,) * grid.chart_count if callable(field) else field.per_chart
+    return _integrals(grid, 1, lambda block: [(fn(list(block.columns)) for fn in per_chart)])[0][0]
 
 
 def volume(entry: CatalogEntry, resolution: int) -> float:
@@ -428,7 +437,7 @@ def _grid_laplacian(grid: QuadratureGrid, du, ddu) -> np.ndarray:
 
 def _nodes(grid: QuadratureGrid, value) -> np.ndarray:
     """A float or node column as an array over the grid's nodes."""
-    return np.broadcast_to(np.asarray(value_of(value), dtype=float), grid.charts[0].weight.shape)
+    return np.broadcast_to(np.asarray(value_of(value), dtype=float), grid.weight.shape)
 
 
 def _gradient_pairings(grid: QuadratureGrid, grads):
@@ -471,7 +480,7 @@ def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, out=None) -> np.ndar
         laps.append(_grid_laplacian(grid, da, dda))
         jets[c] = None  # its value and gradient are kept, its second partials dropped
     i, j = np.triu_indices(len(values))
-    basis = np.empty((len(i) + len(values), len(grid.charts[0].weight))) if out is None else out
+    basis = np.empty((len(i) + len(values), len(grid.weight))) if out is None else out
     for row, (a, b, pairing) in enumerate(zip(i, j, _gradient_pairings(grid, grads))):
         basis[row] = values[a] * laps[b] + values[b] * laps[a] + 2.0 * pairing
     basis[len(i):] = laps
@@ -522,8 +531,8 @@ def integrate_laplacians(
     entry: CatalogEntry, fields, resolution: int
 ) -> list[dict]:
     """``integrate_laplacian`` of each field, in order, in one pass over the
-    grid's node blocks of ``_CHUNK`` nodes (``QuadratureGrid.blocks``), so
-    that no step holds a whole-grid temporary.
+    grid's node blocks of ``_CHUNK`` nodes (``_integrals``), so that no
+    step holds a whole-grid temporary.
 
     Each block builds its g^{ij} and Gamma once (off one order-1 lift of
     its columns), on first use.  If any field is an ``AmbientQuadratic``,
@@ -532,34 +541,29 @@ def integrate_laplacians(
     other chart reads it through its reflection signs (``_monomial_signs``).
     Every field then takes the block while it is in cache: each chart's
     Laplacian (a basis combination, or the field's own jet on the block's
-    g^{ij} and Gamma), its peak, and its weighted terms, which go into the
-    field's ``ExactSum``.  Every term is computed per node as on the whole
-    grid, and the sum is correctly rounded, so the block size changes no
-    result.
+    g^{ij} and Gamma) is formed as ``_integrals`` asks for it.  Every term
+    is computed per node, so the block size changes no result.
     """
     grid = build_grid(entry, resolution)
-    m = len(grid.charts[0].weight)
     buffer = None
     if any(isinstance(field.ambient, AmbientQuadratic) for field in fields):
         k = len(grid.columns) + 1
-        buffer = np.empty((k * (k + 3) // 2, min(m, _CHUNK)))
-    sums = [ExactSum() for _ in fields]
-    peaks = [[] for _ in fields]
-    for nodes, block in grid.blocks():
+        buffer = np.empty((k * (k + 3) // 2, min(len(grid.weight), _CHUNK)))
+
+    def laplacians(block):
         basis = None
         if buffer is not None:
-            basis = _chart_basis(entry, block, out=buffer[:, : nodes.stop - nodes.start])
-        for field, total, peak in zip(fields, sums, peaks):
-            for c, chart in enumerate(block.charts):
-                lap = _chart_laplacian(entry, block, field, c, basis)
-                total.add(chart.weight * lap)
-                peak.append(np.max(np.abs(lap)))
+            basis = _chart_basis(entry, block, out=buffer[:, : len(block.weight)])
+        for field in fields:
+            # read before the next field is: ``_integrals`` takes one at a time
+            yield (_chart_laplacian(entry, block, field, c, basis) for c in range(block.chart_count))
+
     results = []
-    for total, peak in zip(sums, peaks):
+    for integral, peak in _integrals(grid, len(fields), laplacians):
         # One volume() call per field, as integrate_laplacian always made
         # (bench/selftest.py counts divergence + 1 calls per integrate run).
         vol = volume(entry, resolution)
-        results.append({"integral": total.value(), "scale": vol * float(np.max(peak)), "volume": vol})
+        results.append({"integral": integral, "scale": vol * peak, "volume": vol})
     return results
 
 
@@ -579,6 +583,27 @@ def _spot_check_soliton(inst: SolitonInstance, entry: CatalogEntry):
     require_soliton(inst, batch)
 
 
+# The compact checks' integrands, read off a node block's ``CurvatureData``.
+_CURVATURE_READS = {
+    "R^2": lambda d, f: d.scalar * d.scalar,
+    "Ric(grad f, grad f)": lambda d, f: _ric_ff(d.ricci, d.gradient_up(f)),
+    "|Hess f|^2": lambda d, f: sym2_norm_sq(d.inverse, d.hessian(f)),
+}
+
+
+def _curvature_integrals(entry: CatalogEntry, f: ScalarField, resolution: int, *reads: str) -> list[float]:
+    """The integral of each of ``reads`` (keys of ``_CURVATURE_READS``),
+    f the same coordinate expression in every chart.  Each node block lifts
+    g once, to order 2 (all that R, Ric and Hess f read), for every read."""
+
+    def integrands(block):
+        d = CurvatureData(block.metric, block.columns, 2)
+        for read in reads:
+            yield (_CURVATURE_READS[read](d, f),) * block.chart_count
+
+    return [integral for integral, _ in _integrals(build_grid(entry, resolution), len(reads), integrands)]
+
+
 def check_steady_integral_inequality(inst: SolitonInstance, resolution: int) -> dict:
     """Steady-case integral inequality k * int R^2 >= int Ric(grad f, grad f)
     with k = (n-1)/n (beta n / 2 - alpha)^2."""
@@ -589,19 +614,8 @@ def check_steady_integral_inequality(inst: SolitonInstance, resolution: int) -> 
     _spot_check_soliton(inst, entry)
     n = inst.n
     k = (n - 1) / n * (0.5 * pr.beta * n - pr.alpha) ** 2
-    g = entry.metric
-    f = inst.potential
-
-    def r_squared(x):
-        ginv = mat_inverse(g.matrix(x))
-        ric = ricci_generic(g, x)
-        scal = sum(
-            ginv[i][j] * ric[i][j] for i in range(n) for j in range(n)
-        )
-        return scal * scal
-
-    lhs = k * integrate(entry, r_squared, resolution)
-    rhs = integrate(entry, lambda x: _ricci_grad_f(g, f, x), resolution)
+    r_sq, rhs = _curvature_integrals(entry, inst.potential, resolution, "R^2", "Ric(grad f, grad f)")
+    lhs = k * r_sq
     scale = 1.0 + abs(lhs) + abs(rhs)
     return {
         "lhs": lhs,
@@ -609,17 +623,6 @@ def check_steady_integral_inequality(inst: SolitonInstance, resolution: int) -> 
         "k": k,
         "holds": lhs >= rhs - 1e-6 * scale,
     }
-
-
-def _ricci_grad_f(g: MetricField, f: ScalarField, x):
-    from .curvature import gradient_generic
-
-    n = g.domain.dim
-    up, _, _ = gradient_generic(g, f, x)
-    ric = ricci_generic(g, x)
-    return value_of(
-        sum(ric[i][j] * up[i] * up[j] for i in range(n) for j in range(n))
-    )
 
 
 def check_hessian_energy(inst: SolitonInstance, resolution: int) -> IdentityResidual:
@@ -636,16 +639,7 @@ def check_hessian_energy(inst: SolitonInstance, resolution: int) -> IdentityResi
     if abs(denom) <= 1e-12:
         raise DegenerateDenominator("alpha - beta(n-1) vanishes")
     _spot_check_soliton(inst, entry)
-    g = entry.metric
-    f = inst.potential
-
-    def hess_sq(x):
-        ginv = mat_inverse(g.matrix(x))
-        hess = hessian_generic(g, f, x)
-        return value_of(sym2_norm_sq(ginv, hess))
-
-    lhs = integrate(entry, hess_sq, resolution)
-    ric_term = integrate(entry, lambda x: _ricci_grad_f(g, f, x), resolution)
+    lhs, ric_term = _curvature_integrals(entry, inst.potential, resolution, "|Hess f|^2", "Ric(grad f, grad f)")
     rhs = -((pr.beta - pr.alpha) / denom) * ric_term
     mid = sample_points(entry.metric.domain, 1, seed=3)[0]
     return IdentityResidual.build("hessian-energy", lhs, rhs, mid)

@@ -178,14 +178,14 @@ _CLASS_ORDER = np.array(
 )
 
 
-def require_concircular_params(params: SolitonParams) -> None:
-    """Raise when the concircular conclusions are undefined: they divide
-    by alpha and by beta - 2 alpha."""
+def require_concircular_params(params: SolitonParams, n: int) -> None:
+    """Raise when the concircular conclusions are undefined in dimension
+    ``n``: they divide by alpha and by n beta - 2 alpha."""
     if params.alpha == 0.0:
         raise AlphaZero("concircular conclusions need alpha != 0")
-    if params.beta == 2.0 * params.alpha:
+    if n * params.beta == 2.0 * params.alpha:
         raise DegenerateBeta(
-            "beta = 2*alpha degenerates the scalar-curvature prediction"
+            "n*beta = 2*alpha degenerates the scalar-curvature prediction"
         )
 
 
@@ -194,26 +194,30 @@ def concircular_conclusions(
 ) -> dict:
     """Einstein defect and the predictions forced by a concircular field.
 
-    For a soliton whose vector field satisfies nabla_Y X = phi Y the
-    metric is Einstein, the scalar curvature equals
-    2 n (lam + phi) / (beta - 2 alpha), and every vector is a Ricci
-    eigenvector with eigenvalue (beta R - 2 phi - 2 lam) / (2 alpha).
-    Classification threshold: expanding, steady or shrinking according
-    as phi is below, at, or above (beta - 2 alpha) R / (2 n).  Over a
-    batch the defect, eigenvalue and class are arrays of shape (m,).
+    For a soliton whose vector field satisfies nabla_Y X = phi Y, so that
+    1/2 L_X g = phi g, the defining equation and its trace read
+
+        alpha Ric = (beta/2 R - lam - phi) g,
+        alpha R = n (beta/2 R - lam - phi),  so  R = 2 n (lam + phi) / (n beta - 2 alpha).
+
+    The metric is Einstein: every vector is a Ricci eigenvector with
+    eigenvalue (beta R - 2 phi - 2 lam) / (2 alpha).  As lam = (n beta -
+    2 alpha) R / (2 n) - phi, the soliton is expanding, steady or shrinking
+    according as phi is below, at, or above (n beta - 2 alpha) R / (2 n).
+    Over a batch the defect, eigenvalue and class are arrays of shape (m,).
     """
-    require_concircular_params(params)
+    n = g.domain.dim
+    require_concircular_params(params, n)
     batch = PointBatch.of(p)
     data = curvature_data(g, batch)
-    n = g.domain.dim
     scal = batch.values(data.scalar)
     gap = np.abs(batch.matrix(data.ricci) - (scal / n) * batch.matrix(data.metric))
     defect = batch.values(np.max(gap, axis=(0, 1)))
-    scalar_pred = 2.0 * n * (params.lam + phi_value) / (params.beta - 2.0 * params.alpha)
+    scalar_pred = 2.0 * n * (params.lam + phi_value) / (n * params.beta - 2.0 * params.alpha)
     eigen_pred = (params.beta * scal - 2.0 * phi_value - 2.0 * params.lam) / (
         2.0 * params.alpha
     )
-    threshold = (params.beta - 2.0 * params.alpha) * scal / (2.0 * n)
+    threshold = (n * params.beta - 2.0 * params.alpha) * scal / (2.0 * n)
     # expanding below the threshold band, shrinking above it, steady inside
     order = (
         1

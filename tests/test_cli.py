@@ -68,6 +68,27 @@ class TestVerifyCommand:
             "einstein-s3:defining-residual-gnorm",
         ]
 
+    def test_nan_defining_residual_skips_the_derived_rows(self, tmp_path, capsys, monkeypatch):
+        """A NaN defining residual fails its record, and the case is then
+        off the soliton: no derived row runs, `verify` exits 1 and still
+        writes the report with only the two defining rows."""
+        report = cli.residual_report
+
+        def nan_at_one_point(inst, batch):
+            out = dict(report(inst, batch))
+            out["max_abs"] = np.array(out["max_abs"])
+            out["max_abs"][2] = np.nan
+            return out
+
+        monkeypatch.setattr(cli, "residual_report", nan_at_one_point)
+        out = tmp_path / "report.json"
+        assert run(["verify", "--case", "gaussian", "--points", "5", "--out", str(out)]) == 1
+        records = json.loads(out.read_text())["records"]
+        assert [(r["name"], r["verdict"]) for r in records] == [
+            ("gaussian:defining-residual", "fail"),
+            ("gaussian:defining-residual-gnorm", "pass"),
+        ]
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         argv = [
@@ -452,9 +473,9 @@ def test_couplings_at_their_ceiling_keep_every_record_finite(tmp_path, capsys):
     "argv, parameter",
     [
         (["verify", "--alpha", "0"], "alpha != 0"),
-        (["verify", "--case", "concircular-flat", "--alpha", "1", "--beta", "2"], "beta = 2*alpha"),
+        (["verify", "--case", "concircular-flat", "--alpha", "3", "--beta", "2"], "n*beta = 2*alpha"),
     ],
-    ids=["alpha-zero", "beta-twice-alpha"],
+    ids=["alpha-zero", "n-beta-twice-alpha"],
 )
 def test_undefined_concircular_conclusions_exit_2(argv, parameter, tmp_path, capsys, monkeypatch):
     """Parameters that leave the concircular rows undefined are a usage
@@ -473,6 +494,16 @@ def test_undefined_concircular_conclusions_exit_2(argv, parameter, tmp_path, cap
     assert len(lines) == 1
     assert lines[0].startswith("error: case 'concircular-flat'")
     assert parameter in lines[0]
+
+
+def test_beta_twice_alpha_on_concircular_flat_runs(tmp_path, capsys):
+    """In dimension 3 the concircular prediction divides by 3 beta - 2 alpha,
+    which beta = 2 alpha leaves nonzero: the case runs and passes."""
+    out = tmp_path / "report.json"
+    argv = ["verify", "--case", "concircular-flat", "--alpha", "1", "--beta", "2", "--points", "3", "--out", str(out)]
+    assert run(argv) == 0
+    records = {r["name"]: r for r in json.loads(out.read_text())["records"]}
+    assert records["concircular-flat:scalar-prediction"]["rhs"] == 0.0
 
 
 def test_case_points_never_exceed_the_count():

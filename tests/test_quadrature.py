@@ -78,13 +78,12 @@ class TestPartitionOfUnity:
     def test_weights_sum_to_one_on_overlap(self):
         entry = catalog.sphere_entry(1.0)
         grid = quad.build_grid(entry, 8)
-        chart = grid.charts[0]
         radii = np.linalg.norm(grid.columns, axis=0)
         overlap = (radii > catalog.BUMP_INNER) & (radii < catalog.BUMP_OUTER)
         assert overlap.any()
         partner = entry.atlas.radius**2 / radii[overlap]
         there = quad._partition_weight(partner, entry.atlas.radius)
-        assert np.max(np.abs(chart.partition[overlap] + there - 1.0)) < 1e-14
+        assert np.max(np.abs(grid.partition[overlap] + there - 1.0)) < 1e-14
 
 
 def same_float(a, b):
@@ -219,22 +218,53 @@ class TestSteadyIntegralInequality:
             quad.check_steady_integral_inequality(inst, 8)
 
 
-def test_spot_check_lifts_its_batch_to_order_2(monkeypatch):
-    """The spot check's defining residual reads order 2 of g, so its one
-    lifted metric evaluation is at order 2."""
+def recording_metric_lifts(monkeypatch):
+    """(order, node count) of every metric evaluation on Taylor
+    coordinates from now on, in call order."""
     from ryslab import ad, geometry
 
-    orders, matrix = [], geometry.MetricField.matrix
+    lifts, matrix = [], geometry.MetricField.matrix
 
     def recording(self, coords):
         coords = list(coords)
-        orders.extend({c.order for c in coords if isinstance(c, ad.Taylor)})
+        for order in {c.order for c in coords if isinstance(c, ad.Taylor)}:
+            lifts.append((order, np.size(ad.value_of(coords[0]))))
         return matrix(self, coords)
 
     monkeypatch.setattr(geometry.MetricField, "matrix", recording)
+    return lifts
+
+
+def test_spot_check_lifts_its_batch_to_order_2(monkeypatch):
+    """The spot check's defining residual reads order 2 of g, so its one
+    lifted metric evaluation is at order 2."""
+    lifts = recording_metric_lifts(monkeypatch)
     inst = catalog.einstein_sphere_instance(SolitonParams(1.0, 0.0, -2.0))
     quad._spot_check_soliton(inst, quad._require_compact_instance(inst))
-    assert orders == [2]
+    assert lifts == [(2, 12)]
+
+
+@pytest.mark.parametrize("check, params", [
+    (quad.check_steady_integral_inequality, SolitonParams(1.5, 1.0, 0.0)),
+    (quad.check_hessian_energy, SolitonParams(1.0, 0.0, -2.0)),
+])
+def test_compact_checks_lift_each_node_once_to_order_2(check, params, monkeypatch):
+    """Each compact check evaluates g on Taylor coordinates only at order 2:
+    once for the spot check's 12 points, then once per node block, whose
+    ``CurvatureData`` lifts it in runs of ``ad.CHUNK`` nodes.  At
+    resolution 24 (four node blocks) every node is lifted exactly once,
+    for every integral the check takes."""
+    from ryslab import ad
+
+    monkeypatch.setattr(quad, "_GRID_CACHE", {})
+    inst = catalog.einstein_sphere_instance(params)
+    grid = quad.build_grid(inst.entry, 24)
+    sizes = [len(block.weight) for _, block in grid.blocks()]
+    assert len(sizes) == 4
+    lifts = recording_metric_lifts(monkeypatch)
+    check(inst, 24)
+    per_block = [(2, min(ad.CHUNK, m - start)) for m in sizes for start in range(0, m, ad.CHUNK)]
+    assert lifts == [(2, 12)] + per_block
 
 
 class TestHessianEnergy:
@@ -273,13 +303,66 @@ class TestHessianEnergy:
             quad.check_hessian_energy(inst2, 8)
 
 
+def product_potential(entry):
+    """f = x_0 x_1 + x_2 / 2 in every chart: not a soliton potential, so
+    every compact integrand is nonzero."""
+    return ScalarField(lambda x: x[0] * x[1] + 0.5 * x[2], entry.metric.domain, "x0*x1+x2/2")
+
+
+def per_node_curvature_integrals(entry, f, resolution, ricci_factor=1.0):
+    """Reference: int R^2, int Ric(grad f, grad f) and int |Hess f|^2 as
+    per-node closures through ``integrate`` and the ``*_generic`` readers,
+    with g^{-1} from the float metric and Ric times ``ricci_factor``."""
+    from ryslab.ad import value_of
+    from ryslab.curvature import gradient_generic, hessian_generic, ricci_generic
+    from ryslab.tensors import mat_inverse, sym2_norm_sq
+
+    g, n = entry.metric, entry.metric.domain.dim
+
+    def ric(x):
+        return [[ricci_factor * e for e in row] for row in ricci_generic(g, x)]
+
+    def r_squared(x):
+        ginv, r = mat_inverse(g.matrix(x)), ric(x)
+        scal = sum(ginv[i][j] * r[i][j] for i in range(n) for j in range(n))
+        return scal * scal
+
+    def ric_ff(x):
+        up, r = gradient_generic(g, f, x)[0], ric(x)
+        return value_of(sum(r[i][j] * up[i] * up[j] for i in range(n) for j in range(n)))
+
+    def hess_sq(x):
+        return value_of(sym2_norm_sq(mat_inverse(g.matrix(x)), hessian_generic(g, f, x)))
+
+    return [quad.integrate(entry, fn, resolution) for fn in (r_squared, ric_ff, hess_sq)]
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_curvature_integrals_equal_the_per_node_reference(radius):
+    """The compact checks' integrals of R^2, Ric(grad f, grad f) and
+    |Hess f|^2, read off one order-2 ``CurvatureData`` per node block,
+    equal the per-node reference bit for bit on a potential where none
+    vanishes, and int R^2 is (6 / r^2)^2 vol(S^3_r) to 1e-5.  Negative
+    control: the reference with Ric scaled by 1 + 1e-6 matches neither
+    integral that reads Ric."""
+    entry = catalog.sphere_entry(radius)
+    f = product_potential(entry)
+    got = quad._curvature_integrals(entry, f, 12, *quad._CURVATURE_READS)
+    assert all(value > 0.0 for value in got)
+    assert [same_float(a, b) for a, b in zip(got, per_node_curvature_integrals(entry, f, 12))] == [True] * 3
+    exact = (6.0 / radius**2) ** 2 * UNIT_VOLUME * radius**3
+    assert abs(got[0] - exact) <= 1e-5 * exact
+    scaled = per_node_curvature_integrals(entry, f, 12, ricci_factor=1.0 + 1e-6)
+    assert [same_float(a, b) for a, b in zip(got, scaled)] == [False, False, True]
+
+
 def test_grid_caching_and_shape():
     entry = catalog.sphere_entry(1.0)
     g1 = quad.build_grid(entry, 8)
     g2 = quad.build_grid(entry, 8)
     assert g1 is g2
-    assert len(g1.charts) == 2
-    assert [c.shape for c in g1.columns] == [g1.charts[0].weight.shape] * 3
+    assert g1.chart_count == 2
+    assert [c.shape for c in g1.columns] == [g1.weight.shape] * 3
 
 
 @pytest.mark.parametrize("resolution", [8, 12, 24, 40])
@@ -295,9 +378,8 @@ def test_radial_partition_matches_per_node_weights(resolution):
     per_node = quad._partition_weight(per_node_rho, radius)
     live = per_node > 0.0
     grid = quad.build_grid(entry, resolution)
-    chart = grid.charts[0]
     assert np.allclose(np.linalg.norm(grid.columns, axis=0), per_node_rho[live], rtol=1e-14)
-    assert np.array_equal(chart.partition, per_node[live])
+    assert np.array_equal(grid.partition, per_node[live])
 
 
 def node_blocks(resolution):
@@ -342,14 +424,14 @@ def laplacian_integral_per_field(entry, field, resolution):
 
     grid = quad.build_grid(entry, resolution)
     terms, max_abs = [], 0.0
-    for chart, fn in zip(grid.charts, field.per_chart):
+    for fn in field.per_chart:
         sf = ScalarField(fn, entry.metric.domain)
         lap = np.broadcast_to(
             np.asarray(value_of(laplacian_generic(entry.metric, sf, list(grid.columns))), dtype=float),
-            chart.weight.shape,
+            grid.weight.shape,
         )
         max_abs = max(max_abs, float(np.max(np.abs(lap))))
-        terms.extend((chart.weight * lap).tolist())
+        terms.extend((grid.weight * lap).tolist())
     vol = quad.volume(entry, resolution)
     return {"integral": math.fsum(terms), "scale": vol * max_abs, "volume": vol}
 
@@ -373,15 +455,15 @@ def test_quadrature_sums_equal_fsum_of_the_same_terms(radius):
     assert got == [laplacian_integral_per_field(entry, f, 12) for f in fields]
 
     grid = quad.build_grid(entry, 12)
-    weights = np.concatenate([c.weight for c in grid.charts])
+    weights = np.concatenate([grid.weight] * grid.chart_count)
     assert grid.volume == math.fsum(weights.tolist())
 
     def fn(x):
         return x[0] + x[1] * x[2]
 
     terms = []
-    for chart in grid.charts:
-        terms.extend((chart.weight * np.asarray(value_of(fn(list(grid.columns))))).tolist())
+    for _ in range(grid.chart_count):
+        terms.extend((grid.weight * np.asarray(value_of(fn(list(grid.columns))))).tolist())
     assert quad.integrate(entry, fn, 12) == math.fsum(terms)
 
 
@@ -459,13 +541,13 @@ def test_chart_basis_matches_each_monomials_jet():
     entry = catalog.sphere_entry(1.0)
     grid = quad.build_grid(entry, 10)
     chart0 = quad._chart_basis(entry, grid)
-    for chart in range(len(grid.charts)):
+    for chart in range(grid.chart_count):
         basis = chart0 * quad._monomial_signs(entry.atlas.signs(chart, 3))[:, None]
         expected = [
             quad._grid_laplacian(grid, *jet2(lambda x, k=k: monomials(entry.atlas.ambient(chart, x))[k], grid.columns)[1:])
             for k in range(14)
         ]
-        assert basis.shape == (14, len(grid.charts[chart].weight))
+        assert basis.shape == (14, len(grid.weight))
         for row, (got, want) in enumerate(zip(basis, expected)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (chart, row)
 
@@ -618,7 +700,7 @@ def test_divergence_check_fails_when_the_laplacian_is_wrong(mutation, resolution
     elif mutation == "pairing-factor-dropped":
         # 2 x (pairing / 2): the term enters once instead of twice.
         def mutated(grid, grads):
-            mutated_blocks.append(len(grid.charts[0].weight))
+            mutated_blocks.append(len(grid.weight))
             return [0.5 * p for p in pairings(grid, grads)]
 
         monkeypatch.setattr(quad, "_gradient_pairings", mutated)
@@ -638,7 +720,7 @@ def test_divergence_check_fails_when_the_laplacian_is_wrong(mutation, resolution
     ]
     assert cli.main(argv) == 1
     grid = quad.build_grid(catalog.sphere_entry(1.0), resolution)
-    assert mutated_blocks == [len(block.charts[0].weight) for _, block in grid.blocks()]
+    assert mutated_blocks == [len(block.weight) for _, block in grid.blocks()]
     verdicts = {r["name"]: r["verdict"] for r in json.loads(out.read_text())["records"]}
     assert verdicts.pop("unit-s3:volume") == "pass"
     assert verdicts == {f"unit-s3:divergence-theorem[{k}]": "fail" for k in range(3)}
@@ -778,13 +860,13 @@ def whole_grid_laplacian_integrals(entry, fields, resolution):
     results = []
     for field in fields:
         laps = []
-        for c in range(len(grid.charts)):
+        for c in range(grid.chart_count):
             if isinstance(field.ambient, quad.AmbientQuadratic):
                 signs = quad._monomial_signs(entry.atlas.signs(c, 3))
                 laps.append((field.ambient.basis_coefficients * signs) @ basis)
             else:
                 laps.append(quad._grid_laplacian(grid, *jet2(field.per_chart[c], grid.columns)[1:]))
-        terms = np.concatenate([chart.weight * lap for chart, lap in zip(grid.charts, laps)])
+        terms = np.concatenate([grid.weight * lap for lap in laps])
         peak = max(float(np.max(np.abs(lap))) for lap in laps)
         results.append({"integral": quad.exact_sum(terms), "scale": grid.volume * peak, "volume": grid.volume})
     return results
@@ -873,7 +955,7 @@ def test_sphere_grid_geometry_keeps_structural_zeros(radius):
     the float 0.0 off the diagonal, and Gamma^k_ij is 0.0 where i, j and k
     differ; every other entry is a node column."""
     grid = quad.build_grid(catalog.sphere_entry(radius), 12)
-    m = len(grid.charts[0].weight)
+    m = len(grid.weight)
     for i, j in itertools.product(range(3), repeat=2):
         entry = grid.inverse[i][j]
         if i == j:

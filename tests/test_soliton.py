@@ -270,11 +270,35 @@ class TestConcircular:
             )
 
     def test_degenerate_beta_guard(self):
+        """The prediction divides by n beta - 2 alpha: n beta = 2 alpha
+        raises, beta = 2 alpha does not."""
         entry = catalog.flat_entry(3)
         with pytest.raises(DegenerateBeta):
             concircular_conclusions(
-                entry.metric, SolitonParams(1.0, 2.0, 0.0), 1.0, (0.1, 0.1, 0.1)
+                entry.metric, SolitonParams(3.0, 2.0, 0.0), 1.0, (0.1, 0.1, 0.1)
             )
+        out = concircular_conclusions(entry.metric, SolitonParams(1.0, 2.0, -1.0), 1.0, (0.1, 0.1, 0.1))
+        assert out["scalar_pred"] == 0.0
+
+    def test_curved_conclusions_trace_with_n_beta(self):
+        """At a point of the unit S^3 (R = 6, Ric = 2 g) with (alpha, beta,
+        phi) = (1, 1/2, 1) and lam = -1.5, the traced equation alpha R +
+        n (phi + lam) - n beta/2 R = 6 - 1.5 - 4.5 vanishes: the prediction
+        2 n (lam + phi) / (n beta - 2 alpha) is 6 = R and the eigenvalue
+        (beta R - 2 phi - 2 lam) / (2 alpha) is 2.  Negative control: the
+        denominator beta - 2 alpha would predict 2."""
+        entry = catalog.sphere_entry(1.0)
+        pr = SolitonParams(1.0, 0.5, -1.5)
+        p = sample_points(entry.charts[0], 1, seed=17)[0]
+        out = concircular_conclusions(entry.metric, pr, 1.0, p)
+        scal = cv.scalar_curvature(entry.metric, p)
+        assert abs(scal - 6.0) <= 1e-9
+        assert abs(out["scalar_pred"] - scal) <= 1e-9
+        assert abs(out["eigenvalue_pred"] - 2.0) <= 1e-9
+        assert out["einstein_defect"] <= 1e-9
+        assert out["class"] is classify(pr) is SolitonClass.SHRINKING
+        old = 2.0 * 3 * (pr.lam + 1.0) / (pr.beta - 2.0 * pr.alpha)
+        assert old == 2.0 and abs(scal - old) > 1.0
 
 
 def test_defining_residual_dispatch():
