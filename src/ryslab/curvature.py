@@ -9,7 +9,10 @@ only to the order its reads need (``ad.MAX_ORDER`` unless the caller asks
 for less; 4 only for Delta R), builds g^{-1}, Gamma, Ric and R from it by
 the same formulas (each one order below its input) and reads every level a
 check needs off their coefficients.  ``*_generic`` read one at given
-coordinates.
+coordinates; they and ``quadrature``'s grids share ``connection`` (g^{-1}
+and Gamma off one order-1 lift, one metric evaluation) and
+``laplacian_from`` (the trace of the Hessian, forming only the entries it
+reads, on floats or columns).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .ad import CHUNK, MAX_ORDER, jet2, lift, minus, partial, plus, split, truncate, vlift
 from .geometry import MetricField, PointBatch, ScalarField, VectorField, stack
-from .tensors import dot, mat_inverse, mat_vec, sym2_norm_sq, trace_pair
+from .tensors import Symmetric, dot, mat_inverse, mat_vec, sym2_norm_sq, trace_pair, trace_read
 
 SYMMETRY_TOL = 1e-12
 # A scalar field's own lift, whatever g's: the commutation rule reads
@@ -40,10 +43,12 @@ class Sym2Tensor:
     def from_matrix(cls, m) -> "Sym2Tensor":
         arr = stack(m)
         swapped = arr.swapaxes(0, 1)
-        gap = np.max(np.abs(arr - swapped), axis=(0, 1))
-        bad = gap > SYMMETRY_TOL * (1.0 + np.max(np.abs(arr), axis=(0, 1)))
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN gap
+            gap = np.max(np.abs(arr - swapped), axis=(0, 1))
+        # not <=: a non-finite entry makes a NaN gap or bound, and fails
+        bad = ~(gap <= SYMMETRY_TOL * (1.0 + np.max(np.abs(arr), axis=(0, 1))))
         if np.any(bad):
-            raise ValueError(f"matrix is not symmetric, antisymmetry {float(np.max(gap[bad])):.3e}")
+            raise ValueError(f"matrix is not finite and symmetric, antisymmetry {float(np.max(gap[bad])):.3e}")
         return cls(0.5 * (arr + swapped))
 
     def max_abs(self) -> float:
@@ -89,24 +94,39 @@ def ricci_from(gamma, dgamma):
     return ric
 
 
-def covariant_hessian(gamma, df, ddf):
-    """(Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f from the partials of f (the
-    entry d_i d_j f itself where no Gamma term is left)."""
+def _hessian(gamma, df, ddf):
+    """Hess f as a ``Symmetric``, each entry formed on first read: (Hess f)_ij
+    = d_i d_j f - Gamma^k_ij d_k f (d_i d_j f itself where no Gamma term is left)."""
     n = len(df)
-    h = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = minus(ddf[i][j], dot([gamma[k][i][j] for k in range(n)], df))
-            h[i][j] = v
-            h[j][i] = v
-    return h
+    return Symmetric(n, lambda i, j: minus(ddf[i][j], dot([gamma[k][i][j] for k in range(n)], df)))
+
+
+def covariant_hessian(gamma, df, ddf):
+    """Hess f with every entry formed, as nested lists (``ad.partial`` and
+    ``split`` descend into lists only)."""
+    return [list(row) for row in _hessian(gamma, df, ddf)]
+
+
+def laplacian_from(ginv, gamma, df, ddf):
+    """Delta f = g^{ij} (Hess f)_ij from g^{-1}, Gamma and the partials of f,
+    none a Taylor.  Only the Hessian entries whose g^{ij} is no structural
+    zero are formed (``trace_read``), so an on-demand ``ddf`` builds no other."""
+    return trace_read(ginv, _hessian(gamma, df, ddf))
 
 
 # -- the same at float or column coordinates ---------------------------------
 
+def connection(g: MetricField, x):
+    """(g^{-1}, Gamma) from g and dg off one order-1 lift of g, whose value
+    slots round as the float evaluation does; the lift is then dropped."""
+    gm, dg = split(g.matrix(vlift(list(x))), g.domain.dim)
+    inverse = mat_inverse(gm)
+    return inverse, christoffel_from(inverse, dg)
+
+
 def christoffel_generic(g: MetricField, x):
-    """Gamma alone, with dg from one order-1 lift (cheap on large grids)."""
-    return christoffel_from(mat_inverse(g.matrix(x)), split(g.matrix(vlift(x)), g.domain.dim)[1])
+    """Gamma alone, off ``connection``'s order-1 lift (cheap on large grids)."""
+    return connection(g, x)[1]
 
 
 def christoffel_with_partials(g: MetricField, x):
@@ -136,14 +156,15 @@ def scalar_curvature_field(g: MetricField) -> ScalarField:
 
 def hessian_generic(g: MetricField, f: ScalarField, x):
     """Hess f from ``jet2`` (one order-2 Taylor lift of f) and
-    ``christoffel_generic``: the arithmetic ``quadrature`` applies on its
-    grids to a field without an ambient quadratic."""
+    ``connection``'s Gamma."""
     _, df, ddf = jet2(f.fn, x)
-    return covariant_hessian(christoffel_generic(g, x), df, ddf)
+    return covariant_hessian(connection(g, x)[1], df, ddf)
 
 
 def laplacian_generic(g: MetricField, f: ScalarField, x):
-    return trace_pair(mat_inverse(g.matrix(x)), hessian_generic(g, f, x))
+    """Delta f by ``laplacian_from``: the arithmetic ``quadrature`` applies
+    on its grids to a field without an ambient quadratic."""
+    return laplacian_from(*connection(g, x), *jet2(f.fn, x)[1:])
 
 
 def gradient_generic(g: MetricField, f: ScalarField, x):

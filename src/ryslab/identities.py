@@ -8,7 +8,9 @@ consequences of the defining equation and are meaningless otherwise.
 
 The universal checks (contracted second Bianchi identity, the
 covariant-derivative commutation rule, the Bochner formula) need no
-soliton structure and anchor the whole differentiation pipeline.
+soliton structure and anchor the whole differentiation pipeline.  div Ric
+and the rough Laplacian of df are one formula, the divergence of a
+symmetric 2-tensor (``_divergence``).
 
 Over a batch every check runs once on coordinate columns and shares the
 batch's curvature data (``curvature_data``) and defining residual
@@ -35,7 +37,7 @@ from .soliton import (
     classify,
     residual_on,
 )
-from .tensors import dot, sym2_norm_sq
+from .tensors import dot, quadratic_form, sym2_norm_sq
 
 SOLITON_TOL = 1e-8
 
@@ -231,12 +233,6 @@ def check_scalar_constancy(
     }
 
 
-def _ric_ff(ric, grad_up):
-    """Ric(grad f, grad f)."""
-    n = len(grad_up)
-    return sum(ric[i][j] * grad_up[i] * grad_up[j] for i in range(n) for j in range(n))
-
-
 def check_splitting_identity(
     inst: SolitonInstance, p, tol: float = SOLITON_TOL
 ) -> IdentityResidual:
@@ -254,7 +250,7 @@ def check_splitting_identity(
     batch, d = _soliton_data(inst, p, tol)
     lhs = 0.5 * d.grad_norm_sq_laplacian(f)
     hess_sq = sym2_norm_sq(d.inverse, d.hessian(f))
-    rhs = hess_sq + ((pr.beta - pr.alpha) / denom) * _ric_ff(d.ricci, d.gradient_up(f))
+    rhs = hess_sq + ((pr.beta - pr.alpha) / denom) * quadratic_form(d.ricci, d.gradient_up(f))
     return IdentityResidual.build("splitting-identity", lhs, rhs, batch)
 
 
@@ -283,17 +279,18 @@ def check_affine_splitting_flags(inst: SolitonInstance, points) -> dict:
 # derivatives of traced quantities (grad R, grad Delta f) are coefficients
 # of the batch's Taylor arithmetic.
 
-def _divergence_ricci(ginv, gamma, ric, dric):
-    """(div Ric)_i = g^{jk} nabla_k R_ij from Ric and its coordinate partials."""
+def _divergence(ginv, gamma, t, dt):
+    """(div T)_i = g^{jk} nabla_j T_ki of a symmetric 2-tensor T, from T
+    and its coordinate partials dt[j][k][i] = d_j T_ki."""
     n = len(ginv)
     out = []
     for i in range(n):
         total = 0.0
         for j in range(n):
             for k in range(n):
-                cov = dric[k][i][j] - sum(
-                    gamma[l][k][i] * ric[l][j] + gamma[l][k][j] * ric[i][l]
-                    for l in range(n)
+                cov = dt[j][k][i] - sum(
+                    gamma[m][j][k] * t[m][i] + gamma[m][j][i] * t[k][m]
+                    for m in range(n)
                 )
                 total = total + ginv[j][k] * cov
         out.append(total)
@@ -304,7 +301,7 @@ def check_contracted_bianchi(g: MetricField, p) -> IdentityResidual:
     """div Ric = 1/2 grad R, the contracted second Bianchi identity."""
     batch = PointBatch.of(p)
     d = curvature_data(g, batch)
-    div = _divergence_ricci(d.inverse, d.christoffel, d.ricci, d.ricci_partials)
+    div = _divergence(d.inverse, d.christoffel, d.ricci, d.ricci_partials)
     half_dR = [0.5 * v for v in d.scalar_partials]
     return IdentityResidual.build(
         "contracted-bianchi",
@@ -315,30 +312,12 @@ def check_contracted_bianchi(g: MetricField, p) -> IdentityResidual:
     )
 
 
-def _rough_laplacian_df(ginv, gamma, hess, dh):
-    """(Delta df)_i = g^{jk} nabla_j (Hess f)_{ki}."""
-    n = len(ginv)
-    out = []
-    for i in range(n):
-        total = 0.0
-        for j in range(n):
-            for k in range(n):
-                cov = dh[j][k][i] - sum(
-                    gamma[m][j][k] * hess[m][i] + gamma[m][j][i] * hess[k][m]
-                    for m in range(n)
-                )
-                total = total + ginv[j][k] * cov
-        out.append(total)
-    return out
-
-
 def check_commutation(g: MetricField, f: ScalarField, p) -> IdentityResidual:
     """Delta grad_i f - grad_i Delta f = R_ij g^{jk} d_k f."""
     batch = PointBatch.of(p)
     d = curvature_data(g, batch)
     n = g.domain.dim
-    hess, dh = d.hessian(f), d.hessian_partials(f)
-    lap_df = _rough_laplacian_df(d.inverse, d.christoffel, hess, dh)
+    lap_df = _divergence(d.inverse, d.christoffel, d.hessian(f), d.hessian_partials(f))
     d_lap = d.laplacian_partials(f)
     lhs = [lap_df[i] - d_lap[i] for i in range(n)]
     ric, grad_up = d.ricci, d.gradient_up(f)
@@ -361,7 +340,7 @@ def check_bochner(g: MetricField, f: ScalarField, p) -> IdentityResidual:
     lhs = 0.5 * d.grad_norm_sq_laplacian(f)
     hess_sq = sym2_norm_sq(d.inverse, d.hessian(f))
     grad_up, d_lap = d.gradient_up(f), d.laplacian_partials(f)
-    ric_ff = _ric_ff(d.ricci, grad_up)
+    ric_ff = quadratic_form(d.ricci, grad_up)
     cross = sum(grad_up[i] * d_lap[i] for i in range(n))
     return IdentityResidual.build("bochner", lhs, hess_sq + ric_ff + cross, batch)
 

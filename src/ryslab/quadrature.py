@@ -6,9 +6,10 @@ standard exp(-1/(1-t^2)) mollifier splits the integral between the
 charts; each chart contributes a tensor-product Gauss-Legendre sum over
 the box enclosing its bump support; the charts share one weight array.
 Every integral is taken in one pass over the grid's node blocks
-(``_integrals``), and the integral theorem checks read R, Ric, g^{-1},
-grad f and Hess f off one order-2 ``CurvatureData`` per block.  Every
-sum is correctly rounded
+(``_integrals``).  A block's g^{ij} and Gamma come from
+``curvature.connection`` and its Laplacians from ``laplacian_from``; the
+integral theorem checks read R, Ric, g^{-1}, grad f and Hess f off one
+order-2 ``CurvatureData`` per block.  Every sum is correctly rounded
 (``ExactSum``), so results do not depend on the order of the terms, nor
 on how they are split, and are bit-reproducible.
 """
@@ -22,14 +23,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ad import jet2, minus, split, value_of, vlift
+from .ad import jet2, value_of
 from .catalog import BUMP_INNER, BUMP_OUTER, CatalogEntry
-from .curvature import CurvatureData, christoffel_from, curvature_data
+from .curvature import CurvatureData, connection, curvature_data, laplacian_from
 from .errors import DegenerateDenominator, NotCompact, NotSteady
 from .geometry import MetricField, PointBatch, ScalarField, sample_points
-from .identities import IdentityResidual, _ric_ff, require_soliton
+from .identities import IdentityResidual, require_soliton
 from .soliton import SolitonInstance, SolitonKind
-from .tensors import Symmetric, dot, mat_det, mat_inverse, sym2_norm_sq, trace_read
+from .tensors import dot, mat_det, mat_vec, quadratic_form, sym2_norm_sq
 
 MIN_RESOLUTION = 8
 
@@ -210,13 +211,8 @@ class QuadratureGrid:
 
     @cached_property
     def _geometry(self):
-        """g^{ij} and Gamma^k_ij at every node, from g and dg off one
-        order-1 lift of g (its value slots round as the float evaluation
-        does), with ``christoffel_generic``'s arithmetic; the lift is
-        dropped once both are built."""
-        g, dg = split(self.metric.matrix(vlift(list(self.columns))), len(self.columns))
-        inverse = mat_inverse(g)
-        return inverse, christoffel_from(inverse, dg)
+        """g^{ij} and Gamma^k_ij at every node (``curvature.connection``)."""
+        return connection(self.metric, self.columns)
 
     @property
     def inverse(self):
@@ -404,35 +400,19 @@ def _integrals(grid: QuadratureGrid, count: int, integrands) -> list[tuple[float
     return [(total.value(), float(peak)) for total, peak in zip(sums, peaks)]
 
 
-def integrate(entry: CatalogEntry, field, resolution: int) -> float:
+def integrate(entry: CatalogEntry, field: ManifoldScalarField, resolution: int) -> float:
     """Integral of a scalar field against the Riemannian volume form.
 
-    ``field`` is a ManifoldScalarField, or a single callable applied in
-    every chart (enough for chart-symmetric integrands), evaluated on each
-    node block's columns.  The terms are summed by ``ExactSum``, which is
-    correctly rounded, so the result does not depend on their order.
+    Each chart's expression of ``field`` is evaluated on each node block's
+    columns.  The terms are summed by ``ExactSum``, which is correctly
+    rounded, so the result does not depend on their order.
     """
     grid = build_grid(entry, resolution)
-    per_chart = (field,) * grid.chart_count if callable(field) else field.per_chart
-    return _integrals(grid, 1, lambda block: [(fn(list(block.columns)) for fn in per_chart)])[0][0]
+    return _integrals(grid, 1, lambda block: [(fn(list(block.columns)) for fn in field.per_chart)])[0][0]
 
 
 def volume(entry: CatalogEntry, resolution: int) -> float:
     return build_grid(entry, resolution).volume
-
-
-def _grid_laplacian(grid: QuadratureGrid, du, ddu) -> np.ndarray:
-    """Delta u = g^{ij} (d_i d_j u - Gamma^k_ij d_k u) at every node from
-    u's first partials ``du`` and second partials ``ddu`` on the node
-    columns, with laplacian_generic's arithmetic on the grid's g^{ij} and
-    Gamma.  Only the entries that the trace reads are formed
-    (``trace_read``): where g^{ij} is a structural zero, as off the
-    diagonal on a round sphere, neither the Hessian entry nor ``ddu[i][j]``
-    is, and an on-demand ``ddu`` (``SphereAtlas.ambient_jets``) never
-    builds it."""
-    gamma, n = grid.christoffel, len(du)
-    hess = Symmetric(n, lambda i, j: minus(ddu[i][j], dot([gamma[k][i][j] for k in range(n)], du)))
-    return _nodes(grid, trace_read(grid.inverse, hess))
 
 
 def _nodes(grid: QuadratureGrid, value) -> np.ndarray:
@@ -445,8 +425,8 @@ def _gradient_pairings(grid: QuadratureGrid, grads):
     from each function's coordinate partials ``grads[i]``, without the pairs
     that ``tensors.dot`` skips; each formed as it is read, so that a caller
     can drop one before the next is built."""
-    ginv, k = grid.inverse, len(grads)
-    raised = [[dot(row, du) for row in ginv] for du in grads]
+    k = len(grads)
+    raised = [mat_vec(grid.inverse, du) for du in grads]
     return (dot(grads[a], raised[b]) for a in range(k) for b in range(a, k))
 
 
@@ -458,7 +438,7 @@ def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, out=None) -> np.ndar
     closed-form ``SphereAtlas.ambient_jets`` on the node columns, with the
     grid's g^{ij} and Gamma); the products follow by the product rule
     Delta(a_i a_j) = a_i Delta a_j + a_j Delta a_i + 2 <grad a_i, grad a_j>.
-    A Laplacian reads only the g-trace of each Hessian (``_grid_laplacian``),
+    A Laplacian reads only the g-trace of each Hessian (``laplacian_from``),
     so the second partials off that trace, all off-diagonal ones on this
     conformally flat chart, are never formed, and no divergence record can
     see them: ``ambient_jets``' own tests guard them.
@@ -471,13 +451,13 @@ def _chart_basis(entry: CatalogEntry, grid: QuadratureGrid, out=None) -> np.ndar
     """
     # g^{ij} and Gamma are built first, so that their temporaries and the
     # embedding's partials are not held at once.
-    grid.inverse, grid.christoffel
+    ginv, gamma = grid._geometry
     jets = entry.atlas.ambient_jets(list(grid.columns))
     values, grads, laps = [], [], []
     for c, (v, da, dda) in enumerate(jets):
         values.append(v)
         grads.append(da)
-        laps.append(_grid_laplacian(grid, da, dda))
+        laps.append(_nodes(grid, laplacian_from(ginv, gamma, da, dda)))
         jets[c] = None  # its value and gradient are kept, its second partials dropped
     i, j = np.triu_indices(len(values))
     basis = np.empty((len(i) + len(values), len(grid.weight))) if out is None else out
@@ -516,7 +496,7 @@ def _chart_laplacian(entry, grid: QuadratureGrid, field, chart: int, basis) -> n
         signs = _monomial_signs(entry.atlas.signs(chart, len(grid.columns)))
         return (field.ambient.basis_coefficients * signs) @ basis
     _, du, ddu = jet2(field.per_chart[chart], grid.columns)
-    return _grid_laplacian(grid, du, ddu)
+    return laplacian_from(grid.inverse, grid.christoffel, du, ddu)
 
 
 def integrate_laplacian(
@@ -586,15 +566,18 @@ def _spot_check_soliton(inst: SolitonInstance, entry: CatalogEntry):
 # The compact checks' integrands, read off a node block's ``CurvatureData``.
 _CURVATURE_READS = {
     "R^2": lambda d, f: d.scalar * d.scalar,
-    "Ric(grad f, grad f)": lambda d, f: _ric_ff(d.ricci, d.gradient_up(f)),
+    "Ric(grad f, grad f)": lambda d, f: quadratic_form(d.ricci, d.gradient_up(f)),
     "|Hess f|^2": lambda d, f: sym2_norm_sq(d.inverse, d.hessian(f)),
 }
 
 
 def _curvature_integrals(entry: CatalogEntry, f: ScalarField, resolution: int, *reads: str) -> list[float]:
-    """The integral of each of ``reads`` (keys of ``_CURVATURE_READS``),
-    f the same coordinate expression in every chart.  Each node block lifts
-    g once, to order 2 (all that R, Ric and Hess f read), for every read."""
+    """The integral of each of ``reads`` (keys of ``_CURVATURE_READS``).
+    Each node block lifts g once, to order 2 (all that R, Ric and Hess f
+    read), for every read.  f is one expression read in every chart alike,
+    one function on the sphere only if inversion-symmetric (as the compact
+    catalog potential, a constant, is) until these checks take a
+    ``ManifoldScalarField`` as ``integrate`` does."""
 
     def integrands(block):
         d = CurvatureData(block.metric, block.columns, 2)

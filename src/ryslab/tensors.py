@@ -190,6 +190,12 @@ class _SymmetricRow(Sequence):
         return self._matrix.read(self._j, range(len(self._matrix))[k])
 
 
+def quadratic_form(t, v):
+    """T(v, v) = T_ij v^i v^j, e.g. Ric(grad f, grad f)."""
+    n = len(v)
+    return sum(t[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+
+
 def sym2_norm_sq(ginv, t):
     """|T|^2 = T_ij T_kl g^{ik} g^{jl} with both indices raised."""
     n = len(ginv)

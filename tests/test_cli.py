@@ -651,22 +651,32 @@ def test_stacked_perturbed_flat_matches_one_batch_per_metric(points):
     assert report.records == _universal_reference(points, 7, tols)
 
 
+def _scaled(value, factor=1.0 + 1e-2):
+    """``value`` times ``factor``, entry by entry through nested lists."""
+    return [_scaled(v, factor) for v in value] if isinstance(value, list) else value * factor
+
+
 @pytest.mark.parametrize(
     "term, record",
-    [("_divergence_ricci", "contracted-bianchi"), ("_rough_laplacian_df", "commutation"), ("_ric_ff", "bochner")],
+    [("ricci_partials", "contracted-bianchi"), ("hessian_partials", "commutation"), ("quadratic_form", "bochner")],
 )
 def test_universal_record_fails_on_a_wrong_term(term, record, tmp_path, monkeypatch):
-    """Negative controls: one term of an identity scaled by 1 + 1e-2 makes
-    exactly that identity's perturbed-flat record fail, and `verify` exit 1."""
+    """Negative controls: one input of an identity scaled by 1 + 1e-2 (the
+    partials of Ric that div Ric reads, the partials of Hess f that
+    Delta df reads, or the contraction Ric(grad f, grad f)) makes exactly
+    that identity's perturbed-flat record fail, and `verify` exit 1."""
     from ryslab import identities
+    from ryslab.curvature import CurvatureData
 
-    exact = getattr(identities, term)
-
-    def scaled(*args):
-        out = exact(*args)
-        return [v * (1.0 + 1e-2) for v in out] if isinstance(out, list) else out * (1.0 + 1e-2)
-
-    monkeypatch.setattr(identities, term, scaled)
+    if term == "ricci_partials":
+        exact = CurvatureData.ricci_partials.fget
+        monkeypatch.setattr(CurvatureData, term, property(lambda self: _scaled(exact(self))))
+    elif term == "hessian_partials":
+        exact = CurvatureData.hessian_partials
+        monkeypatch.setattr(CurvatureData, term, lambda self, f: _scaled(exact(self, f)))
+    else:
+        exact = identities.quadratic_form
+        monkeypatch.setattr(identities, term, lambda *args: _scaled(exact(*args)))
     out = tmp_path / "report.json"
     assert run(["verify", "--case", "perturbed-flat", "--points", "16", "--out", str(out)]) == 1
     records = json.loads(out.read_text())["records"]

@@ -309,6 +309,39 @@ def test_sym2tensor_rejects_asymmetric():
         cv.Sym2Tensor.from_matrix([[0.0, 1.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize(
+    "m",
+    [[[1.0, math.nan], [0.0, 1.0]], [[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.inf], [math.inf, 1.0]]],
+)
+def test_sym2tensor_rejects_non_finite_entries(m):
+    """A NaN entry, off the diagonal (a NaN antisymmetry) or on it (a NaN
+    bound), or a symmetric pair of infs (inf - inf), is no symmetric
+    matrix."""
+    with pytest.raises(ValueError):
+        cv.Sym2Tensor.from_matrix(m)
+
+
+@pytest.mark.parametrize("reader", ["christoffel_generic", "hessian_generic", "laplacian_generic"])
+def test_generic_readers_evaluate_the_metric_once(reader, monkeypatch):
+    """Each of these readers evaluates g once per call, at one point of the
+    unit 3-sphere: Gamma and g^{-1} come off one order-1 lift
+    (``connection``)."""
+    entry = catalog.sphere_entry(1.0)
+    g = entry.metric
+    p = sample_points(g.domain, 1, seed=4)[0]
+    f = catalog.random_polynomial_field(g.domain, 5)
+    calls, matrix = [], MetricField.matrix
+
+    def counting(self, coords):
+        calls.append(1)
+        return matrix(self, coords)
+
+    monkeypatch.setattr(MetricField, "matrix", counting)
+    args = (g, p.coords) if reader == "christoffel_generic" else (g, f, p.coords)
+    getattr(cv, reader)(*args)
+    assert len(calls) == 1
+
+
 def test_four_dimensional_batch_equals_each_point():
     """Ricci and R of a 4D metric over a batch (the n >= 4 inverse on
     columns) equal the values at each point alone."""

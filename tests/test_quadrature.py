@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ryslab import catalog, quadrature as quad
+from ryslab import catalog, curvature, quadrature as quad
 from ryslab.errors import (
     DegenerateDenominator,
     NotASoliton,
@@ -19,6 +19,12 @@ from ryslab.geometry import ScalarField
 from ryslab.soliton import SolitonInstance, SolitonKind, SolitonParams
 
 UNIT_VOLUME = 2.0 * math.pi**2
+
+
+def grid_laplacian(grid, du, ddu):
+    """Delta u at every node of ``grid`` from u's partials on its columns,
+    by ``laplacian_from`` on the grid's g^{ij} and Gamma."""
+    return quad._nodes(grid, curvature.laplacian_from(grid.inverse, grid.christoffel, du, ddu))
 
 
 def ambient_poly(seed):
@@ -57,12 +63,12 @@ class TestVolume:
 
     def test_zero_field_integrates_to_zero(self):
         entry = catalog.sphere_entry(1.0)
-        assert quad.integrate(entry, lambda x: 0.0, 8) == 0.0
+        assert quad.integrate(entry, quad.ManifoldScalarField.constant(0.0), 8) == 0.0
 
     def test_volume_is_the_integral_of_one_summed_once(self):
         entry = catalog.sphere_entry(1.0)
         v = quad.volume(entry, 10)
-        assert v == quad.integrate(entry, lambda x: 1.0, 10)
+        assert v == quad.integrate(entry, quad.ManifoldScalarField.constant(1.0), 10)
         assert quad.build_grid(entry, 10).__dict__["volume"] == v
 
     def test_resolution_floor(self):
@@ -334,7 +340,7 @@ def per_node_curvature_integrals(entry, f, resolution, ricci_factor=1.0):
     def hess_sq(x):
         return value_of(sym2_norm_sq(mat_inverse(g.matrix(x)), hessian_generic(g, f, x)))
 
-    return [quad.integrate(entry, fn, resolution) for fn in (r_squared, ric_ff, hess_sq)]
+    return [quad.integrate(entry, quad.ManifoldScalarField((fn,) * 2), resolution) for fn in (r_squared, ric_ff, hess_sq)]
 
 
 @pytest.mark.parametrize("radius", [1.0, 0.5])
@@ -394,7 +400,7 @@ def test_integrate_builds_grid_geometry_once(divergence, tmp_path, capsys, monke
     from ryslab import cli
 
     calls = {"christoffel": 0, "volume": 0}
-    christoffel, volume = quad.christoffel_from, quad.volume
+    christoffel, volume = curvature.christoffel_from, quad.volume
 
     def counting_christoffel(ginv, dg):
         calls["christoffel"] += 1
@@ -406,7 +412,7 @@ def test_integrate_builds_grid_geometry_once(divergence, tmp_path, capsys, monke
 
     assert node_blocks(24) == 4
     monkeypatch.setattr(quad, "_GRID_CACHE", {})
-    monkeypatch.setattr(quad, "christoffel_from", counting_christoffel)
+    monkeypatch.setattr(curvature, "christoffel_from", counting_christoffel)
     monkeypatch.setattr(quad, "volume", counting_volume)
     argv = [
         "integrate", "--case", "unit-s3", "--resolution", "24",
@@ -464,7 +470,7 @@ def test_quadrature_sums_equal_fsum_of_the_same_terms(radius):
     terms = []
     for _ in range(grid.chart_count):
         terms.extend((grid.weight * np.asarray(value_of(fn(list(grid.columns))))).tolist())
-    assert quad.integrate(entry, fn, 12) == math.fsum(terms)
+    assert quad.integrate(entry, quad.ManifoldScalarField((fn,) * 2), 12) == math.fsum(terms)
 
 
 def smooth_field(a):
@@ -544,7 +550,7 @@ def test_chart_basis_matches_each_monomials_jet():
     for chart in range(grid.chart_count):
         basis = chart0 * quad._monomial_signs(entry.atlas.signs(chart, 3))[:, None]
         expected = [
-            quad._grid_laplacian(grid, *jet2(lambda x, k=k: monomials(entry.atlas.ambient(chart, x))[k], grid.columns)[1:])
+            grid_laplacian(grid, *jet2(lambda x, k=k: monomials(entry.atlas.ambient(chart, x))[k], grid.columns)[1:])
             for k in range(14)
         ]
         assert basis.shape == (14, len(grid.weight))
@@ -605,10 +611,10 @@ def test_non_polynomial_field_passes_the_divergence_check(factor, radius, monkey
     order-2 Taylor lift), integrates its Laplacian to a gap of at most 1e-5
     at resolution 24 on every catalog sphere (about 1e-9); negative
     control: with Gamma scaled by 1.1 the gap exceeds 1e-5 on each."""
-    christoffel = quad.christoffel_from
+    christoffel = curvature.christoffel_from
     monkeypatch.setattr(quad, "_GRID_CACHE", {})
     monkeypatch.setattr(
-        quad, "christoffel_from",
+        curvature, "christoffel_from",
         lambda ginv, dg: [[[factor * e for e in row] for row in plane] for plane in christoffel(ginv, dg)],
     )
     entry = catalog.sphere_entry(radius)
@@ -621,7 +627,7 @@ def test_integrate_lifts_each_node_block_once_to_order_one(tmp_path, capsys, mon
     """`integrate` on its command path lifts each node block's columns once,
     to order 1 (g^{ij} and Gamma): the basis takes its second partials from
     the closed-form embedding jets, never from an order-2 Taylor."""
-    from ryslab import ad, cli, curvature
+    from ryslab import ad, cli
 
     orders, lift, blocks = [], ad.lift, node_blocks(24)
 
@@ -649,18 +655,18 @@ def test_integrate_cost_is_flat_in_the_divergence_count(divergence, resolution, 
     from ryslab import cli
 
     events = []
-    jets, laplacian = catalog.SphereAtlas.ambient_jets, quad._grid_laplacian
+    jets, laplacian = catalog.SphereAtlas.ambient_jets, quad.laplacian_from
 
     def counting_jets(self, coords):
         events.append("embed")
         return jets(self, coords)
 
-    def counting_laplacian(grid, du, ddu):
+    def counting_laplacian(ginv, gamma, du, ddu):
         events.append("laplacian")
-        return laplacian(grid, du, ddu)
+        return laplacian(ginv, gamma, du, ddu)
 
     monkeypatch.setattr(catalog.SphereAtlas, "ambient_jets", counting_jets)
-    monkeypatch.setattr(quad, "_grid_laplacian", counting_laplacian)
+    monkeypatch.setattr(quad, "laplacian_from", counting_laplacian)
     argv = [
         "integrate", "--case", "unit-s3", "--resolution", str(resolution),
         "--divergence", str(divergence), "--out", str(tmp_path / "report.json"),
@@ -680,7 +686,7 @@ def test_divergence_check_fails_when_the_laplacian_is_wrong(mutation, resolution
     which needs no Laplacian, still passes."""
     from ryslab import cli
 
-    christoffel, pairings = quad.christoffel_from, quad._gradient_pairings
+    christoffel, pairings = curvature.christoffel_from, quad._gradient_pairings
     jets = catalog.SphereAtlas.ambient_jets
     mutated_blocks = []
     if mutation == "ddu-cubic-scaled":
@@ -712,7 +718,7 @@ def test_divergence_check_fails_when_the_laplacian_is_wrong(mutation, resolution
             return [[[factor * e for e in row] for row in plane] for plane in christoffel(ginv, dg)]
 
         monkeypatch.setattr(quad, "_GRID_CACHE", {})
-        monkeypatch.setattr(quad, "christoffel_from", mutated)
+        monkeypatch.setattr(curvature, "christoffel_from", mutated)
     out = tmp_path / "report.json"
     argv = [
         "integrate", "--case", "unit-s3", "--resolution", str(resolution),
@@ -769,7 +775,7 @@ def chart_basis_from_own_jets(entry, grid, chart):
             v, da, dda = -v, [-d for d in da], [[-h for h in row] for row in dda]
         values.append(v)
         grads.append(da)
-        laps.append(quad._grid_laplacian(grid, da, dda))
+        laps.append(grid_laplacian(grid, da, dda))
     pairings = list(quad._gradient_pairings(grid, grads))
     rows = [
         values[a] * laps[b] + values[b] * laps[a] + 2.0 * pairings[row]
@@ -865,7 +871,7 @@ def whole_grid_laplacian_integrals(entry, fields, resolution):
                 signs = quad._monomial_signs(entry.atlas.signs(c, 3))
                 laps.append((field.ambient.basis_coefficients * signs) @ basis)
             else:
-                laps.append(quad._grid_laplacian(grid, *jet2(field.per_chart[c], grid.columns)[1:]))
+                laps.append(grid_laplacian(grid, *jet2(field.per_chart[c], grid.columns)[1:]))
         terms = np.concatenate([grid.weight * lap for lap in laps])
         peak = max(float(np.max(np.abs(lap))) for lap in laps)
         results.append({"integral": quad.exact_sum(terms), "scale": grid.volume * peak, "volume": grid.volume})
@@ -887,8 +893,8 @@ def test_blocked_integrals_equal_the_whole_grid_arithmetic(monkeypatch):
         quad.ManifoldScalarField(quadratic[0].per_chart),
         quad.ManifoldScalarField.constant(3.0),
     ]
-    christoffel, builds = quad.christoffel_from, []
-    monkeypatch.setattr(quad, "christoffel_from", lambda ginv, dg: builds.append(1) or christoffel(ginv, dg))
+    christoffel, builds = curvature.christoffel_from, []
+    monkeypatch.setattr(curvature, "christoffel_from", lambda ginv, dg: builds.append(1) or christoffel(ginv, dg))
     got = quad.integrate_laplacians(entry, fields, 24)
     assert len(builds) == node_blocks(24)
     assert got == whole_grid_laplacian_integrals(entry, fields, 24)
