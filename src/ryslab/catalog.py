@@ -14,7 +14,6 @@ into an instance on the entry's metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -29,6 +28,7 @@ from .geometry import (
     constant_scalar,
     sample_points,
 )
+from .records import Record
 from .soliton import SolitonInstance, SolitonKind, SolitonParams
 from .tensors import Symmetric
 
@@ -40,8 +40,7 @@ BUMP_INNER = 2.0 / 3.0
 BUMP_OUTER = 1.5
 
 
-@dataclass(frozen=True)
-class ClosedForms:
+class ClosedForms(Record):
     """Known exact curvature data for an entry, when available."""
 
     einstein_factor: Optional[float] = None   # Ric = factor * g
@@ -50,8 +49,7 @@ class ClosedForms:
     ricci_fn: Optional[Callable] = None       # point -> n x n matrix
 
 
-@dataclass(frozen=True)
-class SphereAtlas:
+class SphereAtlas(Record):
     """Two antipodal stereographic charts joined by coordinate inversion.
 
     Chart 1 is chart 0 reflected through the equator: its embedding is
@@ -126,8 +124,7 @@ class SphereAtlas:
         return jets + [(values[n], [t * d for d in du], Symmetric(n, lambda j, k: t * ddu[j][k]))]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     metric: MetricField
     charts: tuple[ChartDomain, ...]
@@ -406,8 +403,7 @@ def perturbed_flat_group(epsilon: float, seeds, sizes, dim: int = 3) -> MetricFi
 
 # -- verify cases -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(Record):
     """A named verification case: one row builds its soliton instance.
 
     ``field(domain, params)`` gives the potential of a gradient case, or

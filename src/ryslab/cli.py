@@ -16,7 +16,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,6 +24,7 @@ from . import ad, catalog, identities, quadrature, solver
 from .curvature import curvature_data, ricci, ricci_operator, scalar_curvature
 from .errors import AlphaZero, BeyondAntipode, DegenerateBeta, NoConvergence, NotCompact, RysLabError
 from .geometry import PointBatch, sample_points
+from .records import Record
 from .report import VERSION, CheckRecord, CheckReport, write_atomic, write_report
 from .soliton import (
     SolitonKind,
@@ -241,8 +241,7 @@ def _class_consistency(inst, batch, tols):
     return batch.points[0], 0.0, 0.0, 0.0 if consistent else 1.0
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """One table row: a kind of report record and how `verify` measures it.
 
     ``order`` is the highest derivative of g the row reads: a case lifts

@@ -17,13 +17,13 @@ reads, on floats or columns).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, wraps
 
 import numpy as np
 
 from .ad import CHUNK, MAX_ORDER, jet2, lift, minus, partial, plus, split, truncate, vlift
 from .geometry import MetricField, PointBatch, ScalarField, VectorField, stack
+from .records import Record
 from .tensors import Symmetric, dot, mat_inverse, mat_vec, sym2_norm_sq, trace_pair, trace_read
 
 SYMMETRY_TOL = 1e-12
@@ -32,8 +32,7 @@ SYMMETRY_TOL = 1e-12
 FIELD_ORDER = 3
 
 
-@dataclass(frozen=True)
-class Sym2Tensor:
+class Sym2Tensor(Record):
     """Covariant symmetric 2-tensor value at a point, or at each point of
     a batch (``components`` of shape (n, n, m))."""
 
@@ -200,6 +199,10 @@ def _stitch(parts, sizes):
     return np.concatenate([np.broadcast_to(p, (k,)) for p, k in zip(parts, sizes)])
 
 
+# Marks a key not yet in a batch's memo.
+_MISSING = object()
+
+
 def _shared(build):
     """A read of the batch (of a field, if ``build`` takes one), built once:
     on each chunk, then stitched."""
@@ -207,11 +210,12 @@ def _shared(build):
     @wraps(build)
     def read(self, *field):
         key = (build.__name__,) + field
-        if key not in self._memo:
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
             chunks = self._chunks or ()
             parts = [read(c, *field) for c in chunks]
-            self._memo[key] = _stitch(parts, [len(c.x[0]) for c in chunks]) if parts else build(self, *field)
-        return self._memo[key]
+            value = self._memo[key] = _stitch(parts, [len(c.x[0]) for c in chunks]) if parts else build(self, *field)
+        return value
 
     return read
 
@@ -305,10 +309,12 @@ class CurvatureData:
 
     def _field(self, f: ScalarField):
         """f on its lift (R read off g's) and ``_second`` of it, per chunk."""
-        if ("lifted", f) not in self._memo:
+        key = ("lifted", f)
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
             t = self._lifted["scalar"] if f is self.scalar_field else f.fn(lift(self.x, FIELD_ORDER))
-            self._memo["lifted", f] = (t,) + self._second(t)
-        return self._memo["lifted", f]
+            value = self._memo[key] = (t,) + self._second(t)
+        return value
 
     @_shared
     def jet(self, f: ScalarField):

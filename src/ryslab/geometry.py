@@ -11,13 +11,13 @@ concurrent read-only use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import ad
 from .errors import NotSPD, OrderTooHigh, StencilOutOfDomain
+from .records import Record
 
 # Finite-difference base step is this fraction of the coordinate width;
 # the stencil margin keeps 5 such steps clear of every boundary so both
@@ -25,9 +25,11 @@ from .errors import NotSPD, OrderTooHigh, StencilOutOfDomain
 FD_STEP_FRACTION = 1e-2
 STENCIL_STEPS = 5
 
+# Marks a key not yet in a memo (a stored value may be None).
+_MISSING = object()
 
-@dataclass(frozen=True)
-class ChartDomain:
+
+class ChartDomain(Record):
     """Open box in R^n with per-coordinate bounds."""
 
     dim: int
@@ -74,15 +76,17 @@ class ChartDomain:
             )
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class ChartPoint(Record):
     """Coordinates of a point in some chart."""
 
     coords: tuple[float, ...]
 
-    def __post_init__(self):
-        if not all(math.isfinite(c) for c in self.coords):
-            raise ValueError(f"non-finite coordinates {self.coords}")
+    # Written out, as the hot constructor (every sampled point): it runs
+    # faster than Record's generic one.
+    def __init__(self, coords: tuple[float, ...]):
+        if not all(math.isfinite(c) for c in coords):
+            raise ValueError(f"non-finite coordinates {coords}")
+        object.__setattr__(self, "coords", coords)
 
     def __len__(self):
         return len(self.coords)
@@ -138,10 +142,12 @@ class PointBatch:
         return len(self.points)
 
     def memo(self, key, build):
-        """The value stored under ``key``, computed by ``build()`` on first use."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+        """The value stored under ``key``, computed by ``build()`` on first use.
+        One lookup on a hit, a lookup and a store on a miss."""
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = build()
+        return value
 
     def values(self, v):
         """``v`` as a float for a single point, else as an array of shape
@@ -178,8 +184,7 @@ def stack(m, shape=None) -> np.ndarray:
     return np.array([[np.broadcast_to(v, shape) for v in row] for row in vals])
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(Record):
     """Smooth real function on a chart, differentiable to order 4."""
 
     fn: Callable
@@ -190,8 +195,7 @@ class ScalarField:
         return self.fn(list(coords))
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Record):
     """Contravariant components X^i on a chart."""
 
     fn: Callable
@@ -208,8 +212,7 @@ class VectorField:
         return list(v)
 
 
-@dataclass(frozen=True)
-class OneFormField:
+class OneFormField(Record):
     """Covariant components eta_i on a chart."""
 
     fn: Callable
@@ -226,8 +229,7 @@ class OneFormField:
         return list(v)
 
 
-@dataclass(frozen=True)
-class MetricField:
+class MetricField(Record):
     """Symmetric positive-definite metric components g_ij on a chart.
 
     Evaluation symmetrizes the raw component matrix, so g_ij == g_ji

@@ -20,7 +20,6 @@ runs on floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Any
 
@@ -30,6 +29,7 @@ from .ad import jet2  # noqa: F401 (bench/selftest.py looks up jet2 here)
 from .curvature import curvature_data, ricci_generic  # noqa: F401 (bench/selftest.py looks up ricci_generic here)
 from .errors import DegenerateDenominator, NotASoliton, NotCompact
 from .geometry import ChartPoint, MetricField, PointBatch, ScalarField
+from .records import Record
 from .soliton import (
     SolitonClass,
     SolitonInstance,
@@ -42,8 +42,7 @@ from .tensors import dot, quadratic_form, sym2_norm_sq
 SOLITON_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class IdentityResidual:
+class IdentityResidual(Record):
     """Two-sided residual of one identity at one point, or at every point
     of a batch.
 

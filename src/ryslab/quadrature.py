@@ -17,7 +17,6 @@ on how they are split, and are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
@@ -29,6 +28,7 @@ from .curvature import CurvatureData, connection, curvature_data, laplacian_from
 from .errors import DegenerateDenominator, NotCompact, NotSteady
 from .geometry import MetricField, PointBatch, ScalarField, sample_points
 from .identities import IdentityResidual, require_soliton
+from .records import Record
 from .soliton import SolitonInstance, SolitonKind
 from .tensors import dot, mat_det, mat_vec, quadratic_form, sym2_norm_sq
 
@@ -188,8 +188,7 @@ def bump_profile(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(Record):
     """Every chart's nodes and weights.
 
     Both stereographic charts share the metric's coordinate form and the
@@ -232,7 +231,7 @@ class QuadratureGrid:
         for start in range(0, m, _CHUNK):
             s = slice(start, min(start + _CHUNK, m))
             columns = tuple(x[s] for x in self.columns)
-            yield s, replace(self, weight=self.weight[s], partition=self.partition[s], columns=columns)
+            yield s, self.replace(weight=self.weight[s], partition=self.partition[s], columns=columns)
 
 
 _GRID_CACHE: dict = {}
@@ -317,8 +316,7 @@ def build_grid(entry: CatalogEntry, resolution: int) -> QuadratureGrid:
     return grid
 
 
-@dataclass(frozen=True, eq=False)
-class AmbientQuadratic:
+class AmbientQuadratic(Record, eq=False):
     """u(a) = sum_ij c_ij a_i a_j + sum_i lin_i a_i on ambient coordinates a.
 
     Calling it evaluates the factored form sum_i a_i (sum_j c_ij a_j + lin_i),
@@ -349,8 +347,7 @@ class AmbientQuadratic:
         return out
 
 
-@dataclass(frozen=True)
-class ManifoldScalarField:
+class ManifoldScalarField(Record):
     """A global scalar field given by one coordinate expression per chart.
 
     A field built ``from_ambient`` also keeps its ambient expression; when

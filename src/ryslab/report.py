@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
 from typing import Optional
+
+from .records import Fresh, Record
 
 VERSION = "0.1.0"
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(Record, frozen=False):
     name: str
     anchor: str
     point: Optional[list]
@@ -33,27 +33,40 @@ class CheckRecord:
     @classmethod
     def build(cls, name, anchor, point, lhs, rhs, gap, tol) -> "CheckRecord":
         return cls(
-            name=name,
-            anchor=anchor,
-            point=None if point is None else [float(c) for c in point],
-            lhs=float(lhs),
-            rhs=float(rhs),
-            gap=float(gap),
-            tol=float(tol),
-            verdict="pass" if float(gap) <= float(tol) else "fail",
+            name,
+            anchor,
+            None if point is None else [float(c) for c in point],
+            float(lhs),
+            float(rhs),
+            float(gap),
+            float(tol),
+            "pass" if float(gap) <= float(tol) else "fail",
         )
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
+    def to_payload(self) -> dict:
+        """The record's fields by name; ``point`` is a fresh list."""
+        point = self.point
+        return {
+            "name": self.name,
+            "anchor": self.anchor,
+            "point": None if point is None else list(point),
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "gap": self.gap,
+            "tol": self.tol,
+            "verdict": self.verdict,
+        }
 
-@dataclass
-class CheckReport:
+
+class CheckReport(Record, frozen=False):
     command: str
     config: dict
-    records: list[CheckRecord] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    records: list[CheckRecord] = Fresh(list)
+    warnings: list[str] = Fresh(list)
     version: str = VERSION
     wall_time_s: float = 0.0   # console-only; excluded from the file
 
@@ -82,7 +95,7 @@ class CheckReport:
             "version": self.version,
             "command": self.command,
             "config": self.config,
-            "records": [asdict(r) for r in self.records],
+            "records": [r.to_payload() for r in self.records],
             "warnings": list(self.warnings),
             "summary": self.summary,
         }

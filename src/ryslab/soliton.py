@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
@@ -26,6 +25,7 @@ from .ad import split, vlift
 from .curvature import Sym2Tensor, curvature_data
 from .geometry import MetricField, OneFormField, PointBatch, ScalarField, VectorField
 from .errors import AlphaZero, DegenerateBeta
+from .records import Record
 
 STEADY_TOL = 1e-12
 
@@ -36,8 +36,7 @@ class SolitonClass(str, enum.Enum):
     SHRINKING = "shrinking"
 
 
-@dataclass(frozen=True)
-class SolitonParams:
+class SolitonParams(Record):
     """The four real constants of the soliton equations."""
 
     alpha: float
@@ -67,12 +66,12 @@ class SolitonKind(str, enum.Enum):
     GEN_GRYS = "gen-grys"      # potential f plus mu df(x)df
 
 
-@dataclass(frozen=True)
-class SolitonInstance:
+class SolitonInstance(Record, uncompared=("entry",)):
     """A metric with soliton data of one of the four flavors.
 
     ``entry`` is an optional back-reference to the catalog entry that
-    built the instance (charts, compactness flag, quadrature atlas).
+    built the instance (charts, compactness flag, quadrature atlas);
+    equality, hashing and repr ignore it.
     """
 
     params: SolitonParams
@@ -83,7 +82,7 @@ class SolitonInstance:
     eta: Optional[OneFormField] = None
     phi: Optional[float] = None      # concircular factor, when known
     compact: bool = False
-    entry: Any = field(default=None, repr=False, compare=False)
+    entry: Any = None
 
     def __post_init__(self):
         needs_potential = self.kind in (SolitonKind.GRYS, SolitonKind.GEN_GRYS)

@@ -32,12 +32,12 @@ convergence tolerance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import BeyondAntipode, GridTooCoarse, NoConvergence
+from .records import Record
 from .soliton import SolitonParams
 
 MIN_INTERVALS = 16
@@ -50,8 +50,7 @@ ORIGIN_MARGIN = 1e-3
 STENCIL_WIDTH = 6
 
 
-@dataclass(frozen=True)
-class Background:
+class Background(Record):
     """Closed-form curvature data of a rotationally symmetric 3-space."""
 
     name: str
@@ -92,8 +91,7 @@ def named_background(name: str, radius: float = 1.0) -> Background:
     return table[name]()
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(Record):
     grid: np.ndarray
     values: np.ndarray
     params: SolitonParams

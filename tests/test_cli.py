@@ -589,10 +589,8 @@ def test_declared_order_below_a_read_is_a_failed_computation(tmp_path, capsys, m
     identity declared at order 3, einstein-s3 lifts its curved metric to 3
     and the Delta R read raises ``OrderTooHigh`` (exit 1, no traceback)
     instead of reading a truncated polynomial."""
-    import dataclasses
-
     row = cli.CHECKS["laplacian-identity"]
-    monkeypatch.setitem(cli.CHECKS, "laplacian-identity", dataclasses.replace(row, order=3))
+    monkeypatch.setitem(cli.CHECKS, "laplacian-identity", row.replace(order=3))
     out = tmp_path / "report.json"
     assert run(["verify", "--case", "einstein-s3", "--points", "12", "--out", str(out)]) == 1
     err = capsys.readouterr().err

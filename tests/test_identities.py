@@ -1,8 +1,6 @@
 """Identity checks: positive cases from closed forms, negative controls,
 and the universal suite on random geometries."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -413,7 +411,7 @@ class TestMetricEvaluationsPerBatch:
         spec = catalog.verify_cases()["einstein-s3"]
         inst = spec.build(spec.defaults)
         g, calls = self.counted(inst.metric)
-        inst = dataclasses.replace(inst, metric=g)
+        inst = inst.replace(metric=g)
         tols = {check.name: check.tol for check in cli.CHECKS.values()}
 
         class Sink:

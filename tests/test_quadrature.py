@@ -980,8 +980,6 @@ def poisoned_sphere(node, resolution):
     """The unit 3-sphere with g_00 NaN at one grid node in its lifted
     evaluations (the ones that build g^{ij}, Gamma and the basis); the
     float evaluation that weights the nodes stays finite."""
-    import dataclasses
-
     from ryslab import ad
 
     entry = catalog.sphere_entry(1.0)
@@ -998,7 +996,7 @@ def poisoned_sphere(node, resolution):
             m[0][0] = ad.Taylor(c, m[0][0].n, m[0][0].order)
         return m
 
-    return dataclasses.replace(entry, metric=dataclasses.replace(entry.metric, fn=g))
+    return entry.replace(metric=entry.metric.replace(fn=g))
 
 
 def test_a_nan_metric_component_reaches_its_basis_column_and_fails(tmp_path, capsys, monkeypatch):
