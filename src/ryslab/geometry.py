@@ -81,19 +81,12 @@ class ChartPoint(Record):
 
     coords: tuple[float, ...]
 
-    # Written out, as the hot constructor (every sampled point): it runs
-    # faster than Record's generic one.
-    def __init__(self, coords: tuple[float, ...]):
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"non-finite coordinates {coords}")
-        object.__setattr__(self, "coords", coords)
+    def __post_init__(self):
+        if not all(math.isfinite(c) for c in self.coords):
+            raise ValueError(f"non-finite coordinates {self.coords}")
 
     def __len__(self):
         return len(self.coords)
-
-
-def as_chart_point(p) -> ChartPoint:
-    return p if isinstance(p, ChartPoint) else ChartPoint(tuple(float(c) for c in p))
 
 
 class PointBatch:
@@ -105,41 +98,55 @@ class PointBatch:
     runs once over all points and returns arrays of shape (m,).
     Quantities that several checks need (the metric inverse, Ricci, the
     defining residual, the curvature data) are kept in ``memo``, so each is
-    computed once per batch.
+    computed once per batch.  ``batch[k]`` builds point k as a ChartPoint
+    when something reads it.
 
-    ``PointBatch.of(p)`` wraps a single point as a batch whose columns are
-    plain floats; its quantities then stay floats, which is how the
-    per-point functions run the same code as the batch.
+    Built from plain floats, the batch is a single point: its quantities
+    then stay floats, which is how the per-point functions run the same
+    code as the batch.  ``PointBatch.of(p)`` wraps one point so, and
+    ``PointBatch.of_points(points)`` a list of them.
     """
 
-    def __init__(self, points):
-        self.points = tuple(as_chart_point(p) for p in points)
-        if not self.points:
-            raise ValueError("a point batch needs at least one point")
-        dim = len(self.points[0])
-        self.columns = [np.array([p.coords[i] for p in self.points]) for i in range(dim)]
-        self.shape = (len(self.points),)
+    def __init__(self, columns):
+        """``columns``: float arrays of one shape (m,) with m >= 1, or the
+        plain floats of a single point; every coordinate finite."""
+        columns = list(columns)
+        if columns and all(isinstance(c, float) for c in columns):
+            self.shape = ()
+        elif columns and all(isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns):
+            self.shape = columns[0].shape
+        else:
+            raise ValueError("a point batch takes (m,) float columns or the floats of one point")
+        if len(self.shape) > 1 or 0 in self.shape or any(np.shape(c) != self.shape for c in columns):
+            raise ValueError(f"a point batch takes columns of one shape (m,), m >= 1, got {[np.shape(c) for c in columns]}")
+        if not np.isfinite(columns).all():
+            raise ValueError("non-finite coordinates in a point batch")
+        self.columns = columns
         self._memo = {}
 
     @classmethod
     def of(cls, p) -> "PointBatch":
-        """``p`` itself if it is a batch, else the one point ``p`` as a batch."""
-        if isinstance(p, PointBatch):
-            return p
-        batch = cls.__new__(cls)
-        batch.points = (as_chart_point(p),)
-        batch.columns = list(batch.points[0].coords)
-        batch.shape = ()
-        batch._memo = {}
-        return batch
+        """``p`` itself if it is a batch, else the one point ``p`` (a
+        ChartPoint or a coordinate sequence) as a batch."""
+        return p if isinstance(p, PointBatch) else cls([float(c) for c in getattr(p, "coords", p)])
 
     @classmethod
     def of_points(cls, points) -> "PointBatch":
-        """``points`` itself if it is a batch, else a batch of the listed points."""
-        return points if isinstance(points, PointBatch) else cls(points)
+        """``points`` itself if it is a batch, else a batch of the listed
+        points (ChartPoints or coordinate sequences)."""
+        if isinstance(points, PointBatch):
+            return points
+        return cls(np.array([getattr(p, "coords", p) for p in points], dtype=float).T.copy())
 
     def __len__(self):
-        return len(self.points)
+        return self.shape[0] if self.shape else 1
+
+    def __getitem__(self, k) -> ChartPoint:
+        """Point k of the batch (IndexError past the last)."""
+        if self.shape:
+            return ChartPoint(tuple([float(c[k]) for c in self.columns]))
+        range(1)[k]  # the one point, or IndexError
+        return ChartPoint(tuple(self.columns))
 
     def memo(self, key, build):
         """The value stored under ``key``, computed by ``build()`` on first use.
@@ -161,16 +168,6 @@ class PointBatch:
         """Float values of a nested-list matrix: shape (n, n) for a single
         point, (n, n, m) for a batch, constant entries broadcast."""
         return stack(m, self.shape)
-
-
-def coords_of(p) -> list:
-    """Accept ChartPoint, PointBatch (its columns) or any coordinate
-    sequence, return a list."""
-    if isinstance(p, ChartPoint):
-        return list(p.coords)
-    if isinstance(p, PointBatch):
-        return list(p.columns)
-    return list(p)
 
 
 def stack(m, shape=None) -> np.ndarray:
@@ -263,7 +260,7 @@ class MetricField(Record):
             k = int(bad[0])
             raise NotSPD(
                 f"metric '{self.name}' is not positive definite at "
-                f"{batch.points[k].coords}: eigenvalues {w[k]}"
+                f"{batch[k].coords}: eigenvalues {w[k]}"
             )
 
 
@@ -280,7 +277,7 @@ def partial_derivative(field: ScalarField, p, multi_index, backend: str = "dual"
         raise OrderTooHigh(
             f"derivative order {len(index)} exceeds supported maximum {ad.MAX_ORDER}"
         )
-    x = coords_of(p)
+    x = PointBatch.of(p).columns
     field.domain.require_interior(x)
     for i in index:
         if not 0 <= i < field.domain.dim:
@@ -292,8 +289,9 @@ def partial_derivative(field: ScalarField, p, multi_index, backend: str = "dual"
     raise ValueError(f"unknown backend '{backend}'")
 
 
-def sample_points(domain: ChartDomain, count: int, seed: int) -> list[ChartPoint]:
-    """Seeded uniform interior samples respecting the stencil margin.
+def sample_points(domain: ChartDomain, count: int, seed: int) -> PointBatch:
+    """Seeded uniform interior samples respecting the stencil margin, as
+    one batch whose columns are one contiguous (dim, count) array.
 
     Deterministic for a fixed (domain, count, seed) triple.
     """
@@ -303,7 +301,7 @@ def sample_points(domain: ChartDomain, count: int, seed: int) -> list[ChartPoint
     lows = np.array([lo + domain.margin(i) for i, (lo, _) in enumerate(domain.bounds)])
     highs = np.array([hi - domain.margin(i) for i, (_, hi) in enumerate(domain.bounds)])
     raw = rng.uniform(lows, highs, size=(count, domain.dim))
-    return [ChartPoint(tuple(float(c) for c in row)) for row in raw]
+    return PointBatch(raw.T.copy())
 
 
 def constant_scalar(domain: ChartDomain, value: float, name: str = "const") -> ScalarField:

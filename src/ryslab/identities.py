@@ -67,7 +67,7 @@ class IdentityResidual(Record):
         rhs = batch.values(rhs)
         abs_gap = abs(lhs - rhs) if gap is None else batch.values(gap)
         rel = batch.values(abs_gap / (1.0 + np.maximum(abs(lhs), abs(rhs))))
-        point = batch if batch.shape else batch.points[0]
+        point = batch if batch.shape else batch[0]
         return cls(name, lhs, rhs, abs_gap, rel, point)
 
     def worst(self) -> "IdentityResidual":
@@ -82,7 +82,7 @@ class IdentityResidual(Record):
             float(self.rhs[k]),
             float(self.abs_gap[k]),
             float(self.rel_gap[k]),
-            self.point.points[k],
+            self.point[k],
         )
 
 
@@ -99,7 +99,7 @@ def require_soliton(inst: SolitonInstance, p, tol: float = SOLITON_TOL) -> None:
     if not res[k] <= tol:
         raise NotASoliton(
             f"defining residual {res[k]:.3e} exceeds {tol:.1e} at "
-            f"{batch.points[k].coords}"
+            f"{batch[k].coords}"
         )
 
 

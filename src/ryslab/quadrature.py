@@ -26,7 +26,7 @@ from .ad import jet2, value_of
 from .catalog import BUMP_INNER, BUMP_OUTER, CatalogEntry
 from .curvature import CurvatureData, connection, curvature_data, laplacian_from
 from .errors import DegenerateDenominator, NotCompact, NotSteady
-from .geometry import MetricField, PointBatch, ScalarField, sample_points
+from .geometry import MetricField, ScalarField, sample_points
 from .identities import IdentityResidual, require_soliton
 from .records import Record
 from .soliton import SolitonInstance, SolitonKind
@@ -234,6 +234,8 @@ class QuadratureGrid(Record):
             yield s, self.replace(weight=self.weight[s], partition=self.partition[s], columns=columns)
 
 
+# Grids by everything one is built from: (metric, atlas, chart count,
+# resolution).  The entry's name is not enough: a replaced metric keeps it.
 _GRID_CACHE: dict = {}
 
 
@@ -269,7 +271,7 @@ def build_grid(entry: CatalogEntry, resolution: int) -> QuadratureGrid:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
     if entry.dim != 3:
         raise NotCompact("quadrature atlas is implemented for 3-sphere entries")
-    key = (entry.name, entry.atlas.radius, resolution)
+    key = (entry.metric, entry.atlas, len(entry.charts), resolution)
     cached = _GRID_CACHE.get(key)
     if cached is not None:
         return cached
@@ -555,7 +557,7 @@ def _spot_check_soliton(inst: SolitonInstance, entry: CatalogEntry):
     """NotASoliton unless the defining residual vanishes at 12 sampled points.
     The batch's curvature data is built first, lifted to order 2: all that
     the residual reads (``require_soliton`` alone would lift to order 4)."""
-    batch = PointBatch(sample_points(entry.metric.domain, 12, seed=20))
+    batch = sample_points(entry.metric.domain, 12, seed=20)
     curvature_data(inst.metric, batch, 2)
     require_soliton(inst, batch)
 

@@ -5,14 +5,13 @@ order; a class attribute after a field is its default, and ``Fresh(list)``
 a default made anew for each record.  ``__init_subclass__`` reads them
 once, so creating the class runs no generated code, and the constructor
 takes the fields positionally or by name and then calls
-``__post_init__``, if the class has one.  A class may write its own
-``__init__`` instead, which sets each field with ``object.__setattr__``.
+``__post_init__``, if the class has one.  A class that writes its own
+``__init__`` keeps it.
 
-A record is immutable, compares and hashes by its field values (as a
-tuple kept on first use), and prints them.  ``replace(**changes)`` gives
-a copy with some fields changed, checked again by ``__post_init__``.
-Class keywords adjust this: ``frozen=False`` allows assignment, compares
-the fields' current values and makes the record unhashable; ``eq=False``
+A record is immutable, compares and hashes by its field values (the
+tuple of them and its hash each kept on first use), and prints them.
+``replace(**changes)`` gives a copy with some fields changed, checked
+again by ``__post_init__``.  Class keywords adjust this: ``eq=False``
 compares and hashes by identity; ``uncompared`` names fields that
 equality, hashing and repr ignore.
 """
@@ -20,7 +19,6 @@ equality, hashing and repr ignore.
 from __future__ import annotations
 
 import inspect
-from operator import attrgetter
 
 _set = object.__setattr__
 
@@ -52,17 +50,9 @@ class _Signature:
         ], return_annotation=None)
 
 
-def _eq_current(self, other):
-    """``==`` of a mutable record: its fields' values now."""
-    if other.__class__ is self.__class__:
-        return self._current(self) == self._current(other)
-    return NotImplemented
-
-
-def _constructor(cls, store):
-    """``cls.__init__``: the fields, positionally or by name, each set by
-    ``store``, then ``__post_init__``.  What it reads of the class is
-    read here, once."""
+def _constructor(cls):
+    """``cls.__init__``: the fields, positionally or by name, then
+    ``__post_init__``.  What it reads of the class is read here, once."""
     fields = cls._fields
     arity = len(fields)
     post = cls.__post_init__ is not None
@@ -71,7 +61,7 @@ def _constructor(cls, store):
         if kwargs or len(args) != arity:
             args = cls._bind(args, kwargs)
         for name, value in zip(fields, args):
-            store(self, name, value)
+            _set(self, name, value)
         if post:
             self.__post_init__()
 
@@ -81,15 +71,15 @@ def _constructor(cls, store):
 class Record:
     """Base of the value records; see the module docstring."""
 
-    # The compared field values of a frozen record, kept on first use.
-    __slots__ = ("_key",)
+    # The compared field values and their hash, each kept on first use.
+    __slots__ = ("_key", "_hash")
     __signature__ = _Signature()
     __post_init__ = None
     _fields = ()
     _defaults = {}
     _compared = ()
 
-    def __init_subclass__(cls, frozen=True, eq=True, uncompared=(), **kwargs):
+    def __init_subclass__(cls, eq=True, uncompared=(), **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(cls.__dict__.get("__annotations__", ()))
         defaults = dict(cls._defaults)
@@ -102,15 +92,9 @@ class Record:
         cls._defaults = defaults
         cls._compared = tuple(name for name in cls._fields if name not in uncompared)
         if "__init__" not in cls.__dict__:
-            # The builtin setattr is the faster; a frozen record refuses it.
-            cls.__init__ = _constructor(cls, _set if frozen else setattr)
+            cls.__init__ = _constructor(cls)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            if eq:
-                cls._current = attrgetter(*cls._compared)
-                cls.__eq__, cls.__hash__ = _eq_current, None
 
     @classmethod
     def _bind(cls, args, kwargs) -> tuple:
@@ -150,10 +134,10 @@ class Record:
 
     def __hash__(self):
         try:
-            key = self._key
+            return self._hash
         except AttributeError:
-            key = self._keep_key()
-        return hash(key)
+            _set(self, "_hash", hash(self._keep_key()))
+            return self._hash
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)

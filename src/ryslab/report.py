@@ -20,7 +20,7 @@ from .records import Fresh, Record
 VERSION = "0.1.0"
 
 
-class CheckRecord(Record, frozen=False):
+class CheckRecord(Record):
     name: str
     anchor: str
     point: Optional[list]
@@ -62,13 +62,12 @@ class CheckRecord(Record, frozen=False):
         }
 
 
-class CheckReport(Record, frozen=False):
+class CheckReport(Record):
     command: str
     config: dict
     records: list[CheckRecord] = Fresh(list)
     warnings: list[str] = Fresh(list)
     version: str = VERSION
-    wall_time_s: float = 0.0   # console-only; excluded from the file
 
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)

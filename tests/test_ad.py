@@ -334,12 +334,12 @@ def test_lifted_levels_keep_the_float_bits(name):
     float metric, its inverse and the Christoffel symbols from an order-1
     lift, at a point and over a batch; over a batch, a structural zero of
     the lift is the float 0.0 where the float pass holds a zero column."""
-    from ryslab.geometry import PointBatch, sample_points
+    from ryslab.geometry import sample_points
     from ryslab.tensors import mat_inverse
 
     g = _metric(name)
     pts = sample_points(g.domain, 3, seed=4)
-    for p in (pts[0], PointBatch(pts)):
+    for p in (pts[0], pts):
         data = curvature.curvature_data(g, p)
         x = data.x
         pairs = [

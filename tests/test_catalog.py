@@ -398,12 +398,10 @@ def test_metrics_round_alike_at_a_point_and_over_a_batch():
     per-point ones exactly.  (libm pow(x, 2) on a float and numpy's
     square on an array disagree in the last bit for about 1 argument in
     1,100; 2,000 points per chart would catch a metric that used it.)"""
-    from ryslab.geometry import PointBatch
-
     for entry in catalog.catalog_entries():
         for i, chart in enumerate(entry.charts):
-            batch = PointBatch(sample_points(chart, 2000, seed=3 + i))
+            batch = sample_points(chart, 2000, seed=3 + i)
             whole = batch.matrix(entry.metric.matrix(batch.columns))
-            for k, p in enumerate(batch.points):
+            for k, p in enumerate(batch):
                 single = entry.metric.matrix_np(p.coords)
                 assert np.array_equal(whole[:, :, k], single), (entry.name, k)

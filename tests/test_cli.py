@@ -512,13 +512,16 @@ def test_case_points_never_exceed_the_count():
     from ryslab.catalog import sphere_entry
     from ryslab.geometry import sample_points
 
+    def coords(batch):
+        return [list(column) for column in batch.columns]
+
     entry = sphere_entry(1.0)
     north, south = entry.charts
-    assert cli._case_points(entry, 1, 7) == sample_points(north, 1, 7)
+    assert coords(cli._case_points(entry, 1, 7)) == coords(sample_points(north, 1, 7))
     for count in (2, 3, 200):
         per = count // 2
-        expected = sample_points(north, per, 7) + sample_points(south, count - per, 8)
-        assert cli._case_points(entry, count, 7) == expected
+        expected = [a + b for a, b in zip(coords(sample_points(north, per, 7)), coords(sample_points(south, count - per, 8)))]
+        assert coords(cli._case_points(entry, count, 7)) == expected
 
 
 def test_verify_builds_shared_quantities_once_per_batch(tmp_path, capsys, monkeypatch):
@@ -545,6 +548,24 @@ def test_verify_builds_shared_quantities_once_per_batch(tmp_path, capsys, monkey
     argv = ["verify", "--case", "einstein-s3", "--points", "12", "--out", str(out)]
     assert run(argv) == 0
     assert calls == {"defining_residual": 1, "lifted_metric": 1}
+
+
+def test_default_verify_builds_one_point_per_record(tmp_path, monkeypatch):
+    """Sampled points stay coordinate columns: a default `verify` builds a
+    ChartPoint only for the point each record reports."""
+    from ryslab.geometry import ChartPoint
+
+    built, init = [], ChartPoint.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChartPoint, "__init__", counting_init)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--out", str(out)]) == 0
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 47 and len(built) == len(records)
 
 
 @pytest.mark.parametrize(
@@ -620,13 +641,13 @@ def _universal_reference(points, seed, tols):
     The batches keep the library's default lift, ``ad.MAX_ORDER``, so the
     comparison also holds `verify`'s order-3 lift to order 4 bit for bit."""
     from ryslab import catalog, identities
-    from ryslab.geometry import PointBatch, sample_points
+    from ryslab.geometry import sample_points
 
     worst = {}
     for k in range(cli.PERTURBED_METRICS):
         entry = catalog.make_perturbed_flat(1e-2, seed + k)
         f = catalog.random_polynomial_field(entry.metric.domain, seed + 1000 + k)
-        batch = PointBatch(sample_points(entry.metric.domain, points, seed + 2000 + k))
+        batch = sample_points(entry.metric.domain, points, seed + 2000 + k)
         for res in identities.universal_residuals(entry.metric, f, batch):
             res = res.worst()
             prev = worst.get(res.name)

@@ -257,7 +257,7 @@ def test_lift_order_bounds_the_reads():
     raises for their partials.  Nothing above the lift is truncated."""
     g = catalog.make_perturbed_flat(1e-2, 13).metric
     f = catalog.random_polynomial_field(g.domain, seed=14)
-    cols = PointBatch(sample_points(g.domain, 9, seed=15)).columns
+    cols = sample_points(g.domain, 9, seed=15).columns
     full, three, two = (cv.CurvatureData(g, cols, k) for k in (4, 3, 2))
     assert cv.CurvatureData(g, cols).order == ad.MAX_ORDER
 
@@ -286,7 +286,7 @@ def test_batch_keeps_the_order_it_was_built_at():
     order reuses it, and asking the built data for another order fails, as
     does a lift below Ric's order 2 or above ``MAX_ORDER``."""
     g = catalog.make_perturbed_flat(1e-2, 16).metric
-    batch = PointBatch(sample_points(g.domain, 3, seed=17))
+    batch = sample_points(g.domain, 3, seed=17)
     data = cv.curvature_data(g, batch, 3)
     assert cv.curvature_data(g, batch) is data and data.order == 3
     assert cv.curvature_data(g, batch, 3) is data
@@ -294,7 +294,7 @@ def test_batch_keeps_the_order_it_was_built_at():
         cv.curvature_data(g, batch, 4)
     for order in (1, ad.MAX_ORDER + 1):
         with pytest.raises(ValueError):
-            cv.curvature_data(g, PointBatch(batch.points), order)
+            cv.curvature_data(g, PointBatch(batch.columns), order)
 
 
 def test_metric_singular_guard():
@@ -347,7 +347,7 @@ def test_four_dimensional_batch_equals_each_point():
     columns) equal the values at each point alone."""
     g = catalog.make_perturbed_flat(1e-2, 3, dim=4).metric
     pts = sample_points(g.domain, 3, seed=1)
-    batch = PointBatch(pts)
+    batch = PointBatch(pts.columns)
     ric = cv.ricci(g, batch).components
     scal = cv.scalar_curvature(g, batch)
     for k, p in enumerate(pts):
@@ -386,9 +386,9 @@ def test_chunked_batch_equals_one_pass(case, points, chunk, monkeypatch):
             yield v
 
     monkeypatch.setattr(cv, "CHUNK", points)
-    whole = list(leaves(reads(cv.curvature_data(g, PointBatch(pts)))))
+    whole = list(leaves(reads(cv.curvature_data(g, PointBatch(pts.columns)))))
     monkeypatch.setattr(cv, "CHUNK", chunk)
-    chunked_data = cv.curvature_data(g, PointBatch(pts))
+    chunked_data = cv.curvature_data(g, PointBatch(pts.columns))
     assert [len(c.x[0]) for c in chunked_data._chunks] == [chunk] * (points // chunk) + [points % chunk]
     chunked = list(leaves(reads(chunked_data)))
     assert len(whole) == len(chunked)

@@ -11,6 +11,7 @@ from ryslab.geometry import (
     ChartDomain,
     ChartPoint,
     MetricField,
+    PointBatch,
     ScalarField,
     partial_derivative,
     sample_points,
@@ -36,9 +37,74 @@ def test_chart_point_requires_finite():
 def test_sample_points_deterministic():
     a = sample_points(UNIT_BOX3, 10, seed=7)
     b = sample_points(UNIT_BOX3, 10, seed=7)
-    assert a == b
+    assert np.array_equal(a.columns, b.columns)
     c = sample_points(UNIT_BOX3, 10, seed=8)
-    assert a != c
+    assert not np.array_equal(a.columns, c.columns)
+
+
+def _drawn_rows(domain, count, seed):
+    """The seeded uniform draw of ``sample_points``, one tuple of Python
+    floats per point, as the points of a draw were once built row by row."""
+    rng = np.random.default_rng(seed)
+    lows = [lo + domain.margin(i) for i, (lo, _) in enumerate(domain.bounds)]
+    highs = [hi - domain.margin(i) for i, (_, hi) in enumerate(domain.bounds)]
+    return [tuple(float(c) for c in row) for row in rng.uniform(lows, highs, size=(count, domain.dim))]
+
+
+@pytest.mark.parametrize("count, seed", [(1, 7), (5, 3), (200, 7), (1030, 2007)])
+def test_sample_points_are_the_drawn_floats_as_one_column_array(count, seed):
+    """On every catalog chart the batch's columns hold, bit for bit, the
+    floats of the draw's rows, in one contiguous (dim, count) array."""
+    from ryslab import catalog
+
+    for entry in catalog.catalog_entries():
+        for chart in entry.charts:
+            batch = sample_points(chart, count, seed)
+            rows = _drawn_rows(chart, count, seed)
+            base = batch.columns[0].base
+            assert base.shape == (chart.dim, count) and base.flags.c_contiguous
+            assert all(column.base is base and column.dtype == np.float64 for column in batch.columns)
+            assert base.tobytes() == np.array(rows).T.tobytes(), (entry.name, chart.label)
+
+
+def test_batch_points_are_built_when_read():
+    dom = ChartDomain(2, ((-1.0, 1.0), (0.0, 3.0)), "box")
+    batch = sample_points(dom, 4, seed=5)
+    rows = _drawn_rows(dom, 4, seed=5)
+    assert len(batch) == 4
+    for k, row in enumerate(rows):
+        assert batch[k] == ChartPoint(tuple(float(c) for c in row))
+        assert all(type(c) is float for c in batch[k].coords)
+    assert batch[-1] == batch[3] and list(batch) == [ChartPoint(row) for row in rows]
+    with pytest.raises(IndexError):
+        batch[4]
+    one = PointBatch.of((0.5, 1))
+    assert len(one) == 1 and one.shape == () and one.columns == [0.5, 1.0]
+    assert one[0] == ChartPoint((0.5, 1.0)) and list(one) == [one[0]]
+    assert PointBatch.of(one) is one and PointBatch.of_points(batch) is batch
+    listed = PointBatch.of_points([ChartPoint(row) for row in rows])
+    assert listed.shape == (4,) and np.array_equal(listed.columns, batch.columns)
+
+
+def test_point_batch_rejects_anything_but_columns_or_one_point():
+    point = ChartPoint((0.25, 0.5))
+    column = np.array([0.25, 0.5])
+    for bad in (
+        [point, point],                      # a list of points
+        [(0.25, 0.5), (0.5, 0.75)],          # coordinate rows
+        [column, np.array([0.25])],          # columns of different lengths
+        [np.array([]), np.array([])],        # columns of no point
+        [],                                  # no column
+        [column, 0.5],                       # a column and a float
+        [np.array([1, 2]), np.array([3, 4])],  # integer columns
+        [np.ones((2, 2))],                   # a column of more than one axis
+        [0.25, math.nan],                    # a non-finite point
+        [column, np.array([0.5, math.inf])],  # a non-finite column
+    ):
+        with pytest.raises(ValueError):
+            PointBatch(bad)
+    with pytest.raises(ValueError):
+        PointBatch.of_points([])
 
 
 def test_sample_points_interior_margin():

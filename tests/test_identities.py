@@ -271,7 +271,7 @@ def _same_at_every_point(whole, singles):
         assert whole.rhs[k] == one.rhs, (whole.name, k)
         assert whole.abs_gap[k] == one.abs_gap, (whole.name, k)
         assert whole.rel_gap[k] == one.rel_gap, (whole.name, k)
-        assert whole.point.points[k] == one.point
+        assert whole.point[k] == one.point
 
 
 @pytest.mark.parametrize(
@@ -287,7 +287,7 @@ def test_batch_equals_point_on_gradient_cases(case):
     pts = [
         p for i, chart in enumerate(inst.entry.charts) for p in sample_points(chart, 4, seed=20 + i)
     ]
-    batch = PointBatch(pts)
+    batch = PointBatch.of_points(pts)
     checks = [
         identities.check_trace_identity,
         identities.check_gradient_identity,
@@ -307,7 +307,7 @@ def test_batch_equals_point_on_perturbed_flat():
     entry = catalog.make_perturbed_flat(1e-2, 24)
     f = catalog.random_polynomial_field(entry.metric.domain, seed=25)
     pts = sample_points(entry.metric.domain, 6, seed=26)
-    whole = identities.universal_residuals(entry.metric, f, PointBatch(pts))
+    whole = identities.universal_residuals(entry.metric, f, PointBatch(pts.columns))
     singles = [identities.universal_residuals(entry.metric, f, p) for p in pts]
     for j, res in enumerate(whole):
         _same_at_every_point(res, [row[j] for row in singles])
@@ -316,7 +316,7 @@ def test_batch_equals_point_on_perturbed_flat():
 def test_batch_worst_is_first_maximum():
     inst = einstein_s3(mu=1.0)
     pts = sample_points(inst.entry.charts[0], 5, seed=27)
-    whole = identities.check_laplacian_identity(inst, PointBatch(pts))
+    whole = identities.check_laplacian_identity(inst, PointBatch(pts.columns))
     worst = whole.worst()
     k = int(np.argmax(whole.rel_gap))
     assert worst.point == pts[k]
@@ -331,7 +331,7 @@ def test_batch_not_a_soliton_names_worst_point():
     )
     with pytest.raises(NotASoliton):
         identities.check_gradient_identity(
-            inst, PointBatch(sample_points(entry.metric.domain, 3, seed=28))
+            inst, sample_points(entry.metric.domain, 3, seed=28)
         )
 
 
@@ -348,7 +348,7 @@ def test_hessian_partials_match_dual_towers(where):
         lambda x: ad.sin(x[0] * x[1]) * ad.exp(0.5 * x[2]) + x[0] * x[1] * x[2] * x[2], dom
     )
     pts = sample_points(dom, 5, seed=32)
-    data = cv.curvature_data(entry.metric, PointBatch(pts) if where == "batch" else pts[0])
+    data = cv.curvature_data(entry.metric, PointBatch(pts.columns) if where == "batch" else pts[0])
     x = data.x
     gamma, dgamma = cv.christoffel_with_partials(entry.metric, x)
     dh = data.hessian_partials(f)
@@ -372,10 +372,10 @@ def test_per_field_memo_is_keyed_on_the_field():
     dom = entry.metric.domain
     fields = [catalog.random_polynomial_field(dom, seed=s) for s in (34, 35)]
     pts = sample_points(dom, 8, seed=36)
-    shared = PointBatch(pts)
+    shared = PointBatch(pts.columns)
     together = [identities.universal_residuals(entry.metric, f, shared) for f in fields]
     for f, both in zip(fields, together):
-        alone = identities.universal_residuals(entry.metric, f, PointBatch(pts))
+        alone = identities.universal_residuals(entry.metric, f, PointBatch(pts.columns))
         for a, b in zip(alone[1:], both[1:]):
             assert a.name == b.name
             assert np.array_equal(a.lhs, b.lhs) and np.array_equal(a.rhs, b.rhs), a.name
@@ -401,7 +401,7 @@ class TestMetricEvaluationsPerBatch:
         entry = catalog.make_perturbed_flat(1e-2, 7)
         g, calls = self.counted(entry.metric)
         f = catalog.random_polynomial_field(g.domain, seed=1007)
-        batch = PointBatch(sample_points(g.domain, 16, seed=7))
+        batch = sample_points(g.domain, 16, seed=7)
         identities.universal_residuals(g, f, batch)
         assert len(calls) == 1
 
@@ -428,7 +428,7 @@ def test_a_nan_residual_is_not_a_soliton(monkeypatch):
     from ryslab import soliton
 
     inst = einstein_s3()
-    batch = PointBatch(sample_points(inst.entry.charts[0], 4, seed=2))
+    batch = sample_points(inst.entry.charts[0], 4, seed=2)
     identities.require_soliton(inst, batch)
     residual = soliton.residual_on
 

@@ -362,6 +362,18 @@ def test_curvature_integrals_equal_the_per_node_reference(radius):
     assert [same_float(a, b) for a, b in zip(got, scaled)] == [False, False, True]
 
 
+def test_grid_cache_follows_the_metric():
+    """An entry that keeps its name but takes another metric gets its own
+    grid: the volume of 4 g is 8 times the unit sphere's, cached or not."""
+    entry = catalog.sphere_entry(1.0)
+    g = entry.metric
+    scaled = g.replace(fn=lambda x: [[4.0 * v for v in row] for row in g.fn(x)])
+    unit = quad.volume(entry, 12)
+    assert quad.volume(entry.replace(metric=scaled), 12) == pytest.approx(8.0 * unit, rel=1e-12)
+    assert quad.volume(entry, 12) == unit
+    assert quad.build_grid(entry, 12) is quad.build_grid(entry, 12)
+
+
 def test_grid_caching_and_shape():
     entry = catalog.sphere_entry(1.0)
     g1 = quad.build_grid(entry, 8)

@@ -33,9 +33,14 @@ def _integrate(case, resolution, divergence):
 
 
 # (output file, argv without --out): default verify, integrate on each
-# compact case, and default solve on each background.
+# compact case, and default solve on each background.  Two more verify runs
+# reach point paths the default misses: another seed, and a draw over two
+# charts above ``ad.CHUNK`` points (curvature lifts it in chunks) with
+# perturbed-flat run as one-member groups.
 OUTPUTS = (
     ("verify.json", ["verify"]),
+    ("verify-seed-1.json", ["verify", "--seed", "1"]),
+    ("verify-chunked.json", ["verify", "--case", "einstein-s3", "--case", "perturbed-flat", "--points", "1100"]),
     _integrate("unit-s3", 24, 20),
     _integrate("unit-s3", 40, 1000),
     _integrate("sphere-0.5", 12, 7),
