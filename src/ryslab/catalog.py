@@ -27,6 +27,7 @@ from .geometry import (
     VectorField,
     constant_scalar,
     sample_points,
+    seeded_uniform,
 )
 from .records import Record
 from .soliton import SolitonInstance, SolitonKind, SolitonParams
@@ -225,10 +226,7 @@ def random_polynomial_group(domain: ChartDomain, seeds, sizes) -> ScalarField:
             monos.append((a, b))
             for c in range(b, n):
                 monos.append((a, b, c))
-    tables = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        tables.append([float(v) for v in rng.uniform(-1.0, 1.0, size=len(monos))])
+    tables = [seeded_uniform(seed, [(-1.0, 1.0)] * len(monos), 1)[0].tolist() for seed in seeds]
 
     def polynomial(coefs):
         def f(x):
@@ -376,10 +374,7 @@ def perturbed_flat_group(epsilon: float, seeds, sizes, dim: int = 3) -> MetricFi
     # a table holds one row per component i <= j, in the same order.
     quad_pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
     n_mono = 1 + dim + len(quad_pairs)
-    tables = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        tables.append([[epsilon * float(v) for v in rng.uniform(-1, 1, size=n_mono)] for _ in quad_pairs])
+    tables = [(epsilon * seeded_uniform(seed, [(-1.0, 1.0)] * n_mono, len(quad_pairs))).tolist() for seed in seeds]
 
     def metric(coefs):
         def g(x):

@@ -23,7 +23,7 @@ import numpy as np
 from . import ad, catalog, identities, quadrature, solver
 from .curvature import curvature_data, ricci, ricci_operator, scalar_curvature
 from .errors import AlphaZero, BeyondAntipode, DegenerateBeta, NoConvergence, NotCompact, RysLabError
-from .geometry import PointBatch, sample_points
+from .geometry import PointBatch, sample_points, seeded_uniform
 from .records import Record
 from .report import VERSION, CheckRecord, CheckReport, write_atomic, write_report
 from .soliton import (
@@ -608,10 +608,8 @@ def cmd_verify(args) -> int:
 def _ambient_quadratic(seed: int) -> quadrature.AmbientQuadratic:
     """The random divergence test field sum_ij c_ij a_i a_j + sum_i lin_i a_i
     on the 4 ambient coordinates a, from seeded uniform draws."""
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(-1.0, 1.0, size=(4, 4))
-    lin = rng.uniform(-1.0, 1.0, size=4)
-    return quadrature.AmbientQuadratic(c, lin)
+    draws = seeded_uniform(seed, [(-1.0, 1.0)] * 4, 5)
+    return quadrature.AmbientQuadratic(draws[:4], draws[4])
 
 
 def cmd_integrate(args) -> int:

@@ -11,6 +11,7 @@ concurrent read-only use.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -289,6 +290,127 @@ def partial_derivative(field: ScalarField, p, multi_index, backend: str = "dual"
     raise ValueError(f"unknown backend '{backend}'")
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier, and SeedSequence's hash constants: the
+# entropy mixing hashes with the powers of 0x931E8875 from 0x43B0D7E5, the
+# state output with the powers of 0x58F38DED from 0x8B51F9DD.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32, _11, _32, _58, _63 = (np.uint64(v) for v in (_MASK32, 11, 32, 58, 63))
+
+
+def _powers(init: int, mult: int, count: int) -> tuple:
+    keys = [init]
+    for _ in range(count):
+        keys.append(keys[-1] * mult & _MASK32)
+    return tuple(keys)
+
+
+_MIX_KEYS = _powers(0x43B0D7E5, 0x931E8875, 16)
+_STATE_KEYS = _powers(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(value: int, keys: tuple, k: int) -> int:
+    """SeedSequence's k-th hash of a 32-bit word: XOR with keys[k], times
+    keys[k + 1], then XOR with its own top half."""
+    value = (value ^ keys[k]) * keys[k + 1] & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _pcg64_seeded(seed: int) -> tuple[int, int]:
+    """(state, increment) of ``numpy.random.PCG64(seed)``: SeedSequence
+    mixes the seed's 32-bit words (low first) into a pool of 4, the pool
+    hashes out 4 64-bit words, and they seed the generator."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    keys = _MIX_KEYS if len(words) <= 4 else _powers(_MIX_KEYS[0], 0x931E8875, 4 * len(words))
+    pool = [_hash(words[i] if i < len(words) else 0, keys, i) for i in range(4)]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], keys, k))
+                k += 1
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, keys, k))
+            k += 1
+    out = [_hash(pool[i % 4], _STATE_KEYS, i) for i in range(8)]
+    # 32-bit words read little-endian as 64-bit words a, b, c, d.
+    a, b, c, d = (out[i] | out[i + 1] << 32 for i in range(0, 8, 2))
+    increment = ((c << 64 | d) << 1 | 1) & _MASK128
+    state = (increment + (a << 64 | b)) & _MASK128  # one step from state 0, plus the seed
+    return (state * _PCG_MULT + increment) & _MASK128, increment
+
+
+def _times_plus(hi: np.ndarray, lo: np.ndarray, a: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a * s + c) mod 2**128 for each 128-bit s held as uint64 halves
+    ``hi``, ``lo``, and 128-bit Python ints a, c.  numpy's uint64 products
+    wrap mod 2**64, so only lo * a's carry into the top half needs the
+    32-bit halves, whose products fit 64 bits."""
+    a_hi, a_lo = np.uint64(a >> 64), np.uint64(a & _MASK64)
+    x0, x1 = lo & _LOW32, lo >> _32
+    y0, y1 = a_lo & _LOW32, a_lo >> _32
+    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+    mid = (p00 >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
+    top = x1 * y1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32) + hi * a_lo + lo * a_hi
+    c_lo = np.uint64(c & _MASK64)
+    new_lo = lo * a_lo + c_lo
+    return top + np.uint64(c >> 64) + (new_lo < c_lo), new_lo
+
+
+def seeded_uniform(seed: int, bounds: Sequence[tuple[float, float]], rows: int) -> np.ndarray:
+    """numpy's ``default_rng(seed).uniform(lows, highs, size=(rows, len(bounds)))``,
+    bit for bit: a (rows, len(bounds)) float array whose column j lies in
+    ``bounds[j]``.  One call of ``rows`` rows gives what consecutive numpy
+    calls on one generator give.
+
+    The generator is PCG64 (O'Neill 2014) seeded through SeedSequence; draw
+    k steps the 128-bit LCG to state s_k, takes its XSL-RR output and maps
+    the top 53 bits to ``low + (high - low) * u`` with u in [0, 1).  The
+    states come by doubling, m at a time: s_{k+m} = A_m s_k + c_m with
+    (A_1, c_1) = (multiplier, increment), A_2m = A_m**2 and
+    c_2m = (A_m + 1) c_m, all mod 2**128: the first 64 in Python ints,
+    which step a short draw faster than numpy's per-call cost, and the
+    rest as uint64 halves in numpy.
+    """
+    state, increment = _pcg64_seeded(seed)
+    count = rows * len(bounds)
+    states = [(state * _PCG_MULT + increment) & _MASK128]
+    a, c = _PCG_MULT, increment
+    while len(states) < min(count, 64):
+        states += [(a * s + c) & _MASK128 for s in states[: count - len(states)]]
+        a, c = a * a & _MASK128, (a + 1) * c & _MASK128
+    hi = np.array([s >> 64 for s in states], dtype=np.uint64)
+    lo = np.array([s & _MASK64 for s in states], dtype=np.uint64)
+    while len(lo) < count:
+        more = count - len(lo)
+        top, bottom = _times_plus(hi[:more], lo[:more], a, c)
+        hi, lo = np.concatenate((hi, top)), np.concatenate((lo, bottom))
+        a, c = a * a & _MASK128, (a + 1) * c & _MASK128
+    hi, lo = hi[:count], lo[:count]
+    rot = hi >> _58
+    word = hi ^ lo
+    word = word >> rot | word << (-rot & _63)
+    u = (word >> _11).astype(np.float64) * 2.0**-53
+    lows = np.array([low for low, _ in bounds], dtype=np.float64)
+    spans = np.array([high - low for low, high in bounds], dtype=np.float64)
+    return lows + spans * u.reshape(rows, len(bounds))
+
+
 def sample_points(domain: ChartDomain, count: int, seed: int) -> PointBatch:
     """Seeded uniform interior samples respecting the stencil margin, as
     one batch whose columns are one contiguous (dim, count) array.
@@ -297,11 +419,8 @@ def sample_points(domain: ChartDomain, count: int, seed: int) -> PointBatch:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    lows = np.array([lo + domain.margin(i) for i, (lo, _) in enumerate(domain.bounds)])
-    highs = np.array([hi - domain.margin(i) for i, (_, hi) in enumerate(domain.bounds)])
-    raw = rng.uniform(lows, highs, size=(count, domain.dim))
-    return PointBatch(raw.T.copy())
+    bounds = [(lo + domain.margin(i), hi - domain.margin(i)) for i, (lo, hi) in enumerate(domain.bounds)]
+    return PointBatch(seeded_uniform(seed, bounds, count).T.copy())
 
 
 def constant_scalar(domain: ChartDomain, value: float, name: str = "const") -> ScalarField:

@@ -149,9 +149,44 @@ def exact_sum(values) -> float:
     return total.value()
 
 
+def _legval(x: np.ndarray, c: list) -> np.ndarray:
+    """The Legendre series with coefficients ``c`` (at least 2) at x, by
+    Clenshaw's recursion in the operation order of numpy's ``legval``."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def gauss_legendre(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the deg-point Gauss-Legendre rule on [-1, 1]
+    (deg >= 2): numpy 2.4.6's ``polynomial.legendre.leggauss(deg)``, bit
+    for bit.  ``_legval`` follows that release's Clenshaw operation order;
+    a numpy whose ``legval`` rounds in another order may differ from this
+    rule in the last bit.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of P_deg
+    (Golub & Welsch 1969), polished by one Newton step; the weights come
+    from P_deg' and P_{deg-1} at the nodes, scaled against overflow,
+    symmetrised and normalised to sum 2."""
+    scl = 1.0 / np.sqrt(2 * np.arange(deg) + 1)
+    off = np.arange(1, deg) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = [0.0] * deg + [1.0]
+    # P_deg' = sum of (2k + 1) P_k over k = deg - 1, deg - 3, ...
+    dc = [float(2 * k + 1) if (deg - 1 - k) % 2 == 0 else 0.0 for k in range(deg)]
+    df = _legval(x, dc)  # at the unpolished nodes, as numpy keeps it
+    x = x - _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    return x, w * (2.0 / w.sum())
+
+
 # 64-point Gauss-Legendre rule for the mollifier cumulative; the profile
 # is smooth with flat endpoints, so this is accurate to rounding.
-_MOLL_X, _MOLL_W = np.polynomial.legendre.leggauss(64)
+_MOLL_X, _MOLL_W = gauss_legendre(64)
 
 
 def _mollifier(t: np.ndarray) -> np.ndarray:
@@ -279,7 +314,7 @@ def build_grid(entry: CatalogEntry, resolution: int) -> QuadratureGrid:
     radius = entry.atlas.radius
     inner = BUMP_INNER * radius
     outer = BUMP_OUTER * radius
-    x, w = np.polynomial.legendre.leggauss(resolution)
+    x, w = gauss_legendre(resolution)
     rho = np.concatenate(
         [
             (x + 1.0) / 2.0 * inner,

@@ -405,3 +405,20 @@ def test_metrics_round_alike_at_a_point_and_over_a_batch():
             for k, p in enumerate(batch):
                 single = entry.metric.matrix_np(p.coords)
                 assert np.array_equal(whole[:, :, k], single), (entry.name, k)
+
+
+@pytest.mark.parametrize("seed", [0, 20, 2**64 + 1])
+def test_seeded_coefficients_are_numpys_draws(seed):
+    """At the origin every monomial but 1 vanishes, so a perturbed-flat
+    component reads its first coefficient and a random polynomial its
+    constant: numpy's draws, one ``uniform`` call of 10 per component."""
+    eps = 1e-2
+    rng = np.random.default_rng(seed)
+    rows = [rng.uniform(-1, 1, size=10) for _ in range(6)]
+    metric = catalog.perturbed_flat_group(eps, [seed], None)
+    g = metric.matrix((0.0, 0.0, 0.0))
+    pairs = [(a, b) for a in range(3) for b in range(a, 3)]
+    for (i, j), row in zip(pairs, rows):
+        assert g[i][j] == g[j][i] == (i == j) + eps * float(row[0])
+    f = catalog.random_polynomial_field(metric.domain, seed)
+    assert f((0.0, 0.0, 0.0)) == np.random.default_rng(seed).uniform(-1.0, 1.0)

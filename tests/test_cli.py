@@ -953,6 +953,30 @@ def test_flat_solve_at_the_largest_grid_converges(tmp_path, capsys):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def test_commands_load_neither_numpy_random_nor_numpy_polynomial(tmp_path):
+    """In a fresh interpreter: the set-up (import the CLI, build the
+    catalog), a verify with seeded draws, an integrate on Gauss-Legendre
+    grids and a solve load neither ``numpy.random`` nor ``numpy.polynomial``."""
+    probe = "\n".join([
+        "import sys",
+        "import ryslab.cli as cli",
+        "from ryslab import catalog",
+        "catalog.catalog_entries()",
+        "runs = [",
+        "    ['verify', '--case', 'gaussian', '--case', 'perturbed-flat', '--points', '4'],",
+        "    ['integrate', '--case', 'unit-s3', '--resolution', '12', '--divergence', '2'],",
+        "    ['solve', '--grid', '16'],",
+        "]",
+        "codes = [cli.main(argv + ['--out', 'out']) for argv in runs]",
+        "loaded = sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'polynomial']))",
+        "print(codes, loaded, file=sys.stderr)",
+    ])
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0] []"
+
+
 def _run_into_closed_pipe(argv, cwd, unbuffered):
     """Run the CLI in a child whose stdout is a pipe with its read end
     already closed, so every write to stdout meets a broken pipe."""

@@ -15,6 +15,7 @@ from ryslab.geometry import (
     ScalarField,
     partial_derivative,
     sample_points,
+    seeded_uniform,
 )
 
 UNIT_BOX3 = ChartDomain(3, ((0.0, 1.0),) * 3, "unit-box")
@@ -51,7 +52,54 @@ def _drawn_rows(domain, count, seed):
     return [tuple(float(c) for c in row) for row in rng.uniform(lows, highs, size=(count, domain.dim))]
 
 
-@pytest.mark.parametrize("count, seed", [(1, 7), (5, 3), (200, 7), (1030, 2007)])
+# Seeds of one word, the largest 31- and the smallest 33-bit, and seeds of
+# 3 and 7 words, which SeedSequence mixes by its multi-word path.
+SEEDS = [0, 7, 2**31 - 1, 2**32, 2**64 + 1, 2**200 + 12345]
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seeded_uniform_is_numpys_stream(seed):
+    """Bit for bit ``np.random.default_rng(seed).uniform``: with scalar
+    bounds, with per-column bounds over rows, and as one stream that
+    consecutive calls on one generator split (16 + 4 draws)."""
+    expected = np.random.default_rng(seed).uniform(-1.0, 1.0, size=300)
+    assert _bits(seeded_uniform(seed, [(-1.0, 1.0)], 300)) == expected.tobytes()
+    bounds = [(0.05, 0.95), (-3.0, 2.5), (1e-3, 7.0)]
+    lows, highs = zip(*bounds)
+    expected = np.random.default_rng(seed).uniform(lows, highs, size=(70, 3))
+    assert _bits(seeded_uniform(seed, bounds, 70)) == expected.tobytes()
+    rng = np.random.default_rng(seed)
+    expected = [*rng.uniform(-1.0, 1.0, size=(4, 4)).ravel(), *rng.uniform(-1.0, 1.0, size=4)]
+    assert _bits(seeded_uniform(seed, [(-1.0, 1.0)] * 4, 5)) == _bits(expected)
+
+
+def test_seeded_uniform_is_one_row_per_draw_and_takes_integer_seeds():
+    draws = seeded_uniform(np.int64(3), [(0.0, 1.0), (2.0, 4.0)], 2)
+    assert draws.shape == (2, 2) and draws.dtype == np.float64
+    assert np.array_equal(draws, seeded_uniform(3, [(0.0, 1.0), (2.0, 4.0)], 2))
+    assert seeded_uniform(3, [(0.0, 1.0)], 0).shape == (0, 1)
+    with pytest.raises(ValueError):
+        seeded_uniform(-1, [(0.0, 1.0)], 1)
+    with pytest.raises(TypeError):
+        seeded_uniform(1.5, [(0.0, 1.0)], 1)
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 5000])
+def test_seeded_uniform_matches_numpy_across_the_doubling_rounds(rows):
+    """The first 64 states are stepped in Python ints and the rest doubled
+    in uint64 halves; the stream is numpy's on both sides of each seam."""
+    bounds = [(-2.0, 3.0), (0.25, 0.5)]
+    lows, highs = zip(*bounds)
+    for seed in (11, 2**64 + 1):
+        expected = np.random.default_rng(seed).uniform(lows, highs, size=(rows, 2))
+        assert seeded_uniform(seed, bounds, rows).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("count, seed", [(1, 7), (5, 3), (200, 7), (1030, 2007), (3, 2**64 + 1), (4, 2**200 + 12345)])
 def test_sample_points_are_the_drawn_floats_as_one_column_array(count, seed):
     """On every catalog chart the batch's columns hold, bit for bit, the
     floats of the draw's rows, in one contiguous (dim, count) array."""

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ryslab import catalog, curvature, quadrature as quad
+from ryslab import catalog, cli, curvature, quadrature as quad
 from ryslab.errors import (
     DegenerateDenominator,
     NotASoliton,
@@ -1037,3 +1037,23 @@ def test_a_nan_metric_component_reaches_its_basis_column_and_fails(tmp_path, cap
     assert len(records) == 2
     for record in records.values():
         assert record["verdict"] == "fail" and record["gap"] == math.inf and math.isnan(record["lhs"])
+
+
+@pytest.mark.parametrize("deg", [*range(quad.MIN_RESOLUTION, cli.MAX_RESOLUTION + 1), 64])
+def test_gauss_legendre_is_numpys_leggauss(deg):
+    """Bit for bit ``np.polynomial.legendre.leggauss`` at every resolution
+    from quadrature's least to the CLI's largest, and at 64, the
+    mollifier's rule."""
+    x, w = quad.gauss_legendre(deg)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(deg)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 1])
+def test_ambient_quadratic_is_numpys_two_draws(seed):
+    from ryslab.cli import _ambient_quadratic
+
+    rng = np.random.default_rng(seed)
+    c, lin = rng.uniform(-1.0, 1.0, size=(4, 4)), rng.uniform(-1.0, 1.0, size=4)
+    field = _ambient_quadratic(seed)
+    assert field.c.tobytes() == c.tobytes() and field.lin.tobytes() == lin.tobytes()

@@ -26,25 +26,33 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from ryslab.cli import main  # noqa: E402
 
 
-def _integrate(case, resolution, divergence):
-    name = f"integrate-{case}-{resolution}-{divergence}.json"
+# 2**64 + 1: a seed of three 32-bit words, which SeedSequence mixes by its
+# multi-word path.
+LONG_SEED = "18446744073709551617"
+
+
+def _integrate(case, resolution, divergence, seed=None):
+    name = f"integrate-{case}-{resolution}-{divergence}" + (f"-seed-{seed}" if seed else "") + ".json"
     argv = ["integrate", "--case", case, "--resolution", str(resolution), "--divergence", str(divergence)]
-    return name, argv
+    return name, argv + (["--seed", seed] if seed else [])
 
 
 # (output file, argv without --out): default verify, integrate on each
-# compact case, and default solve on each background.  Two more verify runs
-# reach point paths the default misses: another seed, and a draw over two
-# charts above ``ad.CHUNK`` points (curvature lifts it in chunks) with
-# perturbed-flat run as one-member groups.
+# compact case, and default solve on each background.  Three more verify
+# runs reach point paths the default misses: two other seeds (one of them
+# multi-word), and a draw over two charts above ``ad.CHUNK`` points
+# (curvature lifts it in chunks) with perturbed-flat run as one-member
+# groups.  Resolution 40 is the largest Gauss-Legendre rule the CLI builds.
 OUTPUTS = (
     ("verify.json", ["verify"]),
     ("verify-seed-1.json", ["verify", "--seed", "1"]),
+    (f"verify-seed-{LONG_SEED}.json", ["verify", "--seed", LONG_SEED]),
     ("verify-chunked.json", ["verify", "--case", "einstein-s3", "--case", "perturbed-flat", "--points", "1100"]),
     _integrate("unit-s3", 24, 20),
     _integrate("unit-s3", 40, 1000),
     _integrate("sphere-0.5", 12, 7),
     _integrate("sphere-2", 40, 3),
+    _integrate("sphere-0.5", 40, 4, LONG_SEED),
     *((f"solve-{bg}.csv", ["solve", "--background", bg]) for bg in ("flat", "sphere", "hyperbolic")),
 )
 
