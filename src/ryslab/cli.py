@@ -8,21 +8,19 @@ byte-identical for identical (config, seed, version) triples.
 
 from __future__ import annotations
 
-import argparse
 import errno
-import functools
 import math
 import os
-import re
 import sys
 import time
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import ad, catalog, identities, quadrature, solver
 from .curvature import curvature_data, ricci, ricci_operator, scalar_curvature
-from .errors import AlphaZero, BeyondAntipode, DegenerateBeta, NoConvergence, NotCompact, RysLabError
+from .errors import AlphaZero, BeyondAntipode, DegenerateBeta, NoConvergence, NotCompact, RysLabError, UsageError
 from .geometry import PointBatch, sample_points, seeded_uniform
 from .records import Record
 from .report import VERSION, CheckRecord, CheckReport, write_atomic, write_report
@@ -380,7 +378,7 @@ def _run_universal_case(name, points, seed, tols, report) -> None:
         report.add(_record(name, check, tols, res.point, res.lhs, res.rhs, res.rel_gap))
 
 
-# -- argument types: bad input is a usage error (exit 2) at parse time --------
+# -- option types: bad input is a usage error (exit 2) at parse time ----------
 
 def _bounded(low: int, high: int):
     """An integer type accepting low..high."""
@@ -388,7 +386,7 @@ def _bounded(low: int, high: int):
     def parse(raw: str) -> int:
         value = _integer(raw)
         if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"must be between {low} and {high}, got {value}")
+            raise UsageError(f"must be between {low} and {high}, got {value}")
         return value
 
     return parse
@@ -397,7 +395,7 @@ def _bounded(low: int, high: int):
 def _non_negative(raw: str) -> int:
     value = _integer(raw)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise UsageError(f"must be >= 0, got {value}")
     return value
 
 
@@ -405,16 +403,16 @@ def _integer(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got '{raw}'") from None
+        raise UsageError(f"expected an integer, got '{raw}'") from None
 
 
 def _finite(raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got '{raw}'") from None
+        raise UsageError(f"expected a number, got '{raw}'") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got '{raw}'")
+        raise UsageError(f"must be finite, got '{raw}'")
     return value
 
 
@@ -422,7 +420,7 @@ def _parameter(raw: str) -> float:
     """A finite soliton coupling of magnitude at most MAX_PARAMETER."""
     value = _finite(raw)
     if abs(value) > MAX_PARAMETER:
-        raise argparse.ArgumentTypeError(f"magnitude must be <= {MAX_PARAMETER:g}, got {value!r}")
+        raise UsageError(f"magnitude must be <= {MAX_PARAMETER:g}, got {value!r}")
     return value
 
 
@@ -431,10 +429,10 @@ def _radius(raw: str) -> float:
     scalar curvature n (n - 1) / radius^2 = 6 / radius^2 infinite."""
     value = _finite(raw)
     if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value!r}")
+        raise UsageError(f"must be > 0, got {value!r}")
     squared = value * value
     if squared == 0.0 or not math.isfinite(6.0 / squared):
-        raise argparse.ArgumentTypeError(f"6 / radius^2 is not finite, got {value!r}")
+        raise UsageError(f"6 / radius^2 is not finite, got {value!r}")
     return value
 
 
@@ -442,7 +440,7 @@ def _r_max(raw: str) -> float:
     """The grid runs from solver.ORIGIN_MARGIN to r-max."""
     value = _finite(raw)
     if value <= solver.ORIGIN_MARGIN:
-        raise argparse.ArgumentTypeError(
+        raise UsageError(
             f"must be > {solver.ORIGIN_MARGIN!r} (the grid's inner end), got {value!r}"
         )
     return value
@@ -450,16 +448,20 @@ def _r_max(raw: str) -> float:
 
 def _solve_problem(args):
     """Why a `solve` option set that each option type accepts still cannot
-    be represented (None if it can): the second-derivative stencil scale
-    1 / (12 h^2) of the grid step h, and the squared soliton coefficient
-    summed over the 2 (grid + 1) rows of both blocks, must be finite and
-    the scale nonzero, and the solver must accept the grid on the
-    background (a sphere grid stops short of its antipode)."""
+    be represented (None if it can): the solver must name the background;
+    the second-derivative stencil scale 1 / (12 h^2) of the grid step h,
+    and the squared soliton coefficient summed over the 2 (grid + 1) rows
+    of both blocks, must be finite and the scale nonzero; and the solver
+    must accept the grid on the background (a sphere grid stops short of
+    its antipode)."""
+    try:
+        background = solver.named_background(args.background, args.radius)
+    except ValueError as exc:
+        return f"--background: {exc} (flat, sphere or hyperbolic)"
     grid = solver.make_grid(args.grid, r_max=args.r_max)
     h = float(grid[1] - grid[0])
     if not 0.0 < 12.0 * h * h < math.inf:
         return f"--r-max {args.r_max!r} with --grid {args.grid}: 1 / (12 h^2) is not finite and nonzero"
-    background = solver.named_background(args.background, args.radius)
     coef = solver.soliton_coefficient(SolitonParams(args.alpha, args.beta, args.lam, 0.0), background)
     if not math.isfinite(2 * (args.grid + 1) * (coef * coef)):
         return (
@@ -493,13 +495,13 @@ def _unwritable(path: str) -> Optional[str]:
 def _tolerance(raw: str) -> tuple:
     """NAME=VALUE with a known check name and a finite VALUE >= 0."""
     if "=" not in raw:
-        raise argparse.ArgumentTypeError(f"expects NAME=VALUE, got '{raw}'")
+        raise UsageError(f"expects NAME=VALUE, got '{raw}'")
     key, val = raw.split("=", 1)
     if key not in CHECKS:
-        raise argparse.ArgumentTypeError(f"unknown tolerance name '{key}'")
+        raise UsageError(f"unknown tolerance name '{key}'")
     value = _finite(val)
     if value < 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance {key} must be >= 0, got {value!r}")
+        raise UsageError(f"tolerance {key} must be >= 0, got {value!r}")
     return key, value
 
 
@@ -661,11 +663,7 @@ def cmd_integrate(args) -> int:
 # -- solve ---------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    try:
-        background = solver.named_background(args.background, args.radius)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    background = solver.named_background(args.background, args.radius)
     params = SolitonParams(args.alpha, args.beta, args.lam, 0.0)
     grid = solver.make_grid(args.grid, r_max=args.r_max)
     code = 0
@@ -705,90 +703,164 @@ def cmd_catalog(_args) -> int:
 
 # -- argument parsing --------------------------------------------------------------
 
-# argparse reads a token that starts with "-" as an option unless it matches
-# its negative-number pattern, which has no exponent, so "--lambda -1e-3"
-# lacked its argument.  "-inf" and "-nan" still read as options.
-NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+class Option:
+    """One ``--flag VALUE`` of a command: ``parse`` turns VALUE into the
+    value of ``dest`` or raises UsageError; a ``many`` option collects its
+    values in order, any other keeps its last.  One without ``parse`` takes
+    no value and ends the reading (-h/--help, --version)."""
+
+    def __init__(self, flag, parse=str, default=None, help="", dest=None, metavar=None, many=False, required=False):
+        self.flag, self.parse, self.default, self.help = flag, parse, default, help
+        self.dest = dest or flag[2:].replace("-", "_")
+        self.metavar, self.many, self.required = metavar or self.dest.upper(), many, required
 
 
-@functools.cache  # one parser per process: building it costs about ten parses
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ryslab",
-        description="Numerical checks for Ricci-Yamabe soliton geometry",
-    )
-    parser.add_argument("--version", action="version", version=f"ryslab {VERSION}")
-    sub = parser.add_subparsers(dest="command", required=True)
+HELP = Option("--help", None, False, "show this help message and exit")
+TOP = (HELP, Option("--version", None, False, "show the version and exit"))
+TOLERANCE = Option("--tol", _tolerance, metavar="NAME=VALUE", many=True)
 
-    v = sub.add_parser("verify", help="run the identity suite over catalog instances")
-    v.add_argument("--case", action="append", help="case name (repeatable); default: all")
-    v.add_argument("--alpha", type=_parameter, default=None)
-    v.add_argument("--beta", type=_parameter, default=None)
-    v.add_argument("--lambda", dest="lam", type=_parameter, default=None)
-    v.add_argument("--mu", type=_parameter, default=None)
-    v.add_argument(
-        "--points", type=_bounded(1, MAX_POINTS), default=200, help=f"sample points per case, 1..{MAX_POINTS}"
-    )
-    v.add_argument("--seed", type=_non_negative, default=7)
-    v.add_argument("--tol", action="append", type=_tolerance, metavar="NAME=VALUE")
-    v.add_argument("--out", default="rys-verify.json")
-    v.set_defaults(func=cmd_verify)
+# Each command's help line, the function that runs it, and its options.
+COMMANDS = {
+    "verify": ("run the identity suite over catalog instances", cmd_verify, (
+        HELP,
+        Option("--case", help="case name (repeatable); default: all", many=True),
+        Option("--alpha", _parameter),
+        Option("--beta", _parameter),
+        Option("--lambda", _parameter, dest="lam"),
+        Option("--mu", _parameter),
+        Option("--points", _bounded(1, MAX_POINTS), 200, f"sample points per case, 1..{MAX_POINTS}"),
+        Option("--seed", _non_negative, 7),
+        TOLERANCE,
+        Option("--out", default="rys-verify.json"),
+    )),
+    "integrate": ("volume and divergence checks on compact entries", cmd_integrate, (
+        HELP,
+        Option("--case", required=True),
+        Option("--resolution", _bounded(MIN_RESOLUTION, MAX_RESOLUTION), 24,
+               f"Gauss-Legendre nodes per axis, {MIN_RESOLUTION}..{MAX_RESOLUTION}"),
+        Option("--divergence", _bounded(0, MAX_DIVERGENCE), 0,
+               f"number of random divergence checks, 0..{MAX_DIVERGENCE}"),
+        Option("--seed", _non_negative, 7),
+        TOLERANCE,
+        Option("--out", default="rys-integrate.json"),
+    )),
+    "solve": ("recover a radial gradient potential", cmd_solve, (
+        HELP,
+        Option("--background", default="flat", help="flat, sphere or hyperbolic"),
+        Option("--radius", _radius, 1.0, "sphere background radius"),
+        Option("--alpha", _finite, 1.0),
+        Option("--beta", _finite, 0.0),
+        Option("--lambda", _finite, 0.0, dest="lam"),
+        Option("--grid", _bounded(solver.MIN_INTERVALS, MAX_INTERVALS), 128,
+               f"number of grid intervals, {solver.MIN_INTERVALS}..{MAX_INTERVALS}"),
+        Option("--r-max", _r_max, 1.0),
+        Option("--out", default="rys-profile.csv"),
+    )),
+    "catalog": ("list catalog entries", cmd_catalog, (HELP,)),
+}
 
-    q = sub.add_parser("integrate", help="volume and divergence checks on compact entries")
-    q.add_argument("--case", required=True)
-    q.add_argument(
-        "--resolution",
-        type=_bounded(MIN_RESOLUTION, MAX_RESOLUTION),
-        default=24,
-        help=f"Gauss-Legendre nodes per axis, {MIN_RESOLUTION}..{MAX_RESOLUTION}",
-    )
-    q.add_argument(
-        "--divergence",
-        type=_bounded(0, MAX_DIVERGENCE),
-        default=0,
-        help=f"number of random divergence checks, 0..{MAX_DIVERGENCE}",
-    )
-    q.add_argument("--seed", type=_non_negative, default=7)
-    q.add_argument("--tol", action="append", type=_tolerance, metavar="NAME=VALUE")
-    q.add_argument("--out", default="rys-integrate.json")
-    q.set_defaults(func=cmd_integrate)
 
-    s = sub.add_parser("solve", help="recover a radial gradient potential")
-    s.add_argument("--background", default="flat", choices=["flat", "sphere", "hyperbolic"])
-    s.add_argument("--radius", type=_radius, default=1.0, help="sphere background radius")
-    s.add_argument("--alpha", type=_finite, default=1.0)
-    s.add_argument("--beta", type=_finite, default=0.0)
-    s.add_argument("--lambda", dest="lam", type=_finite, default=0.0)
-    s.add_argument(
-        "--grid",
-        type=_bounded(solver.MIN_INTERVALS, MAX_INTERVALS),
-        default=128,
-        help=f"number of grid intervals, {solver.MIN_INTERVALS}..{MAX_INTERVALS}",
-    )
-    s.add_argument("--r-max", type=_r_max, default=1.0)
-    s.add_argument("--out", default="rys-profile.csv")
-    s.set_defaults(func=cmd_solve)
+def _lookup(flag: str, options) -> Option:
+    """The option ``flag`` names: -h, a whole flag, or a unique prefix of one."""
+    if flag == "-h":
+        return HELP
+    named = [o for o in options if o.flag == flag] or [o for o in options if o.flag.startswith(flag)]
+    if not flag.startswith("--") or flag == "--" or not named:
+        raise UsageError(f"unrecognized argument: {flag}")
+    if len(named) > 1:
+        raise UsageError(f"ambiguous option: {flag} could match {', '.join(o.flag for o in named)}")
+    return named[0]
 
-    c = sub.add_parser("catalog", help="list catalog entries")
-    c.set_defaults(func=cmd_catalog)
-    for p in (parser, v, q, s, c):
-        p._negative_number_matcher = NEGATIVE_NUMBER
-    return parser
+
+def _read(tokens, options):
+    """Each option's value by ``dest``, read in order from ``tokens`` up to
+    the first that is not an option, and the tokens from that one on.  A
+    value is the text after the flag's "=", or else the next token, even
+    one that starts with "-"."""
+    values = {o.dest: [] if o.many else o.default for o in options}
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            return values, [token, *tokens]
+        flag, eq, raw = token.partition("=")
+        option = _lookup(flag, options)
+        if option.parse is None:  # -h/--help or --version
+            if eq:
+                raise UsageError(f"argument {option.flag}: ignored explicit argument '{raw}'")
+            values[option.dest] = True
+            break
+        raw = raw if eq else next(tokens, None)
+        if raw is None:
+            raise UsageError(f"argument {option.flag}: expected one argument")
+        try:
+            value = option.parse(raw)
+        except UsageError as exc:
+            raise UsageError(f"argument {option.flag}: {exc}") from None
+        if option.many:
+            values[option.dest].append(value)
+        else:
+            values[option.dest] = value
+    return values, []
+
+
+def _help(prog: str, about: str, options, commands=None) -> str:
+    """Usage, ``about`` and a line per option (and per command)."""
+    shown = ["-h, --help" if o is HELP else f"{o.flag} {o.metavar}" if o.parse else o.flag for o in options]
+    usage = [term if o.required else f"[{term.split(',')[0]}]" for o, term in zip(options, shown)]
+    lines = [f"usage: {prog} {' '.join(usage)}" + (f" {{{','.join(commands)}}} ..." if commands else ""), "", about]
+    if commands:
+        lines += ["", "commands:"] + [f"  {name:24s} {entry[0]}" for name, entry in commands.items()]
+    lines += ["", "options:"]
+    for o, term in zip(options, shown):
+        default = "" if o.default is None or o.default is False else f"(default: {o.default})"
+        lines.append(f"  {term:24s} {' '.join(filter(None, (o.help, default)))}".rstrip())
+    return "\n".join(lines)
+
+
+def _printing(text: str) -> SimpleNamespace:
+    """What -h/--help and --version run: print ``text``, exit 0."""
+    return SimpleNamespace(command=None, func=lambda _args: _print_lines([text]) or 0)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The ``command`` a command line names, the ``func`` that runs it and
+    each option's value; for -h/--help or --version, a ``func`` that prints
+    the help or the version and runs nothing else.  Raises UsageError for a
+    line that cannot run, a `solve` that `_solve_problem` rejects and an
+    ``--out`` that `_unwritable` refuses included."""
+    top, rest = _read(argv, TOP)
+    if top["help"]:
+        return _printing(_help("ryslab", "Numerical checks for Ricci-Yamabe soliton geometry", TOP, COMMANDS))
+    if top["version"]:
+        return _printing(f"ryslab {VERSION}")
+    if not rest or rest[0] not in COMMANDS:
+        got = repr(rest[0]) if rest else "none"
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)}), got {got}")
+    command, rest = rest[0], rest[1:]
+    about, func, options = COMMANDS[command]
+    values, rest = _read(rest, options)
+    if values.pop("help"):
+        return _printing(_help(f"ryslab {command}", about, options))
+    if rest:
+        raise UsageError(f"unrecognized argument: {rest[0]}")
+    for option in options:
+        if option.required and values[option.dest] is None:
+            raise UsageError(f"{option.flag} is required")
+    args = SimpleNamespace(command=command, func=func, **values)
+    problem = _solve_problem(args) if command == "solve" else None
+    if problem:
+        raise UsageError(f"solve: {problem}")
+    problem = _unwritable(args.out) if "out" in values else None
+    if problem:
+        raise UsageError(f"cannot write {args.out or repr(args.out)}: {problem}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        problem = _solve_problem(args) if args.command == "solve" else None
-        if problem:
-            parser.error(f"solve: {problem}")
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    out = getattr(args, "out", None)
-    problem = None if out is None else _unwritable(out)
-    if problem:
-        print(f"error: cannot write {out or repr(out)}: {problem}", file=sys.stderr)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return args.func(args)
 

@@ -5,6 +5,11 @@ class RysLabError(Exception):
     """Base class for all ryslab errors."""
 
 
+class UsageError(RysLabError):
+    """A command line the CLI cannot run: an unknown or ambiguous option,
+    a missing value, or a value its option does not accept."""
+
+
 class StencilOutOfDomain(RysLabError):
     """The evaluation point is too close to the chart boundary for the stencil."""
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -227,6 +228,8 @@ def test_catalog_listing(capsys):
 
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
+    assert run(["--vers"]) == 0
+    assert capsys.readouterr().out == "ryslab 0.1.0\nryslab 0.1.0\n"
 
 
 def test_degenerate_mu_alpha_warning(tmp_path, capsys):
@@ -274,7 +277,7 @@ def test_mu_on_concircular_flat_exits_2_before_any_case(mu, tmp_path, capsys):
 def test_negative_couplings_with_an_exponent_parse(argv, dest, value):
     """A negative coupling written with an exponent is a number, as with
     ``--lambda=-1e-3``, not a missing argument."""
-    assert getattr(cli.build_parser().parse_args(argv), dest) == value
+    assert getattr(cli.parse_args(argv), dest) == value
 
 
 @pytest.mark.parametrize("raw", ["-inf", "-nan", "nan", "inf", "-1e400", "-1e"])
@@ -404,55 +407,175 @@ class TestParseTimeValidation:
 
 def test_sphere_grid_short_of_the_antipode_parses():
     """--r-max 6 stays below pi * radius = 6.28 on the radius-2 sphere."""
-    args = cli.build_parser().parse_args(
-        ["solve", "--background", "sphere", "--radius", "2", "--r-max", "6"]
-    )
+    args = cli.parse_args(["solve", "--background", "sphere", "--radius", "2", "--r-max", "6"])
     assert cli._solve_problem(args) is None
 
 
 def test_size_ceilings_parse():
-    parser = cli.build_parser()
-    args = parser.parse_args(["solve", "--grid", str(cli.MAX_INTERVALS)])
+    args = cli.parse_args(["solve", "--grid", str(cli.MAX_INTERVALS)])
     assert args.grid == cli.MAX_INTERVALS
-    args = parser.parse_args(
-        ["integrate", "--case", "unit-s3", "--resolution", str(cli.MAX_RESOLUTION)]
-    )
+    args = cli.parse_args(["integrate", "--case", "unit-s3", "--resolution", str(cli.MAX_RESOLUTION)])
     assert args.resolution == cli.MAX_RESOLUTION
-    args = parser.parse_args(
-        ["integrate", "--case", "unit-s3", "--divergence", str(cli.MAX_DIVERGENCE)]
-    )
+    args = cli.parse_args(["integrate", "--case", "unit-s3", "--divergence", str(cli.MAX_DIVERGENCE)])
     assert args.divergence == cli.MAX_DIVERGENCE
 
 
-def test_one_parser_per_process_keeps_no_state(tmp_path, capsys):
-    """Commands share one parser; each still exits and writes as it does
-    on a freshly built parser."""
-    assert cli.build_parser() is cli.build_parser()
+class TestParsingRules:
+    """How argv is read against each command's option table."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--points", "3", "--lambda", "-1e-3", "--tol", "volume=0"],
+            ["verify", "--points=3", "--lambda=-1e-3", "--tol=volume=0"],
+            ["verify", "--poi", "3", "--lamb=-1e-3", "--to", "volume=0"],
+        ],
+        ids=["space", "equals", "prefix"],
+    )
+    def test_value_forms_and_unique_prefixes(self, argv):
+        args = cli.parse_args(argv)
+        assert (args.points, args.lam, args.tol) == (3, -1e-3, [("volume", 0.0)])
+
+    def test_the_token_after_an_option_is_its_value(self):
+        assert cli.parse_args(["verify", "--out", "--points"]).out == "--points"
+        assert cli.parse_args(["verify", "--case", "-h"]).case == ["-h"]
+        with pytest.raises(cli.UsageError, match="argument --lambda: must be finite, got '-inf'"):
+            cli.parse_args(["verify", "--lambda", "-inf"])
+
+    def test_repeats_keep_the_last_value_and_accumulate_case_and_tol(self):
+        args = cli.parse_args([
+            "verify", "--points", "3", "--case", "gaussian", "--tol", "volume=1",
+            "--points=5", "--case", "s2xr", "--case", "gaussian", "--tol", "bochner=2", "--seed", "1", "--seed", "0",
+        ])
+        assert (args.points, args.seed) == (5, 0)
+        assert args.case == ["gaussian", "s2xr", "gaussian"]
+        assert args.tol == [("volume", 1.0), ("bochner", 2.0)]
+
+    def test_defaults_fill_options_not_given(self):
+        args = cli.parse_args(["solve"])
+        assert (args.background, args.radius, args.alpha, args.beta, args.lam, args.grid, args.r_max, args.out) == (
+            "flat", 1.0, 1.0, 0.0, 0.0, 128, 1.0, "rys-profile.csv"
+        )
+        args = cli.parse_args(["verify"])
+        assert (args.case, args.alpha, args.points, args.seed, args.tol) == ([], None, 200, 7, [])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "expected a command"),
+            (["--out", "x"], "unrecognized argument: --out"),
+            (["nope"], "expected a command"),
+            (["verify", "--points"], "argument --points: expected one argument"),
+            (["verify", "--case", "gaussian", "--seed"], "argument --seed: expected one argument"),
+            (["verify", "--nope", "3"], "unrecognized argument: --nope"),
+            (["verify", "stray"], "unrecognized argument: stray"),
+            (["verify", "-p", "3"], "unrecognized argument: -p"),
+            (["verify", "--", "--points", "3"], "unrecognized argument: --"),
+            (["catalog", "--points", "3"], "unrecognized argument: --points"),
+            (["integrate", "--points", "3"], "unrecognized argument: --points"),
+            (["integrate", "--resolution", "12"], "--case is required"),
+            (["solve", "--r", "1"], "ambiguous option: --r could match --radius, --r-max"),
+            (["solve", "--b=flat"], "ambiguous option: --b could match --background, --beta"),
+            (["verify", "--help=yes"], "argument --help: ignored explicit argument 'yes'"),
+            (["solve", "--background", "torus"], "unknown background 'torus'"),
+            (["solve", "--background", "sphere", "--r-max", "4"], "solve: --r-max 4.0"),
+        ],
+    )
+    def test_usage_errors_exit_2_and_write_nothing(self, argv, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(cli.UsageError, match=re.escape(message)):
+            cli.parse_args(argv)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, command",
+        [
+            (["-h"], None),
+            (["--help"], None),
+            (["--he", "verify"], None),
+            (["verify", "-h"], "verify"),
+            (["integrate", "--help"], "integrate"),
+            (["solve", "--hel"], "solve"),
+            (["catalog", "-h"], "catalog"),
+            (["verify", "--case", "gaussian", "--points", "3", "--out", "report.json", "--help"], "verify"),
+            (["solve", "--grid", "16", "-h", "--grid", "nope"], "solve"),
+        ],
+    )
+    def test_help_prints_the_table_and_runs_nothing(self, argv, command, tmp_path, capsys, monkeypatch):
+        def forbidden(*_args):
+            raise AssertionError("work ran")
+
+        for owner, name in [(cli, "_run_soliton_case"), (cli, "_run_universal_case"), (cli.quadrature, "volume"),
+                            (cli.solver, "solve_radial"), (cli.catalog, "catalog_entries")]:
+            monkeypatch.setattr(owner, name, forbidden)
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and list(tmp_path.iterdir()) == []
+        assert captured.out.startswith(f"usage: ryslab {command} [-h]" if command else "usage: ryslab [-h] [--version]")
+        about, _func, options = cli.COMMANDS[command] if command else ("", None, cli.TOP)
+        assert about in captured.out
+        for option in options:
+            assert option.flag in captured.out and option.help in captured.out
+        if command is None:
+            assert all(name in captured.out for name in cli.COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--seed=7", "--points=3"], ["--seed", "7", "--poi", "3"], ["--points", "9", "--se", "7", "--points", "3"]],
+    ids=["equals", "prefix", "repeat"],
+)
+def test_option_forms_write_the_same_report(argv, tmp_path, capsys):
+    out = str(tmp_path / "report.json")
+    assert run(["verify", "--case", "gaussian", "--seed", "7", "--points", "3", "--out", out]) == 0
+    expected = (tmp_path / "report.json").read_bytes()
+    os.remove(out)
+    assert run(["verify", "--case", "gaussian", *argv, "--out", out]) == 0
+    assert (tmp_path / "report.json").read_bytes() == expected
+
+
+def test_repeated_parses_in_one_process_keep_no_state(tmp_path, capsys, monkeypatch):
+    """Commands parsed one after another in one process exit and write as
+    each does in a fresh process."""
     solve = [
         "solve", "--background", "sphere", "--lambda", "0.5", "--r-max", "1.5",
-        "--grid", "64", "--out", str(tmp_path / "profile.csv"),
+        "--grid", "64", "--out", "profile.csv",
     ]
     sequence = [
         solve,
-        ["solve", "--grid", "nope", "--out", str(tmp_path / "bad.csv")],
-        ["verify", "--case", "gaussian", "--points", "1", "--out", str(tmp_path / "r.json")],
+        ["solve", "--grid", "nope", "--out", "bad.csv"],
+        ["verify", "--case", "gaussian", "--points", "1", "--out", "r.json"],
         solve,
     ]
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
 
-    def outcomes(fresh):
+    def outcomes(directory, call):
         codes, profiles = [], []
         for argv in sequence:
-            if fresh:
-                cli.build_parser.cache_clear()
-            codes.append(run(argv))
+            codes.append(call(argv))
             if argv is solve:
-                profiles.append((tmp_path / "profile.csv").read_bytes())
+                profiles.append((directory / "profile.csv").read_bytes())
         return codes, profiles
 
-    shared_codes, shared_profiles = outcomes(fresh=False)
+    monkeypatch.chdir(shared)
+    shared_codes, shared_profiles = outcomes(shared, run)
     assert shared_codes == [1, 2, 0, 1]
     assert shared_profiles[0] == shared_profiles[1]
-    assert outcomes(fresh=True) == (shared_codes, shared_profiles)
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def in_a_fresh_process(argv):
+        return subprocess.run([sys.executable, "-m", "ryslab.cli", *argv], capture_output=True, cwd=fresh,
+                              env=env, timeout=120).returncode
+
+    assert outcomes(fresh, in_a_fresh_process) == (shared_codes, shared_profiles)
+    assert (shared / "r.json").read_bytes() == (fresh / "r.json").read_bytes()
 
 
 def test_couplings_at_their_ceiling_keep_every_record_finite(tmp_path, capsys):
@@ -975,6 +1098,30 @@ def test_commands_load_neither_numpy_random_nor_numpy_polynomial(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "[0, 0, 0] []"
+
+
+def test_commands_load_neither_argparse_nor_locale(tmp_path):
+    """In a fresh interpreter: the set-up, then a verify, an integrate, a
+    solve and a verify --help load none of argparse, gettext and locale."""
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import ryslab.cli as cli",
+        "from ryslab import catalog",
+        "catalog.catalog_entries()",
+        "runs = [",
+        "    ['verify', '--case', 'gaussian', '--points', '4', '--out', 'out'],",
+        "    ['integrate', '--case', 'unit-s3', '--resolution', '12', '--divergence', '2', '--out', 'out'],",
+        "    ['solve', '--grid', '16', '--out', 'out'],",
+        "    ['verify', '--help'],",
+        "]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [cli.main(argv) for argv in runs]",
+        "print(codes, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules), file=sys.stderr)",
+    ])
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 def _run_into_closed_pipe(argv, cwd, unbuffered):

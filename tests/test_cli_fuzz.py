@@ -25,9 +25,9 @@ def pick(name, values):
 
 def command(name, sizes, options):
     """``name`` with its size flags, each option absent or valid, and then
-    up to two flags given again with an edge value (argparse keeps the
-    last).  The size flags are always given with tiny valid values,
-    because their defaults are full-size runs."""
+    up to two flags given again with an edge value (the parser keeps the
+    last, or collects every --case and --tol).  The size flags are always
+    given with tiny valid values, because their defaults are full-size runs."""
     valid = st.tuples(
         *[pick(f, v) for f, v in sizes],
         *[st.one_of(st.just([]), pick(f, v)) for f, v in options],
@@ -77,11 +77,35 @@ CATALOG = st.sampled_from([["catalog"], ["catalog", "--points", "3"]])
 # Where --out points: a new file, an existing directory, or a path under a
 # regular file (the last two cannot be written).
 OUT = st.sampled_from(["file", "directory", "under-a-file"])
+# Parser shapes applied to the whole argv, --out included, at a position
+# picked by an integer: as drawn, a flag repeated at the end with no value,
+# a flag joined to its value by "=", an unknown flag, a flag cut to a prefix
+# (unique or ambiguous), or -h inserted anywhere.
+SHAPES = st.tuples(st.sampled_from(["as-drawn", "trailing", "equals", "unknown", "prefix", "help"]), st.integers(0, 99))
+
+
+def reshape(argv, shape, k):
+    flags = [i for i, token in enumerate(argv) if token.startswith("--")]
+    i = flags[k % len(flags)] if flags else None
+    if shape == "trailing":
+        return argv + [argv[i] if flags else "--out"]
+    if shape == "equals" and flags and i + 1 < len(argv):
+        return argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
+    if shape == "unknown":
+        at = (flags + [len(argv)])[k % (len(flags) + 1)]
+        return argv[:at] + ["--no-such-flag", "1"] + argv[at:]
+    if shape == "prefix" and flags:  # odd k: the shortest prefix, ambiguous for solve's --r and --b
+        cut = 3 if k % 2 else 3 + k % (len(argv[i]) - 2)
+        return argv[:i] + [argv[i][:cut]] + argv[i + 1:]
+    if shape == "help":
+        at = k % (len(argv) + 1)
+        return argv[:at] + ["-h"] + argv[at:]
+    return argv
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(st.one_of(VERIFY, INTEGRATE, SOLVE, CATALOG), OUT)
-def test_exit_code_contract_holds_for_every_argv(args, out):
+@given(st.one_of(VERIFY, INTEGRATE, SOLVE, CATALOG), OUT, SHAPES)
+def test_exit_code_contract_holds_for_every_argv(args, out, shape):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         blocker = os.path.join(tmp, "file")
@@ -89,6 +113,7 @@ def test_exit_code_contract_holds_for_every_argv(args, out):
         target = {"file": os.path.join(tmp, "out"), "directory": tmp}.get(out, os.path.join(blocker, "out"))
         if args[0] != "catalog":
             args = args + ["--out", target]
+        args = reshape(args, *shape)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(args)
     assert code in (0, 1, 2), args
