@@ -42,17 +42,18 @@ CHUNK = 1024  # points per lifted pass (curvature lifts larger batches in chunks
 _scratch = threading.local()
 
 
-# -- index tables, built once per (n, order) on first use -------------------
+# -- index tables, built once per shape on first use ------------------------
 
+@lru_cache(maxsize=None)
 def _size(n, order):
     return math.comb(n + order, order)
 
 
 @lru_cache(maxsize=None)
-def _indices(n, order):
-    """Multi-indices of degree <= order by degree (so each order is a prefix;
-    the second order packs the upper triangle), and their positions."""
-    combos = (c for d in range(order + 1) for c in combinations_with_replacement(range(n), d))
+def _indices(n):
+    """Multi-indices of degree <= MAX_ORDER by degree (so each order is a
+    prefix; the second order packs the upper triangle), and their positions."""
+    combos = (c for d in range(MAX_ORDER + 1) for c in combinations_with_replacement(range(n), d))
     idx = [tuple(c.count(i) for i in range(n)) for c in combos]
     return idx, {alpha: k for k, alpha in enumerate(idx)}
 
@@ -64,8 +65,10 @@ def _pairs(n, order, lo, hi):
     pair, then of each second pair, ... (most pairs first, so a rank is a
     prefix), the spans of ranks 1, 2, ..., and the order restoring the
     packing.  A gamma's pairs run in alpha's packing order, so a_0 b_l +
-    a_l b_0 sums as a product rule does."""
-    idx = np.array(_indices(n, order)[0]).reshape(-1, n)
+    a_l b_0 sums as a product rule does.  The table is the same at every
+    ``order`` that holds slot hi - 1, so a quotient asks for it at that
+    slot's degree."""
+    idx = np.array(_indices(n)[0][: _size(n, order)]).reshape(-1, n)
     factors = idx[:lo] if lo else idx
     beta = idx[lo:hi, None] - factors  # gamma - alpha per (gamma, alpha)
     fits = (beta >= 0).sum(axis=2) == n
@@ -91,27 +94,37 @@ def _convolve(a, b, table):
     Batches of up to ``CHUNK`` points use a per-thread work array, so that
     their products fault in no fresh pages; larger ones allocate their own."""
     ia, ib, spans, restore = table
-    shape = (len(ia),) + a.shape[1:]
-    size = 2 * math.prod(shape)
-    work = np.empty(size) if math.prod(shape[1:]) > CHUNK else getattr(_scratch, "work", np.empty(0))
-    if work.size < size:
+    shape = (2, len(ia)) + a.shape[1:]
+    size = math.prod(shape)
+    work = np.empty(size) if size > 2 * len(ia) * CHUNK else getattr(_scratch, "work", None)
+    if work is None or work.size < size:
         work = _scratch.work = np.empty(size)
-    pa, pb = work[:size].reshape((2,) + shape)
-    np.take(a, ia, axis=0, out=pa, mode="clip")
-    np.take(b, ib, axis=0, out=pb, mode="clip")
+    pa, pb = work[:size].reshape(shape)
+    a.take(ia, 0, pa, "clip")
+    b.take(ib, 0, pb, "clip")
     prod = np.multiply(pa, pb, out=pa)
     for start, count in spans:
-        prod[:count] += prod[start : start + count]
-    return prod[restore]
+        head = prod[:count]
+        head += prod[start : start + count]
+    return prod.take(restore, 0)
 
 
 @lru_cache(maxsize=None)
-def _shift(n, order, i):
-    """Source slots and factors of (d_i f)_alpha = (alpha_i + 1) f_{alpha + e_i}."""
-    idx, pos = _indices(n, order)
-    low = idx[: _size(n, order - 1)]
+def _shifts(n, i):
+    """Source slots and factors of (d_i f)_alpha = (alpha_i + 1) f_{alpha + e_i}
+    for alpha of degree < MAX_ORDER; a lower order's are a prefix."""
+    idx, pos = _indices(n)
+    low = idx[: _size(n, MAX_ORDER - 1)]
     src = [pos[tuple(a + (k == i) for k, a in enumerate(alpha))] for alpha in low]
     return np.array(src), np.array([alpha[i] + 1.0 for alpha in low])
+
+
+@lru_cache(maxsize=None)
+def _shift(n, order, i, ndim):
+    """``_shifts`` to ``order``, its factors shaped for ``ndim``-axis coefficients."""
+    src, fac = _shifts(n, i)
+    k = _size(n, order - 1)
+    return src[:k], fac[:k].reshape((k,) + (1,) * (ndim - 1))
 
 
 def _zero(o):
@@ -121,18 +134,22 @@ def _zero(o):
 
 def plus(a, b):
     """a + b, or the other term where one is a structural zero."""
-    return b if _zero(a) else a if _zero(b) else a + b
+    if isinstance(a, float) and a == 0.0:
+        return b
+    return a if isinstance(b, float) and b == 0.0 else a + b
 
 
 def minus(a, b):
     """a - b, or ``a`` where ``b`` is a structural zero."""
-    return a if _zero(b) else a - b
+    return a if isinstance(b, float) and b == 0.0 else a - b
 
 
 def times(a, b):
     """a * b, or the float 0.0 where a factor is a structural zero and the
     other is no Taylor (a Taylor's own product decides)."""
-    if (_zero(a) and not isinstance(b, Taylor)) or (_zero(b) and not isinstance(a, Taylor)):
+    if isinstance(a, Taylor) or isinstance(b, Taylor):
+        return a * b
+    if (isinstance(a, float) and a == 0.0) or (isinstance(b, float) and b == 0.0):
         return 0.0
     return a * b
 
@@ -153,13 +170,17 @@ class Taylor:
         self.order = order
 
     def _new(self, c, order=None):
-        return Taylor(c, self.n, self.order if order is None else order)
+        t = object.__new__(Taylor)  # every result is built here: skip __init__'s call
+        t.c, t.n, t.order = c, self.n, self.order if order is None else order
+        return t
 
     def truncate(self, order):
         """Orders above ``order`` dropped, in an array of its own."""
         return self if order >= self.order else self._new(self.c[: _size(self.n, order)].copy(), order)
 
     def _pair(self, o):
+        if self.order == o.order:
+            return self.c, o.c, self.order
         p = min(self.order, o.order)
         return self.c[: _size(self.n, p)], o.c[: _size(self.n, p)], p
 
@@ -199,7 +220,7 @@ class Taylor:
         a, b, p = self._pair(o)
         if p == 1:  # the product rule itself: no tables, no work arrays
             return self._new(np.concatenate([a[:1] * b[:1], a[0] * b[1:] + a[1:] * b[0]]), p)
-        return self._new(_convolve(a, b, _pairs(self.n, p, 0, _size(self.n, p))), p)
+        return self._new(_convolve(a, b, _pairs(self.n, p, 0, len(a))), p)
 
     __rmul__ = __mul__
 
@@ -233,11 +254,11 @@ class Taylor:
         which carries no derivative."""
         if not self.order:
             raise OrderTooHigh(f"d_{i} of a polynomial lifted to order 0")
-        src, fac = _shift(self.n, self.order, i)
-        c = self.c[src]
-        if not c.any():  # d_i vanishes to this order
+        src, fac = _shift(self.n, self.order, i, self.c.ndim)
+        c = self.c.take(src, 0)
+        if not np.count_nonzero(c):  # d_i vanishes to this order
             return 0.0
-        return self._new(c * fac.reshape((-1,) + (1,) * (self.c.ndim - 1)), self.order - 1)
+        return self._new(c * fac, self.order - 1)
 
     def _compose(self, f):
         """f(self) from f[k] = f^(k)(a) / k! at the value a: Horner in h =
@@ -264,11 +285,8 @@ def _quotient(a, b):
     q = np.empty((_size(n, p),) + np.shape(q0))
     q[0] = q0
     for d in range(1, p + 1):
-        lo, hi = _size(n, d - 1), _size(n, d)
-        if d == 1:  # one product per slot, q_0 b_i: no table
-            s = q[0] * b.c[lo:hi]
-        else:
-            s = _convolve(q, b.c, _pairs(n, p, lo, hi))
+        lo, hi = _size(n, d - 1), _size(n, d)  # degree 1: one product q_0 b_i per slot, no table
+        s = q[0] * b.c[lo:hi] if d == 1 else _convolve(q, b.c, _pairs(n, d, lo, hi))
         q[lo:hi] = ((a.c[lo:hi] - s) if lifted else -s) / b.c[0]
     return Taylor(q, n, p)
 
@@ -298,30 +316,34 @@ def vlift(coords):
     return lift(coords, 1)
 
 
-def _entrywise(v, fn, const):
-    """``fn`` of each Taylor entry of a nested list (once if shared)."""
-    seen = {}
+def _entrywise(v, fn, arg, const):
+    """``fn(t, arg)`` of each Taylor entry t of a nested list (once if
+    shared), ``const(x)`` of every other entry."""
+    seen = {}  # a Taylor hashes by identity
 
-    def walk(x):
-        if isinstance(x, list):
-            return [walk(y) for y in x]
-        if not isinstance(x, Taylor):
-            return const(x)
-        if id(x) not in seen:
-            seen[id(x)] = fn(x)
-        return seen[id(x)]
+    def walk(xs):
+        out = []
+        for x in xs:
+            if x.__class__ is Taylor:
+                y = seen.get(x)
+                if y is None:
+                    y = seen[x] = fn(x, arg)
+            else:
+                y = walk(x) if isinstance(x, list) else const(x)
+            out.append(y)
+        return out
 
-    return walk(v)
+    return walk([v])[0]
 
 
 def partial(v, i):
     """d_i of a lifted result, entry by entry (0.0 for a constant)."""
-    return _entrywise(v, lambda t: t.partial(i), lambda x: 0.0)
+    return _entrywise(v, Taylor.partial, i, lambda x: 0.0)
 
 
 def truncate(v, order):
     """A lifted result truncated to ``order``, entry by entry."""
-    return _entrywise(v, lambda t: t.truncate(order), lambda x: x)
+    return _entrywise(v, Taylor.truncate, order, lambda x: x)
 
 
 def _rows(a):
@@ -409,7 +431,7 @@ def derive(f, coords, index):
         return f(list(coords))
     directions = [[s for s, i in enumerate(index) if i == j] for j in range(len(coords))]
     r = f(_lifted(coords, k, k, directions))
-    return _rows(r.c)[_indices(k, k)[1][(1,) * k]] if isinstance(r, Taylor) else 0.0
+    return _rows(r.c)[_indices(k)[1][(1,) * k]] if isinstance(r, Taylor) else 0.0
 
 
 def value_and_gradient(f, coords):

@@ -163,7 +163,7 @@ class PointBatch:
         v = ad.value_of(v)
         if not self.shape:
             return float(v)
-        return np.array(np.broadcast_to(np.asarray(v, dtype=float), self.shape))
+        return np.full(self.shape, v, dtype=float)
 
     def matrix(self, m) -> np.ndarray:
         """Float values of a nested-list matrix: shape (n, n) for a single
@@ -176,10 +176,16 @@ def stack(m, shape=None) -> np.ndarray:
     numbers or (m,) columns, as an array of shape (n, n) + ``shape``.  By
     default ``shape`` is that of the entries, so a matrix with one column
     entry gives (n, n, m) with its constant entries broadcast."""
-    vals = [[np.asarray(ad.value_of(v), dtype=float) for v in row] for row in m]
+    vals = [[ad.value_of(v) for v in row] for row in m]
     if shape is None:
-        shape = np.broadcast_shapes(*(v.shape for row in vals for v in row))
-    return np.array([[np.broadcast_to(v, shape) for v in row] for row in vals])
+        shape = np.broadcast_shapes(*(np.shape(v) for row in vals for v in row))
+    if any(len(row) != len(vals[0]) for row in vals):
+        raise ValueError(f"a matrix takes rows of one length, got {[len(row) for row in vals]}")
+    out = np.empty((len(vals), len(vals[0])) + shape)
+    for i, row in enumerate(vals):
+        for j, v in enumerate(row):
+            out[i, j] = v
+    return out
 
 
 class ScalarField(Record):

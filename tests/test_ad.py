@@ -570,6 +570,68 @@ def test_a_non_finite_coefficient_times_zero_stays_non_finite(bad, slot):
                 assert np.isnan(ad.value_of(r + 1.0)).all()
 
 
+def _result(x):
+    """A result's type, dtype, shape and bytes (a Taylor's by its coefficients)."""
+    if isinstance(x, ad.Taylor):
+        return ad.Taylor, x.n, x.order, x.c.dtype, x.c.shape, x.c.tobytes()
+    return type(x), np.asarray(x).dtype, np.shape(x), np.asarray(x).tobytes()
+
+
+def _structural(x):
+    """The documented structural zero: a float (np.float64 too) equal to 0.0."""
+    return isinstance(x, float) and x == 0.0
+
+
+def _zero_rule_operands():
+    """Structural zeros, a zero column, finite and non-finite Taylors, and
+    plain numbers and columns, over a batch of two points."""
+    rng = np.random.default_rng(15)
+    finite = ad.lift([rng.standard_normal(2) for _ in range(2)], 2)
+    nan, inf = (_full(finite[0], finite[0].c.copy()) for _ in range(2))
+    nan.c[3, 0], inf.c[0, 1] = math.nan, -math.inf
+    return [0.0, -0.0, np.float64(0.0), np.zeros(2), 2.5, np.float64(-1.5), np.array([1.5, -0.0])] + finite + [nan, inf]
+
+
+def _expected_times(a, b):
+    """The rule, in operator terms: a Taylor factor decides (0.0 beside a
+    structural zero when its coefficients are finite), else a structural
+    zero makes the float 0.0."""
+    if isinstance(b, ad.Taylor) and not isinstance(a, ad.Taylor):
+        a, b = b, a
+    if isinstance(a, ad.Taylor) and not isinstance(b, ad.Taylor):
+        if _structural(b) and np.isfinite(a.c).all():
+            return 0.0
+        return _full(a, a.c * b)
+    if not isinstance(a, ad.Taylor) and (_structural(a) or _structural(b)):
+        return 0.0
+    return a * b
+
+
+def test_zero_rule_of_times_plus_minus_and_products_is_pinned():
+    """``times``, ``plus``, ``minus`` and ``Taylor.__mul__`` on every pair
+    of operands: the result's type and bytes, and the operand itself where
+    ``plus`` or ``minus`` returns one."""
+    ops = _zero_rule_operands()
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        for a, b in itertools.product(ops, repeat=2):
+            expected = _expected_times(a, b)
+            assert _result(ad.times(a, b)) == _result(expected), (a, b)
+            if isinstance(a, ad.Taylor):
+                assert _result(a * b) == _result(a.__mul__(b)) == _result(expected), (a, b)
+            if _structural(a):
+                assert ad.plus(a, b) is b
+            elif _structural(b):
+                assert ad.plus(a, b) is a
+            else:
+                assert _result(ad.plus(a, b)) == _result(a + b)
+            if _structural(b):
+                assert ad.minus(a, b) is a
+            else:
+                assert _result(ad.minus(a, b)) == _result(a - b)
+    assert type(ad.times(np.float64(0.0), 2.5)) is float and type(ad.minus(np.float64(0.0), 2.5)) is np.float64
+    assert isinstance(ad.times(np.zeros(2), ops[7]), ad.Taylor)  # a zero column is no structural zero
+
+
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_compose_with_a_zero_tower_entry_returns_a_taylor(order):
     """x ** 2 above its degree, or at 0 where its slope is 0.0, and cos at 0
@@ -589,9 +651,16 @@ def test_compose_with_a_zero_tower_entry_returns_a_taylor(order):
 
 # -- index tables: the numpy builder against the loop it replaced -----------------
 
+def _loop_indices(n, order):
+    """Multi-indices of degree <= order by degree, built for ``order`` alone."""
+    combos = (c for d in range(order + 1) for c in itertools.combinations_with_replacement(range(n), d))
+    return [tuple(c.count(i) for i in range(n)) for c in combos]
+
+
 def _loop_pairs(n, order, lo, hi):
-    """The loop builder of ``ad._pairs``, kept as its reference."""
-    idx, pos = ad._indices(n, order)
+    """The loop builder of ``ad._pairs`` at ``order``, kept as its reference."""
+    idx = _loop_indices(n, order)
+    pos = {alpha: k for k, alpha in enumerate(idx)}
     factors = idx[:lo] if lo else idx
     groups = [
         [(pos[a], pos[r]) for a in factors if min(r := tuple(g - x for g, x in zip(gamma, a))) >= 0]
@@ -609,35 +678,59 @@ def _loop_pairs(n, order, lo, hi):
 
 
 def _requested_tables(n, order):
-    """The (lo, hi) that ``Taylor.__mul__`` (every slot) and ``_quotient``
-    (one degree at a time) ask for at ``order``."""
+    """The (degree, lo, hi) that ``Taylor.__mul__`` (every slot) and
+    ``_quotient`` (one degree at a time) ask ``ad._pairs`` for at ``order``."""
     size = [ad._size(n, d) for d in range(order + 1)]
-    return [(0, size[order])] + [(size[d - 1], size[d]) for d in range(1, order + 1)]
+    return [(order, 0, size[order])] + [(d, size[d - 1], size[d]) for d in range(1, order + 1)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 def test_pair_tables_equal_the_loop_builder(n, order):
-    """The same arrays, dtypes, spans and order, so every coefficient sums
-    its products in the same order."""
-    for lo, hi in _requested_tables(n, order):
-        got, ref = ad._pairs(n, order, lo, hi), _loop_pairs(n, order, lo, hi)
-        for a, b in zip(got[:2] + got[3:], ref[:2] + ref[3:]):
-            assert a.dtype == b.dtype and np.array_equal(a, b), (lo, hi)
-        assert got[2] == ref[2] and all(type(v) is int for span in got[2] for v in span)
+    """The same arrays, dtypes, spans and order as the loop builder's, at the
+    table's degree and at the lift order: a table shared by every order
+    sums each coefficient's products as that order's own table would."""
+    for d, lo, hi in _requested_tables(n, order):
+        got = ad._pairs(n, d, lo, hi)
+        for ref in (_loop_pairs(n, d, lo, hi), _loop_pairs(n, order, lo, hi)):
+            for a, b in zip(got[:2] + got[3:], ref[:2] + ref[3:]):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (d, lo, hi)
+            assert got[2] == ref[2] and all(type(v) is int for span in got[2] for v in span)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_shift_tables_are_prefixes_of_the_loop_builder(n, order):
+    """``partial``'s slots and factors at ``order``, cut from the MAX_ORDER
+    table, equal the ones built for ``order`` alone, shaped per axis count."""
+    idx = _loop_indices(n, order)
+    pos = {alpha: k for k, alpha in enumerate(idx)}
+    low = _loop_indices(n, order - 1)
+    for i in range(n):
+        src = np.array([pos[tuple(a + (k == i) for k, a in enumerate(alpha))] for alpha in low])
+        fac = np.array([alpha[i] + 1.0 for alpha in low])
+        for ndim in (1, 2, 3):
+            got_src, got_fac = ad._shift(n, order, i, ndim)
+            assert got_src.dtype == src.dtype and np.array_equal(got_src, src)
+            assert got_fac.shape == (len(low),) + (1,) * (ndim - 1)
+            assert got_fac.dtype == fac.dtype and np.array_equal(got_fac.ravel(), fac)
 
 
 def test_pair_tables_are_built_on_first_use():
     """Importing ``ad`` builds no table; a product builds its own."""
+    import os
     import subprocess
     import sys
 
     code = (
-        "from ryslab import ad; assert ad._pairs.cache_info().currsize == 0; "
-        "x = ad.lift([0.5, 1.0], 2); x[0] * x[1]; print(ad._pairs.cache_info().currsize)"
+        "from ryslab import ad; tables = (ad._indices, ad._pairs, ad._shifts); "
+        "assert [t.cache_info().currsize for t in tables] == [0, 0, 0]; "
+        "x = ad.lift([0.5, 1.0], 2); x[0] * x[1]; print(*[t.cache_info().currsize for t in tables])"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["1"]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["1", "1", "0"]
 
 
 def test_quotient_first_degree_equals_the_table_path():

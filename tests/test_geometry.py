@@ -16,6 +16,7 @@ from ryslab.geometry import (
     partial_derivative,
     sample_points,
     seeded_uniform,
+    stack,
 )
 
 UNIT_BOX3 = ChartDomain(3, ((0.0, 1.0),) * 3, "unit-box")
@@ -153,6 +154,41 @@ def test_point_batch_rejects_anything_but_columns_or_one_point():
             PointBatch(bad)
     with pytest.raises(ValueError):
         PointBatch.of_points([])
+
+
+def _mixed_entries(batch):
+    """A float, np.float64 zeros and non-finites, a Taylor and, over a batch,
+    a column: each entry and its value at every point."""
+    lifted = ad.lift(batch.columns, 2)[0] * 1.5
+    entries = [2.5, np.float64(-0.0), math.inf, np.float64(math.nan), lifted]
+    if batch.shape:
+        entries.append(np.array([-1.25, 0.5, -0.0]))
+    return entries
+
+
+@pytest.mark.parametrize("columns", [[0.25, 0.5], [np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])]])
+def test_stack_and_values_keep_bytes_dtype_and_shape(columns):
+    """``stack`` (with and without a shape) and ``PointBatch.values`` give
+    float64 arrays of the expected shape whose bytes are each entry's
+    value at every point: signed zeros, NaN and inf included."""
+    batch = PointBatch(columns)
+    entries = _mixed_entries(batch)
+    expected = [np.broadcast_to(np.asarray(ad.value_of(v), dtype=float), batch.shape) for v in entries]
+    for v, want in zip(entries, expected):
+        got = batch.values(v)
+        if batch.shape:
+            assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == batch.shape
+            assert got is not v and got.tobytes() == want.tobytes()
+        else:
+            assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
+    k = len(entries)
+    m = [[entries[(i + j) % k] for j in range(k)] for i in range(k)]
+    want = np.array([[expected[(i + j) % k] for j in range(k)] for i in range(k)])
+    for got in (stack(m), stack(m, batch.shape), batch.matrix(m)):
+        assert got.dtype == np.float64 and got.shape == (k, k) + batch.shape
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        stack([[1.0, 2.0], [3.0]])
 
 
 def test_sample_points_interior_margin():
